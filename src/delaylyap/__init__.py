@@ -42,10 +42,12 @@ from .precond import (
 from .problems import PddeSystem, SmallExample, bench_table, pdde_generate, small_example
 from .propagation import (
     OdeConfig,
+    PropagationPlan,
     PropagationResult,
     coupled_generator,
     coupled_rhs,
     exact_propagate,
+    plan_propagation,
     rk4_propagate,
 )
 from .solver import solve_delay_lyapunov
@@ -62,16 +64,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KrylovConfig", "OdeConfig", "OperatorContext", "PddeSystem",
-    "PrecondFactors", "PropagationResult", "SmallExample", "SolveReport",
-    "SolveTimings", "SolverError", "TdsProblem", "TsylvPencil",
-    "apply_operator", "apply_preconditioner", "assemble_operator", "bench_table",
-    "bicgstab", "boundary_residuals", "build_preconditioner",
+    "PrecondFactors", "PropagationPlan", "PropagationResult", "SmallExample",
+    "SolveReport", "SolveTimings", "SolverError", "TdsProblem", "TsylvPencil",
+    "apply_operator", "apply_preconditioner", "assemble_operator",
+    "bench_table", "bicgstab", "boundary_residuals", "build_preconditioner",
     "commutation_matrix", "complex_schur", "coupled_generator", "coupled_rhs",
     "eigenvalues", "exact_propagate", "expm", "factor_pencil", "frobenius",
     "generalized_schur_pencil", "gmres", "has_no_hamiltonian_pairing", "kron",
-    "lu_solve", "pdde_generate", "pencil_eigenvalues", "preconditioned_spectrum",
-    "preconditioner_quality", "read_matrix", "reconstruct_solution",
-    "rk4_propagate", "small_example", "solve_delay_lyapunov", "spectral_norm",
-    "tsylv_solvable", "tsylv_solve", "tsylv_solve_kron", "unvec", "vec",
-    "write_matrix",
+    "lu_solve", "pdde_generate", "pencil_eigenvalues", "plan_propagation",
+    "preconditioned_spectrum", "preconditioner_quality", "read_matrix",
+    "reconstruct_solution", "rk4_propagate", "small_example",
+    "solve_delay_lyapunov", "spectral_norm", "tsylv_solvable", "tsylv_solve",
+    "tsylv_solve_kron", "unvec", "vec", "write_matrix",
 ]

@@ -41,8 +41,8 @@ def _add_problem_args(p):
 def _add_solver_args(p):
     p.add_argument("--shift", "-c", type=float, default=1.0,
                    help="operator shift constant, nonzero (default 1)")
-    p.add_argument("--steps", type=int, default=500,
-                   help="fixed RK4 steps on [0, tau/2] (default 500)")
+    p.add_argument("--steps", type=int, default=None,
+                   help="fixed RK4 steps (default: planned Taylor)")
     p.add_argument("--method", choices=("gmres", "bicgstab"), default="gmres")
     p.add_argument("--tol", type=float, default=1e-12,
                    help="relative residual tolerance (default 1e-12)")
@@ -82,15 +82,16 @@ def cmd_solve(args):
     problem = _load_problem(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    ode = OdeConfig(steps=args.steps)
     report = solve_delay_lyapunov(
         problem,
         shift=args.shift,
-        ode=OdeConfig(steps=args.steps),
+        ode=ode,
         krylov=KrylovConfig(method=args.method, tol=args.tol, maxit=args.maxit),
     )
     write_matrix(outdir / "X.mtx", report.X, comment="U(tau/2)")
 
-    ctx = OperatorContext(problem=problem, shift=args.shift, ode=OdeConfig(steps=args.steps))
+    ctx = OperatorContext(problem=problem, shift=args.shift, ode=ode, plan=report.plan)
     grid = reconstruct_solution(ctx, report.X, args.samples)
     for k, (t, U) in enumerate(grid):
         write_matrix(outdir / f"U_{k:03d}.mtx", U, comment=f"t={t!r}")
@@ -112,7 +113,9 @@ def cmd_solve(args):
         ("r_sym", report.r_sym),
         ("tol", args.tol),
         ("shift", args.shift),
-        ("steps", args.steps),
+        ("propagation_degree", report.plan.degree),
+        ("propagation_steps", report.plan.steps),
+        ("rhs_evals_per_apply", report.plan.rhs_evals),
         ("tau", problem.tau),
         ("setup_seconds", report.timings.setup_seconds),
         ("apply_seconds", report.timings.apply_seconds),

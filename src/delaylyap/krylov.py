@@ -55,8 +55,9 @@ class SolveReport:
     """Outcome of one iterative solve.
 
     ``residual_history`` has one entry per iteration plus the initial 1.0;
-    for GMRES it is non-increasing.  The boundary-value residuals are filled
-    in by the solver driver, not by the Krylov kernels.
+    for GMRES it is non-increasing.  The propagation plan and the
+    boundary-value residuals are filled in by ``solve_delay_lyapunov``, not
+    by the Krylov kernels.
     """
 
     X: np.ndarray
@@ -65,6 +66,7 @@ class SolveReport:
     converged: bool
     method: str
     timings: SolveTimings = field(default_factory=SolveTimings)
+    plan: object = None
     r_alg: float = None
     r_sym: float = None
     refinement_passes: int = 0

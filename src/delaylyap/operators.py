@@ -3,12 +3,13 @@ at the half-delay, together with dense assembly, reconstruction of the full
 solution curve, and the boundary-value residuals of the original equation.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import frobenius, unvec, vec
-from .propagation import OdeConfig, _rk4_course, rk4_propagate
+from .propagation import OdeConfig, PropagationPlan, plan_propagation, rk4_propagate, taylor_steps
 
 ASSEMBLE_MAX_N = 20
 
@@ -60,15 +61,25 @@ class TdsProblem:
 @dataclass(frozen=True)
 class OperatorContext:
     """Problem plus the nonzero shift and integrator settings that fix the
-    realized (discretized) linear operator."""
+    realized (discretized) linear operator.
+
+    ``plan`` is the propagation plan every apply, residual and reconstruction
+    of this context uses.  It is computed from ``ode`` once, at construction,
+    unless one is passed (for instance ``SolveReport.plan`` of an earlier
+    solve of the same problem and settings).
+    """
 
     problem: TdsProblem
     shift: float = 1.0
     ode: OdeConfig = field(default_factory=OdeConfig)
+    plan: PropagationPlan = None
 
     def __post_init__(self):
         if self.shift == 0.0:
             raise ValueError("shift must be nonzero")
+        if self.plan is None:
+            p = self.problem
+            object.__setattr__(self, "plan", plan_propagation(p.A0, p.A1, p.tau, self.ode))
 
 
 def apply_operator(ctx, X):
@@ -78,14 +89,15 @@ def apply_operator(ctx, X):
 
         Z2^T (A0 - cI) + (A0^T + cI) Z2 + Z1^T A1 + A1^T Z1
 
-    at t = tau/2.  With fixed-step propagation the realized operator is
+    at t = tau/2.  The propagation runs the context's fixed Taylor plan
+    with no data-dependent stopping, so the realized operator is exactly
     linear in X.
     """
     p = ctx.problem
     X = np.asarray(X, dtype=float)
     if X.shape != (p.n, p.n):
         raise ValueError(f"X must be {p.n}x{p.n}, got {X.shape}")
-    res = rk4_propagate(p.A0, p.A1, X, p.tau, ctx.ode)
+    res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=ctx.plan)
     return _combine(p.A0, p.A1, ctx.shift, res.Z1_end, res.Z2_end)
 
 
@@ -115,14 +127,17 @@ def assemble_operator(ctx, max_n=ASSEMBLE_MAX_N):
 def reconstruct_solution(ctx, X, samples):
     """Sample the delay Lyapunov matrix on a uniform grid of [-tau, tau].
 
-    X must be the converged midpoint value; the curve is read off the stored
-    propagation states (sample times are forced onto the RK4 grid) as
+    X must be the converged midpoint value; the curve is read off the
+    propagated pair as
 
         U(t) = Z2(tau/2 - t)   for 0 <= t < tau/2,
         U(t) = Z1(t - tau/2)   for tau/2 <= t <= tau,
         U(t) = U(-t)^T         for t < 0.
 
-    Returns a list of (t, U(t)) pairs in increasing t order.
+    The pair is propagated once, in segments between the sorted propagation
+    times of the samples; a segment of length dt takes ceil(s dt / (tau/2))
+    steps of the context plan's degree m, so no step is longer than the
+    plan's.  Returns a list of (t, U(t)) pairs in increasing t order.
     """
     if samples < 3:
         raise ValueError("samples must be >= 3")
@@ -132,22 +147,31 @@ def reconstruct_solution(ctx, X, samples):
     if p.tau == 0.0:
         return [(0.0, X.copy()) for _ in ts]
 
-    steps = ctx.ode.steps
-    h = (0.5 * p.tau) / steps
+    half = 0.5 * p.tau
+    snap = 8.0 * np.finfo(float).eps * p.tau
 
-    def step_index(t):
-        s = (0.5 * p.tau - t) if t < 0.5 * p.tau else (t - 0.5 * p.tau)
-        return min(steps, max(0, int(round(s / h))))
+    def elapsed(ta):
+        # propagation time of the sample at |t| = ta; rounding in the sample
+        # grid must not turn t = +-tau/2 into a tiny extra step
+        sigma = abs(ta - half)
+        return 0.0 if sigma <= snap else sigma
 
-    needed = {step_index(abs(t)) for t in ts}
-    _, _, snaps = _rk4_course(p.A0, p.A1, X, p.tau, steps, keep=needed)
+    plan = ctx.plan
+    states = {}
+    Z1 = Z2 = X
+    prev = 0.0
+    for sigma in sorted({elapsed(abs(t)) for t in ts}):
+        if sigma > prev:
+            k = math.ceil(plan.steps * (sigma - prev) / half)
+            Z1, Z2 = taylor_steps(p.A0, p.A1, Z1, Z2, (sigma - prev) / k, plan.degree, k)
+        states[sigma] = (Z1, Z2)
+        prev = sigma
 
     out = []
     for t in ts:
         ta = abs(t)
-        j = step_index(ta)
-        Z1, Z2 = snaps[j]
-        U = Z2 if ta < 0.5 * p.tau else Z1
+        Z1, Z2 = states[elapsed(ta)]
+        U = Z2 if ta < half else Z1
         out.append((float(t), U.T.copy() if t < 0 else U.copy()))
     return out
 

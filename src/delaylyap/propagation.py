@@ -5,10 +5,17 @@ Starting from Z1(0) = Z2(0) = X, the pair evolves on [0, tau/2] under
     Z1' =  Z1 A0 + Z2^T A1,
     Z2' = -Z1^T A1 - Z2 A0,
 
-and only the terminal values are needed by the linear operator.  A fixed-step
-RK4 scheme is the scalable path (each step is the same linear map of the
-state, so the discretized operator stays linear); the dense exponential of
-the vectorized generator serves as a small-size oracle.
+and only the terminal values are needed by the linear operator.  The system
+is linear and autonomous with generator G, so the terminal pair is
+exp((tau/2) G) applied to (X, X).  It is computed by one truncated Taylor
+loop: s steps of length h = (tau/2)/s, each adding the terms
+(h^j / j!) G^j Z for j = 1..m, one right-hand-side evaluation per term.
+The plan (m, s) is fixed per problem, before any X is seen -- from the
+Al-Mohy & Higham (2011) bound for a double-precision target, or as
+(4, steps), which is classic RK4 -- and the loop never stops early, so every
+propagation is the same polynomial in G and the discretized operator stays
+exactly linear.  The dense exponential of the vectorized generator serves as
+a small-size oracle.
 """
 
 from dataclasses import dataclass
@@ -19,20 +26,38 @@ from .errors import SolverError
 from .linalg import expm, kron, unvec, vec
 
 EXACT_MAX_N = 12
+RK4_DEGREE = 4      # degree-4 Taylor steps of a linear autonomous ODE are classic RK4
+PLAN_TOL = 2.0 ** -53
+PLAN_SEED = 0       # onenormest draws its start vectors from the global NumPy RNG
 
 
 @dataclass(frozen=True)
 class OdeConfig:
-    """Fixed-step integrator configuration: ``steps`` uniform RK4 steps on [0, tau/2]."""
+    """Integrator configuration.
 
-    steps: int = 500
-    scheme: str = "rk4"
+    ``steps=None`` (the default) plans the Taylor degree and step count from
+    the generator's norms for a double-precision target; ``steps=N`` runs N
+    uniform classic RK4 steps on [0, tau/2].
+    """
+
+    steps: int = None
 
     def __post_init__(self):
-        if self.steps < 1:
+        if self.steps is not None and self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.scheme != "rk4":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+
+
+@dataclass(frozen=True)
+class PropagationPlan:
+    """Taylor degree and step count of one propagation over [0, tau/2]."""
+
+    degree: int
+    steps: int
+
+    @property
+    def rhs_evals(self):
+        """Right-hand-side evaluations per propagation over [0, tau/2]."""
+        return self.degree * self.steps
 
 
 @dataclass(frozen=True)
@@ -47,51 +72,107 @@ def coupled_rhs(Z1, Z2, A0, A1):
     """Right-hand side (Z1 A0 + Z2^T A1, -Z1^T A1 - Z2 A0)."""
     if Z1.shape != Z2.shape or Z1.shape != A0.shape or A0.shape != A1.shape:
         raise ValueError("all matrices must share one square shape")
+    return _rhs(Z1, Z2, A0, A1)
+
+
+def _rhs(Z1, Z2, A0, A1):
+    # coupled_rhs without the shape check; the planner's operator calls it,
+    # so coupled_rhs is called only for propagation terms.
     return Z1 @ A0 + Z2.T @ A1, -(Z1.T @ A1) - Z2 @ A0
 
 
-def rk4_propagate(A0, A1, X, tau, cfg=None):
-    """Propagate Z1, Z2 from the common initial value X to t = tau/2.
+def plan_propagation(A0, A1, tau, cfg=None):
+    """Choose the Taylor degree m and step count s for a propagation to tau/2.
 
-    Classic four-stage Runge-Kutta with step h = (tau/2)/steps.  The map
-    X -> (Z1_end, Z2_end) is linear, since every stage applies the same
-    fixed linear map.  tau = 0 is accepted and returns (X, X).
+    With ``cfg.steps`` set the plan is (4, steps), classic RK4.  Otherwise
+    (m, s) minimizes m * s subject to the Al-Mohy & Higham (2011) backward
+    error bound 2^-53, using the exact 1-norm ||G||_1 = ||A0||_inf +
+    ||A1||_inf and estimates of ||G^p||_1^(1/p) from ``onenormest`` on a
+    matrix-free operator (O(n^2) memory).  The estimate runs under a fixed
+    seed and restores the caller's global NumPy RNG state, so the plan
+    depends only on (A0, A1, tau).
     """
     cfg = cfg or OdeConfig()
+    if cfg.steps is not None:
+        return PropagationPlan(RK4_DEGREE, cfg.steps)
+    A0 = np.asarray(A0, dtype=float)
+    A1 = np.asarray(A1, dtype=float)
+    t = 0.5 * tau
+    # A unit matrix in Z1 or Z2 maps to one row of A0 plus one row of A1.
+    norm1 = t * (np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max())
+    if norm1 == 0.0:
+        return PropagationPlan(0, 1)
+    # Imported here, so that the preconditioner-only paths, which plan no
+    # propagation, do not load scipy.sparse.linalg (about 2 MB resident).
+    from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
+
+    saved = np.random.get_state()
+    np.random.seed(PLAN_SEED)
+    try:
+        info = LazyOperatorNormInfo(_generator_operator(A0, A1, t), A_1_norm=norm1)
+        m, s = _fragment_3_1(info, 1, PLAN_TOL)
+    finally:
+        np.random.set_state(saved)
+    return PropagationPlan(int(m), int(s))
+
+
+def _generator_operator(A0, A1, t):
+    """t G as a LinearOperator on the stacked state [Z1.ravel(); Z2.ravel()]."""
+    from scipy.sparse.linalg import LinearOperator
+
+    n = A0.shape[0]
+
+    def matvec(v):
+        Z1, Z2 = np.reshape(v, (2, n, n))
+        return t * np.concatenate([G.ravel() for G in _rhs(Z1, Z2, A0, A1)])
+
+    def rmatvec(v):
+        U, V = np.reshape(v, (2, n, n))
+        return t * np.concatenate([(U @ A0.T - A1 @ V.T).ravel(),
+                                   (A1 @ U.T - V @ A0.T).ravel()])
+
+    return LinearOperator((2 * n * n, 2 * n * n), matvec=matvec, rmatvec=rmatvec,
+                          dtype=float)
+
+
+def taylor_steps(A0, A1, Z1, Z2, h, degree, steps):
+    """Advance the pair (Z1, Z2) by ``steps`` Taylor steps of length h.
+
+    Each step adds (h^j / j!) G^j Z for j = 1..degree, every term one
+    ``coupled_rhs`` call.  The inputs are not modified.
+    """
+    Z1 = np.array(Z1, dtype=float)
+    Z2 = np.array(Z2, dtype=float)
+    for _ in range(steps):
+        B1, B2 = Z1, Z2
+        for j in range(1, degree + 1):
+            B1, B2 = coupled_rhs(B1, B2, A0, A1)
+            B1 *= h / j
+            B2 *= h / j
+            Z1 += B1
+            Z2 += B2
+    return Z1, Z2
+
+
+def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
+    """Propagate Z1, Z2 from the common initial value X to t = tau/2.
+
+    Runs the Taylor loop of ``plan`` (made from ``cfg`` by
+    ``plan_propagation`` when not given).  The map X -> (Z1_end, Z2_end) is
+    linear, since every step applies the same fixed polynomial in G.
+    tau = 0 is accepted and returns (X, X).  The name is kept because it is
+    the package's one propagation entry point, and ``OdeConfig(steps=N)``
+    still makes it classic RK4.
+    """
     X = np.asarray(X, dtype=float)
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
         return PropagationResult(X.copy(), X.copy())
-    Z1, Z2 = _rk4_course(A0, A1, X, tau, cfg.steps)
+    plan = plan or plan_propagation(A0, A1, tau, cfg)
+    h = (0.5 * tau) / plan.steps
+    Z1, Z2 = taylor_steps(A0, A1, X, X, h, plan.degree, plan.steps)
     return PropagationResult(Z1, Z2)
-
-
-def _rk4_course(A0, A1, X, tau, steps, keep=None):
-    """Run the RK4 sweep; optionally record the states at given step indices.
-
-    ``keep`` is a collection of step indices in [0, steps]; when present the
-    recorded states are returned as {index: (Z1, Z2)} alongside the terminal
-    pair.
-    """
-    h = (0.5 * tau) / steps
-    Z1 = np.array(X, dtype=float, copy=True)
-    Z2 = Z1.copy()
-    snapshots = {} if keep is not None else None
-    if keep is not None and 0 in keep:
-        snapshots[0] = (Z1.copy(), Z2.copy())
-    for k in range(steps):
-        k1a, k1b = coupled_rhs(Z1, Z2, A0, A1)
-        k2a, k2b = coupled_rhs(Z1 + (0.5 * h) * k1a, Z2 + (0.5 * h) * k1b, A0, A1)
-        k3a, k3b = coupled_rhs(Z1 + (0.5 * h) * k2a, Z2 + (0.5 * h) * k2b, A0, A1)
-        k4a, k4b = coupled_rhs(Z1 + h * k3a, Z2 + h * k3b, A0, A1)
-        Z1 += (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
-        Z2 += (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
-        if keep is not None and (k + 1) in keep:
-            snapshots[k + 1] = (Z1.copy(), Z2.copy())
-    if keep is not None:
-        return Z1, Z2, snapshots
-    return Z1, Z2
 
 
 def coupled_generator(A0, A1):

@@ -42,9 +42,9 @@ def solve_delay_lyapunov(problem, shift=1.0, ode=None, krylov=None,
     -------
     SolveReport
         With the solution X = U(tau/2), the main-solve residual history and
-        iteration count, timings, and the final boundary residuals r_alg,
-        r_sym computed from the same fixed-step propagation the operator
-        used.
+        iteration count, timings, the propagation plan every apply used, and
+        the final boundary residuals r_alg, r_sym computed from the same
+        fixed-plan propagation the operator used.
     """
     ode = ode or OdeConfig()
     krylov = krylov or KrylovConfig()
@@ -66,6 +66,7 @@ def solve_delay_lyapunov(problem, shift=1.0, ode=None, krylov=None,
     solve = gmres if krylov.method == "gmres" else bicgstab
     report = solve(op, -problem.W, precond=precond, cfg=krylov)
     report.timings.setup_seconds = setup_seconds
+    report.plan = ctx.plan
 
     r_alg, r_sym = _residuals(ctx, report.X)
     if report.converged:
@@ -101,5 +102,5 @@ def _setup_with_retry(A0, shift, tau):
 
 def _residuals(ctx, X):
     p = ctx.problem
-    res = rk4_propagate(p.A0, p.A1, X, p.tau, ctx.ode)
+    res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=ctx.plan)
     return boundary_residuals(p, res.Z2_end, res.Z1_end)

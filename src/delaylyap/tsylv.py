@@ -217,19 +217,20 @@ def tsylv_solvable(M, N, tol=None):
 
     True iff every eigenvalue pair of the pencil M - lambda N^T keeps
     |mu_i conj(mu_j) - 1| > tol; an infinite eigenvalue violates the
-    condition only when paired with a zero one.
+    condition only when paired with a zero one.  By default the bound is
+    relative to each pair, 1e-10 (1 + |mu_i mu_j|), so one huge finite mu
+    (a nearly singular N^T) does not blur the test for the others.
     """
     mu = factor_pencil(M, N).mu
-    finite = np.isfinite(mu)
+    mf = mu[np.isfinite(mu)]
     if tol is None:
-        biggest = np.abs(mu[finite]).max() if finite.any() else 0.0
-        tol = 1e-10 * (1.0 + biggest ** 2)
-    mf = mu[finite]
-    if mf.size:
-        prod = np.abs(np.outer(mf, mf.conj()) - 1.0)
-        if prod.min() <= tol:
-            return False
-    if (~finite).any() and mf.size and np.any(np.abs(mf) <= tol):
+        bound = 1e-10 * (1.0 + np.abs(np.outer(mf, mf)))
+        tiny = 1e-10
+    else:
+        bound = tiny = tol
+    if np.any(np.abs(np.outer(mf, mf.conj()) - 1.0) <= bound):
+        return False
+    if mf.size < mu.size and np.any(np.abs(mf) <= tiny):
         return False
     return True
 

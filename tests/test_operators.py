@@ -12,6 +12,7 @@ from delaylyap import (
     assemble_operator,
     boundary_residuals,
     build_preconditioner,
+    exact_propagate,
     frobenius,
     kron,
     lu_solve,
@@ -73,6 +74,37 @@ class TestApply:
         lhs = apply_operator(ctx, a * X + b * Y)
         rhs = a * apply_operator(ctx, X) + b * apply_operator(ctx, Y)
         assert frobenius(lhs - rhs) <= 1e-12 * frobenius(rhs)
+
+    def test_linearity_with_planned_taylor(self):
+        rng = np.random.default_rng(11)
+        p = random_stable_problem(5, rng)
+        ctx = OperatorContext(problem=p)
+        X, Y = rng.standard_normal((5, 5)), rng.standard_normal((5, 5))
+        a, b = 0.37, -1.21
+        lhs = apply_operator(ctx, a * X + b * Y)
+        rhs = a * apply_operator(ctx, X) + b * apply_operator(ctx, Y)
+        assert frobenius(lhs - rhs) <= 1e-13 * frobenius(rhs)
+
+    def test_plan_computed_once_per_context(self, monkeypatch):
+        import delaylyap.operators as ops
+
+        calls = []
+        original = ops.plan_propagation
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ops, "plan_propagation", counting)
+        ex = small_example(1.0)
+        ctx = OperatorContext(problem=ex.problem)
+        for _ in range(3):
+            apply_operator(ctx, np.eye(4))
+        reconstruct_solution(ctx, np.eye(4), samples=5)
+        assert len(calls) == 1
+        reused = OperatorContext(problem=ex.problem, plan=ctx.plan)
+        apply_operator(reused, np.eye(4))
+        assert len(calls) == 1
 
     def test_symmetric_antisymmetric_split(self):
         rng = np.random.default_rng(3)
@@ -155,6 +187,16 @@ class TestReconstruct:
         grid = reconstruct_solution(ctx, report.X, samples=5)
         U0 = dict((round(t, 12), U) for t, U in grid)[0.0]
         assert frobenius(U0 - U0.T) <= 1e-8
+
+    def test_planned_taylor_samples(self):
+        rng = np.random.default_rng(12)
+        p = random_stable_problem(4, rng, tau=1.3)
+        X = rng.standard_normal((4, 4))
+        grid = reconstruct_solution(OperatorContext(problem=p), X, samples=9)
+        by_t = {round(t, 12): U for t, U in grid}
+        assert np.array_equal(by_t[round(p.tau / 2, 12)], X)
+        want = exact_propagate(p.A0, p.A1, X, p.tau).Z2_end
+        assert frobenius(by_t[0.0] - want) <= 1e-12 * frobenius(want)
 
     def test_too_few_samples(self):
         rng = np.random.default_rng(7)

@@ -4,16 +4,21 @@ from numpy.testing import assert_allclose
 
 from delaylyap import (
     OdeConfig,
+    PropagationPlan,
     SolverError,
     coupled_generator,
     coupled_rhs,
     exact_propagate,
     expm,
     frobenius,
+    pdde_generate,
+    plan_propagation,
     rk4_propagate,
+    small_example,
     spectral_norm,
 )
 from delaylyap.checks import random_stable_problem
+from delaylyap.propagation import _generator_operator
 
 
 class TestCoupledRhs:
@@ -110,6 +115,60 @@ class TestRk4:
             bound = 2.0 * np.exp(tau * (spectral_norm(A0) + spectral_norm(A1))) * frobenius(X)
             assert frobenius(res.Z1_end) <= bound
             assert frobenius(res.Z2_end) <= bound
+
+
+class TestTaylorPlan:
+    def test_default_matches_exponential_oracle(self):
+        rng = np.random.default_rng(11)
+        problems = [small_example(1.0).problem, small_example(5.0).problem,
+                    random_stable_problem(5, rng)]
+        for p in problems:
+            X = rng.standard_normal((p.n, p.n))
+            exact = exact_propagate(p.A0, p.A1, X, p.tau)
+            res = rk4_propagate(p.A0, p.A1, X, p.tau)
+            for got, want in ((res.Z1_end, exact.Z1_end), (res.Z2_end, exact.Z2_end)):
+                assert frobenius(got - want) <= 1e-12 * frobenius(want)
+
+    def test_fixed_steps_plan_is_rk4(self):
+        assert plan_propagation(np.eye(2), np.eye(2), 1.0, OdeConfig(steps=7)) \
+            == PropagationPlan(degree=4, steps=7)
+
+    def test_cost_on_benchmark_problems(self):
+        for alpha in (1.0, 5.0):
+            p = small_example(alpha).problem
+            assert plan_propagation(p.A0, p.A1, p.tau).rhs_evals <= 220
+        p = pdde_generate(5, 5).problem
+        assert plan_propagation(p.A0, p.A1, p.tau).rhs_evals <= 100
+
+    def test_deterministic_and_leaves_global_rng_alone(self):
+        # PDDE 3x3 is large enough in norm that the plan rests on
+        # onenormest estimates of ||G^p||, which draw random start vectors
+        p = pdde_generate(3, 3).problem
+        plans = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            plans.append(plan_propagation(p.A0, p.A1, p.tau))
+            after = np.random.get_state()
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert plans[0] == plans[1]
+
+    def test_zero_generator(self):
+        X = np.arange(4.0).reshape(2, 2)
+        zero = np.zeros((2, 2))
+        assert plan_propagation(zero, zero, 1.0).rhs_evals == 0
+        res = rk4_propagate(zero, zero, X, 1.0)
+        assert np.array_equal(res.Z1_end, X) and np.array_equal(res.Z2_end, X)
+
+    def test_generator_operator_norm_and_adjoint(self):
+        rng = np.random.default_rng(12)
+        n, t = 3, 0.7
+        A0, A1 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        op = _generator_operator(A0, A1, t)
+        dense = op.matmat(np.eye(2 * n * n))
+        one_norm = t * (np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max())
+        assert np.abs(dense).sum(axis=0).max() == pytest.approx(one_norm, rel=1e-14)
+        assert_allclose(op.rmatmat(np.eye(2 * n * n)), dense.T, atol=1e-14)
 
 
 class TestExactPropagate:

@@ -81,3 +81,16 @@ def test_bicgstab_path():
                                   krylov=KrylovConfig(method="bicgstab", tol=1e-12, maxit=64))
     assert report.converged
     assert report.r_alg <= 1e-8
+
+
+def test_cli_summary_reports_plan(tmp_path):
+    from delaylyap.cli import main
+
+    assert main(["solve", "--small-example", "--samples", "5",
+                 "--outdir", str(tmp_path)]) == 0
+    summary = dict(line.split("=", 1)
+                   for line in (tmp_path / "summary.txt").read_text().splitlines())
+    assert "steps" not in summary
+    degree, steps = int(summary["propagation_degree"]), int(summary["propagation_steps"])
+    assert int(summary["rhs_evals_per_apply"]) == degree * steps <= 220
+    assert (tmp_path / "U_004.mtx").is_file()

@@ -161,6 +161,14 @@ class TestSolvable:
         # shifted variant: eigenvalues {2, inf} are harmless
         assert tsylv_solvable(2.0 * np.eye(2), np.diag([0.0, 0.5])) is True
 
+    def test_huge_finite_eigenvalue_does_not_mask_others(self):
+        # nearly singular N^T: mu = {2e17, 4}, and no pair has mu_i mu_j near 1
+        M, N = 2.0 * np.eye(2), np.diag([1e-17, 0.5])
+        assert tsylv_solvable(M, N) is True
+        C = np.arange(4.0).reshape(2, 2)
+        X = tsylv_solve(M, N, C)
+        assert frobenius(M @ X + X.T @ N - C) <= 1e-14 * frobenius(C)
+
 
 class TestHamiltonianPairing:
     def test_negative_identity(self):
