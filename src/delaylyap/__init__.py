@@ -19,7 +19,6 @@ from .linalg import (
     kron,
     lu_solve,
     pencil_eigenvalues,
-    spectral_norm,
     unvec,
     vec,
 )
@@ -74,6 +73,6 @@ __all__ = [
     "lu_solve", "pdde_generate", "pencil_eigenvalues", "plan_propagation",
     "preconditioned_spectrum", "preconditioner_quality", "read_matrix",
     "reconstruct_solution", "rk4_propagate", "small_example",
-    "solve_delay_lyapunov", "spectral_norm", "tsylv_solvable", "tsylv_solve",
+    "solve_delay_lyapunov", "tsylv_solvable", "tsylv_solve",
     "tsylv_solve_kron", "unvec", "vec", "write_matrix",
 ]

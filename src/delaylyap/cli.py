@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Subcommands: solve, bench, spectrum, tsylv, pdde, check.  Matrices travel as
+Subcommands: solve, bench, spectrum, tsylv, pdde.  Matrices travel as
 Matrix Market files, histories and spectra as CSV with a header row, run
 summaries as key=value text.  Failures exit nonzero with the error code on
-stderr.
+stderr; unreadable or inconsistent input files give ``invalid-input``.
 """
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -50,16 +51,26 @@ def _add_solver_args(p):
                    help="iteration cap (default n^2)")
 
 
+@contextlib.contextmanager
+def _input_errors():
+    """Map file, format and shape errors of input loading to ``invalid-input``."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise SolverError("invalid-input", str(exc)) from exc
+
+
 def _load_problem(args):
-    if args.small_example:
-        return small_example(args.alpha).problem
-    if args.pdde:
-        nx, ny = args.pdde
-        return pdde_generate(nx, ny, f0=args.f0, tau=args.tau).problem
-    if not (args.a0 and args.a1 and args.w):
-        raise SystemExit("error: provide --small-example, --pdde, or --a0/--a1/--w files")
-    return TdsProblem(A0=read_matrix(args.a0), A1=read_matrix(args.a1),
-                      tau=args.tau, W=read_matrix(args.w))
+    with _input_errors():
+        if args.small_example:
+            return small_example(args.alpha).problem
+        if args.pdde:
+            nx, ny = args.pdde
+            return pdde_generate(nx, ny, f0=args.f0, tau=args.tau).problem
+        if not (args.a0 and args.a1 and args.w):
+            raise ValueError("provide --small-example, --pdde, or --a0/--a1/--w files")
+        return TdsProblem(A0=read_matrix(args.a0), A1=read_matrix(args.a1),
+                          tau=args.tau, W=read_matrix(args.w))
 
 
 def _fmt(x):
@@ -98,9 +109,9 @@ def cmd_solve(args):
     _write_csv(outdir / "U_grid.csv", ["index", "t", "file"],
                [(k, t, f"U_{k:03d}.mtx") for k, (t, _) in enumerate(grid)])
 
-    dt = report.timings.total_seconds / max(len(report.residual_history) - 1, 1)
     _write_csv(outdir / "convergence.csv", ["iter", "relres", "cumulative_seconds"],
-               [(i, r, i * dt) for i, r in enumerate(report.residual_history)])
+               [(i, r, t) for i, (r, t) in
+                enumerate(zip(report.residual_history, report.iteration_seconds))])
 
     _write_summary(outdir / "summary.txt", [
         ("n", problem.n),
@@ -167,9 +178,11 @@ def cmd_spectrum(args):
 
 
 def cmd_tsylv(args):
-    M = read_matrix(args.m)
-    N = read_matrix(args.n)
-    C = read_matrix(args.c_file)
+    with _input_errors():
+        M, N, C = (read_matrix(path) for path in (args.m, args.n, args.c_file))
+        if M.shape[0] != M.shape[1] or not M.shape == N.shape == C.shape:
+            raise ValueError(f"M, N and C must be square of one shape, "
+                             f"got {M.shape}, {N.shape}, {C.shape}")
     X = tsylv_solve_kron(M, N, C) if args.oracle else tsylv_solve(M, N, C)
     write_matrix(args.out, X)
     print(f"wrote {args.out}")
@@ -189,18 +202,6 @@ def cmd_pdde(args):
     ])
     print(f"wrote A0/A1/W/B0/C0 and metadata to {outdir}")
     return 0
-
-
-def cmd_check(args):
-    from .checks import run_checks
-
-    results = run_checks(quick=args.quick, seed=args.seed)
-    failed = 0
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-        failed += 0 if r.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 1 if failed else 0
 
 
 def build_parser():
@@ -250,11 +251,6 @@ def build_parser():
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_pdde)
-
-    p = sub.add_parser("check", help="run the seeded self-check battery")
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check)
     return parser
 
 

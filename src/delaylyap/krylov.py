@@ -31,7 +31,6 @@ class KrylovConfig:
     method: str = "gmres"
     tol: float = 1e-12
     maxit: int = None
-    left_precond: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
@@ -55,13 +54,16 @@ class SolveReport:
     """Outcome of one iterative solve.
 
     ``residual_history`` has one entry per iteration plus the initial 1.0;
-    for GMRES it is non-increasing.  The propagation plan and the
+    for GMRES it is non-increasing.  ``iteration_seconds`` holds, for each
+    history entry, the ``perf_counter`` time elapsed since the solve started
+    when that entry was recorded.  The propagation plan and the
     boundary-value residuals are filled in by ``solve_delay_lyapunov``, not
     by the Krylov kernels.
     """
 
     X: np.ndarray
     residual_history: list
+    iteration_seconds: list
     iterations: int
     converged: bool
     method: str
@@ -74,18 +76,26 @@ class SolveReport:
     basis: list = None
 
 
+def _finite(out, name):
+    out = np.asarray(out).flatten()
+    if not np.all(np.isfinite(out)):
+        raise SolverError("krylov-nonfinite", f"{name} returned non-finite entries")
+    return out
+
+
 def _wrap(op, precond, shape, timings):
     """Flatten matrix callables to vector callables, accumulating wall time.
 
     The outputs are copies, so a callable that returns its input (or a view
-    of it) cannot alias the caller's basis vectors.
+    of it) cannot alias the caller's basis vectors.  A non-finite output
+    raises ``"krylov-nonfinite"`` at once instead of iterating on NaN.
     """
 
     def operator(v):
         t0 = time.perf_counter()
         out = op(v.reshape(shape))
         timings.apply_seconds += time.perf_counter() - t0
-        return np.asarray(out).flatten()
+        return _finite(out, "operator")
 
     if precond is None:
         return operator, lambda v: v
@@ -94,7 +104,7 @@ def _wrap(op, precond, shape, timings):
         t0 = time.perf_counter()
         out = precond(v.reshape(shape))
         timings.precond_seconds += time.perf_counter() - t0
-        return np.asarray(out).flatten()
+        return _finite(out, "preconditioner")
 
     return operator, preconditioner
 
@@ -123,7 +133,9 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
     SolverError
         ``"krylov-breakdown"`` when an Arnoldi vector vanishes while the
         residual is still above tolerance (a vanishing vector at tolerance is
-        the happy breakdown and returns the exact solution).
+        the happy breakdown and returns the exact solution);
+        ``"krylov-nonfinite"`` when the operator or the preconditioner
+        returns a NaN or infinite entry.
     """
     cfg = cfg or KrylovConfig()
     b = np.asarray(b, dtype=float)
@@ -149,6 +161,7 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
     sn = []
     g = [beta]
     history = [1.0]
+    stamps = [time.perf_counter() - t_start]
     iterations = maxit
     converged = False
 
@@ -172,6 +185,7 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
         g[j] = cs[j] * g[j]
         relres = abs(g[j + 1]) / beta
         history.append(relres)
+        stamps.append(time.perf_counter() - t_start)
         if relres <= cfg.tol:
             iterations = j + 1
             converged = True
@@ -200,6 +214,7 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
     return SolveReport(
         X=x.reshape(shape),
         residual_history=history,
+        iteration_seconds=stamps,
         iterations=iterations,
         converged=converged,
         method="gmres",
@@ -212,7 +227,9 @@ def bicgstab(op, b, precond=None, cfg=None):
     """BiCGStab for op(X) = b over n x n matrices.
 
     Same calling convention as :func:`gmres`.  The stabilization parameters
-    breaking down (rho or omega vanishing) raises ``"bicgstab-breakdown"``.
+    breaking down (rho or omega vanishing) raises ``"bicgstab-breakdown"``;
+    a non-finite operator or preconditioner output raises
+    ``"krylov-nonfinite"`` as in :func:`gmres`.
     """
     cfg = cfg or KrylovConfig(method="bicgstab")
     b = np.asarray(b, dtype=float)
@@ -237,6 +254,7 @@ def bicgstab(op, b, precond=None, cfg=None):
     v = np.zeros_like(r)
     p = np.zeros_like(r)
     history = [1.0]
+    stamps = [time.perf_counter() - t_start]
     converged = False
     iterations = 0
 
@@ -263,6 +281,7 @@ def bicgstab(op, b, precond=None, cfg=None):
         if np.linalg.norm(s) / nb <= cfg.tol:
             x += alpha * p
             history.append(np.linalg.norm(s) / nb)
+            stamps.append(time.perf_counter() - t_start)
             converged = True
             break
         t = K(s)
@@ -274,6 +293,7 @@ def bicgstab(op, b, precond=None, cfg=None):
         r = s - omega * t
         relres = np.linalg.norm(r) / nb
         history.append(relres)
+        stamps.append(time.perf_counter() - t_start)
         if relres <= cfg.tol:
             converged = True
             break
@@ -282,6 +302,7 @@ def bicgstab(op, b, precond=None, cfg=None):
     return SolveReport(
         X=x.reshape(shape),
         residual_history=history,
+        iteration_seconds=stamps,
         iterations=iterations,
         converged=converged,
         method="bicgstab",

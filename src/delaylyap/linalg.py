@@ -2,6 +2,9 @@
 
 Real matrices are float64 ndarrays, complex ones complex128; the
 column-stacking convention vec(AXB) = (B^T (x) A) vec(X) is used throughout.
+The factorizations are SciPy's (``scipy.linalg.expm``, ``lu_factor``/
+``lu_solve``, ``schur``, ``qr``); the wrappers here add input checks and map
+their failures to stable ``SolverError`` codes.
 """
 
 import numpy as np
@@ -10,13 +13,7 @@ import scipy.linalg
 from .errors import SolverError
 
 KRON_MAX_DIM = 16384
-
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
+REAL_RTOL = 1e-9
 
 
 def _require_square(A, name="matrix"):
@@ -58,59 +55,43 @@ def kron(A, B, max_dim=KRON_MAX_DIM):
 
 
 def commutation_matrix(n):
-    """Permutation P of size n^2 x n^2 with P vec(X) = vec(X^T)."""
+    """Permutation P of size n^2 x n^2 with P vec(X) = vec(X^T).
+
+    Row k of P is row perm[k] of the identity, where perm lists the
+    column-major positions of X^T's entries in X.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    P = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            P[j + i * n, i + j * n] = 1.0
-    return P
+    perm = np.arange(n * n).reshape(n, n).flatten(order="F")
+    return np.eye(n * n)[perm]
 
 
 def expm(A):
-    """Matrix exponential by scaling-and-squaring.
+    """Matrix exponential by ``scipy.linalg.expm``.
 
-    Uses the degree-13 diagonal Pade approximant with squaring count
-    ceil(log2(||A||_1 / 5.4)) floored at zero.
+    That is the scaling-and-squaring algorithm of Al-Mohy & Higham (SIAM J.
+    Matrix Anal. Appl. 31(3), 2009).
 
     Raises
     ------
+    ValueError
+        When A is not square.
     SolverError
-        ``"exp-overflow"`` when the result is not finite.
+        ``"exp-overflow"`` when the input or the result is not finite.
     """
     A = _require_square(A, "expm input")
-    n = A.shape[0]
-    dtype = complex if np.iscomplexobj(A) else float
-    A = A.astype(dtype, copy=True)
-    I = np.eye(n, dtype=dtype)
-    norm1 = np.abs(A).sum(axis=0).max() if n else 0.0
-    if not np.isfinite(norm1):
-        raise SolverError("exp-overflow", "input matrix has non-finite 1-norm")
-
-    s = 0
-    if norm1 > 5.4:
-        s = int(np.ceil(np.log2(norm1 / 5.4)))
-    A /= 2.0 ** s
-
-    b = _PADE13
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
-    E = scipy.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
+    if not np.all(np.isfinite(A)):
+        raise SolverError("exp-overflow", "input matrix has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = scipy.linalg.expm(A)
     if not np.all(np.isfinite(E)):
+        norm1 = np.abs(A).sum(axis=0).max()
         raise SolverError("exp-overflow", f"exp overflowed for ||A||_1 = {norm1:.3g}")
     return E
 
 
 def lu_solve(A, B):
-    """Solve A X = B by partially pivoted LU.
+    """Solve A X = B by partially pivoted LU (``scipy.linalg.lu_factor``).
 
     Raises
     ------
@@ -135,8 +116,8 @@ def lu_solve(A, B):
 def complex_schur(A):
     """Complex Schur decomposition A = Q R Q* with R upper triangular.
 
-    Backed by LAPACK (Hessenberg reduction followed by shifted QR with
-    deflation).  Returns complex arrays for real input.
+    Backed by ``scipy.linalg.schur`` (LAPACK Hessenberg reduction followed
+    by shifted QR with deflation).  Returns complex arrays for real input.
     """
     A = _require_square(A, "schur input")
     try:
@@ -157,8 +138,8 @@ def generalized_schur_pencil(M, NT):
 
     Returns (Q, Z, TM, TN) with Q* M Z = TM and Q* NT Z = TN, both upper
     triangular; pencil eigenvalues are TM[i,i]/TN[i,i].  Implemented by the
-    reduction route: Schur of NT^{-1} M supplies Z, a QR factorization of
-    NT Z supplies Q and TN.  Requires NT invertible.
+    reduction route: ``scipy.linalg.schur`` of NT^{-1} M supplies Z, and
+    ``scipy.linalg.qr`` of NT Z supplies Q and TN.  Requires NT invertible.
 
     Raises
     ------
@@ -195,44 +176,22 @@ def pencil_eigenvalues(M, NT):
     return np.diag(TM) / np.diag(TN)
 
 
-def spectral_norm(A, tol=1e-8, maxit=10000):
-    """2-norm via power iteration on A*A with a deterministic start."""
-    A = np.asarray(A)
-    if A.size == 0:
-        return 0.0
-    n = A.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    if np.iscomplexobj(A):
-        v = v.astype(complex)
-    est = 0.0
-    for _ in range(maxit):
-        w = A.conj().T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new = np.sqrt(nw)
-        v = w / nw
-        if abs(new - est) <= tol * max(new, 1.0):
-            return new
-        est = new
-    return est
-
-
 def frobenius(A):
     return float(np.linalg.norm(np.asarray(A), "fro"))
 
 
-def require_real(A, rel_tol=1e-9, code="tsylv-residual-fail"):
+def require_real(A):
     """Truncate a numerically real complex matrix to float64.
 
-    Raises ``SolverError(code)`` when the imaginary part exceeds
-    ``rel_tol`` relative to the real part.
+    Raises ``SolverError("tsylv-residual-fail")`` when the imaginary part
+    exceeds ``REAL_RTOL`` relative to the real part.
     """
     A = np.asarray(A)
     if not np.iscomplexobj(A):
         return A.astype(float)
     re = np.linalg.norm(A.real, "fro")
     im = np.linalg.norm(A.imag, "fro")
-    if im > rel_tol * max(re, 1e-300):
-        raise SolverError(code, f"imaginary part {im:.3g} vs real norm {re:.3g}")
+    if im > REAL_RTOL * max(re, 1e-300):
+        raise SolverError("tsylv-residual-fail",
+                          f"imaginary part {im:.3g} vs real norm {re:.3g}")
     return np.ascontiguousarray(A.real)

@@ -101,16 +101,16 @@ def preconditioner_quality(ctx, factors, trials=20, seed=0):
     return worst
 
 
-def preconditioned_spectrum(ctx, factors, max_n=None):
+def preconditioned_spectrum(ctx, factors):
     """Eigenvalues of the preconditioned operator, assembled densely.
 
     Builds the n^2 x n^2 matrix of X -> apply_preconditioner(apply_operator(X))
     column by column and returns its eigenvalue multiset (sorted by real part,
-    then imaginary, for reproducible output).
+    then imaginary, for reproducible output).  Above the dense-assembly cap
+    of :func:`assemble_operator` it raises ``ValueError``.
     """
-    kwargs = {} if max_n is None else {"max_n": max_n}
     n = ctx.problem.n
-    A = assemble_operator(ctx, **kwargs)
+    A = assemble_operator(ctx)
     PA = np.empty_like(A)
     for j in range(n * n):
         PA[:, j] = vec(apply_preconditioner(factors, unvec(A[:, j], n)))

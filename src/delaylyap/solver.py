@@ -62,9 +62,8 @@ def solve_delay_lyapunov(problem, shift=1.0, ode=None, krylov=None,
     def pc(X):
         return apply_preconditioner(factors, X)
 
-    precond = pc if krylov.left_precond else None
     solve = gmres if krylov.method == "gmres" else bicgstab
-    report = solve(op, -problem.W, precond=precond, cfg=krylov)
+    report = solve(op, -problem.W, precond=pc, cfg=krylov)
     report.timings.setup_seconds = setup_seconds
     report.plan = ctx.plan
 
@@ -73,7 +72,7 @@ def solve_delay_lyapunov(problem, shift=1.0, ode=None, krylov=None,
         passes = 0
         while (r_alg > bv_target or r_sym > bv_target) and passes < max_refinements:
             residual = -problem.W - apply_operator(ctx, report.X)
-            correction = solve(op, residual, precond=precond, cfg=krylov)
+            correction = solve(op, residual, precond=pc, cfg=krylov)
             if not correction.converged:
                 break
             report.X = report.X + correction.X

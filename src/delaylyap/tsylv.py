@@ -30,6 +30,7 @@ from .linalg import (
 
 KRON_MAX_N = 60
 PAIR_DET_RTOL = 1e-12
+SOLVABLE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -212,39 +213,35 @@ def tsylv_solve_kron(M, N, C, max_n=KRON_MAX_N):
     return unvec(x, n)
 
 
-def tsylv_solvable(M, N, tol=None):
+def tsylv_solvable(M, N):
     """Unique-solvability predicate for M X + X^T N = C.
 
     True iff every eigenvalue pair of the pencil M - lambda N^T keeps
-    |mu_i conj(mu_j) - 1| > tol; an infinite eigenvalue violates the
-    condition only when paired with a zero one.  By default the bound is
-    relative to each pair, 1e-10 (1 + |mu_i mu_j|), so one huge finite mu
-    (a nearly singular N^T) does not blur the test for the others.
+    |mu_i conj(mu_j) - 1| above 1e-10 (1 + |mu_i mu_j|); an infinite
+    eigenvalue violates the condition only when paired with a zero one.  The
+    bound is relative to each pair, so one huge finite mu (a nearly singular
+    N^T) does not blur the test for the others.
     """
     mu = factor_pencil(M, N).mu
     mf = mu[np.isfinite(mu)]
-    if tol is None:
-        bound = 1e-10 * (1.0 + np.abs(np.outer(mf, mf)))
-        tiny = 1e-10
-    else:
-        bound = tiny = tol
+    bound = SOLVABLE_RTOL * (1.0 + np.abs(np.outer(mf, mf)))
     if np.any(np.abs(np.outer(mf, mf.conj()) - 1.0) <= bound):
         return False
-    if mf.size < mu.size and np.any(np.abs(mf) <= tiny):
+    if mf.size < mu.size and np.any(np.abs(mf) <= SOLVABLE_RTOL):
         return False
     return True
 
 
-def has_no_hamiltonian_pairing(A0, tol=None):
+def has_no_hamiltonian_pairing(A0):
     """True iff no eigenvalue pair of A0 satisfies lambda_i + conj(lambda_j) = 0.
 
     This is exactly the (shift-independent) solvability condition of the
     T-Sylvester equation with M = A0^T + cI, N = A0 - cI; it holds in
-    particular whenever every eigenvalue of A0 has negative real part.
+    particular whenever every eigenvalue of A0 has negative real part.  Sums
+    within 1e-10 (1 + max |lambda|) of zero count as pairings.
     """
     A0 = np.asarray(A0, dtype=float)
     lam = eigenvalues(A0)
-    if tol is None:
-        tol = 1e-10 * (1.0 + float(np.abs(lam).max(initial=0.0)))
+    tol = SOLVABLE_RTOL * (1.0 + float(np.abs(lam).max(initial=0.0)))
     s = np.abs(lam[:, None] + lam[None, :].conj())
     return bool(s.min() > tol)

@@ -1,8 +1,11 @@
-"""Shared test oracles: characteristic-polynomial eigenvalues, pencil
-eigenvalues by determinant interpolation, and multiset matching."""
+"""Shared test oracles and data: characteristic-polynomial eigenvalues,
+pencil eigenvalues by determinant interpolation, multiset matching, and a
+seeded generator of delay-stable problems."""
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from delaylyap import TdsProblem
 
 # Reference midpoint solution of the 4x4 example at coupling 1 (entries are
 # 4-decimal prints of the matrix scaled by 100, so each carries an absolute
@@ -50,3 +53,21 @@ def max_multiset_distance(a, b):
     cost = np.abs(a[:, None] - b[None, :])
     r, c = linear_sum_assignment(cost)
     return cost[r, c].max()
+
+
+def random_stable_problem(n, rng, coupling=0.3, tau=1.0):
+    """Random delay-stable problem: log-norm of A0 pushed below -(coupling + margin).
+
+    mu_2(A0) + ||A1||_2 < 0 guarantees exponential stability for every delay,
+    which also rules out Hamiltonian eigenpairings of A0.
+    """
+    A0 = rng.standard_normal((n, n))
+    mu2 = float(np.linalg.eigvalsh(0.5 * (A0 + A0.T)).max())
+    A0 = A0 - (mu2 + 0.5 + coupling) * np.eye(n)
+    A1 = rng.standard_normal((n, n))
+    norm1 = np.linalg.norm(A1, 2)
+    if norm1 > 0:
+        A1 *= coupling / norm1
+    B = rng.standard_normal((n, n))
+    W = 0.5 * (B + B.T)
+    return TdsProblem(A0=A0, A1=A1, tau=tau, W=W)

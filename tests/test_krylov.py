@@ -159,6 +159,46 @@ class TestBicgstab:
         assert report.r_alg <= 1e-8
 
 
+def nan_on_call(f, bad):
+    """Wrap f so that its ``bad``-th call returns NaN; ``calls`` counts calls."""
+
+    def wrapped(X):
+        wrapped.calls += 1
+        out = f(X)
+        return np.full_like(out, np.nan) if wrapped.calls == bad else out
+
+    wrapped.calls = 0
+    return wrapped
+
+
+@pytest.mark.parametrize("solve", [gmres, bicgstab])
+@pytest.mark.parametrize("faulty", ["operator", "preconditioner"])
+def test_nonfinite_output_stops_at_first_bad_call(solve, faulty):
+    rng = np.random.default_rng(9)
+    op, _ = dense_operator(rng, 4)
+    b = rng.standard_normal((4, 4))
+    op = nan_on_call(op, 3 if faulty == "operator" else 0)
+    pc = nan_on_call(lambda X: X, 3 if faulty == "preconditioner" else 0)
+    cfg = KrylovConfig(method=solve.__name__, tol=1e-14, maxit=64)
+    with pytest.raises(SolverError) as err:
+        solve(op, b, precond=pc, cfg=cfg)
+    assert err.value.code == "krylov-nonfinite"
+    assert faulty in str(err.value)
+    assert (op if faulty == "operator" else pc).calls == 3
+
+
+@pytest.mark.parametrize("solve", [gmres, bicgstab])
+def test_iteration_seconds_measured(solve):
+    rng = np.random.default_rng(10)
+    op, _ = dense_operator(rng, 4)
+    b = rng.standard_normal((4, 4))
+    report = solve(op, b, cfg=KrylovConfig(method=solve.__name__, tol=1e-12, maxit=64))
+    stamps = report.iteration_seconds
+    assert len(stamps) == len(report.residual_history)
+    assert all(0.0 <= a <= b_ for a, b_ in zip(stamps, stamps[1:]))
+    assert stamps[-1] <= report.timings.total_seconds
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         KrylovConfig(tol=2.0)

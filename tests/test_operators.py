@@ -23,8 +23,7 @@ from delaylyap import (
     unvec,
     vec,
 )
-from delaylyap.checks import random_stable_problem
-from helpers import SMALL_EXAMPLE_MIDPOINT
+from helpers import SMALL_EXAMPLE_MIDPOINT, random_stable_problem
 
 
 def make_ctx(problem, shift=1.0, steps=100):

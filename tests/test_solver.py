@@ -14,8 +14,7 @@ from delaylyap import (
     unvec,
     vec,
 )
-from delaylyap.checks import random_stable_problem
-from helpers import SMALL_EXAMPLE_MIDPOINT
+from helpers import SMALL_EXAMPLE_MIDPOINT, random_stable_problem
 
 
 def test_small_example_matches_reference():

@@ -12,7 +12,7 @@ from delaylyap import (
     tsylv_solve,
     tsylv_solve_kron,
 )
-from delaylyap.checks import random_stable_problem
+from helpers import random_stable_problem
 
 
 def residual(M, N, C, X):
