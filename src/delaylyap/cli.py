@@ -3,7 +3,7 @@
 Subcommands: solve, bench, spectrum, tsylv, pdde.  Matrices travel as
 Matrix Market files, histories and spectra as CSV with a header row, run
 summaries as key=value text.  Failures exit nonzero with the error code on
-stderr; unreadable or inconsistent input files give ``invalid-input``.
+stderr; unreadable or inconsistent input gives ``invalid-input``.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from .precond import build_preconditioner, preconditioned_spectrum
 from .problems import bench_table, pdde_generate, small_example
 from .propagation import OdeConfig
 from .solver import solve_delay_lyapunov
-from .tsylv import tsylv_solve, tsylv_solve_kron
+from .tsylv import KRON_MAX_N, tsylv_solve, tsylv_solve_kron
 
 
 def _add_problem_args(p):
@@ -143,9 +143,10 @@ def cmd_solve(args):
 
 def cmd_bench(args):
     rows = []
-    for token in args.grids.split(","):
-        nx, ny = token.lower().split("x")
-        rows.append((int(nx), int(ny)))
+    with _input_errors():
+        for token in args.grids.split(","):
+            nx, ny = token.lower().split("x")
+            rows.append((int(nx), int(ny)))
     table = bench_table(rows, f0=args.f0, tau=args.tau, shift=args.shift,
                         ode=OdeConfig(steps=args.steps),
                         krylov=KrylovConfig(method=args.method, tol=args.tol,
@@ -183,6 +184,9 @@ def cmd_tsylv(args):
         if M.shape[0] != M.shape[1] or not M.shape == N.shape == C.shape:
             raise ValueError(f"M, N and C must be square of one shape, "
                              f"got {M.shape}, {N.shape}, {C.shape}")
+    if args.oracle and M.shape[0] > KRON_MAX_N:
+        raise SolverError("oracle-too-large",
+                          f"n={M.shape[0]} exceeds the dense oracle cap {KRON_MAX_N}")
     X = tsylv_solve_kron(M, N, C) if args.oracle else tsylv_solve(M, N, C)
     write_matrix(args.out, X)
     print(f"wrote {args.out}")

@@ -177,6 +177,8 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
         for i in range(j):
             h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], -sn[i] * h[i] + cs[i] * h[i + 1]
         d = np.hypot(h[j], h_new)
+        if d == 0.0:  # a zero Hessenberg column: no rotation, the residual cannot move
+            raise SolverError("krylov-breakdown", f"zero Hessenberg column at iteration {j + 1}")
         cs.append(h[j] / d)
         sn.append(h_new / d)
         h[j] = d

@@ -3,9 +3,11 @@
 Real matrices are float64 ndarrays, complex ones complex128; the
 column-stacking convention vec(AXB) = (B^T (x) A) vec(X) is used throughout.
 The factorizations are SciPy's (``scipy.linalg.expm``, ``lu_factor``/
-``lu_solve``, ``schur``, ``qr``); the wrappers here add input checks and map
+``lu_solve``, ``schur``, ``qz``); the wrappers here add input checks and map
 their failures to stable ``SolverError`` codes.
 """
+
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -101,7 +103,10 @@ def lu_solve(A, B):
     A = _require_square(A, "lu_solve matrix")
     B = np.asarray(B)
     try:
-        lu, piv = scipy.linalg.lu_factor(A)
+        # the pivots are checked below, so SciPy's singularity warning is redundant
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(A)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SolverError("singular-matrix", str(exc)) from exc
     d = np.abs(np.diag(lu))
@@ -137,36 +142,22 @@ def generalized_schur_pencil(M, NT):
     """Unitary reduction of the pencil M - lambda*NT to triangular form.
 
     Returns (Q, Z, TM, TN) with Q* M Z = TM and Q* NT Z = TN, both upper
-    triangular; pencil eigenvalues are TM[i,i]/TN[i,i].  Implemented by the
-    reduction route: ``scipy.linalg.schur`` of NT^{-1} M supplies Z, and
-    ``scipy.linalg.qr`` of NT Z supplies Q and TN.  Requires NT invertible.
+    triangular; pencil eigenvalues are TM[i,i]/TN[i,i].  Backed by complex
+    QZ (``scipy.linalg.qz``).  Requires NT invertible.
 
     Raises
     ------
     SolverError
-        ``"pencil-reduction-failed"`` when NT is numerically singular or the
-        reduction loses triangularity.
+        ``"pencil-reduction-failed"`` when NT is numerically singular (some
+        TN[i,i] is zero to working precision).
     """
     M = _require_square(M, "pencil M")
     NT = _require_square(NT, "pencil NT")
     if M.shape != NT.shape:
         raise ValueError("pencil matrices must have matching shapes")
-    try:
-        S = lu_solve(NT, M)
-    except SolverError as exc:
-        raise SolverError("pencil-reduction-failed", f"NT is singular ({exc})") from exc
-    Z, _ = complex_schur(S)
-    Q, TN = scipy.linalg.qr(NT.astype(complex) @ Z)
-    TM = Q.conj().T @ M @ Z
-    scale = np.abs(TM).max()
-    lower = np.abs(np.tril(TM, -1)).max() if TM.shape[0] > 1 else 0.0
-    if scale > 0 and lower > 1e-10 * scale:
-        raise SolverError(
-            "pencil-reduction-failed",
-            f"reduced pencil not triangular (defect {lower/scale:.3g})",
-        )
-    TM = np.triu(TM)
-    TN = np.triu(TN)
+    TM, TN, Q, Z = scipy.linalg.qz(M, NT, output="complex")
+    if np.any(np.abs(np.diag(TN)) <= NT.shape[0] * np.finfo(float).eps * frobenius(NT)):
+        raise SolverError("pencil-reduction-failed", "NT is singular")
     return Q, Z, TM, TN
 
 

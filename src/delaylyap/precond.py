@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .linalg import eigenvalues, expm, frobenius, require_real, unvec, vec
+from .linalg import complex_schur, expm, frobenius, require_real, unvec, vec
 from .operators import apply_operator, assemble_operator
-from .tsylv import TsylvPencil, factor_pencil, has_no_hamiltonian_pairing, solve_with_factors
+from .tsylv import TsylvPencil, _check_pair_determinants, pairing_free, solve_with_factors
+from .linalg import eigenvalues  # noqa: F401 -- unused; bench/tracing.py wraps it here
+from .tsylv import factor_pencil, has_no_hamiltonian_pairing  # noqa: F401 -- likewise
 
 
 @dataclass(frozen=True)
@@ -26,12 +28,13 @@ class PrecondFactors:
 
     pencil: TsylvPencil
     exp_forward: np.ndarray  # expm(tau * A0 / 2)
-    shift: float
-    tau: float
 
 
 def build_preconditioner(A0, shift=1.0, tau=1.0):
     """Factor the preconditioner for the given system matrix, shift and delay.
+
+    One complex Schur form A0^T = U R U* gives the eigenvalues of A0 and
+    triangularizes both M = A0^T + cI and N^T = A0^T - cI (Q = Z = U).
 
     Raises
     ------
@@ -39,15 +42,17 @@ def build_preconditioner(A0, shift=1.0, tau=1.0):
         ``"precond-unsolvable"`` when A0 has a Hamiltonian eigenpairing (the
         T-Sylvester step would be singular for every shift);
         ``"precond-shift-degenerate"`` when the shift collides with an
-        eigenvalue of A0, so that A0 - cI is singular, or the pencil cannot
-        be factored (the caller may perturb the shift and retry).
+        eigenvalue of A0, so that A0 - cI is singular (the caller may perturb
+        the shift and retry); ``"tsylv-near-singular"`` from the pair check.
+        The pencil itself cannot fail to factor.
     """
     A0 = np.asarray(A0, dtype=float)
     if shift == 0.0:
         raise ValueError("shift must be nonzero")
     n = A0.shape[0]
-    lam = eigenvalues(A0)
-    if not has_no_hamiltonian_pairing(A0):
+    U, R = complex_schur(A0.T)
+    lam = np.diag(R)
+    if not pairing_free(lam):
         raise SolverError(
             "precond-unsolvable",
             "A0 has a Hamiltonian eigenpairing: lambda_i + conj(lambda_j) = 0",
@@ -58,17 +63,12 @@ def build_preconditioner(A0, shift=1.0, tau=1.0):
             "precond-shift-degenerate",
             f"shift {shift} collides with an eigenvalue of A0",
         )
+    # U* A0^T U keeps more digits than R from the Schur iteration
+    P = U.conj().T @ A0.T @ U
     I = np.eye(n)
-    try:
-        pencil = factor_pencil(A0.T + shift * I, A0 - shift * I)
-    except SolverError as exc:
-        raise SolverError("precond-shift-degenerate", str(exc)) from exc
-    return PrecondFactors(
-        pencil=pencil,
-        exp_forward=expm((0.5 * tau) * A0),
-        shift=float(shift),
-        tau=float(tau),
-    )
+    pencil = TsylvPencil(Q=U, Z=U, TM=np.triu(P + shift * I), TN=np.triu(P - shift * I))
+    _check_pair_determinants(pencil.TM, pencil.TN)
+    return PrecondFactors(pencil=pencil, exp_forward=expm((0.5 * tau) * A0))
 
 
 def apply_preconditioner(factors, Z):

@@ -3,11 +3,11 @@
 Two routes are provided: a Kronecker-vectorized dense solve (the reference
 oracle, O(n^6)) and a Schur-reduction solver (O(n^3)) that triangularizes the
 pencil M - lambda N^T once and back-substitutes unknowns in (i, j)/(j, i)
-pairs.  The pencil is triangularized through the complex Schur form of
-N^-T M when N^T is safely invertible, and by complex QZ otherwise, so a
-singular N^T (an infinite pencil eigenvalue) is solved rather than rejected.
-The pairwise substitution is cross-validated against the oracle in the test
-suite rather than assumed correct.
+pairs.  A generic pencil is triangularized by complex QZ, so a singular N^T
+(an infinite pencil eigenvalue) is solved rather than rejected; the
+preconditioner's pencil, a pair of shifts of A0^T, is triangularized by one
+Schur form of A0^T instead.  The pairwise substitution is cross-validated
+against the oracle in the test suite rather than assumed correct.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,6 @@ from .linalg import (
     commutation_matrix,
     eigenvalues,
     frobenius,
-    generalized_schur_pencil,
     kron,
     lu_solve,
     require_real,
@@ -43,21 +42,27 @@ class TsylvPencil:
     many right-hand sides.
     """
 
-    M: np.ndarray
-    N: np.ndarray
     Q: np.ndarray
     Z: np.ndarray
     TM: np.ndarray
     TN: np.ndarray
-    mu: np.ndarray
+
+    @property
+    def mu(self):
+        dM, dN = np.diag(self.TM), np.diag(self.TN)
+        mu = np.full(dM.shape, np.inf, dtype=complex)
+        finite = dN != 0
+        mu[finite] = dM[finite] / dN[finite]
+        return mu
 
 
 def factor_pencil(M, N):
     """Factor the pencil M - lambda N^T for repeated T-Sylvester solves.
 
-    Uses the reduction route of :func:`generalized_schur_pencil` and falls
-    back to complex QZ where that route fails (N^T singular or nearly so), so
-    N^T need not be invertible and ``mu`` may be infinite.
+    One route, complex QZ (``scipy.linalg.qz``), so N^T need not be
+    invertible and ``mu`` may be infinite.  The preconditioner's pencil, whose
+    M and N^T are shifts of one matrix, is built from a Schur form instead
+    (:func:`delaylyap.precond.build_preconditioner`).
 
     Raises
     ------
@@ -68,12 +73,7 @@ def factor_pencil(M, N):
     """
     M = np.asarray(M, dtype=float)
     N = np.asarray(N, dtype=float)
-    try:
-        Q, Z, TM, TN = generalized_schur_pencil(M, N.T)
-    except SolverError as exc:
-        if exc.code != "pencil-reduction-failed":
-            raise
-        TM, TN, Q, Z = scipy.linalg.qz(M, N.T, output="complex")
+    TM, TN, Q, Z = scipy.linalg.qz(M, N.T, output="complex")
     dM = np.diag(TM)
     dN = np.diag(TN)
     eps = M.shape[0] * np.finfo(float).eps
@@ -83,10 +83,7 @@ def factor_pencil(M, N):
             "pencil-reduction-failed",
             f"singular pencil: {int(undetermined.sum())} eigenvalue(s) 0/0",
         )
-    mu = np.full(dM.shape, np.inf, dtype=complex)
-    finite = dN != 0
-    mu[finite] = dM[finite] / dN[finite]
-    return TsylvPencil(M=M, N=N, Q=Q, Z=Z, TM=TM, TN=TN, mu=mu)
+    return TsylvPencil(Q=Q, Z=Z, TM=TM, TN=TN)
 
 
 def _check_pair_determinants(TM, TN):
@@ -151,8 +148,7 @@ def _solve_reduced(TM, TN, C):
 
 
 def solve_with_factors(pencil, C):
-    """Solve M X + X^T N = C reusing a factored pencil; returns complex X."""
-    _check_pair_determinants(pencil.TM, pencil.TN)
+    """Solve M X + X^T N = C with a factored, pair-checked pencil; returns complex X."""
     Ct = pencil.Q.conj().T @ C @ pencil.Q.conj()
     Y = _solve_reduced(pencil.TM, pencil.TN, Ct)
     return pencil.Z @ Y @ pencil.Q.T
@@ -182,6 +178,7 @@ def tsylv_solve(M, N, C):
     N = np.asarray(N, dtype=float)
     C = np.asarray(C, dtype=float)
     pencil = factor_pencil(M, N)
+    _check_pair_determinants(pencil.TM, pencil.TN)
     X = require_real(solve_with_factors(pencil, C))
     res = frobenius(M @ X + X.T @ N - C)
     if res > 1e-8 * max(frobenius(C), 1e-300):
@@ -237,11 +234,13 @@ def has_no_hamiltonian_pairing(A0):
 
     This is exactly the (shift-independent) solvability condition of the
     T-Sylvester equation with M = A0^T + cI, N = A0 - cI; it holds in
-    particular whenever every eigenvalue of A0 has negative real part.  Sums
-    within 1e-10 (1 + max |lambda|) of zero count as pairings.
+    particular whenever every eigenvalue of A0 has negative real part.
     """
-    A0 = np.asarray(A0, dtype=float)
-    lam = eigenvalues(A0)
+    return pairing_free(eigenvalues(np.asarray(A0, dtype=float)))
+
+
+def pairing_free(lam):
+    """True iff no lambda_i + conj(lambda_j) lies within 1e-10 (1 + max |lambda|) of 0."""
     tol = SOLVABLE_RTOL * (1.0 + float(np.abs(lam).max(initial=0.0)))
     s = np.abs(lam[:, None] + lam[None, :].conj())
     return bool(s.min() > tol)

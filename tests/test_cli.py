@@ -50,3 +50,18 @@ def test_convergence_csv_carries_measured_times(tmp_path):
     assert len(seconds) == int(summary["iterations"]) + 1
     assert all(0.0 <= a <= b for a, b in zip(seconds, seconds[1:]))
     assert seconds[-1] <= float(summary["total_seconds"])
+
+
+def test_tsylv_oracle_above_cap(tmp_path, capsys):
+    f = write_all(tmp_path, M=2.0 * np.eye(61), N=np.eye(61), C=np.eye(61))
+    status = main(["tsylv", "--m", f["M"], "--n", f["N"], "--c", f["C"],
+                   "--out", str(tmp_path / "X.mtx"), "--oracle"])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: oracle-too-large: ")
+    assert not (tmp_path / "X.mtx").exists()
+
+
+def test_bench_malformed_grid(tmp_path, capsys):
+    status = main(["bench", "--grids", "5", "--outdir", str(tmp_path / "out")])
+    assert_invalid_input(status, capsys)
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+import delaylyap.precond
+import delaylyap.tsylv
 from delaylyap import (
     OdeConfig,
     OperatorContext,
@@ -66,6 +69,55 @@ class TestSetup:
     def test_zero_shift_rejected(self):
         with pytest.raises(ValueError):
             build_preconditioner(-np.eye(2), shift=0.0, tau=1.0)
+
+
+class TestStructuredPencil:
+    def test_one_schur_and_no_other_factorization(self, monkeypatch):
+        calls = {name: 0 for name in ("schur", "qz", "lu_factor", "qr")}
+        for name in calls:
+            original = getattr(scipy.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counted)
+        p = random_stable_problem(6, np.random.default_rng(6))
+        build_preconditioner(p.A0, shift=1.0, tau=p.tau)
+        assert calls == {"schur": 1, "qz": 0, "lu_factor": 0, "qr": 0}
+
+    def test_pair_check_once_per_build_and_never_per_apply(self, monkeypatch):
+        checks = []
+        original = delaylyap.tsylv._check_pair_determinants
+
+        def counted(TM, TN):
+            checks.append(1)
+            return original(TM, TN)
+
+        monkeypatch.setattr(delaylyap.tsylv, "_check_pair_determinants", counted)
+        monkeypatch.setattr(delaylyap.precond, "_check_pair_determinants", counted)
+        p = random_stable_problem(5, np.random.default_rng(7))
+        factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
+        assert len(checks) == 1
+        Z = np.random.default_rng(8).standard_normal((5, 5))
+        for _ in range(3):
+            apply_preconditioner(factors, Z)
+        assert len(checks) == 1
+
+    def test_shared_unitary_triangularizes_both(self):
+        rng = np.random.default_rng(9)
+        for n in (2, 5, 9):
+            p = random_stable_problem(n, rng)
+            pencil = build_preconditioner(p.A0, shift=1.0, tau=p.tau).pencil
+            Q, Z = pencil.Q, pencil.Z
+            assert np.array_equal(Q, Z)
+            assert frobenius(Q.conj().T @ Q - np.eye(n)) <= 1e-12 * n
+            assert not np.tril(pencil.TM, -1).any()
+            assert not np.tril(pencil.TN, -1).any()
+            M = p.A0.T + np.eye(n)
+            NT = p.A0.T - np.eye(n)
+            assert frobenius(Q.conj().T @ M @ Z - pencil.TM) <= 1e-10 * frobenius(M)
+            assert frobenius(Q.conj().T @ NT @ Z - pencil.TN) <= 1e-10 * frobenius(NT)
 
 
 class TestApply:
