@@ -3,8 +3,8 @@
 The midpoint value U(tau/2) of the delay Lyapunov matrix satisfies a linear
 matrix equation whose action is computed by integrating a coupled matrix ODE;
 this package solves it with preconditioned matrix-free GMRES/BiCGStab, where
-the preconditioner is a cached T-Sylvester factorization combined with a
-matrix exponential.
+the preconditioner is a T-Sylvester solve on a cached real Schur form
+combined with a matrix exponential.
 """
 
 from .errors import SolverError

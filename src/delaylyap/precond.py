@@ -1,84 +1,103 @@
 """Preconditioner that inverts the zero-coupling part of the operator.
 
-Dropping A1 from the operator leaves a map that factors exactly into a
-T-Sylvester solve followed by a matrix exponential:
-
-    Ltilde(X) = T(X exp(-tau A0 / 2)),   T(Y) = (A0^T + cI) Y + Y^T (A0 - cI),
-
-so its inverse is one cached triangular T-Sylvester solve and one
-multiplication by exp(tau A0 / 2) per application.  The factorization is
-computed once (O(n^3)) and amortized across all Krylov iterations.
+Dropping A1 leaves Ltilde(X) = T(X exp(-tau A0 / 2)), where the T-Sylvester
+map T(Y) = (A0^T + cI) Y + Y^T (A0 - cI) = (A0^T Y + Y^T A0) + c (Y - Y^T)
+splits into a symmetric and an antisymmetric bracket.  So T(Y) = C has
+Y = S + K with K = (C - C^T) / (4c) and S the symmetric solution of the
+Lyapunov equation A0^T S + S A0 = sym(C) - (A0^T K - K A0), solved by
+Bartels-Stewart on one cached real Schur form A0^T = U T U^T.  S is
+symmetrized, since it can be far larger than K and its rounding asymmetry
+would leak into the skew part, and corrected by one more solve on its
+residual, which recovers the digits the Schur form loses.  The step count
+is fixed, so an application is an exactly linear map.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dtrsyl
 
 from .errors import SolverError
-from .linalg import complex_schur, expm, frobenius, require_real, unvec, vec
+from .linalg import expm, frobenius, unvec, vec
 from .operators import apply_operator, assemble_operator
-from .tsylv import TsylvPencil, _check_pair_determinants, pairing_free, solve_with_factors
-from .linalg import eigenvalues  # noqa: F401 -- unused; bench/tracing.py wraps it here
-from .tsylv import factor_pencil, has_no_hamiltonian_pairing  # noqa: F401 -- likewise
+from .tsylv import pairing_free
+from .linalg import eigenvalues  # noqa: F401 -- unused; bench/tracing.py wraps these here
+from .tsylv import factor_pencil, has_no_hamiltonian_pairing, solve_with_factors  # noqa: F401
 
 
 @dataclass(frozen=True)
 class PrecondFactors:
     """Cached factorization enabling cheap repeated preconditioner solves."""
 
-    pencil: TsylvPencil
+    U: np.ndarray  # orthogonal, A0^T = U T U^T
+    T: np.ndarray  # real Schur form of A0^T
+    A0: np.ndarray
+    shift: float
     exp_forward: np.ndarray  # expm(tau * A0 / 2)
 
 
 def build_preconditioner(A0, shift=1.0, tau=1.0):
     """Factor the preconditioner for the given system matrix, shift and delay.
 
-    One complex Schur form A0^T = U R U* gives the eigenvalues of A0 and
-    triangularizes both M = A0^T + cI and N^T = A0^T - cI (Q = Z = U).
-
     Raises
     ------
     SolverError
         ``"precond-unsolvable"`` when A0 has a Hamiltonian eigenpairing (the
         T-Sylvester step would be singular for every shift);
-        ``"precond-shift-degenerate"`` when the shift collides with an
-        eigenvalue of A0, so that A0 - cI is singular (the caller may perturb
-        the shift and retry); ``"tsylv-near-singular"`` from the pair check.
-        The pencil itself cannot fail to factor.
+        ``"schur-no-convergence"`` when the Schur iteration fails.
     """
-    A0 = np.asarray(A0, dtype=float)
+    A0 = np.array(A0, dtype=float)  # a copy: the factors keep it
     if shift == 0.0:
         raise ValueError("shift must be nonzero")
-    n = A0.shape[0]
-    U, R = complex_schur(A0.T)
-    lam = np.diag(R)
-    if not pairing_free(lam):
+    try:
+        T, U = scipy.linalg.schur(A0.T, output="real")
+    except scipy.linalg.LinAlgError as exc:
+        raise SolverError("schur-no-convergence", str(exc)) from exc
+    if not pairing_free(_schur_eigenvalues(T)):
         raise SolverError(
             "precond-unsolvable",
             "A0 has a Hamiltonian eigenpairing: lambda_i + conj(lambda_j) = 0",
         )
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if np.abs(lam - shift).min() <= 1e-10 * scale:
-        raise SolverError(
-            "precond-shift-degenerate",
-            f"shift {shift} collides with an eigenvalue of A0",
-        )
-    # U* A0^T U keeps more digits than R from the Schur iteration
-    P = U.conj().T @ A0.T @ U
-    I = np.eye(n)
-    pencil = TsylvPencil(Q=U, Z=U, TM=np.triu(P + shift * I), TN=np.triu(P - shift * I))
-    _check_pair_determinants(pencil.TM, pencil.TN)
-    return PrecondFactors(pencil=pencil, exp_forward=expm((0.5 * tau) * A0))
+    return PrecondFactors(U=U, T=T, A0=A0, shift=float(shift),
+                          exp_forward=expm((0.5 * tau) * A0))
+
+
+def _schur_eigenvalues(T):
+    """Eigenvalues of a real Schur form; a 2x2 block [[a, b], [c, a]] gives a +- sqrt(bc)."""
+    lam = np.diag(T).astype(complex)
+    k = np.flatnonzero(np.diag(T, -1))
+    root = np.sqrt((T[k, k + 1] * T[k + 1, k]).astype(complex))
+    lam[k] += root
+    lam[k + 1] -= root
+    return lam
+
+
+def _sym(X):
+    return 0.5 * (X + X.T)
+
+
+def _lyapunov(factors, R):
+    """Symmetric S with A0^T S + S A0 = R, R symmetric, by Bartels-Stewart."""
+    U = factors.U
+    X, scale, info = dtrsyl(factors.T, factors.T, _sym(U.T @ R @ U), tranb="T")
+    if info != 0:  # 1: LAPACK perturbed a near-singular pair; < 0: illegal argument
+        raise SolverError("tsylv-near-singular", f"dtrsyl returned info = {info}")
+    return _sym(U @ _sym(X / scale) @ U.T)
 
 
 def apply_preconditioner(factors, Z):
     """Apply the inverse of the zero-coupling operator to Z.
 
-    One pairwise triangular substitution with the cached factors, then the
-    multiplication by exp(tau A0 / 2); no refactorization takes place.
+    Raises ``SolverError("tsylv-near-singular")`` when ``dtrsyl`` fails.
     """
-    Y = require_real(solve_with_factors(factors.pencil, np.asarray(Z, dtype=float)))
-    return Y @ factors.exp_forward
+    Z = np.asarray(Z, dtype=float)
+    At = factors.A0.T
+    K = (Z - Z.T) / (4.0 * factors.shift)
+    R = _sym(Z) - 2.0 * _sym(At @ K)
+    S = _lyapunov(factors, R)
+    S += _lyapunov(factors, R - 2.0 * _sym(At @ S))
+    return (S + K) @ factors.exp_forward
 
 
 def preconditioner_quality(ctx, factors, trials=20, seed=0):

@@ -1,22 +1,18 @@
 """End-to-end driver: preconditioner setup, Krylov solve, boundary residuals.
 
-The driver retries a degenerate shift with small perturbations, and runs
-iterative refinement passes (a correction solve on the true residual) when
-the boundary-value residuals of the converged iterate exceed the target.
-Refinement never changes the reported main-solve iteration count.
+The driver runs iterative refinement passes (a correction solve on the true
+residual) when the boundary-value residuals of the converged iterate exceed
+the target.  Refinement never changes the reported main-solve iteration
+count.
 """
 
 import time
 
-import numpy as np
-
-from .errors import SolverError
 from .krylov import KrylovConfig, bicgstab, gmres
 from .operators import OperatorContext, apply_operator, boundary_residuals
 from .precond import apply_preconditioner, build_preconditioner
 from .propagation import OdeConfig, rk4_propagate
 
-SHIFT_RETRIES = 3
 BV_TARGET = 1e-8
 REFINE_MAX = 2
 
@@ -29,8 +25,7 @@ def solve_delay_lyapunov(problem, shift=1.0, ode=None, krylov=None,
     ----------
     problem : TdsProblem
     shift : float
-        Nonzero shift of the operator; perturbed by 1e-8 ||A0||_F and
-        retried (at most three times) if it collides with an eigenvalue.
+        Nonzero shift of the operator and its preconditioner.
     ode : OdeConfig
     krylov : KrylovConfig
     bv_target : float
@@ -49,12 +44,10 @@ def solve_delay_lyapunov(problem, shift=1.0, ode=None, krylov=None,
     ode = ode or OdeConfig()
     krylov = krylov or KrylovConfig()
     t_start = time.perf_counter()
+    factors = build_preconditioner(problem.A0, shift=shift, tau=problem.tau)
+    setup_seconds = time.perf_counter() - t_start
 
-    t0 = time.perf_counter()
-    factors, shift_used = _setup_with_retry(problem.A0, shift, problem.tau)
-    setup_seconds = time.perf_counter() - t0
-
-    ctx = OperatorContext(problem=problem, shift=shift_used, ode=ode)
+    ctx = OperatorContext(problem=problem, shift=shift, ode=ode)
 
     def op(X):
         return apply_operator(ctx, X)
@@ -84,19 +77,6 @@ def solve_delay_lyapunov(problem, shift=1.0, ode=None, krylov=None,
     report.r_sym = r_sym
     report.timings.total_seconds = time.perf_counter() - t_start
     return report
-
-
-def _setup_with_retry(A0, shift, tau):
-    scale = float(np.linalg.norm(A0, "fro"))
-    current = shift
-    for attempt in range(SHIFT_RETRIES + 1):
-        try:
-            return build_preconditioner(A0, shift=current, tau=tau), current
-        except SolverError as exc:
-            if exc.code != "precond-shift-degenerate" or attempt == SHIFT_RETRIES:
-                raise
-            current = current + 1e-8 * max(scale, 1.0)
-    raise AssertionError("unreachable")
 
 
 def _residuals(ctx, X):

@@ -3,11 +3,12 @@
 Two routes are provided: a Kronecker-vectorized dense solve (the reference
 oracle, O(n^6)) and a Schur-reduction solver (O(n^3)) that triangularizes the
 pencil M - lambda N^T once and back-substitutes unknowns in (i, j)/(j, i)
-pairs.  A generic pencil is triangularized by complex QZ, so a singular N^T
-(an infinite pencil eigenvalue) is solved rather than rejected; the
-preconditioner's pencil, a pair of shifts of A0^T, is triangularized by one
-Schur form of A0^T instead.  The pairwise substitution is cross-validated
-against the oracle in the test suite rather than assumed correct.
+pairs.  The pencil is triangularized by complex QZ, so a singular N^T (an
+infinite pencil eigenvalue) is solved rather than rejected.  The pairwise
+substitution is cross-validated against the oracle in the test suite rather
+than assumed correct.  The preconditioner does not use this module's solver:
+its T-Sylvester map splits into a Lyapunov equation and a closed-form skew
+part (:mod:`delaylyap.precond`).
 """
 
 from dataclasses import dataclass
@@ -60,9 +61,7 @@ def factor_pencil(M, N):
     """Factor the pencil M - lambda N^T for repeated T-Sylvester solves.
 
     One route, complex QZ (``scipy.linalg.qz``), so N^T need not be
-    invertible and ``mu`` may be infinite.  The preconditioner's pencil, whose
-    M and N^T are shifts of one matrix, is built from a Schur form instead
-    (:func:`delaylyap.precond.build_preconditioner`).
+    invertible and ``mu`` may be infinite.
 
     Raises
     ------

@@ -8,6 +8,7 @@ import delaylyap.tsylv
 from delaylyap import (
     OdeConfig,
     OperatorContext,
+    PrecondFactors,
     SolverError,
     apply_operator,
     apply_preconditioner,
@@ -21,6 +22,7 @@ from delaylyap import (
     preconditioned_spectrum,
     preconditioner_quality,
     small_example,
+    tsylv_solve_kron,
 )
 from helpers import random_stable_problem
 
@@ -60,64 +62,116 @@ class TestSetup:
             build_preconditioner(np.diag([1.0, -1.0]), shift=1.0, tau=1.0)
         assert err.value.code == "precond-unsolvable"
 
-    def test_shift_collision_signalled(self):
+    def test_shift_at_an_eigenvalue_is_solved(self):
+        # c only scales the skew block 2cK, so c = 1 in spec(A0) is not degenerate
         A0 = np.diag([1.0, 3.0])  # eigenvalues all positive: no pairing
-        with pytest.raises(SolverError) as err:
-            build_preconditioner(A0, shift=1.0, tau=1.0)
-        assert err.value.code == "precond-shift-degenerate"
+        factors = build_preconditioner(A0, shift=1.0, tau=1.0)
+        X = np.random.default_rng(10).standard_normal((2, 2))
+        out = apply_preconditioner(factors, tilde_apply(A0, 1.0, 1.0, X))
+        assert frobenius(out - X) <= 1e-12 * frobenius(X)
 
     def test_zero_shift_rejected(self):
         with pytest.raises(ValueError):
             build_preconditioner(-np.eye(2), shift=0.0, tau=1.0)
 
 
-class TestStructuredPencil:
-    def test_one_schur_and_no_other_factorization(self, monkeypatch):
-        calls = {name: 0 for name in ("schur", "qz", "lu_factor", "qr")}
+class TestRealSchurSplit:
+    def test_one_real_schur_and_no_other_factorization(self, monkeypatch):
+        calls = {name: [] for name in ("schur", "qz", "lu_factor", "qr")}
         for name in calls:
             original = getattr(scipy.linalg, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(kwargs.get("output"))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(scipy.linalg, name, counted)
         p = random_stable_problem(6, np.random.default_rng(6))
-        build_preconditioner(p.A0, shift=1.0, tau=p.tau)
-        assert calls == {"schur": 1, "qz": 0, "lu_factor": 0, "qr": 0}
+        factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
+        for _ in range(3):
+            apply_preconditioner(factors, np.eye(6))
+        assert calls == {"schur": ["real"], "qz": [], "lu_factor": [], "qr": []}
 
-    def test_pair_check_once_per_build_and_never_per_apply(self, monkeypatch):
-        checks = []
-        original = delaylyap.tsylv._check_pair_determinants
+    def test_pair_check_never_called(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("pair check called")
 
-        def counted(TM, TN):
-            checks.append(1)
-            return original(TM, TN)
-
-        monkeypatch.setattr(delaylyap.tsylv, "_check_pair_determinants", counted)
-        monkeypatch.setattr(delaylyap.precond, "_check_pair_determinants", counted)
+        monkeypatch.setattr(delaylyap.tsylv, "_check_pair_determinants", forbidden)
         p = random_stable_problem(5, np.random.default_rng(7))
         factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
-        assert len(checks) == 1
-        Z = np.random.default_rng(8).standard_normal((5, 5))
-        for _ in range(3):
-            apply_preconditioner(factors, Z)
-        assert len(checks) == 1
+        apply_preconditioner(factors, np.random.default_rng(8).standard_normal((5, 5)))
 
-    def test_shared_unitary_triangularizes_both(self):
-        rng = np.random.default_rng(9)
-        for n in (2, 5, 9):
-            p = random_stable_problem(n, rng)
-            pencil = build_preconditioner(p.A0, shift=1.0, tau=p.tau).pencil
-            Q, Z = pencil.Q, pencil.Z
-            assert np.array_equal(Q, Z)
-            assert frobenius(Q.conj().T @ Q - np.eye(n)) <= 1e-12 * n
-            assert not np.tril(pencil.TM, -1).any()
-            assert not np.tril(pencil.TN, -1).any()
-            M = p.A0.T + np.eye(n)
-            NT = p.A0.T - np.eye(n)
-            assert frobenius(Q.conj().T @ M @ Z - pencil.TM) <= 1e-10 * frobenius(M)
-            assert frobenius(Q.conj().T @ NT @ Z - pencil.TN) <= 1e-10 * frobenius(NT)
+    def test_apply_is_real(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("complex substitution called")
+
+        monkeypatch.setattr(delaylyap.tsylv, "_solve_reduced", forbidden)
+        monkeypatch.setattr(delaylyap.precond, "solve_with_factors", forbidden)
+        dtypes = []
+        original = delaylyap.precond.dtrsyl
+
+        def recorded(*args, **kwargs):
+            dtypes.extend(np.asarray(a).dtype for a in args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(delaylyap.precond, "dtrsyl", recorded)
+        p = random_stable_problem(6, np.random.default_rng(11))
+        factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
+        for name in ("U", "T", "A0", "exp_forward"):
+            assert getattr(factors, name).dtype == np.float64
+        out = apply_preconditioner(factors, np.random.default_rng(12).standard_normal((6, 6)))
+        assert out.dtype == np.float64
+        assert dtypes and all(dt == np.float64 for dt in dtypes)
+
+    @pytest.mark.parametrize("c", [1.0, 0.3, -2.0])
+    def test_skew_part_exact(self, c):
+        rng = np.random.default_rng(13)
+        p = random_stable_problem(6, rng)
+        factors = build_preconditioner(p.A0, shift=c, tau=0.0)
+        Z = rng.standard_normal((6, 6))
+        P = apply_preconditioner(factors, Z)
+        skew = (Z - Z.T) / (2 * c)
+        assert frobenius(P - P.T - skew) <= 1e-14 * frobenius(skew)
+
+    def test_symmetric_part_exactly_symmetric(self):
+        # a symmetric Z has K = 0, so P = S: its rounding asymmetry would leak into P - P^T
+        p = random_stable_problem(6, np.random.default_rng(16))
+        factors = build_preconditioner(p.A0, shift=1.0, tau=0.0)
+        Z = np.random.default_rng(17).standard_normal((6, 6))
+        P = apply_preconditioner(factors, Z + Z.T)
+        assert np.array_equal(P, P.T)
+
+    def test_linear(self):
+        rng = np.random.default_rng(14)
+        p = random_stable_problem(7, rng)
+        factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
+        Z1, Z2 = rng.standard_normal((2, 7, 7))
+        lhs = apply_preconditioner(factors, 2.5 * Z1 - 0.7 * Z2)
+        rhs = 2.5 * apply_preconditioner(factors, Z1) - 0.7 * apply_preconditioner(factors, Z2)
+        assert frobenius(lhs - rhs) <= 1e-13 * frobenius(rhs)
+
+    def test_matches_kron_oracle_on_complex_pair_and_jordan_block(self):
+        B = np.zeros((5, 5))
+        B[:2, :2] = [[-1.0, 2.0], [-2.0, -1.0]]  # eigenvalues -1 +- 2i
+        B[2:4, 2:4] = [[-0.5, 1.0], [0.0, -0.5]]  # Jordan block
+        B[4, 4] = -2.0
+        rng = np.random.default_rng(15)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        A0 = Q @ B @ Q.T
+        factors = build_preconditioner(A0, shift=1.0, tau=0.0)
+        assert np.diag(factors.T, -1).any()  # a 2x2 real-Schur block
+        Z = rng.standard_normal((5, 5))
+        Y = tsylv_solve_kron(A0.T + np.eye(5), A0 - np.eye(5), Z)
+        assert frobenius(apply_preconditioner(factors, Z) - Y) <= 1e-12 * frobenius(Y)
+
+    def test_dtrsyl_failure_signalled(self):
+        # T = diag(1, -1) has the pair 1 + (-1) = 0: dtrsyl perturbs it and reports info = 1
+        I = np.eye(2)
+        factors = PrecondFactors(U=I, T=np.diag([1.0, -1.0]), A0=np.diag([1.0, -1.0]),
+                                 shift=1.0, exp_forward=I)
+        with pytest.raises(SolverError) as err:
+            apply_preconditioner(factors, np.ones((2, 2)))
+        assert err.value.code == "tsylv-near-singular"
 
 
 class TestApply:
