@@ -15,10 +15,8 @@ from .linalg import (
     eigenvalues,
     expm,
     frobenius,
-    generalized_schur_pencil,
     kron,
     lu_solve,
-    pencil_eigenvalues,
     unvec,
     vec,
 )
@@ -69,10 +67,9 @@ __all__ = [
     "bench_table", "bicgstab", "boundary_residuals", "build_preconditioner",
     "commutation_matrix", "complex_schur", "coupled_generator", "coupled_rhs",
     "eigenvalues", "exact_propagate", "expm", "factor_pencil", "frobenius",
-    "generalized_schur_pencil", "gmres", "has_no_hamiltonian_pairing", "kron",
-    "lu_solve", "pdde_generate", "pencil_eigenvalues", "plan_propagation",
-    "preconditioned_spectrum", "preconditioner_quality", "read_matrix",
-    "reconstruct_solution", "rk4_propagate", "small_example",
-    "solve_delay_lyapunov", "tsylv_solvable", "tsylv_solve",
-    "tsylv_solve_kron", "unvec", "vec", "write_matrix",
+    "gmres", "has_no_hamiltonian_pairing", "kron", "lu_solve", "pdde_generate",
+    "plan_propagation", "preconditioned_spectrum", "preconditioner_quality",
+    "read_matrix", "reconstruct_solution", "rk4_propagate", "small_example",
+    "solve_delay_lyapunov", "tsylv_solvable", "tsylv_solve", "tsylv_solve_kron",
+    "unvec", "vec", "write_matrix",
 ]

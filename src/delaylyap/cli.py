@@ -4,6 +4,10 @@ Subcommands: solve, bench, spectrum, tsylv, pdde.  Matrices travel as
 Matrix Market files, histories and spectra as CSV with a header row, run
 summaries as key=value text.  Failures exit nonzero with the error code on
 stderr; unreadable or inconsistent input gives ``invalid-input``.
+
+No subcommand takes the operator shift c: it scales the antisymmetric part
+of the operator and of its preconditioner alike, so it cancels from the
+preconditioned system (:func:`delaylyap.solve_delay_lyapunov`); c = 1.
 """
 
 import argparse
@@ -39,11 +43,13 @@ def _add_problem_args(p):
     p.add_argument("--tau", type=float, default=1.0, help="delay (default 1)")
 
 
-def _add_solver_args(p):
-    p.add_argument("--shift", "-c", type=float, default=1.0,
-                   help="operator shift constant, nonzero (default 1)")
+def _add_steps_arg(p):
     p.add_argument("--steps", type=int, default=None,
                    help="fixed RK4 steps (default: planned Taylor)")
+
+
+def _add_solver_args(p):
+    _add_steps_arg(p)
     p.add_argument("--method", choices=("gmres", "bicgstab"), default="gmres")
     p.add_argument("--tol", type=float, default=1e-12,
                    help="relative residual tolerance (default 1e-12)")
@@ -96,13 +102,12 @@ def cmd_solve(args):
     ode = OdeConfig(steps=args.steps)
     report = solve_delay_lyapunov(
         problem,
-        shift=args.shift,
         ode=ode,
         krylov=KrylovConfig(method=args.method, tol=args.tol, maxit=args.maxit),
     )
     write_matrix(outdir / "X.mtx", report.X, comment="U(tau/2)")
 
-    ctx = OperatorContext(problem=problem, shift=args.shift, ode=ode, plan=report.plan)
+    ctx = OperatorContext(problem=problem, ode=ode, plan=report.plan)
     grid = reconstruct_solution(ctx, report.X, args.samples)
     for k, (t, U) in enumerate(grid):
         write_matrix(outdir / f"U_{k:03d}.mtx", U, comment=f"t={t!r}")
@@ -123,7 +128,6 @@ def cmd_solve(args):
         ("r_alg", report.r_alg),
         ("r_sym", report.r_sym),
         ("tol", args.tol),
-        ("shift", args.shift),
         ("propagation_degree", report.plan.degree),
         ("propagation_steps", report.plan.steps),
         ("rhs_evals_per_apply", report.plan.rhs_evals),
@@ -147,7 +151,7 @@ def cmd_bench(args):
         for token in args.grids.split(","):
             nx, ny = token.lower().split("x")
             rows.append((int(nx), int(ny)))
-    table = bench_table(rows, f0=args.f0, tau=args.tau, shift=args.shift,
+    table = bench_table(rows, f0=args.f0, tau=args.tau,
                         ode=OdeConfig(steps=args.steps),
                         krylov=KrylovConfig(method=args.method, tol=args.tol,
                                             maxit=args.maxit))
@@ -166,9 +170,8 @@ def cmd_bench(args):
 
 def cmd_spectrum(args):
     problem = _load_problem(args)
-    factors = build_preconditioner(problem.A0, shift=args.shift, tau=problem.tau)
-    ctx = OperatorContext(problem=problem, shift=args.shift,
-                          ode=OdeConfig(steps=args.steps))
+    factors = build_preconditioner(problem.A0, tau=problem.tau)
+    ctx = OperatorContext(problem=problem, ode=OdeConfig(steps=args.steps))
     ev = preconditioned_spectrum(ctx, factors)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -235,7 +238,7 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="eigenvalues of the preconditioned operator")
     _add_problem_args(p)
-    _add_solver_args(p)
+    _add_steps_arg(p)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_spectrum)
 

@@ -3,8 +3,9 @@
 Real matrices are float64 ndarrays, complex ones complex128; the
 column-stacking convention vec(AXB) = (B^T (x) A) vec(X) is used throughout.
 The factorizations are SciPy's (``scipy.linalg.expm``, ``lu_factor``/
-``lu_solve``, ``schur``, ``qz``); the wrappers here add input checks and map
-their failures to stable ``SolverError`` codes.
+``lu_solve``, ``schur``); the wrappers here add input checks and map their
+failures to stable ``SolverError`` codes.  The T-Sylvester pencil is
+factored in :mod:`delaylyap.tsylv` alone.
 """
 
 import warnings
@@ -40,18 +41,18 @@ def unvec(x, rows=None):
     return x.reshape((rows, x.size // rows), order="F")
 
 
-def kron(A, B, max_dim=KRON_MAX_DIM):
-    """Kronecker product with a size guard.
+def kron(A, B):
+    """Kronecker product with a size guard of ``KRON_MAX_DIM`` rows and columns.
 
     Follows vec(AXB) = (B^T (x) A) vec(X).
     """
     A = np.asarray(A)
     B = np.asarray(B)
-    if A.shape[0] * B.shape[0] > max_dim or A.shape[1] * B.shape[1] > max_dim:
+    if A.shape[0] * B.shape[0] > KRON_MAX_DIM or A.shape[1] * B.shape[1] > KRON_MAX_DIM:
         raise SolverError(
             "kron-too-large",
             f"result of shape {A.shape[0]*B.shape[0]}x{A.shape[1]*B.shape[1]} "
-            f"exceeds the cap {max_dim}",
+            f"exceeds the cap {KRON_MAX_DIM}",
         )
     return np.kron(A, B)
 
@@ -136,35 +137,6 @@ def eigenvalues(A):
     """Eigenvalues of A as the diagonal of its complex Schur form."""
     _, R = complex_schur(A)
     return np.diag(R).copy()
-
-
-def generalized_schur_pencil(M, NT):
-    """Unitary reduction of the pencil M - lambda*NT to triangular form.
-
-    Returns (Q, Z, TM, TN) with Q* M Z = TM and Q* NT Z = TN, both upper
-    triangular; pencil eigenvalues are TM[i,i]/TN[i,i].  Backed by complex
-    QZ (``scipy.linalg.qz``).  Requires NT invertible.
-
-    Raises
-    ------
-    SolverError
-        ``"pencil-reduction-failed"`` when NT is numerically singular (some
-        TN[i,i] is zero to working precision).
-    """
-    M = _require_square(M, "pencil M")
-    NT = _require_square(NT, "pencil NT")
-    if M.shape != NT.shape:
-        raise ValueError("pencil matrices must have matching shapes")
-    TM, TN, Q, Z = scipy.linalg.qz(M, NT, output="complex")
-    if np.any(np.abs(np.diag(TN)) <= NT.shape[0] * np.finfo(float).eps * frobenius(NT)):
-        raise SolverError("pencil-reduction-failed", "NT is singular")
-    return Q, Z, TM, TN
-
-
-def pencil_eigenvalues(M, NT):
-    """Eigenvalues of the pencil M - lambda*NT (NT invertible)."""
-    _, _, TM, TN = generalized_schur_pencil(M, NT)
-    return np.diag(TM) / np.diag(TN)
 
 
 def frobenius(A):

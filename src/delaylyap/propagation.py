@@ -188,7 +188,7 @@ def coupled_generator(A0, A1):
     return np.vstack([top, bot])
 
 
-def exact_propagate(A0, A1, X, tau, max_n=EXACT_MAX_N):
+def exact_propagate(A0, A1, X, tau):
     """Terminal pair via the dense exponential of the vectorized generator.
 
     Exact up to the matrix exponential; intended as an oracle for small n
@@ -197,13 +197,13 @@ def exact_propagate(A0, A1, X, tau, max_n=EXACT_MAX_N):
     Raises
     ------
     SolverError
-        ``"oracle-too-large"`` when n exceeds ``max_n``.
+        ``"oracle-too-large"`` when n exceeds ``EXACT_MAX_N``.
     """
     A0 = np.asarray(A0, dtype=float)
     X = np.asarray(X, dtype=float)
     n = A0.shape[0]
-    if n > max_n:
-        raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {max_n}")
+    if n > EXACT_MAX_N:
+        raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {EXACT_MAX_N}")
     if tau < 0:
         raise ValueError("tau must be >= 0")
     G = coupled_generator(A0, A1)

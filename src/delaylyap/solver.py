@@ -17,19 +17,21 @@ BV_TARGET = 1e-8
 REFINE_MAX = 2
 
 
-def solve_delay_lyapunov(problem, shift=1.0, ode=None, krylov=None,
-                         bv_target=BV_TARGET, max_refinements=REFINE_MAX):
+def solve_delay_lyapunov(problem, ode=None, krylov=None, max_refinements=REFINE_MAX):
     """Solve the delay Lyapunov equation for the midpoint matrix U(tau/2).
+
+    The operator and its preconditioner use the shift c = 1.  There is no
+    shift argument because c cancels: it scales only the antisymmetric part
+    of both, L_c = D_c L_1 and P_c = D_c P_1 with D_c scaling the skew
+    subspace by c, so P_c^-1 L_c = P_1^-1 L_1, and the right-hand side -W is
+    symmetric.  A refinement pass runs while a boundary-value residual
+    exceeds ``BV_TARGET``.
 
     Parameters
     ----------
     problem : TdsProblem
-    shift : float
-        Nonzero shift of the operator and its preconditioner.
     ode : OdeConfig
     krylov : KrylovConfig
-    bv_target : float
-        Boundary-value residual level that triggers a refinement pass.
     max_refinements : int
         Cap on correction solves appended after the main solve.
 
@@ -44,10 +46,10 @@ def solve_delay_lyapunov(problem, shift=1.0, ode=None, krylov=None,
     ode = ode or OdeConfig()
     krylov = krylov or KrylovConfig()
     t_start = time.perf_counter()
-    factors = build_preconditioner(problem.A0, shift=shift, tau=problem.tau)
+    factors = build_preconditioner(problem.A0, tau=problem.tau)
     setup_seconds = time.perf_counter() - t_start
 
-    ctx = OperatorContext(problem=problem, shift=shift, ode=ode)
+    ctx = OperatorContext(problem=problem, ode=ode)
 
     def op(X):
         return apply_operator(ctx, X)
@@ -63,7 +65,7 @@ def solve_delay_lyapunov(problem, shift=1.0, ode=None, krylov=None,
     r_alg, r_sym = _residuals(ctx, report.X)
     if report.converged:
         passes = 0
-        while (r_alg > bv_target or r_sym > bv_target) and passes < max_refinements:
+        while (r_alg > BV_TARGET or r_sym > BV_TARGET) and passes < max_refinements:
             residual = -problem.W - apply_operator(ctx, report.X)
             correction = solve(op, residual, precond=pc, cfg=krylov)
             if not correction.converged:

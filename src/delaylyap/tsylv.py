@@ -1,14 +1,27 @@
 """Direct solution of the real T-Sylvester equation M X + X^T N = C.
 
+The equation has a unique solution for every C exactly when the pencil
+M - lambda N^T is regular, no eigenvalue is -1, and no two eigenvalues
+lambda_i, lambda_j (i != j, counted with multiplicity) have
+lambda_i lambda_j = 1, where an infinite eigenvalue pairs with a zero one
+(Byers & Kressner, SIAM J. Matrix Anal. Appl. 28, 2006; De Teran & Dopico,
+Linear Algebra Appl. 434, 2011).  A simple eigenvalue 1 is allowed.
+
+This module is the one place that knows the general pencil:
+:func:`factor_pencil` triangularizes it by complex QZ, so a singular N^T
+gives an infinite eigenvalue rather than a failure, and
+:func:`_check_pair_determinants` is the one reading of the condition, as
+nonzero pivots of the back substitution on the triangular factors.
+:func:`tsylv_solve` raises from that check and :func:`tsylv_solvable`
+returns its verdict.
+
 Two routes are provided: a Kronecker-vectorized dense solve (the reference
-oracle, O(n^6)) and a Schur-reduction solver (O(n^3)) that triangularizes the
-pencil M - lambda N^T once and back-substitutes unknowns in (i, j)/(j, i)
-pairs.  The pencil is triangularized by complex QZ, so a singular N^T (an
-infinite pencil eigenvalue) is solved rather than rejected.  The pairwise
-substitution is cross-validated against the oracle in the test suite rather
-than assumed correct.  The preconditioner does not use this module's solver:
-its T-Sylvester map splits into a Lyapunov equation and a closed-form skew
-part (:mod:`delaylyap.precond`).
+oracle, O(n^6)) and a Schur-reduction solver (O(n^3)) that back-substitutes
+unknowns in (i, j)/(j, i) pairs.  The pairwise substitution is
+cross-validated against the oracle in the test suite rather than assumed
+correct.  The preconditioner does not use this module's solver: its
+T-Sylvester map splits into a Lyapunov equation and a closed-form skew part
+(:mod:`delaylyap.precond`).
 """
 
 from dataclasses import dataclass
@@ -29,7 +42,6 @@ from .linalg import (
 )
 
 KRON_MAX_N = 60
-PAIR_DET_RTOL = 1e-12
 SOLVABLE_RTOL = 1e-10
 
 
@@ -86,24 +98,28 @@ def factor_pencil(M, N):
 
 
 def _check_pair_determinants(TM, TN):
-    """Guard the 2x2 pair systems [[TM_ii, TN_jj], [TN_ii, TM_jj]].
+    """Raise ``tsylv-near-singular`` unless the pencil meets the solvability condition.
 
-    Off-diagonal pairs are singular when TM_ii TM_jj = TN_ii TN_jj; the
-    diagonal (i = j) unknown is solved by the scalar pivot TM_ii + TN_ii.
+    The back substitution on the triangular factors solves the 2x2 pair
+    systems [[TM_ii, TN_jj], [TN_ii, TM_jj]], singular when
+    TM_ii TM_jj = TN_ii TN_jj (lambda_i lambda_j = 1, infinite eigenvalues
+    included), and the scalar diagonal equations with pivot TM_ii + TN_ii
+    (lambda_i = -1).  Each test is relative to its own entries, to
+    ``SOLVABLE_RTOL``, so one huge eigenvalue does not blur the others.
     """
     dM = np.diag(TM)
     dN = np.diag(TN)
     det = np.abs(np.outer(dM, dM) - np.outer(dN, dN))
     scale = np.maximum(np.abs(np.outer(dM, dM)), np.abs(np.outer(dN, dN)))
     off = ~np.eye(len(dM), dtype=bool)
-    bad = det[off] < PAIR_DET_RTOL * np.maximum(scale[off], 1e-300)
+    bad = det[off] < SOLVABLE_RTOL * np.maximum(scale[off], 1e-300)
     if np.any(bad):
         raise SolverError(
             "tsylv-near-singular",
             f"{int(bad.sum())} eigenvalue pair(s) with mu_i*mu_j ~ 1",
         )
     piv = np.abs(dM + dN)
-    bad_diag = piv < PAIR_DET_RTOL * np.maximum(np.maximum(np.abs(dM), np.abs(dN)), 1e-300)
+    bad_diag = piv < SOLVABLE_RTOL * np.maximum(np.maximum(np.abs(dM), np.abs(dN)), 1e-300)
     if np.any(bad_diag):
         raise SolverError(
             "tsylv-near-singular",
@@ -169,9 +185,10 @@ def tsylv_solve(M, N, C):
     ------
     SolverError
         ``"pencil-reduction-failed"`` when the pencil M - lambda N^T is
-        singular, ``"tsylv-near-singular"`` when an eigenvalue pair makes a
-        2x2 block numerically singular, ``"tsylv-residual-fail"`` when the
-        computed solution fails the defining-equation check.
+        singular, ``"tsylv-near-singular"`` when the solvability condition
+        fails (exactly when :func:`tsylv_solvable` is False),
+        ``"tsylv-residual-fail"`` when the computed solution is not real or
+        fails the defining-equation check.
     """
     M = np.asarray(M, dtype=float)
     N = np.asarray(N, dtype=float)
@@ -188,7 +205,7 @@ def tsylv_solve(M, N, C):
     return X
 
 
-def tsylv_solve_kron(M, N, C, max_n=KRON_MAX_N):
+def tsylv_solve_kron(M, N, C):
     """Reference solve through the n^2 x n^2 Kronecker system.
 
     Vectorizes the equation as (I (x) M + (N^T (x) I) P) vec X = vec C with
@@ -198,8 +215,8 @@ def tsylv_solve_kron(M, N, C, max_n=KRON_MAX_N):
     N = np.asarray(N, dtype=float)
     C = np.asarray(C, dtype=float)
     n = M.shape[0]
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the dense oracle cap {max_n}")
+    if n > KRON_MAX_N:
+        raise ValueError(f"n={n} exceeds the dense oracle cap {KRON_MAX_N}")
     P = commutation_matrix(n)
     K = kron(np.eye(n), M) + kron(N.T, np.eye(n)) @ P
     try:
@@ -210,20 +227,22 @@ def tsylv_solve_kron(M, N, C, max_n=KRON_MAX_N):
 
 
 def tsylv_solvable(M, N):
-    """Unique-solvability predicate for M X + X^T N = C.
+    """True iff M X + X^T N = C has a unique solution for every C.
 
-    True iff every eigenvalue pair of the pencil M - lambda N^T keeps
-    |mu_i conj(mu_j) - 1| above 1e-10 (1 + |mu_i mu_j|); an infinite
-    eigenvalue violates the condition only when paired with a zero one.  The
-    bound is relative to each pair, so one huge finite mu (a nearly singular
-    N^T) does not blur the test for the others.
+    The condition is the one stated in the module docstring (Byers &
+    Kressner 2006; De Teran & Dopico 2011): no pencil eigenvalue -1 and no
+    pair lambda_i lambda_j = 1 with i != j.  It is decided by the same check
+    :func:`tsylv_solve` enforces, so this is True exactly when that solve
+    does not raise ``tsylv-near-singular``.  The check reads the computed
+    eigenvalues; where they are too ill-conditioned to show a singular pair,
+    the solve's residual check raises ``tsylv-residual-fail`` instead.
+
+    Raises ``SolverError("pencil-reduction-failed")`` for a singular pencil.
     """
-    mu = factor_pencil(M, N).mu
-    mf = mu[np.isfinite(mu)]
-    bound = SOLVABLE_RTOL * (1.0 + np.abs(np.outer(mf, mf)))
-    if np.any(np.abs(np.outer(mf, mf.conj()) - 1.0) <= bound):
-        return False
-    if mf.size < mu.size and np.any(np.abs(mf) <= SOLVABLE_RTOL):
+    pencil = factor_pencil(M, N)
+    try:
+        _check_pair_determinants(pencil.TM, pencil.TN)
+    except SolverError:
         return False
     return True
 

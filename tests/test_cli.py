@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from delaylyap import write_matrix
 from delaylyap.cli import main
@@ -65,3 +66,19 @@ def test_bench_malformed_grid(tmp_path, capsys):
     status = main(["bench", "--grids", "5", "--outdir", str(tmp_path / "out")])
     assert_invalid_input(status, capsys)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # spectrum runs no Krylov solve, so it takes no method, tolerance or cap
+    ["spectrum", "--small-example", "--method", "bicgstab"],
+    ["spectrum", "--small-example", "--tol", "1e-8"],
+    ["spectrum", "--small-example", "--maxit", "5"],
+    # the shift cancels from the preconditioned system, so no subcommand takes it
+    ["spectrum", "--small-example", "--shift", "2"],
+    ["solve", "--small-example", "-c", "2"],
+    ["bench", "--shift", "2"],
+])
+def test_option_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -4,8 +4,12 @@ import pytest
 from delaylyap import (
     KrylovConfig,
     OdeConfig,
+    OperatorContext,
     SolverError,
     TdsProblem,
+    apply_operator,
+    apply_preconditioner,
+    build_preconditioner,
     frobenius,
     kron,
     lu_solve,
@@ -48,15 +52,20 @@ def test_tau_zero_reduces_to_standard_lyapunov():
         assert frobenius(report.X - U) <= 1e-8 * frobenius(U)
 
 
-def test_shift_collision_retried():
-    rng = np.random.default_rng(1)
-    base = random_stable_problem(3, rng)
-    lam = np.linalg.eigvals(base.A0)
-    real = lam[np.abs(lam.imag) < 1e-12].real
-    assert real.size  # generator always leaves at least one real eigenvalue here
-    report = solve_delay_lyapunov(base, shift=float(real[0]),
-                                  krylov=KrylovConfig(tol=1e-10))
-    assert report.converged
+@pytest.mark.parametrize("problem", [small_example(5.0).problem,
+                                     random_stable_problem(5, np.random.default_rng(1))])
+def test_shift_cancels_from_the_preconditioned_operator(problem):
+    # the driver takes no shift: c scales only the skew part of both L_c and
+    # P_c, so P_c^-1 L_c is one map for every nonzero c
+    X = np.random.default_rng(2).standard_normal((problem.n, problem.n))
+    plan = OperatorContext(problem=problem).plan
+    out = {}
+    for c in (0.3, 1.0, -2.0):
+        ctx = OperatorContext(problem=problem, shift=c, plan=plan)
+        factors = build_preconditioner(problem.A0, shift=c, tau=problem.tau)
+        out[c] = apply_preconditioner(factors, apply_operator(ctx, X))
+    for c in (0.3, -2.0):
+        assert frobenius(out[c] - out[1.0]) <= 1e-11 * frobenius(out[1.0])
 
 
 def test_unsolvable_preconditioner_propagates():

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from delaylyap import (
     SolverError,
+    commutation_matrix,
     eigenvalues,
     factor_pencil,
     frobenius,
@@ -15,8 +16,39 @@ from delaylyap import (
 from helpers import random_stable_problem
 
 
+DESIGNS = ("random", "one", "minus_one", "reciprocal", "infinite")
+
+
 def residual(M, N, C, X):
     return frobenius(M @ X + X.T @ N - C) / max(frobenius(C), 1e-300)
+
+
+def designed_pencil(rng, n, design):
+    """(M, N) whose pencil M - lambda N^T is random or has the designed eigenvalue(s)."""
+    if design == "random":
+        return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    dM, dN = rng.standard_normal(n), rng.standard_normal(n)
+    if design == "one":
+        dM[0] = dN[0]
+    elif design == "minus_one":
+        dM[0] = -dN[0]
+    elif design == "reciprocal" and n >= 2:
+        dM[1] = dN[0] * dN[1] / dM[0]
+    elif design == "infinite":
+        dN[0] = 0.0
+    TM = np.diag(dM) + np.triu(rng.standard_normal((n, n)), 1)
+    TN = np.diag(dN) + np.triu(rng.standard_normal((n, n)), 1)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Z = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ TM @ Z.T, (Q @ TN @ Z.T).T
+
+
+def kron_sigma_ratio(M, N):
+    """sigma_min / sigma_max of the vectorized operator X -> M X + X^T N (0 if it is 0)."""
+    n = M.shape[0]
+    K = np.kron(np.eye(n), M) + np.kron(N.T, np.eye(n)) @ commutation_matrix(n)
+    s = np.linalg.svd(K, compute_uv=False)
+    return s[-1] / s[0] if s[0] > 0 else 0.0
 
 
 class TestKronOracle:
@@ -106,6 +138,18 @@ class TestSchurSolver:
         X = tsylv_solve(M, N, C)
         assert_allclose(X, tsylv_solve_kron(M, N, C), rtol=1e-10, atol=1e-12)
 
+    def test_residual_fail_signalled(self):
+        # mu = {2, 0.5 (1 + 1e-9)} in a rotated basis: the pair product misses 1
+        # by 1e-9, which passes the pivot test, but the solve loses the
+        # digits and fails the residual check (relative residual about 4e-7)
+        Q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
+        M = Q @ np.diag([2.0, 0.5 * (1.0 + 1e-9)]) @ Q.T
+        C = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert tsylv_solvable(M, np.eye(2)) is True
+        with pytest.raises(SolverError) as err:
+            tsylv_solve(M, np.eye(2), C)
+        assert err.value.code == "tsylv-residual-fail"
+
     def test_singular_pencil_rejected(self):
         # M and N^T share the null vector e_1: mu_1 = 0/0
         D = np.diag([0.0, 1.0])
@@ -140,26 +184,66 @@ class TestSolvable:
                        for c in (0.5, 1.0, 2.0)}
             assert len(set(answers.values())) == 1
 
-    def test_conjugate_and_plain_products_agree_on_real_pencils(self):
-        # real spectra come in conjugate pairs, so both readings coincide
-        rng = np.random.default_rng(5)
-        from delaylyap import pencil_eigenvalues
-
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            M = rng.standard_normal((n, n))
-            NT = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
-            mu = pencil_eigenvalues(M, NT)
-            with_conj = np.abs(np.outer(mu, mu.conj()) - 1.0).min()
-            without = np.abs(np.outer(mu, mu) - 1.0).min()
-            assert abs(with_conj - without) <= 1e-8 * (1.0 + np.abs(mu).max() ** 2)
-
     def test_infinite_eigenvalue_handling(self):
-        # pencil I - lambda*diag(0,1): eigenvalues {1, inf}; no zero partner,
-        # and the single finite eigenvalue 1 still violates mu_i mu_j = 1
-        assert tsylv_solvable(np.eye(2), np.diag([0.0, 1.0])) is False
+        # pencil I - lambda*diag(0,1): eigenvalues {1, inf}; inf pairs only with
+        # 0, and a simple eigenvalue 1 is allowed (x21 = c21, x12 = c12 - c21)
+        assert tsylv_solvable(np.eye(2), np.diag([0.0, 1.0])) is True
         # shifted variant: eigenvalues {2, inf} are harmless
         assert tsylv_solvable(2.0 * np.eye(2), np.diag([0.0, 0.5])) is True
+
+    @pytest.mark.parametrize("M, N", [
+        (np.eye(2), np.diag([0.0, 1.0])),  # {1, inf}
+        (np.diag([1.0, 2.0]), np.eye(2)),  # {1, 2}
+        (np.array([[1.0]]), np.array([[1.0]])),  # {1}: 2x = c
+    ])
+    def test_simple_eigenvalue_one_is_solvable(self, M, N):
+        assert tsylv_solvable(M, N) is True
+        C = np.arange(1.0, M.size + 1.0).reshape(M.shape)
+        assert residual(M, N, C, tsylv_solve(M, N, C)) <= 1e-14
+        assert residual(M, N, C, tsylv_solve_kron(M, N, C)) <= 1e-14
+
+    def test_one_rule_with_the_solver(self):
+        # mu = {2, 0.5 (1 + 1e-11)}: the pair product is 1 to within the
+        # tolerance, so the predicate and the solve both reject it
+        M, N = np.diag([2.0, 0.5 * (1.0 + 1e-11)]), np.eye(2)
+        assert tsylv_solvable(M, N) is False
+        with pytest.raises(SolverError) as err:
+            tsylv_solve(M, N, np.ones((2, 2)))
+        assert err.value.code == "tsylv-near-singular"
+
+    def test_designed_pencils_match_kronecker_verdict(self):
+        # random pencils and pencils built with an eigenvalue 1, -1 or inf or a
+        # reciprocal pair; the reference is the Kronecker matrix's sigma ratio,
+        # compared only where its verdict is clear
+        rng = np.random.default_rng(0)
+        clear = 0
+        for _ in range(250):
+            n = int(rng.integers(1, 6))
+            M, N = designed_pencil(rng, n, DESIGNS[int(rng.integers(len(DESIGNS)))])
+            solvable = tsylv_solvable(M, N)
+            try:
+                tsylv_solve(M, N, rng.standard_normal((n, n)))
+                rejected = False
+            except SolverError as exc:
+                rejected = exc.code == "tsylv-near-singular"
+            assert solvable is not rejected
+            ratio = kron_sigma_ratio(M, N)
+            if ratio <= 1e-13 or ratio >= 1e-7:
+                assert solvable == (ratio >= 1e-7)
+                clear += 1
+        assert clear >= 200
+
+    def test_hidden_reciprocal_pair_fails_the_residual_check(self):
+        # mu = {10, 0.1} behind a 1e5 off-diagonal: QZ's backward error moves
+        # the computed pair product off 1 by more than the tolerance, so the
+        # pivot test passes it, and the residual check rejects the solve
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
+        M = q @ np.array([[10.0, 1e5], [0.0, 1.0]]) @ q.T
+        N = (q @ np.array([[1.0, 1e5], [0.0, 10.0]]) @ q.T).T
+        assert kron_sigma_ratio(M, N) <= 1e-13
+        with pytest.raises(SolverError) as err:
+            tsylv_solve(M, N, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert err.value.code in ("tsylv-near-singular", "tsylv-residual-fail")
 
     def test_huge_finite_eigenvalue_does_not_mask_others(self):
         # nearly singular N^T: mu = {2e17, 4}, and no pair has mu_i mu_j near 1
