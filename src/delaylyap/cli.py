@@ -12,6 +12,7 @@ preconditioned system (:func:`delaylyap.solve_delay_lyapunov`); c = 1.
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -59,7 +60,7 @@ def _add_solver_args(p):
 
 @contextlib.contextmanager
 def _input_errors():
-    """Map file, format and shape errors of input loading to ``invalid-input``."""
+    """Map file, format, shape and option errors of the input to ``invalid-input``."""
     try:
         yield
     except (OSError, ValueError) as exc:
@@ -69,7 +70,7 @@ def _input_errors():
 def _load_problem(args):
     with _input_errors():
         if args.small_example:
-            return small_example(args.alpha).problem
+            return dataclasses.replace(small_example(args.alpha).problem, tau=args.tau)
         if args.pdde:
             nx, ny = args.pdde
             return pdde_generate(nx, ny, f0=args.f0, tau=args.tau).problem
@@ -97,14 +98,14 @@ def _write_summary(path, pairs):
 
 def cmd_solve(args):
     problem = _load_problem(args)
+    with _input_errors():  # before any solve or file write
+        ode = OdeConfig(steps=args.steps)
+        krylov = KrylovConfig(method=args.method, tol=args.tol, maxit=args.maxit)
+        if args.samples < 3:
+            raise ValueError("samples must be >= 3")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ode = OdeConfig(steps=args.steps)
-    report = solve_delay_lyapunov(
-        problem,
-        ode=ode,
-        krylov=KrylovConfig(method=args.method, tol=args.tol, maxit=args.maxit),
-    )
+    report = solve_delay_lyapunov(problem, ode=ode, krylov=krylov)
     write_matrix(outdir / "X.mtx", report.X, comment="U(tau/2)")
 
     ctx = OperatorContext(problem=problem, ode=ode, plan=report.plan)
@@ -151,10 +152,9 @@ def cmd_bench(args):
         for token in args.grids.split(","):
             nx, ny = token.lower().split("x")
             rows.append((int(nx), int(ny)))
-    table = bench_table(rows, f0=args.f0, tau=args.tau,
-                        ode=OdeConfig(steps=args.steps),
-                        krylov=KrylovConfig(method=args.method, tol=args.tol,
-                                            maxit=args.maxit))
+        ode = OdeConfig(steps=args.steps)
+        krylov = KrylovConfig(method=args.method, tol=args.tol, maxit=args.maxit)
+    table = bench_table(rows, f0=args.f0, tau=args.tau, ode=ode, krylov=krylov)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "bench.csv",
@@ -170,8 +170,10 @@ def cmd_bench(args):
 
 def cmd_spectrum(args):
     problem = _load_problem(args)
+    with _input_errors():
+        ode = OdeConfig(steps=args.steps)
     factors = build_preconditioner(problem.A0, tau=problem.tau)
-    ctx = OperatorContext(problem=problem, ode=OdeConfig(steps=args.steps))
+    ctx = OperatorContext(problem=problem, ode=ode)
     ev = preconditioned_spectrum(ctx, factors)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -197,7 +199,8 @@ def cmd_tsylv(args):
 
 
 def cmd_pdde(args):
-    system = pdde_generate(args.nx, args.ny, f0=args.f0, tau=args.tau)
+    with _input_errors():
+        system = pdde_generate(args.nx, args.ny, f0=args.f0, tau=args.tau)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     p = system.problem

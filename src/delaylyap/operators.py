@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frobenius, unvec, vec
+from .linalg import frobenius
 from .propagation import OdeConfig, PropagationPlan, plan_propagation, rk4_propagate, taylor_steps
 
 ASSEMBLE_MAX_N = 20
@@ -40,8 +40,8 @@ class TdsProblem:
                 raise ValueError(f"{name} must be {n}x{n}, got {M.shape}")
             if not np.all(np.isfinite(M)):
                 raise ValueError(f"{name} has non-finite entries")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        if not (np.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError("tau must be finite and >= 0")
         defect = frobenius(W - W.T)
         if defect > 1e-12 * max(frobenius(W), 1e-300):
             raise ValueError(f"W must be symmetric; defect {defect:.3g}")
@@ -83,7 +83,7 @@ class OperatorContext:
 
 
 def apply_operator(ctx, X):
-    """Apply the shifted delay Lyapunov operator to X.
+    """Apply the shifted delay Lyapunov operator to X, n x n or a batch (..., n, n).
 
     Propagates the coupled pair from X and evaluates
 
@@ -95,33 +95,30 @@ def apply_operator(ctx, X):
     """
     p = ctx.problem
     X = np.asarray(X, dtype=float)
-    if X.shape != (p.n, p.n):
-        raise ValueError(f"X must be {p.n}x{p.n}, got {X.shape}")
+    if X.shape[-2:] != (p.n, p.n):
+        raise ValueError(f"X must be (..., {p.n}, {p.n}), got {X.shape}")
     res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=ctx.plan)
     return _combine(p.A0, p.A1, ctx.shift, res.Z1_end, res.Z2_end)
 
 
 def _combine(A0, A1, c, Z1, Z2):
-    n = A0.shape[0]
-    I = np.eye(n)
-    return Z2.T @ (A0 - c * I) + (A0.T + c * I) @ Z2 + Z1.T @ A1 + A1.T @ Z1
+    I = np.eye(A0.shape[0])
+    return (Z2.swapaxes(-1, -2) @ (A0 - c * I) + (A0.T + c * I) @ Z2
+            + Z1.swapaxes(-1, -2) @ A1 + A1.T @ Z1)
 
 
 def assemble_operator(ctx, max_n=ASSEMBLE_MAX_N):
     """Dense n^2 x n^2 matrix of the operator in the vec basis.
 
-    Column j is vec(apply(E_j)) for the j-th unit matrix, so the assembled
-    matrix A satisfies A vec(X) = vec(apply(X)) for every X.
+    Column j is vec(apply(E_j)) for the j-th unit matrix E_j = unvec(e_j),
+    all n^2 of them applied as one batch, so A vec(X) = vec(apply(X)).
     """
     n = ctx.problem.n
     if n > max_n:
         raise ValueError(f"n={n} exceeds the dense-assembly cap {max_n}")
-    cols = np.empty((n * n, n * n))
-    for j in range(n * n):
-        e = np.zeros(n * n)
-        e[j] = 1.0
-        cols[:, j] = vec(apply_operator(ctx, unvec(e, n)))
-    return cols
+    # unvec and vec are column-major: E_j = e_j.reshape(n, n).T, vec(Y) = Y.T.ravel()
+    Y = apply_operator(ctx, np.eye(n * n).reshape(n * n, n, n).swapaxes(-1, -2))
+    return Y.swapaxes(-1, -2).reshape(n * n, n * n).T
 
 
 def reconstruct_solution(ctx, X, samples):
@@ -158,20 +155,19 @@ def reconstruct_solution(ctx, X, samples):
 
     plan = ctx.plan
     states = {}
-    Z1 = Z2 = X
+    Z = np.stack((X, X))
     prev = 0.0
     for sigma in sorted({elapsed(abs(t)) for t in ts}):
         if sigma > prev:
             k = math.ceil(plan.steps * (sigma - prev) / half)
-            Z1, Z2 = taylor_steps(p.A0, p.A1, Z1, Z2, (sigma - prev) / k, plan.degree, k)
-        states[sigma] = (Z1, Z2)
+            Z = taylor_steps(p.A0, p.A1, Z, (sigma - prev) / k, plan.degree, k)
+        states[sigma] = Z
         prev = sigma
 
     out = []
     for t in ts:
         ta = abs(t)
-        Z1, Z2 = states[elapsed(ta)]
-        U = Z2 if ta < half else Z1
+        U = states[elapsed(ta)][1 if ta < half else 0]
         out.append((float(t), U.T.copy() if t < 0 else U.copy()))
     return out
 

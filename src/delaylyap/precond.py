@@ -109,30 +109,23 @@ def preconditioner_quality(ctx, factors, trials=20, seed=0):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = ctx.problem.n
-    worst = 0.0
-    for _ in range(trials):
-        X = rng.standard_normal((n, n))
-        X /= frobenius(X)
-        dev = apply_preconditioner(factors, apply_operator(ctx, X)) - X
-        worst = max(worst, frobenius(dev))
-    return worst
+    X = np.random.default_rng(seed).standard_normal((trials, ctx.problem.n, ctx.problem.n))
+    X /= np.linalg.norm(X, axis=(-2, -1), keepdims=True)
+    return max(frobenius(apply_preconditioner(factors, Y) - Xk)
+               for Xk, Y in zip(X, apply_operator(ctx, X)))
 
 
 def preconditioned_spectrum(ctx, factors):
     """Eigenvalues of the preconditioned operator, assembled densely.
 
     Builds the n^2 x n^2 matrix of X -> apply_preconditioner(apply_operator(X))
-    column by column and returns its eigenvalue multiset (sorted by real part,
-    then imaginary, for reproducible output).  Above the dense-assembly cap
-    of :func:`assemble_operator` it raises ``ValueError``.
+    from the batched :func:`assemble_operator`, preconditioning column by
+    column, and returns its eigenvalue multiset (sorted by real part, then
+    imaginary, for reproducible output).  Above the dense-assembly cap of
+    :func:`assemble_operator` it raises ``ValueError``.
     """
-    n = ctx.problem.n
-    A = assemble_operator(ctx)
-    PA = np.empty_like(A)
-    for j in range(n * n):
-        PA[:, j] = vec(apply_preconditioner(factors, unvec(A[:, j], n)))
+    PA = np.column_stack([vec(apply_preconditioner(factors, unvec(a)))
+                          for a in assemble_operator(ctx).T])
     ev = np.linalg.eigvals(PA)
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]

@@ -5,7 +5,10 @@ Starting from Z1(0) = Z2(0) = X, the pair evolves on [0, tau/2] under
     Z1' =  Z1 A0 + Z2^T A1,
     Z2' = -Z1^T A1 - Z2 A0,
 
-and only the terminal values are needed by the linear operator.  The system
+and only the terminal values are needed by the linear operator.  The state
+is one array Z of shape (..., 2, n, n) with Z1 = Z[..., 0, :, :] and
+Z2 = Z[..., 1, :, :]; leading axes, when present, are a batch of independent
+states, each propagated as if alone.  The system
 is linear and autonomous with generator G, so the terminal pair is
 exp((tau/2) G) applied to (X, X).  It is computed by one truncated Taylor
 loop: s steps of length h = (tau/2)/s, each adding the terms
@@ -68,17 +71,21 @@ class PropagationResult:
     Z2_end: np.ndarray
 
 
-def coupled_rhs(Z1, Z2, A0, A1):
-    """Right-hand side (Z1 A0 + Z2^T A1, -Z1^T A1 - Z2 A0)."""
-    if Z1.shape != Z2.shape or Z1.shape != A0.shape or A0.shape != A1.shape:
-        raise ValueError("all matrices must share one square shape")
-    return _rhs(Z1, Z2, A0, A1)
+def coupled_rhs(Z, A0, A1):
+    """Right-hand side [Z1 A0 + Z2^T A1, -Z1^T A1 - Z2 A0] of the state Z, shaped like Z."""
+    n = A0.shape[0]
+    if Z.shape[-3:] != (2, n, n) or A0.shape != (n, n) or A1.shape != (n, n):
+        raise ValueError("Z must be (..., 2, n, n) with A0, A1 n x n")
+    return _rhs(Z, A0, A1)
 
 
-def _rhs(Z1, Z2, A0, A1):
+_SIGN = np.array([1.0, -1.0])[:, None, None]
+
+
+def _rhs(Z, A0, A1):
     # coupled_rhs without the shape check; the planner's operator calls it,
     # so coupled_rhs is called only for propagation terms.
-    return Z1 @ A0 + Z2.T @ A1, -(Z1.T @ A1) - Z2 @ A0
+    return (Z @ A0 + Z[..., ::-1, :, :].swapaxes(-1, -2) @ A1) * _SIGN
 
 
 def plan_propagation(A0, A1, tau, cfg=None):
@@ -117,52 +124,47 @@ def plan_propagation(A0, A1, tau, cfg=None):
 
 
 def _generator_operator(A0, A1, t):
-    """t G as a LinearOperator on the stacked state [Z1.ravel(); Z2.ravel()]."""
+    """t G as a LinearOperator on the raveled state Z.ravel()."""
     from scipy.sparse.linalg import LinearOperator
 
     n = A0.shape[0]
 
     def matvec(v):
-        Z1, Z2 = np.reshape(v, (2, n, n))
-        return t * np.concatenate([G.ravel() for G in _rhs(Z1, Z2, A0, A1)])
+        return t * _rhs(v.reshape(2, n, n), A0, A1).ravel()
 
     def rmatvec(v):
-        U, V = np.reshape(v, (2, n, n))
-        return t * np.concatenate([(U @ A0.T - A1 @ V.T).ravel(),
-                                   (A1 @ U.T - V @ A0.T).ravel()])
+        W = v.reshape(2, n, n)
+        return t * (_SIGN * (W @ A0.T - (A1 @ W.swapaxes(-1, -2))[::-1])).ravel()
 
     return LinearOperator((2 * n * n, 2 * n * n), matvec=matvec, rmatvec=rmatvec,
                           dtype=float)
 
 
-def taylor_steps(A0, A1, Z1, Z2, h, degree, steps):
-    """Advance the pair (Z1, Z2) by ``steps`` Taylor steps of length h.
+def taylor_steps(A0, A1, Z, h, degree, steps):
+    """Advance the state Z (shape (..., 2, n, n)) by ``steps`` Taylor steps of length h.
 
     Each step adds (h^j / j!) G^j Z for j = 1..degree, every term one
-    ``coupled_rhs`` call.  The inputs are not modified.
+    ``coupled_rhs`` call.  The input is not modified.
     """
-    Z1 = np.array(Z1, dtype=float)
-    Z2 = np.array(Z2, dtype=float)
+    Z = np.array(Z, dtype=float)
     for _ in range(steps):
-        B1, B2 = Z1, Z2
+        B = Z
         for j in range(1, degree + 1):
-            B1, B2 = coupled_rhs(B1, B2, A0, A1)
-            B1 *= h / j
-            B2 *= h / j
-            Z1 += B1
-            Z2 += B2
-    return Z1, Z2
+            B = coupled_rhs(B, A0, A1)
+            B *= h / j
+            Z += B
+    return Z
 
 
 def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
     """Propagate Z1, Z2 from the common initial value X to t = tau/2.
 
-    Runs the Taylor loop of ``plan`` (made from ``cfg`` by
-    ``plan_propagation`` when not given).  The map X -> (Z1_end, Z2_end) is
-    linear, since every step applies the same fixed polynomial in G.
-    tau = 0 is accepted and returns (X, X).  The name is kept because it is
-    the package's one propagation entry point, and ``OdeConfig(steps=N)``
-    still makes it classic RK4.
+    X is n x n or a batch (..., n, n).  Runs the Taylor loop of ``plan``
+    (made from ``cfg`` by ``plan_propagation`` when not given).  The map
+    X -> (Z1_end, Z2_end) is linear, since every step applies the same fixed
+    polynomial in G.  tau = 0 is accepted and returns (X, X).  The name is
+    kept because it is the package's one propagation entry point, and
+    ``OdeConfig(steps=N)`` still makes it classic RK4.
     """
     X = np.asarray(X, dtype=float)
     if tau < 0:
@@ -171,8 +173,8 @@ def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
         return PropagationResult(X.copy(), X.copy())
     plan = plan or plan_propagation(A0, A1, tau, cfg)
     h = (0.5 * tau) / plan.steps
-    Z1, Z2 = taylor_steps(A0, A1, X, X, h, plan.degree, plan.steps)
-    return PropagationResult(Z1, Z2)
+    Z = taylor_steps(A0, A1, np.stack((X, X), axis=-3), h, plan.degree, plan.steps)
+    return PropagationResult(Z[..., 0, :, :], Z[..., 1, :, :])
 
 
 def coupled_generator(A0, A1):

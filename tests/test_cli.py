@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from delaylyap import write_matrix
+from delaylyap import (
+    OperatorContext,
+    build_preconditioner,
+    preconditioned_spectrum,
+    small_example,
+    write_matrix,
+)
 from delaylyap.cli import main
 
 
@@ -82,3 +88,44 @@ def test_option_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def read_summary(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--small-example", "--samples", "2"],
+    ["solve", "--small-example", "--steps", "0"],
+    ["solve", "--small-example", "--tol", "2"],
+    ["solve", "--small-example", "--maxit", "0"],
+    ["solve", "--pdde", "3", "3", "--tau", "nan"],
+    ["solve", "--pdde", "3", "3", "--tau", "inf"],
+    ["solve", "--small-example", "--tau", "nan"],
+    ["spectrum", "--small-example", "--steps", "0"],
+    ["bench", "--grids", "3x3", "--tol", "5"],
+    ["pdde", "0", "3"],
+])
+def test_configuration_error_is_invalid_input(argv, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    status = main(argv + ["--outdir", str(outdir)])
+    assert_invalid_input(status, capsys)
+    assert not (outdir / "X.mtx").exists()
+
+
+def test_small_example_honours_tau(tmp_path):
+    assert main(["solve", "--small-example", "--tau", "2", "--samples", "3",
+                 "--outdir", str(tmp_path)]) == 0
+    assert read_summary(tmp_path / "summary.txt")["tau"] == "2"
+
+
+def test_spectrum_small_example(tmp_path):
+    assert main(["spectrum", "--small-example", "--outdir", str(tmp_path)]) == 0
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert rows[0] == "re,im"
+    got = np.array([complex(*map(float, row.split(","))) for row in rows[1:]])
+    problem = small_example(1.0).problem
+    want = preconditioned_spectrum(OperatorContext(problem=problem),
+                                   build_preconditioner(problem.A0, tau=problem.tau))
+    assert len(got) == 16
+    assert np.array_equal(got, want)

@@ -40,6 +40,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             TdsProblem(A0=np.eye(2), A1=np.eye(2), tau=-1.0, W=np.eye(2))
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            TdsProblem(A0=np.eye(2), A1=np.eye(2), tau=tau, W=np.eye(2))
+
     def test_zero_shift_rejected(self):
         p = TdsProblem(A0=np.eye(2), A1=np.eye(2), tau=1.0, W=np.eye(2))
         with pytest.raises(ValueError):
@@ -52,6 +57,22 @@ class TestApply:
         p = random_stable_problem(4, rng)
         out = apply_operator(make_ctx(p), np.zeros((4, 4)))
         assert not out.any()
+
+    def test_batch_equals_single_applies(self):
+        rng = np.random.default_rng(9)
+        ctx = OperatorContext(problem=random_stable_problem(4, rng))
+        X = rng.standard_normal((3, 4, 4))
+        out = apply_operator(ctx, X)
+        assert out.shape == (3, 4, 4)
+        for Xk, got in zip(X, out):
+            want = apply_operator(ctx, Xk)
+            assert frobenius(got - want) <= 1e-14 * frobenius(want)
+
+    def test_shape_checked_on_last_two_axes(self):
+        rng = np.random.default_rng(10)
+        ctx = make_ctx(random_stable_problem(4, rng))
+        with pytest.raises(ValueError):
+            apply_operator(ctx, np.zeros((3, 4, 3)))
 
     def test_tau_zero_closed_form_on_symmetric_input(self):
         rng = np.random.default_rng(1)

@@ -23,21 +23,21 @@ from helpers import random_stable_problem
 class TestCoupledRhs:
     def test_zero_state(self):
         A = np.ones((3, 3))
-        G1, G2 = coupled_rhs(np.zeros((3, 3)), np.zeros((3, 3)), A, A)
-        assert not G1.any() and not G2.any()
+        G = coupled_rhs(np.zeros((2, 3, 3)), A, A)
+        assert G.shape == (2, 3, 3) and not G.any()
 
     def test_decoupled_when_no_delay_term(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((3, 3))
         A0 = rng.standard_normal((3, 3))
-        G1, G2 = coupled_rhs(X, X, A0, np.zeros((3, 3)))
+        G1, G2 = coupled_rhs(np.stack((X, X)), A0, np.zeros((3, 3)))
         assert_allclose(G1, X @ A0, atol=0)
         assert_allclose(G2, -X @ A0, atol=0)
 
     def test_entrywise_formula(self):
         rng = np.random.default_rng(1)
         Z1, Z2, A0, A1 = (rng.standard_normal((3, 3)) for _ in range(4))
-        G1, G2 = coupled_rhs(Z1, Z2, A0, A1)
+        G1, G2 = coupled_rhs(np.stack((Z1, Z2)), A0, A1)
         for i in range(3):
             for j in range(3):
                 g1 = sum(Z1[i, k] * A0[k, j] + Z2[k, i] * A1[k, j] for k in range(3))
@@ -47,7 +47,19 @@ class TestCoupledRhs:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            coupled_rhs(np.eye(2), np.eye(3), np.eye(3), np.eye(3))
+            coupled_rhs(np.zeros((2, 2, 2)), np.eye(3), np.eye(3))
+        with pytest.raises(ValueError):
+            coupled_rhs(np.zeros((3, 3, 3)), np.eye(3), np.eye(3))
+        with pytest.raises(ValueError):
+            coupled_rhs(np.eye(3), np.eye(3), np.eye(3))
+
+    def test_batch_axis(self):
+        rng = np.random.default_rng(2)
+        Z = rng.standard_normal((4, 2, 3, 3))
+        A0, A1 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        G = coupled_rhs(Z, A0, A1)
+        for k in range(4):
+            assert_allclose(G[k], coupled_rhs(Z[k], A0, A1), rtol=1e-14, atol=1e-14)
 
 
 class TestRk4:
@@ -95,6 +107,17 @@ class TestRk4:
         for got, want in ((mix.Z1_end, a * rx.Z1_end + b * ry.Z1_end),
                           (mix.Z2_end, a * rx.Z2_end + b * ry.Z2_end)):
             assert frobenius(got - want) <= 1e-12 * max(frobenius(want), 1e-300)
+
+    def test_batch_axis(self):
+        rng = np.random.default_rng(8)
+        p = random_stable_problem(4, rng)
+        X = rng.standard_normal((3, 4, 4))
+        res = rk4_propagate(p.A0, p.A1, X, p.tau)
+        assert res.Z1_end.shape == res.Z2_end.shape == (3, 4, 4)
+        for k in range(3):
+            one = rk4_propagate(p.A0, p.A1, X[k], p.tau)
+            assert_allclose(res.Z1_end[k], one.Z1_end, rtol=1e-14, atol=1e-14)
+            assert_allclose(res.Z2_end[k], one.Z2_end, rtol=1e-14, atol=1e-14)
 
     def test_tau_zero_returns_initial_value(self):
         X = np.arange(4.0).reshape(2, 2)

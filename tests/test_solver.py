@@ -84,6 +84,31 @@ def test_report_fields_filled():
     assert report.timings.precond_seconds > 0
 
 
+def test_timings_include_refinement(monkeypatch):
+    import time
+
+    import delaylyap.solver
+
+    measured = {"apply": 0.0, "precond": 0.0}
+
+    def timed(name, fn):
+        def wrapper(*args):
+            t0 = time.perf_counter()
+            out = fn(*args)
+            measured[name] += time.perf_counter() - t0
+            return out
+        return wrapper
+
+    monkeypatch.setattr(delaylyap.solver, "apply_operator",
+                        timed("apply", delaylyap.solver.apply_operator))
+    monkeypatch.setattr(delaylyap.solver, "apply_preconditioner",
+                        timed("precond", delaylyap.solver.apply_preconditioner))
+    report = solve_delay_lyapunov(small_example(5.0).problem)
+    assert report.refinement_passes > 0
+    assert report.timings.apply_seconds >= 0.8 * measured["apply"]
+    assert report.timings.precond_seconds >= 0.8 * measured["precond"]
+
+
 def test_bicgstab_path():
     report = solve_delay_lyapunov(small_example(0.5).problem,
                                   krylov=KrylovConfig(method="bicgstab", tol=1e-12, maxit=64))
