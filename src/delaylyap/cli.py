@@ -148,10 +148,16 @@ def cmd_solve(args):
 
 def cmd_bench(args):
     rows = []
-    with _input_errors():
+    with _input_errors():  # before any solve or file write
         for token in args.grids.split(","):
             nx, ny = token.lower().split("x")
             rows.append((int(nx), int(ny)))
+            if min(rows[-1]) < 1:
+                raise ValueError(f"grid sizes must be >= 1, got {token}")
+        if not (np.isfinite(args.tau) and args.tau >= 0):
+            raise ValueError("tau must be finite and >= 0")
+        if not np.isfinite(args.f0):
+            raise ValueError("f0 must be finite")
         ode = OdeConfig(steps=args.steps)
         krylov = KrylovConfig(method=args.method, tol=args.tol, maxit=args.maxit)
     table = bench_table(rows, f0=args.f0, tau=args.tau, ode=ode, krylov=krylov)

@@ -10,6 +10,15 @@ symmetrized, since it can be far larger than K and its rounding asymmetry
 would leak into the skew part, and corrected by one more solve on its
 residual, which recovers the digits the Schur form loses.  The step count
 is fixed, so an application is an exactly linear map.
+
+The triangular equation T X + X T^T = C is solved by recursive blocking
+(Jonsson & Kagstrom's RECSY algorithms, ACM TOMS 28(4), 2002): T is
+halved, the off-diagonal coupling becomes matrix products, and LAPACK's
+level-2 ``dtrsyl`` runs only on blocks of at most ``LEAF`` rows.  C is
+symmetric, so X is too: of the off-diagonal blocks only X12 is solved
+(one Sylvester equation) and X21 = X12^T.  A split never falls inside a
+2x2 block of the real Schur form, since ``dtrsyl`` needs each diagonal
+block whole.
 """
 
 from dataclasses import dataclass
@@ -77,19 +86,76 @@ def _sym(X):
     return 0.5 * (X + X.T)
 
 
-def _lyapunov(factors, R):
-    """Symmetric S with A0^T S + S A0 = R, R symmetric, by Bartels-Stewart."""
-    U = factors.U
-    X, scale, info = dtrsyl(factors.T, factors.T, _sym(U.T @ R @ U), tranb="T")
+LEAF = 64  # largest block handed to dtrsyl; n <= LEAF is one dtrsyl call
+
+
+def _split(T):
+    """Index k near the middle of T such that T[:k, :k] keeps every 2x2 block whole."""
+    k = T.shape[0] // 2
+    return k + 1 if T[k, k - 1] != 0 else k
+
+
+def _dtrsyl(A, B, C):
+    """(X, scale) with A X + X B^T = scale C, by one LAPACK call."""
+    X, scale, info = dtrsyl(A, B, C, tranb="T")
     if info != 0:  # 1: LAPACK perturbed a near-singular pair; < 0: illegal argument
         raise SolverError("tsylv-near-singular", f"dtrsyl returned info = {info}")
+    return X, scale
+
+
+def _trsylv(A, B, C):
+    """(X, scale) with A X + X B^T = scale C for upper quasi-triangular A, B."""
+    m, n = C.shape
+    if max(m, n) <= LEAF:
+        return _dtrsyl(A, B, C)
+    if m >= n:  # rows: A22 X2 + X2 B^T = C2, then A11 X1 + X1 B^T = C1 - A12 X2
+        k = _split(A)
+        X2, s1 = _trsylv(A[k:, k:], B, C[k:])
+        X1, s2 = _trsylv(A[:k, :k], B, s1 * C[:k] - A[:k, k:] @ X2)
+        return np.vstack((X1, s2 * X2)), s1 * s2
+    # columns: A X2 + X2 B22^T = C2, then A X1 + X1 B11^T = C1 - X2 B12^T
+    k = _split(B)
+    X2, s1 = _trsylv(A, B[k:, k:], C[:, k:])
+    X1, s2 = _trsylv(A, B[:k, :k], s1 * C[:, :k] - X2 @ B[:k, k:].T)
+    return np.hstack((X1, s2 * X2)), s1 * s2
+
+
+def _trlyap(T, C):
+    """(X, scale) with T X + X T^T = scale C for upper quasi-triangular T, C symmetric.
+
+    With T = [[T11, T12], [0, T22]] the blocks follow from the bottom up:
+    X22 from T22, X12 from the Sylvester equation T11 X12 + X12 T22^T =
+    C12 - T12 X22, and X11 from T11 with C11 - W - W^T, W = T12 X12^T.
+    """
+    n = T.shape[0]
+    if n <= LEAF:
+        return _dtrsyl(T, T, C)
+    k = _split(T)
+    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
+    X22, s1 = _trlyap(T22, C[k:, k:])
+    X12, s2 = _trsylv(T11, T22, s1 * C[:k, k:] - T12 @ X22)
+    W = T12 @ X12.T
+    X11, s3 = _trlyap(T11, (s1 * s2) * C[:k, :k] - W - W.T)
+    X12 *= s3
+    return np.block([[X11, X12], [X12.T, (s2 * s3) * X22]]), s1 * s2 * s3
+
+
+def _lyapunov(factors, R):
+    """Symmetric S with A0^T S + S A0 = R, R symmetric, by Bartels-Stewart.
+
+    Projects R onto the cached Schur basis, solves the triangular equation
+    T X + X T^T = U^T R U by :func:`_trlyap` and projects back.  Raises
+    ``SolverError("tsylv-near-singular")`` when any ``dtrsyl`` block fails.
+    """
+    U = factors.U
+    X, scale = _trlyap(factors.T, _sym(U.T @ R @ U))
     return _sym(U @ _sym(X / scale) @ U.T)
 
 
 def apply_preconditioner(factors, Z):
     """Apply the inverse of the zero-coupling operator to Z.
 
-    Raises ``SolverError("tsylv-near-singular")`` when ``dtrsyl`` fails.
+    Raises ``SolverError("tsylv-near-singular")`` when a ``dtrsyl`` block fails.
     """
     Z = np.asarray(Z, dtype=float)
     At = factors.A0.T

@@ -105,12 +105,15 @@ def read_summary(path):
     ["spectrum", "--small-example", "--steps", "0"],
     ["bench", "--grids", "3x3", "--tol", "5"],
     ["pdde", "0", "3"],
+    ["bench", "--grids", "0x3"],
+    ["bench", "--grids", "3x3", "--tau", "nan"],
+    ["bench", "--grids", "3x3", "--f0", "inf"],
 ])
 def test_configuration_error_is_invalid_input(argv, tmp_path, capsys):
     outdir = tmp_path / "out"
     status = main(argv + ["--outdir", str(outdir)])
     assert_invalid_input(status, capsys)
-    assert not (outdir / "X.mtx").exists()
+    assert not outdir.exists()  # rejected before any solve or file write
 
 
 def test_small_example_honours_tau(tmp_path):

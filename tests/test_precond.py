@@ -23,6 +23,8 @@ from delaylyap import (
     preconditioner_quality,
     small_example,
     tsylv_solve_kron,
+    unvec,
+    vec,
 )
 from helpers import random_stable_problem
 
@@ -172,6 +174,134 @@ class TestRealSchurSplit:
         with pytest.raises(SolverError) as err:
             apply_preconditioner(factors, np.ones((2, 2)))
         assert err.value.code == "tsylv-near-singular"
+
+
+LEAF = delaylyap.precond.LEAF
+
+
+def straddled_schur_form(n, rng):
+    """Stable real Schur form with a 2x2 block across every split point n // 2 of the recursion."""
+    starts = []
+
+    def place(lo, hi):
+        if hi - lo > LEAF:
+            k = lo + (hi - lo) // 2
+            starts.append(k - 1)  # a block on rows k-1, k: the recursion splits at k + 1
+            place(lo, k + 1)
+            place(k + 1, hi)
+
+    place(0, n)
+    T = np.triu(rng.standard_normal((n, n))) / np.sqrt(n)
+    T[np.diag_indices(n)] = -1.0 - rng.random(n)
+    for j in starts:
+        T[j + 1, j + 1] = T[j, j]
+        T[j, j + 1], T[j + 1, j] = 1.5, -0.8  # eigenvalues T[j, j] +- 1.1i
+    return T
+
+
+def symmetric(rng, n):
+    C = rng.standard_normal((n, n))
+    return C + C.T
+
+
+class TestRecursiveLyapunov:
+    def test_matches_dtrsyl_and_kron_oracle_across_2x2_blocks(self):
+        n = 2 * LEAF + 3
+        rng = np.random.default_rng(20)
+        T = straddled_schur_form(n, rng)
+        C = symmetric(rng, n)
+        X, scale = delaylyap.precond._trlyap(T, C)
+        assert scale == 1.0
+        R = T @ X + X @ T.T - C
+        assert frobenius(R) <= 1e-14 * frobenius(C)
+        X0, scale0, info = scipy.linalg.lapack.dtrsyl(T, T, C, tranb="T")
+        assert info == 0 and scale0 == 1.0
+        assert frobenius(X - X0) <= 1e-12 * frobenius(X0)
+        # the trailing block of X solves the trailing block of the equation alone
+        m = 8
+        assert T[n - m, n - m - 1] == 0
+        Tm, I = T[-m:, -m:], np.eye(m)
+        oracle = unvec(np.linalg.solve(kron(I, Tm) + kron(Tm, I), vec(C[-m:, -m:])), m)
+        assert frobenius(X[-m:, -m:] - oracle) <= 1e-13 * frobenius(oracle)
+
+    def test_split_keeps_2x2_blocks_whole(self, monkeypatch):
+        splits = []
+        original = delaylyap.precond._split
+
+        def recorded(T):
+            k = original(T)
+            splits.append((T, k))
+            return k
+
+        monkeypatch.setattr(delaylyap.precond, "_split", recorded)
+        rng = np.random.default_rng(21)
+        n = 2 * LEAF + 3
+        delaylyap.precond._trlyap(straddled_schur_form(n, rng), symmetric(rng, n))
+        assert splits
+        for T, k in splits:
+            half = T.shape[0] // 2
+            assert T[half, half - 1] != 0  # the middle falls inside a 2x2 block ...
+            assert k == half + 1 and T[k, k - 1] == 0  # ... so the split moves past it
+
+    def test_scale_bookkeeping(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        p = random_stable_problem(2 * LEAF + 3, rng)
+        factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
+        Z = rng.standard_normal((p.n, p.n))
+        expected = apply_preconditioner(factors, Z)
+        original = delaylyap.precond.dtrsyl
+        calls = []
+
+        def halved(*args, **kwargs):
+            X, scale, info = original(*args, **kwargs)
+            calls.append(scale)
+            return X / 2, scale / 2, info
+
+        monkeypatch.setattr(delaylyap.precond, "dtrsyl", halved)
+        out = apply_preconditioner(factors, Z)
+        assert len(calls) > 2  # the recursion ran
+        assert frobenius(out - expected) <= 1e-14 * frobenius(expected)
+
+    def test_near_singular_pair_in_sylvester_leaf_signalled(self, monkeypatch):
+        # eigenvalues 1 (first row) and -1 (last row) meet only in X12's equation
+        n = LEAF + 6
+        rng = np.random.default_rng(23)
+        T = np.triu(rng.standard_normal((n, n)), 1) / n
+        T[np.diag_indices(n)] = -np.linspace(1.5, 3.0, n)
+        T[0, 0], T[-1, -1] = 1.0, -1.0
+        I = np.eye(n)
+        factors = PrecondFactors(U=I, T=T, A0=T.T.copy(), shift=1.0, exp_forward=I)
+        original = delaylyap.precond.dtrsyl
+        calls = []
+
+        def recorded(A, B, C, **kwargs):
+            X, scale, info = original(A, B, C, **kwargs)
+            calls.append((A is B, info))
+            return X, scale, info
+
+        monkeypatch.setattr(delaylyap.precond, "dtrsyl", recorded)
+        with pytest.raises(SolverError) as err:
+            apply_preconditioner(factors, rng.standard_normal((n, n)))
+        assert err.value.code == "tsylv-near-singular"
+        assert calls == [(True, 0), (False, 1)]  # X22's Lyapunov leaf, then X12's Sylvester leaf
+
+    @pytest.mark.parametrize("n", [5, LEAF])
+    def test_one_dtrsyl_call_up_to_leaf(self, n, monkeypatch):
+        rng = np.random.default_rng(24)
+        T, _ = scipy.linalg.schur(rng.standard_normal((n, n)) - 3 * np.eye(n), output="real")
+        C = symmetric(rng, n)
+        calls = []
+        original = delaylyap.precond.dtrsyl
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(delaylyap.precond, "dtrsyl", counted)
+        X, scale = delaylyap.precond._trlyap(T, C)
+        X0, scale0, _ = original(T, T, C, tranb="T")
+        assert len(calls) == 1
+        assert np.array_equal(X, X0) and scale == scale0
 
 
 class TestApply:
