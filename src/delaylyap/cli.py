@@ -46,7 +46,7 @@ def _add_problem_args(p):
 
 def _add_steps_arg(p):
     p.add_argument("--steps", type=int, default=None,
-                   help="fixed RK4 steps (default: planned Taylor)")
+                   help="fixed degree-4 Taylor steps, RK4 order (default: planned Taylor)")
 
 
 def _add_solver_args(p):

@@ -97,11 +97,13 @@ def apply_operator(ctx, X):
     X = np.asarray(X, dtype=float)
     if X.shape[-2:] != (p.n, p.n):
         raise ValueError(f"X must be (..., {p.n}, {p.n}), got {X.shape}")
-    res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=ctx.plan)
-    return _combine(p.A0, p.A1, ctx.shift, res.Z1_end, res.Z2_end)
+    return combine_pair(ctx, rk4_propagate(p.A0, p.A1, X, p.tau, plan=ctx.plan))
 
 
-def _combine(A0, A1, c, Z1, Z2):
+def combine_pair(ctx, pair):
+    """The operator's value from the terminal pair propagated from its argument."""
+    A0, A1, c = ctx.problem.A0, ctx.problem.A1, ctx.shift
+    Z1, Z2 = pair.Z1_end, pair.Z2_end
     I = np.eye(A0.shape[0])
     return (Z2.swapaxes(-1, -2) @ (A0 - c * I) + (A0.T + c * I) @ Z2
             + Z1.swapaxes(-1, -2) @ A1 + A1.T @ Z1)

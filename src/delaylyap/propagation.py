@@ -5,20 +5,53 @@ Starting from Z1(0) = Z2(0) = X, the pair evolves on [0, tau/2] under
     Z1' =  Z1 A0 + Z2^T A1,
     Z2' = -Z1^T A1 - Z2 A0,
 
-and only the terminal values are needed by the linear operator.  The state
-is one array Z of shape (..., 2, n, n) with Z1 = Z[..., 0, :, :] and
-Z2 = Z[..., 1, :, :]; leading axes, when present, are a batch of independent
-states, each propagated as if alone.  The system
+and only the terminal values are needed by the linear operator.  The system
 is linear and autonomous with generator G, so the terminal pair is
-exp((tau/2) G) applied to (X, X).  It is computed by one truncated Taylor
-loop: s steps of length h = (tau/2)/s, each adding the terms
-(h^j / j!) G^j Z for j = 1..m, one right-hand-side evaluation per term.
-The plan (m, s) is fixed per problem, before any X is seen -- from the
-Al-Mohy & Higham (2011) bound for a double-precision target, or as
-(4, steps), which is classic RK4 -- and the loop never stops early, so every
-propagation is the same polynomial in G and the discretized operator stays
-exactly linear.  The dense exponential of the vectorized generator serves as
-a small-size oracle.
+exp((tau/2) G) applied to (X, X).
+
+The loop runs in split coordinates P = (Z1 + Z2)/2, Q = (Z1 - Z2)/2, in
+which
+
+    G(P, Q) = (Q A0 - Q^T A1,  P A0 + P^T A1) = (g-(Q), g+(P)),
+    g+-(B) = B A0 +- B^T A1.
+
+Swapping Z1 and Z2 anticommutes with G, so G maps swap-even states (P, 0)
+to swap-odd ones (0, Q) and back.  A propagation starts at the even state
+(X, 0), and the Taylor terms (hG)^j / j! applied to an even matrix V are
+single n x n matrices B_j = (h/j) g(B_{j-1}), B_0 = V, with g = g+ for odd
+j and g- for even j: one ``coupled_rhs`` call (two n x n products) per
+term, half the work of stepping the pair.  One such pass returns the even
+terms j >= 2, W V = (E_h - I) V, and the odd terms O_h V, where E_h and O_h
+are the even and odd parts of the degree-m Taylor polynomial p(hG).
+
+With h = (tau/2)/s the terminal value is assembled as cosh and sinh of s
+steps: P = T_s(E_h) X and Q = O_h U_{s-1}(E_h) X, with T_s and U_{s-1} the
+Chebyshev polynomials of the first and second kind, and Z1 = P + Q,
+Z2 = P - Q.  The Chebyshev recurrence runs in difference (Reinsch) form,
+
+    U_0 = D_0 = X,  D_k = D_{k-1} + 2 W U_{k-1},  U_k = U_{k-1} + D_k,
+    P = (D_s + D_{s-1}) / 2,
+
+one pass on U_{k-1} per step, the last pass also giving Q.  The plain
+three-term form U_k = 2 E_h U_{k-1} - U_{k-2} would lose about s^2 eps
+when E_h is close to I; the difference form adds only the small
+corrections W U.
+
+Accuracy: (E_h + O_h)^s = T_s(E_h) + O_h U_{s-1}(E_h) holds exactly when
+E_h^2 - O_h^2 = I.  Here E_h^2 - O_h^2 = p(hG) p(-hG), which is I up to the
+same truncation the plan bounds for p(hG) itself, so the recurrence
+realizes exp((tau/2) G) to the order of p(hG)^s without being the identical
+polynomial.  The plan (m, s) is fixed per problem, before any X is seen --
+from the Al-Mohy & Higham (2011) bound for a double-precision target, or as
+(4, steps), degree-4 steps of the order of classic RK4 -- and the loop never
+stops early, so every propagation is the same polynomial in G and the
+discretized operator stays exactly linear.
+
+``taylor_steps`` advances a general stacked state Z[..., 2, n, n] =
+(Z1, Z2) by plain Taylor steps, run on its split form (P, Q); leading axes,
+when present, are a batch of independent states, each propagated as if
+alone.  The dense exponential of the vectorized generator serves as a
+small-size oracle.
 """
 
 from dataclasses import dataclass
@@ -29,7 +62,7 @@ from .errors import SolverError
 from .linalg import expm, kron, unvec, vec
 
 EXACT_MAX_N = 12
-RK4_DEGREE = 4      # degree-4 Taylor steps of a linear autonomous ODE are classic RK4
+RK4_DEGREE = 4      # the Taylor degree of classic RK4 on a linear autonomous ODE
 PLAN_TOL = 2.0 ** -53
 PLAN_SEED = 0       # onenormest draws its start vectors from the global NumPy RNG
 
@@ -40,7 +73,9 @@ class OdeConfig:
 
     ``steps=None`` (the default) plans the Taylor degree and step count from
     the generator's norms for a double-precision target; ``steps=N`` runs N
-    uniform classic RK4 steps on [0, tau/2].
+    uniform degree-4 Taylor steps (the classic RK4 polynomial) on [0, tau/2]
+    through the same even/odd recurrence as every plan, so it is fourth
+    order like RK4 but not literally classic RK4.
     """
 
     steps: int = None
@@ -71,33 +106,46 @@ class PropagationResult:
     Z2_end: np.ndarray
 
 
-def coupled_rhs(Z, A0, A1):
-    """Right-hand side [Z1 A0 + Z2^T A1, -Z1^T A1 - Z2 A0] of the state Z, shaped like Z."""
+def coupled_rhs(B, A0, A1, sign):
+    """One Taylor term's generator action B A0 + sign B^T A1, shaped like B.
+
+    B is (..., n, n); ``sign`` is +1 (g+, even to odd), -1 (g-, odd to even)
+    or an array broadcasting against B, such as (-1, +1) on the pair axis of
+    a stacked split state whose halves were swapped.
+    """
     n = A0.shape[0]
-    if Z.shape[-3:] != (2, n, n) or A0.shape != (n, n) or A1.shape != (n, n):
-        raise ValueError("Z must be (..., 2, n, n) with A0, A1 n x n")
-    return _rhs(Z, A0, A1)
+    if B.shape[-2:] != (n, n) or A0.shape != (n, n) or A1.shape != (n, n):
+        raise ValueError("B must be (..., n, n) with A0, A1 n x n")
+    B = np.asarray(B, dtype=float)  # the products are scaled in place
+    out = B.swapaxes(-1, -2) @ A1
+    out *= sign
+    out += B @ A0
+    return out
 
 
-_SIGN = np.array([1.0, -1.0])[:, None, None]
+_SPLIT_SIGN = np.array([-1.0, 1.0])[:, None, None]  # (g-, g+) on swapped halves (Q, P)
 
 
 def _rhs(Z, A0, A1):
-    # coupled_rhs without the shape check; the planner's operator calls it,
-    # so coupled_rhs is called only for propagation terms.
-    return (Z @ A0 + Z[..., ::-1, :, :].swapaxes(-1, -2) @ A1) * _SIGN
+    # G on a stacked (Z1, Z2) state in the original coordinates.  Only the
+    # planner's operator calls it, so coupled_rhs counts propagation terms.
+    out = Z @ A0
+    out += Z[..., ::-1, :, :].swapaxes(-1, -2) @ A1
+    out[..., 1, :, :] *= -1.0
+    return out
 
 
 def plan_propagation(A0, A1, tau, cfg=None):
     """Choose the Taylor degree m and step count s for a propagation to tau/2.
 
-    With ``cfg.steps`` set the plan is (4, steps), classic RK4.  Otherwise
-    (m, s) minimizes m * s subject to the Al-Mohy & Higham (2011) backward
-    error bound 2^-53, using the exact 1-norm ||G||_1 = ||A0||_inf +
+    With ``cfg.steps`` set the plan is (4, steps).  Otherwise (m, s)
+    minimizes m * s subject to the Al-Mohy & Higham (2011) backward error
+    bound 2^-53 on p(hG)^s, using the exact 1-norm ||G||_1 = ||A0||_inf +
     ||A1||_inf and estimates of ||G^p||_1^(1/p) from ``onenormest`` on a
-    matrix-free operator (O(n^2) memory).  The estimate runs under a fixed
-    seed and restores the caller's global NumPy RNG state, so the plan
-    depends only on (A0, A1, tau).
+    matrix-free operator (O(n^2) memory).  The norms are taken in the
+    original (Z1, Z2) coordinates; the split map is not 1-norm preserving.
+    The estimate runs under a fixed seed and restores the caller's global
+    NumPy RNG state, so the plan depends only on (A0, A1, tau).
     """
     cfg = cfg or OdeConfig()
     if cfg.steps is not None:
@@ -124,47 +172,78 @@ def plan_propagation(A0, A1, tau, cfg=None):
 
 
 def _generator_operator(A0, A1, t):
-    """t G as a LinearOperator on the raveled state Z.ravel()."""
+    """t G as a LinearOperator on the raveled state Z.ravel().
+
+    A block of k columns is one batched (k, 2, n, n) product, so
+    ``onenormest`` makes one call per block rather than one per column.
+    """
     from scipy.sparse.linalg import LinearOperator
 
     n = A0.shape[0]
+    N = 2 * n * n
+    tA0, tA1 = t * A0, t * A1
 
-    def matvec(v):
-        return t * _rhs(v.reshape(2, n, n), A0, A1).ravel()
+    def matmat(V):
+        return _rhs(V.T.reshape(-1, 2, n, n), tA0, tA1).reshape(-1, N).T
 
-    def rmatvec(v):
-        W = v.reshape(2, n, n)
-        return t * (_SIGN * (W @ A0.T - (A1 @ W.swapaxes(-1, -2))[::-1])).ravel()
+    def rmatmat(V):
+        W = V.T.reshape(-1, 2, n, n)
+        out = W @ tA0.T
+        out -= (W @ tA1.T).swapaxes(-1, -2)[..., ::-1, :, :]
+        out[..., 1, :, :] *= -1.0
+        return out.reshape(-1, N).T
 
-    return LinearOperator((2 * n * n, 2 * n * n), matvec=matvec, rmatvec=rmatvec,
-                          dtype=float)
+    return LinearOperator((N, N), matvec=matmat, rmatvec=rmatmat, matmat=matmat,
+                          rmatmat=rmatmat, dtype=float)
 
 
 def taylor_steps(A0, A1, Z, h, degree, steps):
-    """Advance the state Z (shape (..., 2, n, n)) by ``steps`` Taylor steps of length h.
+    """Advance the state Z = (Z1, Z2), shape (..., 2, n, n), by ``steps`` Taylor steps of length h.
 
-    Each step adds (h^j / j!) G^j Z for j = 1..degree, every term one
-    ``coupled_rhs`` call.  The input is not modified.
+    The steps run on the split state S = (P, Q): each adds (h^j / j!) G^j S
+    for j = 1..degree, every term one ``coupled_rhs`` call on the swapped
+    halves (Q, P) with signs (-1, +1).  The input is not modified.
     """
-    Z = np.array(Z, dtype=float)
+    S = 0.5 * _mix(np.asarray(Z, dtype=float))
     for _ in range(steps):
-        B = Z
+        B = S
         for j in range(1, degree + 1):
-            B = coupled_rhs(B, A0, A1)
+            B = coupled_rhs(B[..., ::-1, :, :], A0, A1, _SPLIT_SIGN)
             B *= h / j
-            Z += B
-    return Z
+            S += B
+    return _mix(S)
+
+
+def _mix(Z):
+    # (Z1 + Z2, Z1 - Z2); its own inverse up to the factor 2
+    Z1, Z2 = Z[..., 0, :, :], Z[..., 1, :, :]
+    return np.stack((Z1 + Z2, Z1 - Z2), axis=-3)
+
+
+def _even_odd_pass(A0, A1, V, h, degree):
+    """(W V, O_h V) for a swap-even V: the even terms j >= 2 and the odd
+    terms of one Taylor step of length h, one ``coupled_rhs`` call each."""
+    sums = [np.zeros_like(V), np.zeros_like(V)]
+    B = V
+    for j in range(1, degree + 1):
+        B = coupled_rhs(B, A0, A1, 1.0 if j % 2 else -1.0)
+        B *= h / j
+        sums[j % 2] += B
+    return sums
 
 
 def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
     """Propagate Z1, Z2 from the common initial value X to t = tau/2.
 
-    X is n x n or a batch (..., n, n).  Runs the Taylor loop of ``plan``
-    (made from ``cfg`` by ``plan_propagation`` when not given).  The map
-    X -> (Z1_end, Z2_end) is linear, since every step applies the same fixed
-    polynomial in G.  tau = 0 is accepted and returns (X, X).  The name is
-    kept because it is the package's one propagation entry point, and
-    ``OdeConfig(steps=N)`` still makes it classic RK4.
+    X is n x n or a batch (..., n, n).  Runs the plan's s passes of m
+    single-matrix Taylor terms and combines them by the Chebyshev recurrence
+    in difference form (module docstring), 2 m s n x n products in all;
+    ``plan`` is made from ``cfg`` by ``plan_propagation`` when not given.
+    The map X -> (Z1_end, Z2_end) is linear, since every propagation applies
+    the same fixed polynomial in G.  tau = 0 is accepted and returns (X, X).
+    The name is kept because it is the package's one propagation entry
+    point; ``OdeConfig(steps=N)`` gives N degree-4 steps of the order of
+    classic RK4 through the same recurrence, not classic RK4 itself.
     """
     X = np.asarray(X, dtype=float)
     if tau < 0:
@@ -173,8 +252,13 @@ def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
         return PropagationResult(X.copy(), X.copy())
     plan = plan or plan_propagation(A0, A1, tau, cfg)
     h = (0.5 * tau) / plan.steps
-    Z = taylor_steps(A0, A1, np.stack((X, X), axis=-3), h, plan.degree, plan.steps)
-    return PropagationResult(Z[..., 0, :, :], Z[..., 1, :, :])
+    U = D = X
+    for _ in range(plan.steps):
+        WU, OU = _even_odd_pass(A0, A1, U, h, plan.degree)
+        D_prev, D = D, D + 2.0 * WU
+        U = U + D
+    P = 0.5 * (D + D_prev)
+    return PropagationResult(P + OU, P - OU)
 
 
 def coupled_generator(A0, A1):

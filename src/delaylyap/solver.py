@@ -9,7 +9,7 @@ count.
 import time
 
 from .krylov import KrylovConfig, bicgstab, gmres
-from .operators import OperatorContext, apply_operator, boundary_residuals
+from .operators import OperatorContext, apply_operator, boundary_residuals, combine_pair
 from .precond import apply_preconditioner, build_preconditioner
 from .propagation import OdeConfig, rk4_propagate
 
@@ -63,13 +63,14 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None, max_refinements=REFINE_
     report.timings.setup_seconds = setup_seconds
     report.plan = ctx.plan
 
-    r_alg, r_sym = _residuals(ctx, report.X)
+    (r_alg, r_sym), pair, pair_seconds = _residuals(ctx, report.X)
     if report.converged:
         passes = 0
         while (r_alg > BV_TARGET or r_sym > BV_TARGET) and passes < max_refinements:
+            # the true residual reuses the propagation of the boundary residuals
             t0 = time.perf_counter()
-            residual = -problem.W - apply_operator(ctx, report.X)
-            report.timings.apply_seconds += time.perf_counter() - t0
+            residual = -problem.W - combine_pair(ctx, pair)
+            report.timings.apply_seconds += pair_seconds + time.perf_counter() - t0
             correction = solve(op, residual, precond=pc, cfg=krylov)
             report.timings.apply_seconds += correction.timings.apply_seconds
             report.timings.precond_seconds += correction.timings.precond_seconds
@@ -79,7 +80,7 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None, max_refinements=REFINE_
             report.refinement_passes += 1
             report.refinement_iterations += correction.iterations
             passes += 1
-            r_alg, r_sym = _residuals(ctx, report.X)
+            (r_alg, r_sym), pair, pair_seconds = _residuals(ctx, report.X)
     report.r_alg = r_alg
     report.r_sym = r_sym
     report.timings.total_seconds = time.perf_counter() - t_start
@@ -87,6 +88,10 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None, max_refinements=REFINE_
 
 
 def _residuals(ctx, X):
+    """Boundary residuals of X, the terminal pair they were read from, and
+    the seconds its propagation took."""
     p = ctx.problem
-    res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=ctx.plan)
-    return boundary_residuals(p, res.Z2_end, res.Z1_end)
+    t0 = time.perf_counter()
+    pair = rk4_propagate(p.A0, p.A1, X, p.tau, plan=ctx.plan)
+    seconds = time.perf_counter() - t0
+    return boundary_residuals(p, pair.Z2_end, pair.Z1_end), pair, seconds

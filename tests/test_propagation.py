@@ -15,51 +15,120 @@ from delaylyap import (
     plan_propagation,
     rk4_propagate,
     small_example,
+    unvec,
+    vec,
 )
-from delaylyap.propagation import _generator_operator
+from delaylyap.propagation import _generator_operator, _rhs
 from helpers import random_stable_problem
 
 
 class TestCoupledRhs:
     def test_zero_state(self):
         A = np.ones((3, 3))
-        G = coupled_rhs(np.zeros((2, 3, 3)), A, A)
-        assert G.shape == (2, 3, 3) and not G.any()
+        for sign in (1.0, -1.0):
+            G = coupled_rhs(np.zeros((3, 3)), A, A, sign)
+            assert G.shape == (3, 3) and not G.any()
+        G = coupled_rhs(np.zeros((3, 3), dtype=int), np.eye(3, dtype=int), np.eye(3, dtype=int), -1.0)
+        assert G.dtype == float and not G.any()
 
     def test_decoupled_when_no_delay_term(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((3, 3))
         A0 = rng.standard_normal((3, 3))
-        G1, G2 = coupled_rhs(np.stack((X, X)), A0, np.zeros((3, 3)))
-        assert_allclose(G1, X @ A0, atol=0)
-        assert_allclose(G2, -X @ A0, atol=0)
+        for sign in (1.0, -1.0):
+            assert_allclose(coupled_rhs(X, A0, np.zeros((3, 3)), sign), X @ A0, atol=0)
 
     def test_entrywise_formula(self):
         rng = np.random.default_rng(1)
-        Z1, Z2, A0, A1 = (rng.standard_normal((3, 3)) for _ in range(4))
-        G1, G2 = coupled_rhs(np.stack((Z1, Z2)), A0, A1)
-        for i in range(3):
-            for j in range(3):
-                g1 = sum(Z1[i, k] * A0[k, j] + Z2[k, i] * A1[k, j] for k in range(3))
-                g2 = -sum(Z1[k, i] * A1[k, j] + Z2[i, k] * A0[k, j] for k in range(3))
-                assert abs(G1[i, j] - g1) <= 1e-13
-                assert abs(G2[i, j] - g2) <= 1e-13
+        B, A0, A1 = (rng.standard_normal((3, 3)) for _ in range(3))
+        for sign in (1.0, -1.0):
+            G = coupled_rhs(B, A0, A1, sign)
+            for i in range(3):
+                for j in range(3):
+                    g = sum(B[i, k] * A0[k, j] + sign * B[k, i] * A1[k, j] for k in range(3))
+                    assert abs(G[i, j] - g) <= 1e-13
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            coupled_rhs(np.zeros((2, 2, 2)), np.eye(3), np.eye(3))
+            coupled_rhs(np.zeros((2, 2)), np.eye(3), np.eye(3), 1.0)
         with pytest.raises(ValueError):
-            coupled_rhs(np.zeros((3, 3, 3)), np.eye(3), np.eye(3))
+            coupled_rhs(np.zeros((3, 3, 2)), np.eye(3), np.eye(3), 1.0)
         with pytest.raises(ValueError):
-            coupled_rhs(np.eye(3), np.eye(3), np.eye(3))
+            coupled_rhs(np.zeros((3, 3)), np.eye(3), np.eye(2), 1.0)
 
     def test_batch_axis(self):
         rng = np.random.default_rng(2)
-        Z = rng.standard_normal((4, 2, 3, 3))
+        B = rng.standard_normal((4, 2, 3, 3))
         A0, A1 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        G = coupled_rhs(Z, A0, A1)
+        sign = np.array([-1.0, 1.0])[:, None, None]
+        G = coupled_rhs(B, A0, A1, sign)
         for k in range(4):
-            assert_allclose(G[k], coupled_rhs(Z[k], A0, A1), rtol=1e-14, atol=1e-14)
+            for half, sg in ((0, -1.0), (1, 1.0)):
+                assert_allclose(G[k, half], coupled_rhs(B[k, half], A0, A1, sg),
+                                rtol=1e-14, atol=1e-14)
+
+
+class TestSplitCoordinates:
+    def test_swap_anticommutes_with_generator(self):
+        rng = np.random.default_rng(20)
+        A0, A1, Z1, Z2 = (rng.standard_normal((4, 4)) for _ in range(4))
+        G = _rhs(np.stack((Z1, Z2)), A0, A1)
+        assert_allclose(_rhs(np.stack((Z2, Z1)), A0, A1), -G[::-1], rtol=1e-14, atol=1e-14)
+
+    def test_generator_in_split_coordinates(self):
+        # G(P, Q) = (g-(Q), g+(P)) with Z1 = P + Q, Z2 = P - Q
+        rng = np.random.default_rng(21)
+        A0, A1, P, Q = (rng.standard_normal((4, 4)) for _ in range(4))
+        G1, G2 = _rhs(np.stack((P + Q, P - Q)), A0, A1)
+        assert_allclose(0.5 * (G1 + G2), coupled_rhs(Q, A0, A1, -1.0), rtol=1e-13, atol=1e-13)
+        assert_allclose(0.5 * (G1 - G2), coupled_rhs(P, A0, A1, 1.0), rtol=1e-13, atol=1e-13)
+
+    def test_one_matrix_per_counted_term(self, monkeypatch):
+        import delaylyap.propagation
+
+        shapes = []
+        inner = delaylyap.propagation.coupled_rhs
+
+        def counted(B, *args):
+            shapes.append(B.shape)
+            return inner(B, *args)
+
+        monkeypatch.setattr(delaylyap.propagation, "coupled_rhs", counted)
+        p = small_example(5.0).problem
+        plan = plan_propagation(p.A0, p.A1, p.tau)
+        rk4_propagate(p.A0, p.A1, np.eye(p.n), p.tau, plan=plan)
+        assert len(shapes) == plan.rhs_evals > 0
+        assert set(shapes) == {(p.n, p.n)}
+
+    def test_difference_form_keeps_rk4_rounding(self):
+        # Near E_h = I the plain three-term Chebyshev recurrence loses about
+        # s^2 eps (2.2e-10 here); the difference form stays at classic RK4's
+        # error (1.10e-12 against 1.16e-12 for RK4 on this problem).
+        rng = np.random.default_rng(0)
+        p = random_stable_problem(5, rng)
+        X = rng.standard_normal((5, 5))
+        steps, n = 4000, p.n
+        exact = exact_propagate(p.A0, p.A1, X, p.tau)
+        G = coupled_generator(p.A0, p.A1)
+        h = 0.5 * p.tau / steps
+        y = np.concatenate([vec(X), vec(X.T)])
+        for _ in range(steps):
+            k1 = G @ y
+            k2 = G @ (y + 0.5 * h * k1)
+            k3 = G @ (y + 0.5 * h * k2)
+            k4 = G @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        err_rk4 = (frobenius(unvec(y[: n * n], n) - exact.Z1_end)
+                   + frobenius(unvec(y[n * n:], n).T - exact.Z2_end))
+        res = rk4_propagate(p.A0, p.A1, X, p.tau, OdeConfig(steps=steps))
+        err = frobenius(res.Z1_end - exact.Z1_end) + frobenius(res.Z2_end - exact.Z2_end)
+        assert err <= err_rk4
+
+    def test_degree_zero_plan_returns_initial_value(self):
+        rng = np.random.default_rng(22)
+        A0, A1, X = (rng.standard_normal((3, 3)) for _ in range(3))
+        res = rk4_propagate(A0, A1, X, 1.0, plan=PropagationPlan(degree=0, steps=1))
+        assert np.array_equal(res.Z1_end, X) and np.array_equal(res.Z2_end, X)
 
 
 class TestRk4:
@@ -192,6 +261,22 @@ class TestTaylorPlan:
         one_norm = t * (np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max())
         assert np.abs(dense).sum(axis=0).max() == pytest.approx(one_norm, rel=1e-14)
         assert_allclose(op.rmatmat(np.eye(2 * n * n)), dense.T, atol=1e-14)
+
+    def test_generator_operator_block_equals_columns(self):
+        rng = np.random.default_rng(13)
+        n, t = 3, 0.7
+        A0, A1 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        op = _generator_operator(A0, A1, t)
+        V = rng.standard_normal((2 * n * n, 2))
+        for block, column in ((op.matmat, op.matvec), (op.rmatmat, op.rmatvec)):
+            by_column = np.column_stack([column(v) for v in V.T])
+            assert_allclose(block(V), by_column, rtol=1e-14, atol=1e-14)
+
+    def test_plans_on_benchmark_problems(self):
+        problems = {(50, 4): small_example(1.0).problem, (55, 4): small_example(5.0).problem,
+                    (55, 1): pdde_generate(3, 3).problem, (50, 2): pdde_generate(5, 5).problem}
+        for (m, s), p in problems.items():
+            assert plan_propagation(p.A0, p.A1, p.tau) == PropagationPlan(degree=m, steps=s)
 
 
 class TestExactPropagate:

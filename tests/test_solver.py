@@ -109,6 +109,30 @@ def test_timings_include_refinement(monkeypatch):
     assert report.timings.precond_seconds >= 0.8 * measured["precond"]
 
 
+def test_one_propagation_per_refinement_iterate(monkeypatch):
+    # The driver propagates each iterate once: the boundary residuals and the
+    # true residual of the next refinement pass share that propagation.
+    import delaylyap.solver as solver
+
+    calls = {"propagate": 0, "apply": 0, "krylov_apply": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    gmres = solver.gmres
+    monkeypatch.setattr(solver, "gmres", lambda op, *args, **kwargs:
+                        gmres(counting("krylov_apply", op), *args, **kwargs))
+    monkeypatch.setattr(solver, "rk4_propagate", counting("propagate", solver.rk4_propagate))
+    monkeypatch.setattr(solver, "apply_operator", counting("apply", solver.apply_operator))
+    report = solve_delay_lyapunov(small_example(5.0).problem)
+    assert report.refinement_passes > 0
+    driver = calls["propagate"] + calls["apply"] - calls["krylov_apply"]
+    assert driver == report.refinement_passes + 1
+
+
 def test_bicgstab_path():
     report = solve_delay_lyapunov(small_example(0.5).problem,
                                   krylov=KrylovConfig(method="bicgstab", tol=1e-12, maxit=64))
