@@ -21,7 +21,7 @@ import numpy as np
 from .errors import SolverError
 from .krylov import KrylovConfig
 from .matio import read_matrix, write_matrix
-from .operators import OperatorContext, TdsProblem, reconstruct_solution
+from .operators import ASSEMBLE_MAX_N, OperatorContext, TdsProblem, reconstruct_solution
 from .precond import build_preconditioner, preconditioned_spectrum
 from .problems import bench_table, pdde_generate, small_example
 from .propagation import OdeConfig
@@ -178,6 +178,9 @@ def cmd_spectrum(args):
     problem = _load_problem(args)
     with _input_errors():
         ode = OdeConfig(steps=args.steps)
+    if problem.n > ASSEMBLE_MAX_N:
+        raise SolverError("oracle-too-large",
+                          f"n={problem.n} exceeds the dense-assembly cap {ASSEMBLE_MAX_N}")
     factors = build_preconditioner(problem.A0, tau=problem.tau)
     ctx = OperatorContext(problem=problem, ode=ode)
     ev = preconditioned_spectrum(ctx, factors)

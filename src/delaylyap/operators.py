@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import frobenius
-from .propagation import OdeConfig, PropagationPlan, plan_propagation, rk4_propagate, taylor_steps
+from .propagation import (OdeConfig, PropagationPlan, PropagationResult, _chebyshev_steps,
+                          plan_propagation, rk4_propagate)
 
 ASSEMBLE_MAX_N = 20
 
@@ -133,10 +134,13 @@ def reconstruct_solution(ctx, X, samples):
         U(t) = Z1(t - tau/2)   for tau/2 <= t <= tau,
         U(t) = U(-t)^T         for t < 0.
 
-    The pair is propagated once, in segments between the sorted propagation
-    times of the samples; a segment of length dt takes ceil(s dt / (tau/2))
-    steps of the context plan's degree m, so no step is longer than the
-    plan's.  Returns a list of (t, U(t)) pairs in increasing t order.
+    With N samples and M = N - 1, sample i sits at t_i = -tau + 2 tau i / M,
+    and its propagation time ||t_i| - tau/2| is an integer multiple j_i of
+    (tau/2)/M, with j_i = |2 |2i - M| - M|.  With g = gcd(j_i) and
+    J = M / g, the pair is propagated once, by J r steps of length
+    (tau/2)/(J r) and the context plan's degree m, r = ceil(s / J), so no
+    step is longer than the plan's; sample i is read at step (j_i / g) r.
+    Returns a list of (t, U(t)) pairs in increasing t order.
     """
     if samples < 3:
         raise ValueError("samples must be >= 3")
@@ -146,30 +150,20 @@ def reconstruct_solution(ctx, X, samples):
     if p.tau == 0.0:
         return [(0.0, X.copy()) for _ in ts]
 
-    half = 0.5 * p.tau
-    snap = 8.0 * np.finfo(float).eps * p.tau
-
-    def elapsed(ta):
-        # propagation time of the sample at |t| = ta; rounding in the sample
-        # grid must not turn t = +-tau/2 into a tiny extra step
-        sigma = abs(ta - half)
-        return 0.0 if sigma <= snap else sigma
-
-    plan = ctx.plan
-    states = {}
-    Z = np.stack((X, X))
-    prev = 0.0
-    for sigma in sorted({elapsed(abs(t)) for t in ts}):
-        if sigma > prev:
-            k = math.ceil(plan.steps * (sigma - prev) / half)
-            Z = taylor_steps(p.A0, p.A1, Z, (sigma - prev) / k, plan.degree, k)
-        states[sigma] = Z
-        prev = sigma
+    M = samples - 1
+    a = [abs(2 * i - M) for i in range(samples)]  # |t_i| = a_i tau / M
+    j = [abs(2 * ai - M) for ai in a]
+    g = math.gcd(*j)
+    J = M // g
+    r = -(-ctx.plan.steps // J)
+    at = [ji // g * r for ji in j]  # the step sample i is read at
+    states = {0: PropagationResult(X, X)}
+    steps = _chebyshev_steps(p.A0, p.A1, X, 0.5 * p.tau / (J * r), ctx.plan.degree, J * r)
+    states.update((k, pair) for k, pair in enumerate(steps, 1) if k in at)
 
     out = []
-    for t in ts:
-        ta = abs(t)
-        U = states[elapsed(ta)][1 if ta < half else 0]
+    for t, ai, k in zip(ts, a, at):
+        U = states[k].Z2_end if 2 * ai < M else states[k].Z1_end
         out.append((float(t), U.T.copy() if t < 0 else U.copy()))
     return out
 

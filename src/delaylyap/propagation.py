@@ -47,11 +47,14 @@ from the Al-Mohy & Higham (2011) bound for a double-precision target, or as
 stops early, so every propagation is the same polynomial in G and the
 discretized operator stays exactly linear.
 
-``taylor_steps`` advances a general stacked state Z[..., 2, n, n] =
-(Z1, Z2) by plain Taylor steps, run on its split form (P, Q); leading axes,
-when present, are a batch of independent states, each propagated as if
-alone.  The dense exponential of the vectorized generator serves as a
-small-size oracle.
+The recurrence yields the pair after every step k, from P_k = (D_k +
+D_{k-1})/2 and Q_k = O_h U_{k-1}, so the solution curve is read off the
+same loop.  A snapshot is the k-step propagation over [0, k h], the same
+recurrence stopped early.  The Al-Mohy & Higham bound holds per step for
+any h no longer than the plan's, so a snapshot meets the same relative
+backward error over k h as the terminal value over tau/2.
+
+The dense exponential of the vectorized generator is a small-size oracle.
 """
 
 from dataclasses import dataclass
@@ -100,7 +103,8 @@ class PropagationPlan:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Terminal values of the coupled pair at t = tau/2."""
+    """Values of the coupled pair at the end of a propagation: t = tau/2, or
+    t = k h after step k of the solution curve."""
 
     Z1_end: np.ndarray
     Z2_end: np.ndarray
@@ -123,9 +127,6 @@ def coupled_rhs(B, A0, A1, sign):
     return out
 
 
-_SPLIT_SIGN = np.array([-1.0, 1.0])[:, None, None]  # (g-, g+) on swapped halves (Q, P)
-
-
 def _rhs(Z, A0, A1):
     # G on a stacked (Z1, Z2) state in the original coordinates.  Only the
     # planner's operator calls it, so coupled_rhs counts propagation terms.
@@ -146,6 +147,11 @@ def plan_propagation(A0, A1, tau, cfg=None):
     original (Z1, Z2) coordinates; the split map is not 1-norm preserving.
     The estimate runs under a fixed seed and restores the caller's global
     NumPy RNG state, so the plan depends only on (A0, A1, tau).
+
+    Raises
+    ------
+    SolverError
+        ``"exp-overflow"`` when ||tG||_1 or a power estimate is not finite.
     """
     cfg = cfg or OdeConfig()
     if cfg.steps is not None:
@@ -154,18 +160,30 @@ def plan_propagation(A0, A1, tau, cfg=None):
     A1 = np.asarray(A1, dtype=float)
     t = 0.5 * tau
     # A unit matrix in Z1 or Z2 maps to one row of A0 plus one row of A1.
-    norm1 = t * (np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        norm1 = t * (np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max())
     if norm1 == 0.0:
         return PropagationPlan(0, 1)
+    if not np.isfinite(norm1):
+        raise SolverError("exp-overflow", "||tG||_1 overflowed")
     # Imported here, so that the preconditioner-only paths, which plan no
     # propagation, do not load scipy.sparse.linalg (about 2 MB resident).
     from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
 
+    class FiniteNormInfo(LazyOperatorNormInfo):
+        def d(self, p):
+            d = super().d(p)
+            if not np.isfinite(d):
+                raise SolverError("exp-overflow",
+                                  f"||(tG)^{p}||_1 overflowed for ||tG||_1 = {norm1:.3g}")
+            return d
+
     saved = np.random.get_state()
     np.random.seed(PLAN_SEED)
     try:
-        info = LazyOperatorNormInfo(_generator_operator(A0, A1, t), A_1_norm=norm1)
-        m, s = _fragment_3_1(info, 1, PLAN_TOL)
+        info = FiniteNormInfo(_generator_operator(A0, A1, t), A_1_norm=norm1)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m, s = _fragment_3_1(info, 1, PLAN_TOL)
     finally:
         np.random.set_state(saved)
     return PropagationPlan(int(m), int(s))
@@ -197,29 +215,6 @@ def _generator_operator(A0, A1, t):
                           rmatmat=rmatmat, dtype=float)
 
 
-def taylor_steps(A0, A1, Z, h, degree, steps):
-    """Advance the state Z = (Z1, Z2), shape (..., 2, n, n), by ``steps`` Taylor steps of length h.
-
-    The steps run on the split state S = (P, Q): each adds (h^j / j!) G^j S
-    for j = 1..degree, every term one ``coupled_rhs`` call on the swapped
-    halves (Q, P) with signs (-1, +1).  The input is not modified.
-    """
-    S = 0.5 * _mix(np.asarray(Z, dtype=float))
-    for _ in range(steps):
-        B = S
-        for j in range(1, degree + 1):
-            B = coupled_rhs(B[..., ::-1, :, :], A0, A1, _SPLIT_SIGN)
-            B *= h / j
-            S += B
-    return _mix(S)
-
-
-def _mix(Z):
-    # (Z1 + Z2, Z1 - Z2); its own inverse up to the factor 2
-    Z1, Z2 = Z[..., 0, :, :], Z[..., 1, :, :]
-    return np.stack((Z1 + Z2, Z1 - Z2), axis=-3)
-
-
 def _even_odd_pass(A0, A1, V, h, degree):
     """(W V, O_h V) for a swap-even V: the even terms j >= 2 and the odd
     terms of one Taylor step of length h, one ``coupled_rhs`` call each."""
@@ -230,6 +225,19 @@ def _even_odd_pass(A0, A1, V, h, degree):
         B *= h / j
         sums[j % 2] += B
     return sums
+
+
+def _chebyshev_steps(A0, A1, X, h, degree, steps):
+    """Yield the pair (Z1, Z2) = (P_k + Q_k, P_k - Q_k) at t = k h for
+    k = 1..steps, from Z1(0) = Z2(0) = X, by the Chebyshev recurrence in
+    difference form."""
+    U = D = X
+    for _ in range(steps):
+        WU, Q = _even_odd_pass(A0, A1, U, h, degree)
+        D_prev, D = D, D + 2.0 * WU
+        U = U + D
+        P = 0.5 * (D + D_prev)
+        yield PropagationResult(P + Q, P - Q)
 
 
 def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
@@ -252,13 +260,9 @@ def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
         return PropagationResult(X.copy(), X.copy())
     plan = plan or plan_propagation(A0, A1, tau, cfg)
     h = (0.5 * tau) / plan.steps
-    U = D = X
-    for _ in range(plan.steps):
-        WU, OU = _even_odd_pass(A0, A1, U, h, plan.degree)
-        D_prev, D = D, D + 2.0 * WU
-        U = U + D
-    P = 0.5 * (D + D_prev)
-    return PropagationResult(P + OU, P - OU)
+    for pair in _chebyshev_steps(A0, A1, X, h, plan.degree, plan.steps):
+        pass
+    return pair
 
 
 def coupled_generator(A0, A1):

@@ -68,6 +68,27 @@ def test_tsylv_oracle_above_cap(tmp_path, capsys):
     assert not (tmp_path / "X.mtx").exists()
 
 
+def test_spectrum_above_dense_cap(tmp_path, capsys, monkeypatch):
+    import delaylyap.cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("called above the dense-assembly cap")
+
+    monkeypatch.setattr(delaylyap.cli, "build_preconditioner", unreachable)
+    monkeypatch.setattr(delaylyap.cli, "OperatorContext", unreachable)
+    status = main(["spectrum", "--pdde", "5", "5", "--outdir", str(tmp_path / "out")])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: oracle-too-large: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_planner_overflow_is_exp_overflow(tmp_path, capsys):
+    status = main(["solve", "--small-example", "--alpha", "1e308",
+                   "--outdir", str(tmp_path / "out")])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: exp-overflow: ")
+
+
 def test_bench_malformed_grid(tmp_path, capsys):
     status = main(["bench", "--grids", "5", "--outdir", str(tmp_path / "out")])
     assert_invalid_input(status, capsys)

@@ -208,15 +208,23 @@ class TestReconstruct:
         U0 = dict((round(t, 12), U) for t, U in grid)[0.0]
         assert frobenius(U0 - U0.T) <= 1e-8
 
-    def test_planned_taylor_samples(self):
+    @pytest.mark.parametrize("samples", [3, 5, 9, 10, 33])
+    def test_planned_taylor_samples(self, samples):
         rng = np.random.default_rng(12)
         p = random_stable_problem(4, rng, tau=1.3)
         X = rng.standard_normal((4, 4))
-        grid = reconstruct_solution(OperatorContext(problem=p), X, samples=9)
-        by_t = {round(t, 12): U for t, U in grid}
-        assert np.array_equal(by_t[round(p.tau / 2, 12)], X)
-        want = exact_propagate(p.A0, p.A1, X, p.tau).Z2_end
-        assert frobenius(by_t[0.0] - want) <= 1e-12 * frobenius(want)
+        grid = reconstruct_solution(OperatorContext(problem=p), X, samples=samples)
+        assert [t for t, _ in grid] == list(np.linspace(-p.tau, p.tau, samples))
+        M = samples - 1
+        for i, (t, U) in enumerate(grid):
+            if 4 * i in (M, 3 * M):  # t = -+tau/2: the initial value itself
+                assert np.array_equal(U, X.T if t < 0 else X)
+            # U(t) = Z2(tau/2 - |t|) inside (-tau/2, tau/2), Z1(|t| - tau/2) outside
+            sigma = abs(abs(t) - 0.5 * p.tau)
+            pair = exact_propagate(p.A0, p.A1, X, 2.0 * sigma)
+            want = pair.Z2_end if 2 * abs(2 * i - M) < M else pair.Z1_end
+            want = want.T if t < 0 else want
+            assert frobenius(U - want) <= 1e-12 * frobenius(want)
 
     def test_too_few_samples(self):
         rng = np.random.default_rng(7)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from delaylyap import (
     OdeConfig,
+    OperatorContext,
     PropagationPlan,
     SolverError,
     coupled_generator,
@@ -13,6 +14,7 @@ from delaylyap import (
     frobenius,
     pdde_generate,
     plan_propagation,
+    reconstruct_solution,
     rk4_propagate,
     small_example,
     unvec,
@@ -98,6 +100,12 @@ class TestSplitCoordinates:
         plan = plan_propagation(p.A0, p.A1, p.tau)
         rk4_propagate(p.A0, p.A1, np.eye(p.n), p.tau, plan=plan)
         assert len(shapes) == plan.rhs_evals > 0
+        assert set(shapes) == {(p.n, p.n)}
+        # 10 samples: propagation times j (tau/2)/9 with gcd(j) = 1, so J = 9
+        # steps, each refined r = ceil(s / 9) times
+        shapes.clear()
+        reconstruct_solution(OperatorContext(problem=p, plan=plan), np.eye(p.n), samples=10)
+        assert len(shapes) == plan.degree * 9 * -(-plan.steps // 9) > 0
         assert set(shapes) == {(p.n, p.n)}
 
     def test_difference_form_keeps_rk4_rounding(self):
@@ -271,6 +279,19 @@ class TestTaylorPlan:
         for block, column in ((op.matmat, op.matvec), (op.rmatmat, op.rmatvec)):
             by_column = np.column_stack([column(v) for v in V.T])
             assert_allclose(block(V), by_column, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("A1", [small_example(1e100).problem.A1,
+                                    small_example(1e308).problem.A1,
+                                    np.full((4, 4), 1e308)],
+                             ids=["alpha-1e100", "alpha-1e308", "norm-overflow"])
+    def test_overflowing_norm_estimate_is_exp_overflow(self, A1):
+        # At alpha = 1e100 and 1e308 ||tG||_1 is finite and an estimate of
+        # ||(tG)^p||_1 overflows; a row of four 1e308 entries overflows
+        # ||tG||_1 itself.  No RuntimeWarning escapes.
+        p = small_example(1.0).problem
+        with pytest.raises(SolverError) as err:
+            plan_propagation(p.A0, A1, p.tau)
+        assert err.value.code == "exp-overflow"
 
     def test_plans_on_benchmark_problems(self):
         problems = {(50, 4): small_example(1.0).problem, (55, 4): small_example(5.0).problem,
