@@ -11,12 +11,12 @@ from .errors import SolverError
 from .krylov import KrylovConfig, SolveReport, SolveTimings, bicgstab, gmres
 from .linalg import (
     commutation_matrix,
-    complex_schur,
     eigenvalues,
     expm,
     frobenius,
     kron,
     lu_solve,
+    real_schur,
     unvec,
     vec,
 )
@@ -33,6 +33,7 @@ from .precond import (
     PrecondFactors,
     apply_preconditioner,
     build_preconditioner,
+    has_no_hamiltonian_pairing,
     preconditioned_spectrum,
     preconditioner_quality,
 )
@@ -51,7 +52,6 @@ from .solver import solve_delay_lyapunov
 from .tsylv import (
     TsylvPencil,
     factor_pencil,
-    has_no_hamiltonian_pairing,
     tsylv_solvable,
     tsylv_solve,
     tsylv_solve_kron,
@@ -65,11 +65,11 @@ __all__ = [
     "SolveReport", "SolveTimings", "SolverError", "TdsProblem", "TsylvPencil",
     "apply_operator", "apply_preconditioner", "assemble_operator",
     "bench_table", "bicgstab", "boundary_residuals", "build_preconditioner",
-    "commutation_matrix", "complex_schur", "coupled_generator", "coupled_rhs",
-    "eigenvalues", "exact_propagate", "expm", "factor_pencil", "frobenius",
-    "gmres", "has_no_hamiltonian_pairing", "kron", "lu_solve", "pdde_generate",
+    "commutation_matrix", "coupled_generator", "coupled_rhs", "eigenvalues",
+    "exact_propagate", "expm", "factor_pencil", "frobenius", "gmres",
+    "has_no_hamiltonian_pairing", "kron", "lu_solve", "pdde_generate",
     "plan_propagation", "preconditioned_spectrum", "preconditioner_quality",
-    "read_matrix", "reconstruct_solution", "rk4_propagate", "small_example",
-    "solve_delay_lyapunov", "tsylv_solvable", "tsylv_solve", "tsylv_solve_kron",
-    "unvec", "vec", "write_matrix",
+    "read_matrix", "real_schur", "reconstruct_solution", "rk4_propagate",
+    "small_example", "solve_delay_lyapunov", "tsylv_solvable", "tsylv_solve",
+    "tsylv_solve_kron", "unvec", "vec", "write_matrix",
 ]

@@ -103,9 +103,9 @@ def cmd_solve(args):
         krylov = KrylovConfig(method=args.method, tol=args.tol, maxit=args.maxit)
         if args.samples < 3:
             raise ValueError("samples must be >= 3")
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     report = solve_delay_lyapunov(problem, ode=ode, krylov=krylov)
+    outdir = Path(args.outdir)  # made after the solve, so a failed one leaves none
+    outdir.mkdir(parents=True, exist_ok=True)
     write_matrix(outdir / "X.mtx", report.X, comment="U(tau/2)")
 
     ctx = OperatorContext(problem=problem, ode=ode, plan=report.plan)
@@ -198,6 +198,8 @@ def cmd_tsylv(args):
         if M.shape[0] != M.shape[1] or not M.shape == N.shape == C.shape:
             raise ValueError(f"M, N and C must be square of one shape, "
                              f"got {M.shape}, {N.shape}, {C.shape}")
+        if any(np.iscomplexobj(A) for A in (M, N, C)):
+            raise ValueError("M, N and C must be real")
     if args.oracle and M.shape[0] > KRON_MAX_N:
         raise SolverError("oracle-too-large",
                           f"n={M.shape[0]} exceeds the dense oracle cap {KRON_MAX_N}")

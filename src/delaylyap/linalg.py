@@ -4,8 +4,8 @@ Real matrices are float64 ndarrays, complex ones complex128; the
 column-stacking convention vec(AXB) = (B^T (x) A) vec(X) is used throughout.
 The factorizations are SciPy's (``scipy.linalg.expm``, ``lu_factor``/
 ``lu_solve``, ``schur``); the wrappers here add input checks and map their
-failures to stable ``SolverError`` codes.  The T-Sylvester pencil is
-factored in :mod:`delaylyap.tsylv` alone.
+failures to stable ``SolverError`` codes.  :func:`real_schur` is the one
+Schur route; the T-Sylvester pencil is factored in :mod:`delaylyap.tsylv`.
 """
 
 import warnings
@@ -119,24 +119,31 @@ def lu_solve(A, B):
     return scipy.linalg.lu_solve((lu, piv), B)
 
 
-def complex_schur(A):
-    """Complex Schur decomposition A = Q R Q* with R upper triangular.
+def real_schur(A):
+    """A = U T U^T, U orthogonal, T quasi-triangular (2x2 blocks for complex pairs).
 
-    Backed by ``scipy.linalg.schur`` (LAPACK Hessenberg reduction followed
-    by shifted QR with deflation).  Returns complex arrays for real input.
+    Raises ``SolverError("schur-no-convergence")`` when the QR iteration fails.
     """
-    A = _require_square(A, "schur input")
     try:
-        R, Q = scipy.linalg.schur(A.astype(complex), output="complex")
+        T, U = scipy.linalg.schur(A, output="real")
     except scipy.linalg.LinAlgError as exc:
         raise SolverError("schur-no-convergence", str(exc)) from exc
-    return Q, R
+    return U, T
+
+
+def schur_eigenvalues(T):
+    """Eigenvalues of a real Schur form; a 2x2 block [[a, b], [c, a]] gives a +- sqrt(bc)."""
+    lam = np.diag(T).astype(complex)
+    k = np.flatnonzero(np.diag(T, -1))
+    root = np.sqrt((T[k, k + 1] * T[k + 1, k]).astype(complex))
+    lam[k] += root
+    lam[k + 1] -= root
+    return lam
 
 
 def eigenvalues(A):
-    """Eigenvalues of A as the diagonal of its complex Schur form."""
-    _, R = complex_schur(A)
-    return np.diag(R).copy()
+    """Eigenvalues of A read off its real Schur form."""
+    return schur_eigenvalues(real_schur(A)[1])
 
 
 def frobenius(A):

@@ -32,6 +32,9 @@ class TdsProblem:
     C0: np.ndarray = None
 
     def __post_init__(self):
+        for name in ("A0", "A1", "W"):
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValueError(f"{name} must be real")
         A0 = np.asarray(self.A0, dtype=float)
         A1 = np.asarray(self.A1, dtype=float)
         W = np.asarray(self.W, dtype=float)

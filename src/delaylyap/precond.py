@@ -11,6 +11,9 @@ would leak into the skew part, and corrected by one more solve on its
 residual, which recovers the digits the Schur form loses.  The step count
 is fixed, so an application is an exactly linear map.
 
+The Schur form is :func:`delaylyap.linalg.real_schur`.  This module owns
+the rule that the map T(Y) is invertible: :func:`has_no_hamiltonian_pairing`.
+
 The triangular equation T X + X T^T = C is solved by recursive blocking
 (Jonsson & Kagstrom's RECSY algorithms, ACM TOMS 28(4), 2002): T is
 halved, the off-diagonal coupling becomes matrix products, and LAPACK's
@@ -24,15 +27,13 @@ block whole.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dtrsyl
 
 from .errors import SolverError
-from .linalg import expm, frobenius, unvec, vec
+from .linalg import eigenvalues, expm, frobenius, real_schur, schur_eigenvalues, unvec, vec
 from .operators import apply_operator, assemble_operator
 from .tsylv import pairing_free
-from .linalg import eigenvalues  # noqa: F401 -- unused; bench/tracing.py wraps these here
-from .tsylv import factor_pencil, has_no_hamiltonian_pairing, solve_with_factors  # noqa: F401
+from .tsylv import factor_pencil, solve_with_factors  # noqa: F401 -- bench/tracing.py wraps these
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,8 @@ def build_preconditioner(A0, shift=1.0, tau=1.0):
     A0 = np.array(A0, dtype=float)  # a copy: the factors keep it
     if shift == 0.0:
         raise ValueError("shift must be nonzero")
-    try:
-        T, U = scipy.linalg.schur(A0.T, output="real")
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError("schur-no-convergence", str(exc)) from exc
-    if not pairing_free(_schur_eigenvalues(T)):
+    U, T = real_schur(A0.T)
+    if not pairing_free(schur_eigenvalues(T)):
         raise SolverError(
             "precond-unsolvable",
             "A0 has a Hamiltonian eigenpairing: lambda_i + conj(lambda_j) = 0",
@@ -72,14 +70,13 @@ def build_preconditioner(A0, shift=1.0, tau=1.0):
                           exp_forward=expm((0.5 * tau) * A0))
 
 
-def _schur_eigenvalues(T):
-    """Eigenvalues of a real Schur form; a 2x2 block [[a, b], [c, a]] gives a +- sqrt(bc)."""
-    lam = np.diag(T).astype(complex)
-    k = np.flatnonzero(np.diag(T, -1))
-    root = np.sqrt((T[k, k + 1] * T[k + 1, k]).astype(complex))
-    lam[k] += root
-    lam[k + 1] -= root
-    return lam
+def has_no_hamiltonian_pairing(A0):
+    """True iff no eigenvalue pair of A0 has lambda_i + conj(lambda_j) = 0.
+
+    That is when the map T(Y) is invertible, for every shift c; a stable A0
+    meets it.
+    """
+    return pairing_free(eigenvalues(np.asarray(A0, dtype=float)))
 
 
 def _sym(X):

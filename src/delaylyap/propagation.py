@@ -68,6 +68,7 @@ EXACT_MAX_N = 12
 RK4_DEGREE = 4      # the Taylor degree of classic RK4 on a linear autonomous ODE
 PLAN_TOL = 2.0 ** -53
 PLAN_SEED = 0       # onenormest draws its start vectors from the global NumPy RNG
+MAX_PLAN_TERMS = 10**7  # right-hand-side evaluations per propagation
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,21 @@ class OdeConfig:
 
 @dataclass(frozen=True)
 class PropagationPlan:
-    """Taylor degree and step count of one propagation over [0, tau/2]."""
+    """Taylor degree and step count of one propagation over [0, tau/2].
+
+    Raises ``SolverError("plan-too-large")`` when degree * steps exceeds
+    ``MAX_PLAN_TERMS``: such a propagation would not finish.
+    """
 
     degree: int
     steps: int
+
+    def __post_init__(self):
+        if self.degree * self.steps > MAX_PLAN_TERMS:
+            raise SolverError(
+                "plan-too-large",
+                f"{self.degree} x {self.steps} Taylor terms exceed the cap {MAX_PLAN_TERMS}",
+            )
 
     @property
     def rhs_evals(self):
@@ -151,7 +163,8 @@ def plan_propagation(A0, A1, tau, cfg=None):
     Raises
     ------
     SolverError
-        ``"exp-overflow"`` when ||tG||_1 or a power estimate is not finite.
+        ``"exp-overflow"`` when ||tG||_1 or a power estimate is not finite;
+        ``"plan-too-large"`` when m * s exceeds ``MAX_PLAN_TERMS``.
     """
     cfg = cfg or OdeConfig()
     if cfg.steps is not None:

@@ -19,9 +19,10 @@ Two routes are provided: a Kronecker-vectorized dense solve (the reference
 oracle, O(n^6)) and a Schur-reduction solver (O(n^3)) that back-substitutes
 unknowns in (i, j)/(j, i) pairs.  The pairwise substitution is
 cross-validated against the oracle in the test suite rather than assumed
-correct.  The preconditioner does not use this module's solver: its
-T-Sylvester map splits into a Lyapunov equation and a closed-form skew part
-(:mod:`delaylyap.precond`).
+correct.  The preconditioner uses neither: its map splits into a Lyapunov
+equation and a closed-form skew part, and its solvability rule is in
+:mod:`delaylyap.precond`.  Only that rule's tolerance, :func:`pairing_free`,
+is here.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ import scipy.linalg
 from .errors import SolverError
 from .linalg import (
     commutation_matrix,
-    eigenvalues,
     frobenius,
     kron,
     lu_solve,
@@ -245,16 +245,6 @@ def tsylv_solvable(M, N):
     except SolverError:
         return False
     return True
-
-
-def has_no_hamiltonian_pairing(A0):
-    """True iff no eigenvalue pair of A0 satisfies lambda_i + conj(lambda_j) = 0.
-
-    This is exactly the (shift-independent) solvability condition of the
-    T-Sylvester equation with M = A0^T + cI, N = A0 - cI; it holds in
-    particular whenever every eigenvalue of A0 has negative real part.
-    """
-    return pairing_free(eigenvalues(np.asarray(A0, dtype=float)))
 
 
 def pairing_free(lam):

@@ -4,7 +4,9 @@ import pytest
 from delaylyap import (
     OperatorContext,
     build_preconditioner,
+    pdde_generate,
     preconditioned_spectrum,
+    read_matrix,
     small_example,
     write_matrix,
 )
@@ -153,3 +155,74 @@ def test_spectrum_small_example(tmp_path):
                                    build_preconditioner(problem.A0, tau=problem.tau))
     assert len(got) == 16
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha, code", [("1e308", "exp-overflow"), ("1e20", "plan-too-large")])
+def test_failed_solve_leaves_no_outdir(alpha, code, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    status = main(["solve", "--small-example", "--alpha", alpha, "--outdir", str(outdir)])
+    assert status == 1
+    assert capsys.readouterr().err.startswith(f"error: {code}: ")
+    assert not outdir.exists()
+
+
+def test_solve_complex_matrix_is_invalid_input(tmp_path, capsys):
+    f = write_all(tmp_path, A0=-np.eye(3) + 0.5j * np.eye(3), A1=np.zeros((3, 3)),
+                  W=np.eye(3))
+    status = main(["solve", "--a0", f["A0"], "--a1", f["A1"], "--w", f["W"],
+                   "--outdir", str(tmp_path / "out")])
+    assert_invalid_input(status, capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["M", "N", "C"])
+def test_tsylv_complex_matrix_is_invalid_input(name, tmp_path, capsys):
+    data = {"M": 2.0 * np.eye(3), "N": np.eye(3), "C": np.eye(3)}
+    data[name] = data[name] + 1j * np.eye(3)
+    f = write_all(tmp_path, **data)
+    status = main(["tsylv", "--m", f["M"], "--n", f["N"], "--c", f["C"],
+                   "--out", str(tmp_path / "X.mtx")])
+    assert_invalid_input(status, capsys)
+    assert not (tmp_path / "X.mtx").exists()
+
+
+def test_solve_maxit_reports_krylov_maxit(tmp_path, capsys):
+    status = main(["solve", "--small-example", "--maxit", "1", "--samples", "3",
+                   "--outdir", str(tmp_path)])
+    assert status == 1
+    assert "krylov-maxit" in capsys.readouterr().err
+    assert read_summary(tmp_path / "summary.txt")["converged"] == "False"
+
+
+@pytest.mark.parametrize("extra, status, error",
+                         [([], 0, ""), (["--maxit", "1"], 1, "krylov-maxit")])
+def test_bench_writes_one_row_per_grid(extra, status, error, tmp_path):
+    assert main(["bench", "--grids", "3x3", "--outdir", str(tmp_path)] + extra) == status
+    rows = (tmp_path / "bench.csv").read_text().splitlines()
+    assert rows[0] == "n,seconds,iterations,r_alg,error"
+    assert len(rows) == 2
+    n, seconds, iterations, r_alg, got = rows[1].split(",")
+    assert (n, got) == ("18", error)
+    assert float(seconds) > 0.0 and int(iterations) >= 1
+
+
+def test_pdde_writes_matrices_and_metadata(tmp_path):
+    assert main(["pdde", "3", "3", "--outdir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "A0.mtx", "A1.mtx", "B0.mtx", "C0.mtx", "W.mtx", "metadata.txt"]
+    problem = pdde_generate(3, 3).problem
+    assert np.array_equal(read_matrix(tmp_path / "A0.mtx"), problem.A0)
+    assert read_summary(tmp_path / "metadata.txt")["n"] == "18"
+
+
+def test_tsylv_default_route_agrees_with_oracle(tmp_path):
+    rng = np.random.default_rng(3)
+    f = write_all(tmp_path, M=rng.standard_normal((4, 4)) + 3.0 * np.eye(4),
+                  N=rng.standard_normal((4, 4)), C=rng.standard_normal((4, 4)))
+    out = {}
+    for route, extra in (("schur", []), ("oracle", ["--oracle"])):
+        out[route] = str(tmp_path / f"X_{route}.mtx")
+        assert main(["tsylv", "--m", f["M"], "--n", f["N"], "--c", f["C"],
+                     "--out", out[route]] + extra) == 0
+    X, ref = read_matrix(out["schur"]), read_matrix(out["oracle"])
+    assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)

@@ -5,15 +5,16 @@ from numpy.testing import assert_allclose
 from delaylyap import (
     SolverError,
     commutation_matrix,
-    complex_schur,
     eigenvalues,
     expm,
     factor_pencil,
     kron,
     lu_solve,
+    real_schur,
     unvec,
     vec,
 )
+from delaylyap.linalg import schur_eigenvalues
 from helpers import eigs_by_char_poly, max_multiset_distance, pencil_eigs_by_det
 
 
@@ -103,35 +104,39 @@ class TestCommutation:
         assert_allclose(unvec(commutation_matrix(4) @ vec(X), 4), X.T, atol=0)
 
 
-class TestComplexSchur:
+class TestRealSchur:
     def test_identity(self):
-        Q, R = complex_schur(np.eye(3))
-        assert_allclose(R, np.eye(3), atol=1e-14)
-        assert_allclose(Q @ Q.conj().T, np.eye(3), atol=1e-14)
+        U, T = real_schur(np.eye(3))
+        assert_allclose(T, np.eye(3), atol=1e-14)
+        assert_allclose(U @ U.T, np.eye(3), atol=1e-14)
 
     def test_triangular_input_already_reduced(self):
         rng = np.random.default_rng(5)
         A = np.triu(rng.standard_normal((4, 4)))
-        Q, R = complex_schur(A)
-        assert np.abs(Q - np.diag(np.diag(Q))).max() <= 1e-12
-        assert_allclose(np.abs(np.diag(Q)), np.ones(4), atol=1e-12)
-        assert_allclose(Q @ R @ Q.conj().T, A, atol=1e-12)
+        U, T = real_schur(A)
+        assert np.abs(U - np.diag(np.diag(U))).max() <= 1e-12
+        assert_allclose(np.abs(np.diag(U)), np.ones(4), atol=1e-12)
+        assert_allclose(U @ T @ U.T, A, atol=1e-12)
 
     def test_eigenvalues_match_char_poly_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
             A = rng.standard_normal((6, 6))
-            Q, R = complex_schur(A)
-            assert max_multiset_distance(np.diag(R), eigs_by_char_poly(A)) <= 1e-8
+            U, T = real_schur(A)
+            assert max_multiset_distance(schur_eigenvalues(T), eigs_by_char_poly(A)) <= 1e-8
+            assert np.array_equal(eigenvalues(A), schur_eigenvalues(T))
 
-    def test_factorization_residual_and_unitarity(self):
+    def test_factorization_residual_and_orthogonality(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((8, 8))
-        Q, R = complex_schur(A)
+        U, T = real_schur(A)
         nrm = np.linalg.norm(A, "fro")
-        assert np.linalg.norm(Q @ R @ Q.conj().T - A, "fro") <= 1e-10 * nrm
-        assert np.linalg.norm(Q.conj().T @ Q - np.eye(8), "fro") <= 1e-12 * 8
-        assert np.abs(np.tril(R, -1)).max() == 0.0
+        assert U.dtype == T.dtype == np.float64
+        assert np.linalg.norm(U @ T @ U.T - A, "fro") <= 1e-10 * nrm
+        assert np.linalg.norm(U.T @ U - np.eye(8), "fro") <= 1e-12 * 8
+        assert np.abs(np.tril(T, -2)).max() == 0.0
+        sub = np.diag(T, -1) != 0  # 2x2 blocks never touch
+        assert not np.any(sub[1:] & sub[:-1])
 
 
 class TestPencil:

@@ -45,6 +45,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="tau must be finite"):
             TdsProblem(A0=np.eye(2), A1=np.eye(2), tau=tau, W=np.eye(2))
 
+    @pytest.mark.parametrize("name", ["A0", "A1", "W"])
+    def test_complex_matrix_rejected(self, name):
+        # a complex entry is refused, not truncated to its real part
+        data = {"A0": -np.eye(2), "A1": np.zeros((2, 2)), "W": np.eye(2)}
+        data[name] = data[name] + 0.5j * np.eye(2)
+        with pytest.raises(ValueError, match=f"{name} must be real"):
+            TdsProblem(tau=1.0, **data)
+
     def test_zero_shift_rejected(self):
         p = TdsProblem(A0=np.eye(2), A1=np.eye(2), tau=1.0, W=np.eye(2))
         with pytest.raises(ValueError):
@@ -225,6 +233,17 @@ class TestReconstruct:
             want = pair.Z2_end if 2 * abs(2 * i - M) < M else pair.Z1_end
             want = want.T if t < 0 else want
             assert frobenius(U - want) <= 1e-12 * frobenius(want)
+
+    def test_tau_zero_is_the_midpoint_everywhere(self):
+        rng = np.random.default_rng(14)
+        p = random_stable_problem(3, rng, tau=0.0)
+        X = rng.standard_normal((3, 3))
+        grid = reconstruct_solution(OperatorContext(problem=p), X, samples=4)
+        assert [t for t, _ in grid] == [0.0] * 4
+        for _, U in grid:
+            assert np.array_equal(U, X)
+        grid[0][1][0, 0] += 1.0  # each sample is its own copy
+        assert np.array_equal(grid[1][1], X)
 
     def test_too_few_samples(self):
         rng = np.random.default_rng(7)

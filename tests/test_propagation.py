@@ -20,7 +20,7 @@ from delaylyap import (
     unvec,
     vec,
 )
-from delaylyap.propagation import _generator_operator, _rhs
+from delaylyap.propagation import MAX_PLAN_TERMS, _generator_operator, _rhs
 from helpers import random_stable_problem
 
 
@@ -298,6 +298,23 @@ class TestTaylorPlan:
                     (55, 1): pdde_generate(3, 3).problem, (50, 2): pdde_generate(5, 5).problem}
         for (m, s), p in problems.items():
             assert plan_propagation(p.A0, p.A1, p.tau) == PropagationPlan(degree=m, steps=s)
+
+    def test_absurd_plan_is_plan_too_large(self):
+        # alpha = 1e20 plans 55 x 5.05e18 terms, a propagation that never ends
+        p = small_example(1e20).problem
+        with pytest.raises(SolverError) as err:
+            plan_propagation(p.A0, p.A1, p.tau)
+        assert err.value.code == "plan-too-large"
+
+    @pytest.mark.parametrize("steps, ok", [(MAX_PLAN_TERMS // 4, True),
+                                           (MAX_PLAN_TERMS // 4 + 1, False)])
+    def test_fixed_steps_share_the_cap(self, steps, ok):
+        cfg = OdeConfig(steps=steps)
+        if ok:
+            assert plan_propagation(np.eye(2), np.eye(2), 1.0, cfg).rhs_evals == MAX_PLAN_TERMS
+        else:
+            with pytest.raises(SolverError, match="plan-too-large"):
+                plan_propagation(np.eye(2), np.eye(2), 1.0, cfg)
 
 
 class TestExactPropagate:
