@@ -3,7 +3,8 @@
 Subcommands: solve, bench, spectrum, tsylv, pdde.  Matrices travel as
 Matrix Market files, histories and spectra as CSV with a header row, run
 summaries as key=value text.  Failures exit nonzero with the error code on
-stderr; unreadable or inconsistent input gives ``invalid-input``.
+stderr; unreadable or inconsistent input gives ``invalid-input``.  In
+``solve``'s summary.txt, ``setup_seconds`` includes the propagation plan.
 
 No subcommand takes the operator shift c: it scales the antisymmetric part
 of the operator and of its preconditioner alike, so it cancels from the
@@ -26,7 +27,7 @@ from .precond import build_preconditioner, preconditioned_spectrum
 from .problems import bench_table, pdde_generate, small_example
 from .propagation import OdeConfig
 from .solver import solve_delay_lyapunov
-from .tsylv import KRON_MAX_N, tsylv_solve, tsylv_solve_kron
+from .tsylv import tsylv_solve, tsylv_solve_kron
 
 
 def _add_problem_args(p):
@@ -200,9 +201,6 @@ def cmd_tsylv(args):
                              f"got {M.shape}, {N.shape}, {C.shape}")
         if any(np.iscomplexobj(A) for A in (M, N, C)):
             raise ValueError("M, N and C must be real")
-    if args.oracle and M.shape[0] > KRON_MAX_N:
-        raise SolverError("oracle-too-large",
-                          f"n={M.shape[0]} exceeds the dense oracle cap {KRON_MAX_N}")
     X = tsylv_solve_kron(M, N, C) if args.oracle else tsylv_solve(M, N, C)
     write_matrix(args.out, X)
     print(f"wrote {args.out}")

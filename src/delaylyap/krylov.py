@@ -3,6 +3,8 @@
 Both solvers work with the trace (Frobenius) inner product, take the operator
 and optional left preconditioner as callables on matrices, start from the
 zero initial guess, and report the relative preconditioned residual history.
+The kernels time only themselves (total and per-iteration wall time); a
+caller that wants operator or preconditioner time times its own callables.
 GMRES is full (non-restarted) with classical Gram-Schmidt applied twice
 (CGS2, which keeps the basis orthonormal to working precision) and
 Givens-rotation least-squares updates.
@@ -43,6 +45,11 @@ class KrylovConfig:
 
 @dataclass
 class SolveTimings:
+    """Wall seconds of one solve.  In a ``solve_delay_lyapunov`` report, setup
+    is the preconditioner build plus the propagation plan, apply every
+    propagation the driver makes, precond every preconditioner apply, and
+    total the whole solve; a Krylov kernel fills in only its own total."""
+
     setup_seconds: float = 0.0
     apply_seconds: float = 0.0
     precond_seconds: float = 0.0
@@ -83,8 +90,8 @@ def _finite(out, name):
     return out
 
 
-def _wrap(op, precond, shape, timings):
-    """Flatten matrix callables to vector callables, accumulating wall time.
+def _wrap(op, precond, shape):
+    """Flatten matrix callables to vector callables, untimed: callers time their own.
 
     The outputs are copies, so a callable that returns its input (or a view
     of it) cannot alias the caller's basis vectors.  A non-finite output
@@ -92,19 +99,13 @@ def _wrap(op, precond, shape, timings):
     """
 
     def operator(v):
-        t0 = time.perf_counter()
-        out = op(v.reshape(shape))
-        timings.apply_seconds += time.perf_counter() - t0
-        return _finite(out, "operator")
+        return _finite(op(v.reshape(shape)), "operator")
 
     if precond is None:
         return operator, lambda v: v
 
     def preconditioner(v):
-        t0 = time.perf_counter()
-        out = precond(v.reshape(shape))
-        timings.precond_seconds += time.perf_counter() - t0
-        return _finite(out, "preconditioner")
+        return _finite(precond(v.reshape(shape)), "preconditioner")
 
     return operator, preconditioner
 
@@ -141,9 +142,8 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
     b = np.asarray(b, dtype=float)
     shape = b.shape
     maxit = cfg.maxit or b.size
-    timings = SolveTimings()
     t_start = time.perf_counter()
-    operator, preconditioner = _wrap(op, precond, shape, timings)
+    operator, preconditioner = _wrap(op, precond, shape)
 
     r0 = preconditioner(b.ravel().copy())
     beta = np.linalg.norm(r0)
@@ -212,7 +212,6 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
         H[:j + 1, j] = R[j]
     y = scipy.linalg.solve_triangular(H, g[:m], lower=False)
     x = y @ V[:m]
-    timings.total_seconds = time.perf_counter() - t_start
     return SolveReport(
         X=x.reshape(shape),
         residual_history=history,
@@ -220,7 +219,7 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
         iterations=iterations,
         converged=converged,
         method="gmres",
-        timings=timings,
+        timings=SolveTimings(total_seconds=time.perf_counter() - t_start),
         basis=[v.reshape(shape) for v in V[:filled]] if collect_basis else None,
     )
 
@@ -237,9 +236,8 @@ def bicgstab(op, b, precond=None, cfg=None):
     b = np.asarray(b, dtype=float)
     shape = b.shape
     maxit = cfg.maxit or b.size
-    timings = SolveTimings()
     t_start = time.perf_counter()
-    operator, preconditioner = _wrap(op, precond, shape, timings)
+    operator, preconditioner = _wrap(op, precond, shape)
 
     def K(v):
         return preconditioner(operator(v))
@@ -300,7 +298,6 @@ def bicgstab(op, b, precond=None, cfg=None):
             converged = True
             break
 
-    timings.total_seconds = time.perf_counter() - t_start
     return SolveReport(
         X=x.reshape(shape),
         residual_history=history,
@@ -308,5 +305,5 @@ def bicgstab(op, b, precond=None, cfg=None):
         iterations=iterations,
         converged=converged,
         method="bicgstab",
-        timings=timings,
+        timings=SolveTimings(total_seconds=time.perf_counter() - t_start),
     )

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SolverError
 from .linalg import frobenius
 from .propagation import (OdeConfig, PropagationPlan, PropagationResult, _chebyshev_steps,
                           plan_propagation, rk4_propagate)
@@ -113,15 +114,16 @@ def combine_pair(ctx, pair):
             + Z1.swapaxes(-1, -2) @ A1 + A1.T @ Z1)
 
 
-def assemble_operator(ctx, max_n=ASSEMBLE_MAX_N):
+def assemble_operator(ctx):
     """Dense n^2 x n^2 matrix of the operator in the vec basis.
 
     Column j is vec(apply(E_j)) for the j-th unit matrix E_j = unvec(e_j),
     all n^2 of them applied as one batch, so A vec(X) = vec(apply(X)).
+    Above n = ``ASSEMBLE_MAX_N`` it raises ``SolverError("oracle-too-large")``.
     """
     n = ctx.problem.n
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the dense-assembly cap {max_n}")
+    if n > ASSEMBLE_MAX_N:
+        raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {ASSEMBLE_MAX_N}")
     # unvec and vec are column-major: E_j = e_j.reshape(n, n).T, vec(Y) = Y.T.ravel()
     Y = apply_operator(ctx, np.eye(n * n).reshape(n * n, n, n).swapaxes(-1, -2))
     return Y.swapaxes(-1, -2).reshape(n * n, n * n).T
@@ -143,7 +145,8 @@ def reconstruct_solution(ctx, X, samples):
     J = M / g, the pair is propagated once, by J r steps of length
     (tau/2)/(J r) and the context plan's degree m, r = ceil(s / J), so no
     step is longer than the plan's; sample i is read at step (j_i / g) r.
-    Returns a list of (t, U(t)) pairs in increasing t order.
+    Returns a list of (t, U(t)) pairs in increasing t order; raises
+    ``SolverError("exp-overflow")`` when a sample is not finite.
     """
     if samples < 3:
         raise ValueError("samples must be >= 3")
@@ -162,12 +165,15 @@ def reconstruct_solution(ctx, X, samples):
     at = [ji // g * r for ji in j]  # the step sample i is read at
     states = {0: PropagationResult(X, X)}
     steps = _chebyshev_steps(p.A0, p.A1, X, 0.5 * p.tau / (J * r), ctx.plan.degree, J * r)
-    states.update((k, pair) for k, pair in enumerate(steps, 1) if k in at)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states.update((k, pair) for k, pair in enumerate(steps, 1) if k in at)
 
     out = []
     for t, ai, k in zip(ts, a, at):
         U = states[k].Z2_end if 2 * ai < M else states[k].Z1_end
         out.append((float(t), U.T.copy() if t < 0 else U.copy()))
+    if not np.isfinite([U for _, U in out]).all():
+        raise SolverError("exp-overflow", "a propagated sample overflowed")
     return out
 
 

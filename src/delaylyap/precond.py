@@ -185,7 +185,7 @@ def preconditioned_spectrum(ctx, factors):
     from the batched :func:`assemble_operator`, preconditioning column by
     column, and returns its eigenvalue multiset (sorted by real part, then
     imaginary, for reproducible output).  Above the dense-assembly cap of
-    :func:`assemble_operator` it raises ``ValueError``.
+    :func:`assemble_operator` it raises ``SolverError("oracle-too-large")``.
     """
     PA = np.column_stack([vec(apply_preconditioner(factors, unvec(a)))
                           for a in assemble_operator(ctx).T])

@@ -265,6 +265,7 @@ def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
     The name is kept because it is the package's one propagation entry
     point; ``OdeConfig(steps=N)`` gives N degree-4 steps of the order of
     classic RK4 through the same recurrence, not classic RK4 itself.
+    Raises ``SolverError("exp-overflow")``, with no warning, when it overflows.
     """
     X = np.asarray(X, dtype=float)
     if tau < 0:
@@ -273,8 +274,11 @@ def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
         return PropagationResult(X.copy(), X.copy())
     plan = plan or plan_propagation(A0, A1, tau, cfg)
     h = (0.5 * tau) / plan.steps
-    for pair in _chebyshev_steps(A0, A1, X, h, plan.degree, plan.steps):
-        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pair in _chebyshev_steps(A0, A1, X, h, plan.degree, plan.steps):
+            pass
+    if not (np.isfinite(pair.Z1_end).all() and np.isfinite(pair.Z2_end).all()):
+        raise SolverError("exp-overflow", "the propagated pair overflowed")
     return pair
 
 

@@ -209,14 +209,15 @@ def tsylv_solve_kron(M, N, C):
     """Reference solve through the n^2 x n^2 Kronecker system.
 
     Vectorizes the equation as (I (x) M + (N^T (x) I) P) vec X = vec C with
-    P the commutation matrix.
+    P the commutation matrix.  Raises ``SolverError("oracle-too-large")``
+    when n exceeds ``KRON_MAX_N``.
     """
     M = np.asarray(M, dtype=float)
     N = np.asarray(N, dtype=float)
     C = np.asarray(C, dtype=float)
     n = M.shape[0]
     if n > KRON_MAX_N:
-        raise ValueError(f"n={n} exceeds the dense oracle cap {KRON_MAX_N}")
+        raise SolverError("oracle-too-large", f"n={n} exceeds the dense oracle cap {KRON_MAX_N}")
     P = commutation_matrix(n)
     K = kron(np.eye(n), M) + kron(N.T, np.eye(n)) @ P
     try:

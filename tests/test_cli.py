@@ -91,6 +91,17 @@ def test_planner_overflow_is_exp_overflow(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: exp-overflow: ")
 
 
+def test_propagation_overflow_is_exp_overflow(tmp_path, capsys):
+    # the plan is affordable, the propagated pair overflows in the first apply
+    status = main(["solve", "--small-example", "--alpha", "1e4",
+                   "--outdir", str(tmp_path / "out")])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exp-overflow: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_malformed_grid(tmp_path, capsys):
     status = main(["bench", "--grids", "5", "--outdir", str(tmp_path / "out")])
     assert_invalid_input(status, capsys)

@@ -51,3 +51,23 @@ def test_non_finite_read_rejected(tmp_path):
     with pytest.raises(SolverError) as err:
         read_matrix(path)
     assert err.value.code == "matrix-not-finite"
+
+
+def test_coordinate_file_read_dense(tmp_path):
+    path = tmp_path / "coo.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.5\n2 2 -2.0\n"
+    )
+    A = read_matrix(path)
+    assert type(A) is np.ndarray
+    assert np.array_equal(A, np.diag([1.5, -2.0]))
+
+
+def test_complex_file_with_zero_imaginary_parts_read_real(tmp_path):
+    path = tmp_path / "z.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix array complex general\n2 1\n1.0 0.0\n-2.5 0.0\n"
+    )
+    A = read_matrix(path)
+    assert not np.iscomplexobj(A)
+    assert np.array_equal(A, [[1.0], [-2.5]])

@@ -6,6 +6,7 @@ from delaylyap import (
     KrylovConfig,
     OdeConfig,
     OperatorContext,
+    SolverError,
     TdsProblem,
     apply_operator,
     apply_preconditioner,
@@ -52,6 +53,21 @@ class TestProblemValidation:
         data[name] = data[name] + 0.5j * np.eye(2)
         with pytest.raises(ValueError, match=f"{name} must be real"):
             TdsProblem(tau=1.0, **data)
+
+    @pytest.mark.parametrize("name", ["A1", "W"])
+    def test_non_finite_matrix_rejected(self, name):
+        data = {"A0": -np.eye(2), "A1": np.zeros((2, 2)), "W": np.eye(2)}
+        data[name] = np.full((2, 2), np.inf)
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            TdsProblem(tau=1.0, **data)
+
+    def test_output_matrix_shapes_checked(self):
+        data = {"A0": -np.eye(2), "A1": np.zeros((2, 2)), "tau": 1.0, "W": np.eye(2)}
+        with pytest.raises(ValueError, match="B0 must have n rows"):
+            TdsProblem(B0=np.ones((3, 1)), **data)
+        with pytest.raises(ValueError, match="C0 must have n columns"):
+            TdsProblem(C0=np.ones((1, 3)), **data)
+        TdsProblem(B0=np.ones((2, 1)), C0=np.ones((1, 2)), **data)
 
     def test_zero_shift_rejected(self):
         p = TdsProblem(A0=np.eye(2), A1=np.eye(2), tau=1.0, W=np.eye(2))
@@ -165,6 +181,16 @@ class TestApply:
         b = apply_preconditioner(factors, -ex.problem.W)
         assert frobenius(pre) / frobenius(b) <= 0.05
 
+    def test_overflowing_propagation_is_exp_overflow(self):
+        # alpha = 1e4 plans an affordable 55 x 506 terms, but the pair
+        # overflows on the way; no RuntimeWarning escapes
+        ctx = OperatorContext(problem=small_example(1e4).problem)
+        for propagate in (lambda X: apply_operator(ctx, X),
+                          lambda X: reconstruct_solution(ctx, X, samples=5)):
+            with pytest.raises(SolverError) as err:
+                propagate(np.eye(4))
+            assert err.value.code == "exp-overflow"
+
 
 class TestAssemble:
     def test_scalar_closed_form(self):
@@ -189,11 +215,15 @@ class TestAssemble:
         A = assemble_operator(ctx)
         assert np.linalg.svd(A, compute_uv=False).min() > 0
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        import delaylyap.operators
+
+        monkeypatch.setattr(delaylyap.operators, "ASSEMBLE_MAX_N", 3)
         rng = np.random.default_rng(5)
         p = random_stable_problem(4, rng)
-        with pytest.raises(ValueError):
-            assemble_operator(make_ctx(p), max_n=3)
+        with pytest.raises(SolverError) as err:
+            assemble_operator(make_ctx(p))
+        assert err.value.code == "oracle-too-large"
 
 
 class TestReconstruct:

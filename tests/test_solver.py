@@ -13,6 +13,7 @@ from delaylyap import (
     frobenius,
     kron,
     lu_solve,
+    pdde_generate,
     small_example,
     solve_delay_lyapunov,
     unvec,
@@ -29,10 +30,14 @@ def test_small_example_matches_reference():
     assert report.r_sym <= 1e-8
 
 
-def test_refinement_reduces_boundary_residuals():
+def test_refinement_reduces_boundary_residuals(monkeypatch):
     # the stiff 4x4 problem needs one correction pass to push the
     # boundary-value residuals below the target
-    report = solve_delay_lyapunov(small_example(1.0).problem, max_refinements=0)
+    import delaylyap.solver
+
+    with monkeypatch.context() as m:
+        m.setattr(delaylyap.solver, "REFINE_MAX", 0)
+        report = solve_delay_lyapunov(small_example(1.0).problem)
     assert report.r_alg > 1e-8
     refined = solve_delay_lyapunov(small_example(1.0).problem)
     assert refined.refinement_passes >= 1
@@ -107,6 +112,68 @@ def test_timings_include_refinement(monkeypatch):
     assert report.refinement_passes > 0
     assert report.timings.apply_seconds >= 0.8 * measured["apply"]
     assert report.timings.precond_seconds >= 0.8 * measured["precond"]
+
+
+@pytest.mark.parametrize("problem", [small_example(5.0).problem, pdde_generate(3, 3).problem],
+                         ids=["small4-alpha5", "pdde-3x3"])
+def test_driver_times_planning_and_every_propagation(problem, monkeypatch):
+    # setup covers the preconditioner build and the propagation plan; apply
+    # covers the Krylov operator applies and the driver's own propagations
+    import time
+
+    import delaylyap.operators
+    import delaylyap.solver
+
+    measured = {"setup": 0.0, "apply": 0.0}
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            measured[name] += time.perf_counter() - t0
+            return out
+        return wrapper
+
+    for module, attr, name in ((delaylyap.operators, "plan_propagation", "setup"),
+                               (delaylyap.solver, "build_preconditioner", "setup"),
+                               (delaylyap.solver, "apply_operator", "apply"),
+                               (delaylyap.solver, "rk4_propagate", "apply")):
+        monkeypatch.setattr(module, attr, timed(name, getattr(module, attr)))
+    report = solve_delay_lyapunov(problem)
+    assert report.converged
+    timings = report.timings
+    assert timings.setup_seconds >= 0.8 * measured["setup"]
+    assert timings.apply_seconds >= 0.8 * measured["apply"]
+    parts = timings.setup_seconds + timings.apply_seconds + timings.precond_seconds
+    assert parts <= timings.total_seconds
+
+
+def test_unconverged_correction_is_discarded(monkeypatch):
+    # a refinement correction that does not converge ends refinement and
+    # leaves the main solve's X as it was
+    import delaylyap.solver
+
+    problem = small_example(5.0).problem
+    with monkeypatch.context() as m:
+        m.setattr(delaylyap.solver, "REFINE_MAX", 0)
+        main_x = solve_delay_lyapunov(problem).X
+    gmres = delaylyap.solver.gmres
+    calls = 0
+
+    def second_fails(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        report = gmres(*args, **kwargs)
+        report.converged = report.converged and calls != 2
+        return report
+
+    monkeypatch.setattr(delaylyap.solver, "gmres", second_fails)
+    report = solve_delay_lyapunov(problem)
+    assert calls == 2
+    assert report.converged
+    assert report.refinement_passes == 0
+    assert report.refinement_iterations == 0
+    assert np.array_equal(report.X, main_x)
 
 
 def test_one_propagation_per_refinement_iterate(monkeypatch):

@@ -73,8 +73,9 @@ class TestKronOracle:
         assert err.value.code == "tsylv-singular"
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError) as err:
             tsylv_solve_kron(np.eye(61), np.eye(61), np.eye(61))
+        assert err.value.code == "oracle-too-large"
 
 
 class TestSchurSolver:
