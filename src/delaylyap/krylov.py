@@ -7,7 +7,12 @@ The kernels time only themselves (total and per-iteration wall time); a
 caller that wants operator or preconditioner time times its own callables.
 GMRES is full (non-restarted) with classical Gram-Schmidt applied twice
 (CGS2, which keeps the basis orthonormal to working precision) and
-Givens-rotation least-squares updates.
+Givens-rotation least-squares updates.  It returns its Arnoldi relation, and
+a later GMRES solve with the same operator and preconditioner can take that
+relation as a fixed recycled space (GCRO; de Sturler 1999, Parks et al.
+2006), so that it iterates only on what the earlier space does not capture.
+The norms and inner products the kernels form are checked: one that
+overflows raises ``"krylov-nonfinite"`` instead of a NumPy warning.
 """
 
 import time
@@ -56,16 +61,68 @@ class SolveTimings:
     total_seconds: float = 0.0
 
 
+def _rotate(t, cs, sn):
+    """Apply the Givens rotations (cs[i], sn[i]) to t[i], t[i + 1] in place, i ascending."""
+    for i, (c, s) in enumerate(zip(cs, sn)):
+        t[i], t[i + 1] = c * t[i] + s * t[i + 1], -s * t[i] + c * t[i + 1]
+
+
+@dataclass(frozen=True)
+class ArnoldiRelation:
+    """The Arnoldi relation K V_k = V_{k+1} Hbar_k of a GMRES solve, with K
+    the preconditioned operator, kept in the factored form Hbar_k = Q_k R_k
+    that the solve's Givens rotations give.
+
+    ``V`` holds the k + 1 basis vectors as rows, ``R`` the k x k upper
+    triangle, and ``cs``, ``sn`` the k rotations.  C = V_{k+1} Q_k has
+    orthonormal columns and U = V_k R_k^-1 satisfies K U = C.  Neither is
+    formed: a product with C, C^T or U costs O(k n^2) and allocates one
+    vector.  k = 0, a single zero row and no rotations, is the empty space.
+    """
+
+    V: np.ndarray
+    R: np.ndarray
+    cs: np.ndarray
+    sn: np.ndarray
+
+    @classmethod
+    def empty(cls, size):
+        """The k = 0 relation on vectors of length ``size``: C and U have no columns."""
+        return cls(np.zeros((1, size)), np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+
+    def ct(self, w):
+        """C^T w: the rotations applied to V_{k+1} w."""
+        t = self.V @ w
+        _rotate(t, self.cs, self.sn)
+        return t[:-1]
+
+    def c(self, y):
+        """C y: the transposed rotations, in reverse, applied to (y, 0), times V_{k+1}."""
+        t = np.concatenate((y, (0.0,)))
+        for i in reversed(range(len(self.cs))):
+            c, s = self.cs[i], self.sn[i]
+            t[i], t[i + 1] = c * t[i] - s * t[i + 1], s * t[i] + c * t[i + 1]
+        return np.dot(t, self.V)
+
+    def u(self, z):
+        """U z: R_k^-1 z times V_k."""
+        return scipy.linalg.solve_triangular(self.R, z, lower=False) @ self.V[:-1]
+
+
 @dataclass
 class SolveReport:
     """Outcome of one iterative solve.
 
-    ``residual_history`` has one entry per iteration plus the initial 1.0;
-    for GMRES it is non-increasing.  ``iteration_seconds`` holds, for each
-    history entry, the ``perf_counter`` time elapsed since the solve started
-    when that entry was recorded.  The propagation plan and the
-    boundary-value residuals are filled in by ``solve_delay_lyapunov``, not
-    by the Krylov kernels.
+    ``residual_history`` has one entry per iteration plus the initial one,
+    1.0 unless a recycled space already reduces the residual; for GMRES it
+    is non-increasing.  ``iteration_seconds`` holds, for each history entry,
+    the ``perf_counter`` time elapsed since the solve started when that
+    entry was recorded.  ``relation`` is the Arnoldi relation of a GMRES
+    solve (None for BiCGStab).  The propagation plan, the boundary-value
+    residuals and the refinement counts are filled in by
+    ``solve_delay_lyapunov``, not by the Krylov kernels;
+    ``refinement_iterations`` counts the new Arnoldi iterations of the
+    correction solves, not the recycled space they start from.
     """
 
     X: np.ndarray
@@ -80,7 +137,7 @@ class SolveReport:
     r_sym: float = None
     refinement_passes: int = 0
     refinement_iterations: int = 0
-    basis: list = None
+    relation: ArnoldiRelation = None
 
 
 def _finite(out, name):
@@ -88,6 +145,16 @@ def _finite(out, name):
     if not np.all(np.isfinite(out)):
         raise SolverError("krylov-nonfinite", f"{name} returned non-finite entries")
     return out
+
+
+def _require_finite(iteration, *named):
+    """Raise ``"krylov-nonfinite"`` naming the first (name, value) pair with a
+    non-finite entry; the values are computed under ``np.errstate``, so an
+    overflow surfaces here and not as a NumPy warning."""
+    for name, value in named:
+        if not np.isfinite(value).all():
+            raise SolverError("krylov-nonfinite",
+                              f"{name} is not finite at iteration {iteration}")
 
 
 def _wrap(op, precond, shape):
@@ -110,11 +177,19 @@ def _wrap(op, precond, shape):
     return operator, preconditioner
 
 
-def gmres(op, b, precond=None, cfg=None, collect_basis=False):
-    """Full GMRES for op(X) = b over n x n matrices.
+def gmres(op, b, precond=None, cfg=None, recycle=None):
+    """Full GMRES for op(X) = b over n x n matrices, optionally recycling the
+    Arnoldi relation of an earlier solve (GCRO with a fixed space).
 
-    Each new Arnoldi vector is orthogonalized against the basis by classical
-    Gram-Schmidt applied twice (CGS2), each pass two matrix-vector products.
+    Each new Arnoldi vector is orthogonalized against the recycled space C
+    and the basis by classical Gram-Schmidt applied twice (CGS2), each pass
+    two matrix-vector products.  With K = P^-1 op and c = P^-1 b, the solve
+    starts from x0 = U C^T c, whose residual (I - C C^T) c is orthogonal to
+    C, runs Arnoldi on (I - C C^T) K, keeps B = C^T K W for the basis W,
+    and returns x = x0 + W y - U B y, where y is the usual GMRES
+    least-squares solution.  Convergence is measured against |c| as
+    without a recycled space, so zero new iterations is a converged solve
+    when C already holds the solution.
 
     Parameters
     ----------
@@ -126,8 +201,17 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
         Left preconditioner applied to the operator output and to b;
         convergence is measured in the preconditioned residual norm.
     cfg : KrylovConfig
-    collect_basis : bool
-        Keep the Arnoldi basis on the report (diagnostics only).
+    recycle : ArnoldiRelation, optional
+        ``SolveReport.relation`` of an earlier GMRES solve with the same op
+        and precond; None recycles nothing (the empty space, k = 0).
+
+    Returns
+    -------
+    SolveReport
+        ``iterations`` counts new Arnoldi iterations.  ``relation`` is the
+        Arnoldi relation of this solve, of K itself when nothing was
+        recycled and of the projected (I - C C^T) K otherwise; its basis
+        rows include the last vector v_{k+1}.
 
     Raises
     ------
@@ -136,7 +220,8 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
         residual is still above tolerance (a vanishing vector at tolerance is
         the happy breakdown and returns the exact solution);
         ``"krylov-nonfinite"`` when the operator or the preconditioner
-        returns a NaN or infinite entry.
+        returns a NaN or infinite entry, or a norm, projection or rotation
+        of the kernel overflows.
     """
     cfg = cfg or KrylovConfig()
     b = np.asarray(b, dtype=float)
@@ -144,74 +229,86 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
     maxit = cfg.maxit or b.size
     t_start = time.perf_counter()
     operator, preconditioner = _wrap(op, precond, shape)
+    space = recycle if recycle is not None else ArnoldiRelation.empty(b.size)
 
     r0 = preconditioner(b.ravel().copy())
-    beta = np.linalg.norm(r0)
-    if beta == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        bnorm = np.linalg.norm(r0)
+        z = 0.0  # C^T c, so that x0 = U z
+        for _ in range(2):  # CGS2 against C
+            t = space.ct(r0)
+            r0 -= space.c(t)
+            z = z + t
+        beta = np.linalg.norm(r0)
+    _require_finite(0, ("norm of the preconditioned right-hand side", bnorm),
+                    ("projection onto the recycled space", z),
+                    ("initial residual norm", beta))
+    if bnorm == 0.0:
         raise ValueError("right-hand side is zero")
 
     # The rotated Hessenberg columns grow one iteration at a time and the
     # basis doubles its rows when full; nothing is sized by maxit, which
     # defaults to n^2.
     V = np.empty((min(maxit + 1, _BASIS_INITIAL_ROWS), r0.size))
-    V[0] = r0 / beta
-    filled = 1
+    V[0] = r0 / beta if beta > 0.0 else 0.0
     R = []
+    B = []
     cs = []
     sn = []
     g = [beta]
-    history = [1.0]
+    history = [beta / bnorm]
     stamps = [time.perf_counter() - t_start]
-    iterations = maxit
-    converged = False
+    iterations = 0
+    converged = history[0] <= cfg.tol
 
-    for j in range(maxit):
+    while not converged and iterations < maxit:
+        j = iterations
         w = preconditioner(operator(V[j]))
         basis = V[:j + 1]
-        h = basis @ w
-        w -= h @ basis
-        h2 = basis @ w
-        w -= h2 @ basis
-        h += h2
-        h_new = np.linalg.norm(w)
-        for i in range(j):
-            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], -sn[i] * h[i] + cs[i] * h[i + 1]
-        d = np.hypot(h[j], h_new)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hc = h = 0.0
+            for _ in range(2):  # CGS2 against C and the basis
+                hc_pass, h_pass = space.ct(w), basis @ w
+                w -= space.c(hc_pass) + np.dot(h_pass, basis)
+                hc, h = hc + hc_pass, h + h_pass
+            h_new = np.linalg.norm(w)
+            _rotate(h, cs, sn)
+            d = np.hypot(h[j], h_new)
+        _require_finite(j + 1, ("projection onto the recycled space", hc),
+                        ("Hessenberg column", h), ("Arnoldi norm", h_new),
+                        ("Givens norm", d))
         if d == 0.0:  # a zero Hessenberg column: no rotation, the residual cannot move
             raise SolverError("krylov-breakdown", f"zero Hessenberg column at iteration {j + 1}")
         cs.append(h[j] / d)
         sn.append(h_new / d)
         h[j] = d
         R.append(h)
+        B.append(hc)
         g.append(-sn[j] * g[j])
         g[j] = cs[j] * g[j]
-        relres = abs(g[j + 1]) / beta
+        relres = abs(g[j + 1]) / bnorm
         history.append(relres)
         stamps.append(time.perf_counter() - t_start)
-        if relres <= cfg.tol:
-            iterations = j + 1
-            converged = True
-            break
-        if h_new <= _TINY:
+        iterations = j + 1
+        converged = relres <= cfg.tol
+        if not converged and h_new <= _TINY:
             raise SolverError(
                 "krylov-breakdown",
                 f"Arnoldi vector vanished at iteration {j + 1} "
                 f"with residual {relres:.3g} above tolerance",
             )
-        if filled == V.shape[0]:
-            grow = min(filled, maxit + 1 - filled)
+        # stored on convergence too: the relation needs v_{k+1}
+        if j + 1 == V.shape[0]:
+            grow = min(j + 1, maxit - j)
             V = np.concatenate([V, np.empty((grow, V.shape[1]))])
-        V[j + 1] = w / h_new
-        filled += 1
-    else:
-        iterations = maxit
+        V[j + 1] = w / h_new if h_new > _TINY else 0.0
 
     m = iterations
     H = np.zeros((m, m))
     for j in range(m):
         H[:j + 1, j] = R[j]
     y = scipy.linalg.solve_triangular(H, g[:m], lower=False)
-    x = y @ V[:m]
+    x = y @ V[:m] + space.u(z - np.reshape(B, (m, len(space.cs))).T @ y)
     return SolveReport(
         X=x.reshape(shape),
         residual_history=history,
@@ -220,7 +317,7 @@ def gmres(op, b, precond=None, cfg=None, collect_basis=False):
         converged=converged,
         method="gmres",
         timings=SolveTimings(total_seconds=time.perf_counter() - t_start),
-        basis=[v.reshape(shape) for v in V[:filled]] if collect_basis else None,
+        relation=ArnoldiRelation(V[:m + 1], H, np.array(cs), np.array(sn)),
     )
 
 
@@ -243,7 +340,9 @@ def bicgstab(op, b, precond=None, cfg=None):
         return preconditioner(operator(v))
 
     r = preconditioner(b.ravel().copy())
-    nb = np.linalg.norm(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nb = np.linalg.norm(r)
+    _require_finite(0, ("norm of the preconditioned right-hand side", nb))
     if nb == 0.0:
         raise ValueError("right-hand side is zero")
     x = np.zeros_like(r)
@@ -259,7 +358,9 @@ def bicgstab(op, b, precond=None, cfg=None):
     iterations = 0
 
     for j in range(1, maxit + 1):
-        rho_new = r_shadow @ r
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho_new = r_shadow @ r
+        _require_finite(j, ("rho", rho_new))
         if abs(rho_new) <= _TINY or abs(omega) <= _TINY:
             raise SolverError(
                 "bicgstab-breakdown",
@@ -272,26 +373,36 @@ def bicgstab(op, b, precond=None, cfg=None):
             p = r + beta * (p - omega * v)
         rho = rho_new
         v = K(p)
-        denom = r_shadow @ v
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = r_shadow @ v
+        _require_finite(j, ("<r0, v>", denom))
         if abs(denom) <= _TINY:
             raise SolverError("bicgstab-breakdown", f"<r0, v> = {denom:.3g} at iteration {j}")
         alpha = rho / denom
         s = r - alpha * v
         iterations = j
-        if np.linalg.norm(s) / nb <= cfg.tol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            relres = np.linalg.norm(s) / nb
+        _require_finite(j, ("residual norm", relres))
+        if relres <= cfg.tol:
             x += alpha * p
-            history.append(np.linalg.norm(s) / nb)
+            history.append(relres)
             stamps.append(time.perf_counter() - t_start)
             converged = True
             break
         t = K(s)
-        tt = t @ t
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tt = t @ t
+            omega = (t @ s) / tt  # read only past the breakdown check below
+        _require_finite(j, ("||t||^2", tt))
         if tt <= _TINY:
             raise SolverError("bicgstab-breakdown", f"||t|| = 0 at iteration {j}")
-        omega = (t @ s) / tt
+        _require_finite(j, ("omega", omega))
         x += alpha * p + omega * s
         r = s - omega * t
-        relres = np.linalg.norm(r) / nb
+        with np.errstate(over="ignore", invalid="ignore"):
+            relres = np.linalg.norm(r) / nb
+        _require_finite(j, ("residual norm", relres))
         history.append(relres)
         stamps.append(time.perf_counter() - t_start)
         if relres <= cfg.tol:

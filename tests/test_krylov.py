@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -61,8 +63,8 @@ class TestGmres:
         rng = np.random.default_rng(3)
         op, _ = dense_operator(rng, 4)
         b = rng.standard_normal((4, 4))
-        report = gmres(op, b, cfg=KrylovConfig(tol=1e-13, maxit=16), collect_basis=True)
-        V = np.array([vec(v) for v in report.basis])
+        report = gmres(op, b, cfg=KrylovConfig(tol=1e-13, maxit=16))
+        V = report.relation.V
         G = V @ V.T
         off = G - np.diag(np.diag(G))
         assert np.abs(off).max() <= 1e-10
@@ -71,9 +73,9 @@ class TestGmres:
         rng = np.random.default_rng(12)
         op, _ = dense_operator(rng, 6)
         b = rng.standard_normal((6, 6))
-        report = gmres(op, b, cfg=KrylovConfig(tol=1e-300, maxit=34), collect_basis=True)
+        report = gmres(op, b, cfg=KrylovConfig(tol=1e-300, maxit=34))
         assert not report.converged
-        V = np.array([vec(v) for v in report.basis])
+        V = report.relation.V
         assert V.shape == (35, 36)
         assert np.abs(V @ V.T - np.eye(35)).max() <= 1e-12
 
@@ -115,6 +117,68 @@ class TestGmres:
     def test_zero_rhs_rejected(self):
         with pytest.raises(ValueError):
             gmres(lambda X: X, np.zeros((3, 3)))
+
+
+def ravel_system(rng, N):
+    """Random non-symmetric N x N matrix A and a callable applying it to a
+    matrix through its row-major ravel, the kernels' vector coordinates."""
+    A = rng.standard_normal((N, N)) / np.sqrt(N) + 2.0 * np.eye(N)
+
+    def op(X):
+        return (A @ X.ravel()).reshape(X.shape)
+
+    return op, A
+
+
+class TestRecycle:
+    """GCRO with the Arnoldi relation of an earlier solve as a fixed space,
+    on a 16 x 16 system (4 x 4 matrices) with a random left preconditioner."""
+
+    @staticmethod
+    def system(seed):
+        rng = np.random.default_rng(seed)
+        op, A = ravel_system(rng, 16)
+        pc, M = ravel_system(rng, 16)
+        first = gmres(op, rng.standard_normal((4, 4)), precond=pc, cfg=KrylovConfig(tol=1e-4))
+        return op, pc, A, M @ A, first, rng
+
+    def test_new_rhs_reaches_tol_and_matches_dense_solve(self):
+        op, pc, A, _, first, rng = self.system(20)
+        b = rng.standard_normal((4, 4))
+        cfg = KrylovConfig(tol=1e-12)
+        fresh = gmres(op, b, precond=pc, cfg=cfg)
+        recycled = gmres(op, b, precond=pc, cfg=cfg, recycle=first.relation)
+        assert recycled.converged
+        assert 0 < recycled.iterations < fresh.iterations
+        assert recycled.residual_history[-1] <= 1e-12
+        X_direct = np.linalg.solve(A, b.ravel()).reshape(4, 4)
+        assert frobenius(recycled.X - X_direct) <= 1e-10 * frobenius(X_direct)
+
+    def test_same_rhs_converges_in_zero_iterations(self):
+        op, pc, _, _, _, rng = self.system(21)
+        b = rng.standard_normal((4, 4))
+        cfg = KrylovConfig(tol=1e-8)
+        first = gmres(op, b, precond=pc, cfg=cfg)
+        again = gmres(op, b, precond=pc, cfg=cfg, recycle=first.relation)
+        assert again.converged
+        assert again.iterations == 0
+        assert len(again.residual_history) == len(again.iteration_seconds) == 1
+        assert again.residual_history[0] <= 1e-8
+        assert frobenius(again.X - first.X) <= 1e-12 * frobenius(first.X)
+
+    def test_implicit_spaces(self):
+        # C = V_{k+1} Q_k is orthonormal and K U = C for U = V_k R_k^-1,
+        # with K = P^-1 L; C^T agrees with the product by the formed C
+        _, _, _, K, first, rng = self.system(22)
+        relation = first.relation
+        k = len(relation.cs)
+        assert 0 < k < 16
+        C = np.column_stack([relation.c(e) for e in np.eye(k)])
+        U = np.column_stack([relation.u(e) for e in np.eye(k)])
+        assert np.abs(C.T @ C - np.eye(k)).max() <= 1e-12
+        assert np.abs(K @ U - C).max() <= 1e-12
+        w = rng.standard_normal(16)
+        assert_allclose(relation.ct(w), C.T @ w, rtol=0, atol=1e-12 * np.linalg.norm(w))
 
 
 class TestBicgstab:
@@ -185,6 +249,20 @@ def test_nonfinite_output_stops_at_first_bad_call(solve, faulty):
     assert err.value.code == "krylov-nonfinite"
     assert faulty in str(err.value)
     assert (op if faulty == "operator" else pc).calls == 3
+
+
+@pytest.mark.parametrize("solve", [gmres, bicgstab])
+def test_overflowing_norm_is_nonfinite(solve):
+    # |b| = 4e300 is finite, but its square is not: the kernels' norm
+    # overflows and must raise instead of warning and iterating on inf
+    b = np.full((4, 4), 1e300)
+    cfg = KrylovConfig(method=solve.__name__)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as err:
+            solve(lambda X: X, b, cfg=cfg)
+    assert err.value.code == "krylov-nonfinite"
+    assert "iteration 0" in str(err.value)
 
 
 @pytest.mark.parametrize("solve", [gmres, bicgstab])

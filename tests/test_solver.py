@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,34 @@ def test_refinement_reduces_boundary_residuals(monkeypatch):
     assert refined.refinement_passes >= 1
     assert refined.r_alg <= 1e-8
     assert refined.iterations == report.iterations
+
+
+@pytest.mark.parametrize("alpha", [1.0, 5.0])
+def test_refinement_recycles_the_main_krylov_space(alpha):
+    # a fresh correction solve takes 12 (alpha = 1) and 14 (alpha = 5)
+    # iterations; recycling the main solve's Arnoldi relation leaves a few
+    report = solve_delay_lyapunov(small_example(alpha).problem)
+    assert report.refinement_passes >= 1
+    assert report.refinement_iterations <= 4
+    assert report.r_alg <= 1e-8
+
+
+def test_report_holds_no_krylov_basis():
+    # the basis is n^2 x iterations: about 500 MB at n = 882
+    report = solve_delay_lyapunov(small_example(1.0).problem)
+    assert report.relation is None
+
+
+@pytest.mark.parametrize("method", ["gmres", "bicgstab"])
+def test_overflowing_kernel_norm_is_nonfinite(method):
+    # alpha = 1000 has a finite plan, but the preconditioned operator output
+    # is so large that the kernels' norms overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as err:
+            solve_delay_lyapunov(small_example(1000.0).problem,
+                                 krylov=KrylovConfig(method=method))
+    assert err.value.code == "krylov-nonfinite"
 
 
 def test_tau_zero_reduces_to_standard_lyapunov():
