@@ -47,6 +47,7 @@ from .propagation import (
     exact_propagate,
     plan_propagation,
     rk4_propagate,
+    term_operands,
 )
 from .solver import solve_delay_lyapunov
 from .tsylv import (
@@ -70,6 +71,6 @@ __all__ = [
     "has_no_hamiltonian_pairing", "kron", "lu_solve", "pdde_generate",
     "plan_propagation", "preconditioned_spectrum", "preconditioner_quality",
     "read_matrix", "real_schur", "reconstruct_solution", "rk4_propagate",
-    "small_example", "solve_delay_lyapunov", "tsylv_solvable", "tsylv_solve",
-    "tsylv_solve_kron", "unvec", "vec", "write_matrix",
+    "small_example", "solve_delay_lyapunov", "term_operands", "tsylv_solvable",
+    "tsylv_solve", "tsylv_solve_kron", "unvec", "vec", "write_matrix",
 ]

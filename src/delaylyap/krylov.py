@@ -62,9 +62,15 @@ class SolveTimings:
 
 
 def _rotate(t, cs, sn):
-    """Apply the Givens rotations (cs[i], sn[i]) to t[i], t[i + 1] in place, i ascending."""
+    """Apply the Givens rotations (cs[i], sn[i]) to t[i], t[i + 1] in place, i ascending.
+
+    The scalar loop runs on Python floats (``cs`` and ``sn`` hold floats), a
+    few times faster than on NumPy scalars and with the same rounding.
+    """
+    u = t.tolist()
     for i, (c, s) in enumerate(zip(cs, sn)):
-        t[i], t[i + 1] = c * t[i] + s * t[i + 1], -s * t[i] + c * t[i + 1]
+        u[i], u[i + 1] = c * u[i] + s * u[i + 1], -s * u[i] + c * u[i + 1]
+    t[:] = u
 
 
 @dataclass(frozen=True)
@@ -91,16 +97,22 @@ class ArnoldiRelation:
         return cls(np.zeros((1, size)), np.zeros((0, 0)), np.zeros(0), np.zeros(0))
 
     def ct(self, w):
-        """C^T w: the rotations applied to V_{k+1} w."""
+        """C^T w: the rotations applied to V_{k+1} w (an empty vector when k = 0)."""
+        if not self.cs.size:
+            return np.zeros(0)
         t = self.V @ w
-        _rotate(t, self.cs, self.sn)
+        _rotate(t, self.cs.tolist(), self.sn.tolist())
         return t[:-1]
 
     def c(self, y):
-        """C y: the transposed rotations, in reverse, applied to (y, 0), times V_{k+1}."""
-        t = np.concatenate((y, (0.0,)))
-        for i in reversed(range(len(self.cs))):
-            c, s = self.cs[i], self.sn[i]
+        """C y: the transposed rotations, in reverse, applied to (y, 0), times
+        V_{k+1}; the scalar 0.0, which broadcasts as the zero vector, when k = 0."""
+        if not self.cs.size:
+            return 0.0
+        t = y.tolist() + [0.0]
+        cs, sn = self.cs.tolist(), self.sn.tolist()
+        for i in reversed(range(len(cs))):
+            c, s = cs[i], sn[i]
             t[i], t[i + 1] = c * t[i] - s * t[i + 1], s * t[i] + c * t[i + 1]
         return np.dot(t, self.V)
 
@@ -150,7 +162,12 @@ def _finite(out, name):
 def _require_finite(iteration, *named):
     """Raise ``"krylov-nonfinite"`` naming the first (name, value) pair with a
     non-finite entry; the values are computed under ``np.errstate``, so an
-    overflow surfaces here and not as a NumPy warning."""
+    overflow surfaces here and not as a NumPy warning.  The values are
+    scalars or 1-D arrays, tested by one ``isfinite`` over all of them; the
+    names are searched only when that test fails."""
+    values = np.concatenate([v if getattr(v, "ndim", 0) else (v,) for _, v in named])
+    if np.isfinite(values).all():
+        return
     for name, value in named:
         if not np.isfinite(value).all():
             raise SolverError("krylov-nonfinite",
@@ -279,8 +296,8 @@ def gmres(op, b, precond=None, cfg=None, recycle=None):
                         ("Givens norm", d))
         if d == 0.0:  # a zero Hessenberg column: no rotation, the residual cannot move
             raise SolverError("krylov-breakdown", f"zero Hessenberg column at iteration {j + 1}")
-        cs.append(h[j] / d)
-        sn.append(h_new / d)
+        cs.append(float(h[j] / d))
+        sn.append(float(h_new / d))
         h[j] = d
         R.append(h)
         B.append(hc)

@@ -33,30 +33,35 @@ class TdsProblem:
     C0: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("A0", "A1", "W"):
-            if np.iscomplexobj(getattr(self, name)):
+        """Check every matrix for realness, shape and finiteness and store it
+        as float64; B0 must be 2-D with n rows and C0 2-D with n columns."""
+        arrays = {}
+        for name in ("A0", "A1", "W", "B0", "C0"):
+            M = getattr(self, name)
+            if M is None and name in ("B0", "C0"):
+                continue
+            if np.iscomplexobj(M):
                 raise ValueError(f"{name} must be real")
-        A0 = np.asarray(self.A0, dtype=float)
-        A1 = np.asarray(self.A1, dtype=float)
-        W = np.asarray(self.W, dtype=float)
-        n = A0.shape[0]
-        for name, M in (("A0", A0), ("A1", A1), ("W", W)):
-            if M.ndim != 2 or M.shape != (n, n):
+            arrays[name] = np.asarray(M, dtype=float)
+        A0 = arrays["A0"]
+        n = A0.shape[0] if A0.ndim else 0
+        for name, M in arrays.items():
+            if name in ("B0", "C0"):
+                axis, what = (0, "rows") if name == "B0" else (1, "columns")
+                if M.ndim != 2 or M.shape[axis] != n:
+                    raise ValueError(f"{name} must have n {what} (2-D, n = {n}), got {M.shape}")
+            elif M.ndim != 2 or M.shape != (n, n):
                 raise ValueError(f"{name} must be {n}x{n}, got {M.shape}")
             if not np.all(np.isfinite(M)):
                 raise ValueError(f"{name} has non-finite entries")
         if not (np.isfinite(self.tau) and self.tau >= 0):
             raise ValueError("tau must be finite and >= 0")
+        W = arrays["W"]
         defect = frobenius(W - W.T)
         if defect > 1e-12 * max(frobenius(W), 1e-300):
             raise ValueError(f"W must be symmetric; defect {defect:.3g}")
-        if self.B0 is not None and np.asarray(self.B0).shape[0] != n:
-            raise ValueError("B0 must have n rows")
-        if self.C0 is not None and np.asarray(self.C0).shape[1] != n:
-            raise ValueError("C0 must have n columns")
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "A1", A1)
-        object.__setattr__(self, "W", W)
+        for name, M in arrays.items():
+            object.__setattr__(self, name, M)
 
     @property
     def n(self):

@@ -19,10 +19,16 @@ Swapping Z1 and Z2 anticommutes with G, so G maps swap-even states (P, 0)
 to swap-odd ones (0, Q) and back.  A propagation starts at the even state
 (X, 0), and the Taylor terms (hG)^j / j! applied to an even matrix V are
 single n x n matrices B_j = (h/j) g(B_{j-1}), B_0 = V, with g = g+ for odd
-j and g- for even j: one ``coupled_rhs`` call (two n x n products) per
-term, half the work of stepping the pair.  One such pass returns the even
-terms j >= 2, W V = (E_h - I) V, and the odd terms O_h V, where E_h and O_h
-are the even and odd parts of the degree-m Taylor polynomial p(hG).
+j and g- for even j, half the work of stepping the pair.  Each term is one
+``coupled_rhs`` call, a single product of the n x 2n matrix [B, B^T] with a
+stacked 2n x n coefficient operand,
+
+    g+-(B) = [B, B^T] S+-,   S+- = [A0; +-A1],
+
+and the pair (S-, S+) is built, checked and cast to float64 once per
+propagation, not per term.  One such pass returns the even terms j >= 2,
+W V = (E_h - I) V, and the odd terms O_h V, where E_h and O_h are the even
+and odd parts of the degree-m Taylor polynomial p(hG).
 
 With h = (tau/2)/s the terminal value is assembled as cosh and sinh of s
 steps: P = T_s(E_h) X and Q = O_h U_{s-1}(E_h) X, with T_s and U_{s-1} the
@@ -122,21 +128,32 @@ class PropagationResult:
     Z2_end: np.ndarray
 
 
-def coupled_rhs(B, A0, A1, sign):
-    """One Taylor term's generator action B A0 + sign B^T A1, shaped like B.
+def term_operands(A0, A1):
+    """The stacked coefficient operands (S-, S+) = ([A0; -A1], [A0; A1]) of
+    the Taylor terms g-+(B) = [B, B^T] S-+, each 2n x n and float64, in this
+    order, so that ``S[j % 2]`` is the operand of term j.
 
-    B is (..., n, n); ``sign`` is +1 (g+, even to odd), -1 (g-, odd to even)
-    or an array broadcasting against B, such as (-1, +1) on the pair axis of
-    a stacked split state whose halves were swapped.
+    Raises ``ValueError`` unless A0 and A1 are both n x n.
     """
-    n = A0.shape[0]
-    if B.shape[-2:] != (n, n) or A0.shape != (n, n) or A1.shape != (n, n):
-        raise ValueError("B must be (..., n, n) with A0, A1 n x n")
-    B = np.asarray(B, dtype=float)  # the products are scaled in place
-    out = B.swapaxes(-1, -2) @ A1
-    out *= sign
-    out += B @ A0
-    return out
+    A0 = np.asarray(A0, dtype=float)
+    A1 = np.asarray(A1, dtype=float)
+    n = A0.shape[0] if A0.ndim else 0
+    if A0.shape != (n, n) or A1.shape != (n, n):
+        raise ValueError(f"A0 and A1 must both be n x n, got {A0.shape} and {A1.shape}")
+    return np.concatenate((A0, -A1)), np.concatenate((A0, A1))
+
+
+def coupled_rhs(B, S):
+    """One Taylor term's generator action [B, B^T] S, shaped like B.
+
+    B is (..., n, n) and S one of the 2n x n operands of ``term_operands``:
+    S+ gives g+(B) = B A0 + B^T A1 (even to odd), S- gives g-(B) = B A0 -
+    B^T A1 (odd to even).  The whole batch is one (k n) x 2n by 2n x n
+    product.  The result is a new float64 array (S is float64); a B that is
+    not (..., n, n) raises NumPy's ``ValueError``.
+    """
+    BB = np.concatenate((B, B.swapaxes(-1, -2)), axis=-1)
+    return np.dot(BB.reshape(-1, BB.shape[-1]), S).reshape(B.shape)
 
 
 def _rhs(Z, A0, A1):
@@ -228,13 +245,14 @@ def _generator_operator(A0, A1, t):
                           rmatmat=rmatmat, dtype=float)
 
 
-def _even_odd_pass(A0, A1, V, h, degree):
+def _even_odd_pass(S, V, h, degree):
     """(W V, O_h V) for a swap-even V: the even terms j >= 2 and the odd
-    terms of one Taylor step of length h, one ``coupled_rhs`` call each."""
+    terms of one Taylor step of length h, one ``coupled_rhs`` call each on
+    the operands S = (S-, S+) of ``term_operands``."""
     sums = [np.zeros_like(V), np.zeros_like(V)]
     B = V
     for j in range(1, degree + 1):
-        B = coupled_rhs(B, A0, A1, 1.0 if j % 2 else -1.0)
+        B = coupled_rhs(B, S[j % 2])
         B *= h / j
         sums[j % 2] += B
     return sums
@@ -243,10 +261,12 @@ def _even_odd_pass(A0, A1, V, h, degree):
 def _chebyshev_steps(A0, A1, X, h, degree, steps):
     """Yield the pair (Z1, Z2) = (P_k + Q_k, P_k - Q_k) at t = k h for
     k = 1..steps, from Z1(0) = Z2(0) = X, by the Chebyshev recurrence in
-    difference form."""
+    difference form.  The term operands are built once, before the first
+    step."""
+    S = term_operands(A0, A1)
     U = D = X
     for _ in range(steps):
-        WU, Q = _even_odd_pass(A0, A1, U, h, degree)
+        WU, Q = _even_odd_pass(S, U, h, degree)
         D_prev, D = D, D + 2.0 * WU
         U = U + D
         P = 0.5 * (D + D_prev)
@@ -258,7 +278,8 @@ def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
 
     X is n x n or a batch (..., n, n).  Runs the plan's s passes of m
     single-matrix Taylor terms and combines them by the Chebyshev recurrence
-    in difference form (module docstring), 2 m s n x n products in all;
+    in difference form (module docstring), m s products [B, B^T] S of an
+    n x 2n by a 2n x n matrix in all (per batch member);
     ``plan`` is made from ``cfg`` by ``plan_propagation`` when not given.
     The map X -> (Z1_end, Z2_end) is linear, since every propagation applies
     the same fixed polynomial in G.  tau = 0 is accepted and returns (X, X).

@@ -17,6 +17,7 @@ from delaylyap import (
     unvec,
     vec,
 )
+from delaylyap.krylov import ArnoldiRelation, _require_finite, _rotate
 
 
 def dense_operator(rng, n, spd=False):
@@ -179,6 +180,38 @@ class TestRecycle:
         assert np.abs(K @ U - C).max() <= 1e-12
         w = rng.standard_normal(16)
         assert_allclose(relation.ct(w), C.T @ w, rtol=0, atol=1e-12 * np.linalg.norm(w))
+
+
+class TestKernelHelpers:
+    def test_empty_space_projects_nothing(self):
+        w = np.arange(5.0)
+        space = ArnoldiRelation.empty(5)
+        assert space.ct(w).shape == (0,)
+        assert np.array_equal(w - space.c(space.ct(w)), w)
+
+    def test_rotations_match_the_numpy_scalar_loop(self):
+        # the loop runs on Python floats; the same operations on NumPy
+        # scalars give the same bits
+        rng = np.random.default_rng(23)
+        t = rng.standard_normal(12)
+        theta = rng.uniform(0, 2 * np.pi, 11)
+        cs, sn = np.cos(theta), np.sin(theta)
+        want = t.copy()
+        for i in range(11):
+            want[i], want[i + 1] = (cs[i] * want[i] + sn[i] * want[i + 1],
+                                    -sn[i] * want[i] + cs[i] * want[i + 1])
+        _rotate(t, cs.tolist(), sn.tolist())
+        assert np.array_equal(t, want)
+
+    def test_one_finiteness_check_names_the_first_bad_quantity(self):
+        finite = (("empty", np.zeros(0)), ("column", np.ones(3)), ("norm", np.float64(2.0)))
+        _require_finite(4, *finite)
+        with pytest.raises(SolverError, match="column is not finite at iteration 4"):
+            _require_finite(4, ("empty", np.zeros(0)), ("column", np.array([1.0, np.inf])),
+                            ("norm", np.float64(np.nan)))
+        with pytest.raises(SolverError, match="norm is not finite at iteration 4") as err:
+            _require_finite(4, *finite[:2], ("norm", np.float64(np.nan)))
+        assert err.value.code == "krylov-nonfinite"
 
 
 class TestBicgstab:

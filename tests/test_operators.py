@@ -17,6 +17,7 @@ from delaylyap import (
     frobenius,
     kron,
     lu_solve,
+    pdde_generate,
     reconstruct_solution,
     rk4_propagate,
     small_example,
@@ -69,6 +70,27 @@ class TestProblemValidation:
             TdsProblem(C0=np.ones((1, 3)), **data)
         TdsProblem(B0=np.ones((2, 1)), C0=np.ones((1, 2)), **data)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("B0", np.ones(2), "B0 must have n rows"),
+        ("B0", np.float64(1.0), "B0 must have n rows"),
+        ("B0", np.ones((2, 1)) + 0.5j, "B0 must be real"),
+        ("B0", np.full((2, 1), np.inf), "B0 has non-finite entries"),
+        ("C0", np.ones(2), "C0 must have n columns"),
+        ("C0", np.ones((1, 2, 1)), "C0 must have n columns"),
+        ("C0", np.ones((1, 2)) - 1j, "C0 must be real"),
+        ("C0", np.array([[1.0, np.nan]]), "C0 has non-finite entries"),
+    ])
+    def test_output_matrices_checked_like_the_coefficients(self, name, value, message):
+        data = {"A0": -np.eye(2), "A1": np.zeros((2, 2)), "tau": 1.0, "W": np.eye(2)}
+        with pytest.raises(ValueError, match=message):
+            TdsProblem(**{name: value}, **data)
+
+    def test_output_matrices_stored_as_float64(self):
+        p = TdsProblem(A0=-np.eye(2), A1=np.zeros((2, 2)), tau=1.0, W=np.eye(2),
+                       B0=[[1], [0]], C0=np.array([[0, 1]], dtype=np.int32))
+        assert p.B0.dtype == p.C0.dtype == np.float64
+        assert p.B0.shape == (2, 1) and p.C0.shape == (1, 2)
+
     def test_zero_shift_rejected(self):
         p = TdsProblem(A0=np.eye(2), A1=np.eye(2), tau=1.0, W=np.eye(2))
         with pytest.raises(ValueError):
@@ -91,6 +113,17 @@ class TestApply:
         for Xk, got in zip(X, out):
             want = apply_operator(ctx, Xk)
             assert frobenius(got - want) <= 1e-14 * frobenius(want)
+
+    def test_two_batch_axes_equal_single_applies(self):
+        # the whole batch runs as one (k n) x 2n product per Taylor term
+        ctx = OperatorContext(problem=pdde_generate(3, 3).problem)
+        n = ctx.problem.n
+        X = np.random.default_rng(11).standard_normal((2, 2, n, n))
+        out = apply_operator(ctx, X)
+        assert out.shape == X.shape
+        for index in np.ndindex(2, 2):
+            want = apply_operator(ctx, X[index])
+            assert frobenius(out[index] - want) <= 1e-14 * frobenius(want)
 
     def test_shape_checked_on_last_two_axes(self):
         rng = np.random.default_rng(10)

@@ -17,6 +17,7 @@ from delaylyap import (
     reconstruct_solution,
     rk4_propagate,
     small_example,
+    term_operands,
     unvec,
     vec,
 )
@@ -27,47 +28,62 @@ from helpers import random_stable_problem
 class TestCoupledRhs:
     def test_zero_state(self):
         A = np.ones((3, 3))
-        for sign in (1.0, -1.0):
-            G = coupled_rhs(np.zeros((3, 3)), A, A, sign)
+        for S in term_operands(A, A):
+            G = coupled_rhs(np.zeros((3, 3)), S)
             assert G.shape == (3, 3) and not G.any()
-        G = coupled_rhs(np.zeros((3, 3), dtype=int), np.eye(3, dtype=int), np.eye(3, dtype=int), -1.0)
+        S_minus, _ = term_operands(np.eye(3, dtype=int), np.eye(3, dtype=int))
+        G = coupled_rhs(np.zeros((3, 3), dtype=int), S_minus)
         assert G.dtype == float and not G.any()
 
     def test_decoupled_when_no_delay_term(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((3, 3))
         A0 = rng.standard_normal((3, 3))
-        for sign in (1.0, -1.0):
-            assert_allclose(coupled_rhs(X, A0, np.zeros((3, 3)), sign), X @ A0, atol=0)
+        for S in term_operands(A0, np.zeros((3, 3))):
+            assert_allclose(coupled_rhs(X, S), X @ A0, rtol=1e-15, atol=1e-15)
 
     def test_entrywise_formula(self):
         rng = np.random.default_rng(1)
         B, A0, A1 = (rng.standard_normal((3, 3)) for _ in range(3))
-        for sign in (1.0, -1.0):
-            G = coupled_rhs(B, A0, A1, sign)
+        for sign, S in zip((-1.0, 1.0), term_operands(A0, A1)):
+            G = coupled_rhs(B, S)
             for i in range(3):
                 for j in range(3):
                     g = sum(B[i, k] * A0[k, j] + sign * B[k, i] * A1[k, j] for k in range(3))
                     assert abs(G[i, j] - g) <= 1e-13
 
+    def test_operands_stacked_once_as_float64(self):
+        A0 = np.arange(9).reshape(3, 3)
+        A1 = 2 * np.eye(3, dtype=int)
+        S_minus, S_plus = term_operands(A0, A1)
+        assert S_minus.dtype == S_plus.dtype == float
+        assert np.array_equal(S_minus, np.vstack((A0, -A1)))
+        assert np.array_equal(S_plus, np.vstack((A0, A1)))
+
     def test_shape_mismatch(self):
+        _, S = term_operands(np.eye(3), np.eye(3))
         with pytest.raises(ValueError):
-            coupled_rhs(np.zeros((2, 2)), np.eye(3), np.eye(3), 1.0)
+            coupled_rhs(np.zeros((2, 2)), S)
         with pytest.raises(ValueError):
-            coupled_rhs(np.zeros((3, 3, 2)), np.eye(3), np.eye(3), 1.0)
+            coupled_rhs(np.zeros((4, 4)), S)
         with pytest.raises(ValueError):
-            coupled_rhs(np.zeros((3, 3)), np.eye(3), np.eye(2), 1.0)
+            coupled_rhs(np.zeros((3, 3, 2)), S)
+        with pytest.raises(ValueError):
+            term_operands(np.eye(3), np.eye(2))
+        with pytest.raises(ValueError):
+            term_operands(np.ones((3, 2)), np.ones((3, 2)))
 
     def test_batch_axis(self):
         rng = np.random.default_rng(2)
         B = rng.standard_normal((4, 2, 3, 3))
         A0, A1 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        sign = np.array([-1.0, 1.0])[:, None, None]
-        G = coupled_rhs(B, A0, A1, sign)
-        for k in range(4):
-            for half, sg in ((0, -1.0), (1, 1.0)):
-                assert_allclose(G[k, half], coupled_rhs(B[k, half], A0, A1, sg),
-                                rtol=1e-14, atol=1e-14)
+        for S in term_operands(A0, A1):
+            G = coupled_rhs(B, S)
+            assert G.shape == B.shape
+            for k in range(4):
+                for half in range(2):
+                    assert_allclose(G[k, half], coupled_rhs(B[k, half], S),
+                                    rtol=1e-14, atol=1e-14)
 
 
 class TestSplitCoordinates:
@@ -82,8 +98,9 @@ class TestSplitCoordinates:
         rng = np.random.default_rng(21)
         A0, A1, P, Q = (rng.standard_normal((4, 4)) for _ in range(4))
         G1, G2 = _rhs(np.stack((P + Q, P - Q)), A0, A1)
-        assert_allclose(0.5 * (G1 + G2), coupled_rhs(Q, A0, A1, -1.0), rtol=1e-13, atol=1e-13)
-        assert_allclose(0.5 * (G1 - G2), coupled_rhs(P, A0, A1, 1.0), rtol=1e-13, atol=1e-13)
+        S_minus, S_plus = term_operands(A0, A1)
+        assert_allclose(0.5 * (G1 + G2), coupled_rhs(Q, S_minus), rtol=1e-13, atol=1e-13)
+        assert_allclose(0.5 * (G1 - G2), coupled_rhs(P, S_plus), rtol=1e-13, atol=1e-13)
 
     def test_one_matrix_per_counted_term(self, monkeypatch):
         import delaylyap.propagation
