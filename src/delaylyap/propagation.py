@@ -48,8 +48,9 @@ E_h^2 - O_h^2 = I.  Here E_h^2 - O_h^2 = p(hG) p(-hG), which is I up to the
 same truncation the plan bounds for p(hG) itself, so the recurrence
 realizes exp((tau/2) G) to the order of p(hG)^s without being the identical
 polynomial.  The plan (m, s) is fixed per problem, before any X is seen --
-from the Al-Mohy & Higham (2011) bound for a double-precision target, or as
-(4, steps), degree-4 steps of the order of classic RK4 -- and the loop never
+from the Al-Mohy & Higham (2011) bound on the 1-norm of the balanced
+generator for a double-precision target, or as (4, steps), degree-4 steps
+of the order of classic RK4 -- and the loop never
 stops early, so every propagation is the same polynomial in G and the
 discretized operator stays exactly linear.
 
@@ -66,15 +67,27 @@ The dense exponential of the vectorized generator is a small-size oracle.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import matrix_balance
 
 from .errors import SolverError
 from .linalg import expm, kron, unvec, vec
 
 EXACT_MAX_N = 12
 RK4_DEGREE = 4      # the Taylor degree of classic RK4 on a linear autonomous ODE
-PLAN_TOL = 2.0 ** -53
-PLAN_SEED = 0       # onenormest draws its start vectors from the global NumPy RNG
 MAX_PLAN_TERMS = 10**7  # right-hand-side evaluations per propagation
+
+# theta_m: the largest ||hG||_1 for which the degree-m Taylor polynomial has
+# backward error at most 2^-53 (Al-Mohy & Higham 2011, Table 3.1 for m >= 35;
+# m <= 30 from the same bound, as tabulated by SciPy's expm_multiply).
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,8 @@ class OdeConfig:
     """Integrator configuration.
 
     ``steps=None`` (the default) plans the Taylor degree and step count from
-    the generator's norms for a double-precision target; ``steps=N`` runs N
+    the 1-norm of the generator, balanced or not, whichever is smaller, for a
+    double-precision target (``plan_propagation``); ``steps=N`` runs N
     uniform degree-4 Taylor steps (the classic RK4 polynomial) on [0, tau/2]
     through the same even/odd recurrence as every plan, so it is fourth
     order like RK4 but not literally classic RK4.
@@ -110,7 +124,7 @@ class PropagationPlan:
         if self.degree * self.steps > MAX_PLAN_TERMS:
             raise SolverError(
                 "plan-too-large",
-                f"{self.degree} x {self.steps} Taylor terms exceed the cap {MAX_PLAN_TERMS}",
+                f"{self.degree} x {self.steps:.3g} Taylor terms exceed the cap {MAX_PLAN_TERMS}",
             )
 
     @property
@@ -156,93 +170,65 @@ def coupled_rhs(B, S):
     return np.dot(BB.reshape(-1, BB.shape[-1]), S).reshape(B.shape)
 
 
-def _rhs(Z, A0, A1):
-    # G on a stacked (Z1, Z2) state in the original coordinates.  Only the
-    # planner's operator calls it, so coupled_rhs counts propagation terms.
-    out = Z @ A0
-    out += Z[..., ::-1, :, :].swapaxes(-1, -2) @ A1
-    out[..., 1, :, :] *= -1.0
-    return out
+def _row_sum_norm(A0, A1):
+    # ||G||_1 in the original coordinates: a unit matrix in Z1 or Z2 maps to
+    # one row of A0 plus one row of A1.
+    return np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max()
 
 
 def plan_propagation(A0, A1, tau, cfg=None):
     """Choose the Taylor degree m and step count s for a propagation to tau/2.
 
-    With ``cfg.steps`` set the plan is (4, steps).  Otherwise (m, s)
-    minimizes m * s subject to the Al-Mohy & Higham (2011) backward error
-    bound 2^-53 on p(hG)^s, using the exact 1-norm ||G||_1 = ||A0||_inf +
-    ||A1||_inf and estimates of ||G^p||_1^(1/p) from ``onenormest`` on a
-    matrix-free operator (O(n^2) memory).  The norms are taken in the
-    original (Z1, Z2) coordinates; the split map is not 1-norm preserving.
-    The estimate runs under a fixed seed and restores the caller's global
-    NumPy RNG state, so the plan depends only on (A0, A1, tau).
+    With ``cfg.steps`` set the plan is (4, steps).  Otherwise the plan is
+    read off one number, a bound on ||tG||_1 with t = tau/2,
+
+        norm1 = t min(||A0||_inf + ||A1||_inf, ||T^-1 A0 T||_inf + ||T^-1 A1 T||_inf),
+
+    with T the diagonal power-of-2 scaling of LAPACK ``gebal`` on A0.  The
+    pair propagated from T X T under (T^-1 A0 T, T^-1 A1 T) is T Z T, so
+    p(hG)^s is the same polynomial in either coordinate system and either
+    norm bounds it.  On the PDDE matrices, whose Laplacian and identity
+    blocks differ in scale by 1/h^2, balancing cuts norm1 from 74 to 9.7
+    (3x3) and from 1991 to 33 (21x21).
+
+    (m, s) minimizes m * ceil(norm1 / theta_m) over ``TAYLOR_THETA``, ties
+    going to the smallest m: the Al-Mohy & Higham (2011) plan for a backward
+    error of 2^-53 from the 1-norm alone, their fragment (3.1) under
+    condition (3.13).  Above norm1 = 63.4 their estimates of ||(tG)^p||_1
+    may allow fewer terms; this plan is never smaller.  It depends only on
+    (A0, A1, tau) and costs O(n^2).
 
     Raises
     ------
     SolverError
-        ``"exp-overflow"`` when ||tG||_1 or a power estimate is not finite;
-        ``"plan-too-large"`` when m * s exceeds ``MAX_PLAN_TERMS``.
+        ``"exp-overflow"`` when norm1, or the number of terms it implies, is
+        not finite; ``"plan-too-large"`` when that number is finite but
+        exceeds ``MAX_PLAN_TERMS``.  No warning escapes.
     """
     cfg = cfg or OdeConfig()
     if cfg.steps is not None:
         return PropagationPlan(RK4_DEGREE, cfg.steps)
     A0 = np.asarray(A0, dtype=float)
     A1 = np.asarray(A1, dtype=float)
-    t = 0.5 * tau
-    # A unit matrix in Z1 or Z2 maps to one row of A0 plus one row of A1.
-    with np.errstate(over="ignore"):
-        norm1 = t * (np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max())
-    if norm1 == 0.0:
-        return PropagationPlan(0, 1)
-    if not np.isfinite(norm1):
-        raise SolverError("exp-overflow", "||tG||_1 overflowed")
-    # Imported here, so that the preconditioner-only paths, which plan no
-    # propagation, do not load scipy.sparse.linalg (about 2 MB resident).
-    from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
-
-    class FiniteNormInfo(LazyOperatorNormInfo):
-        def d(self, p):
-            d = super().d(p)
-            if not np.isfinite(d):
-                raise SolverError("exp-overflow",
-                                  f"||(tG)^{p}||_1 overflowed for ||tG||_1 = {norm1:.3g}")
-            return d
-
-    saved = np.random.get_state()
-    np.random.seed(PLAN_SEED)
-    try:
-        info = FiniteNormInfo(_generator_operator(A0, A1, t), A_1_norm=norm1)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            m, s = _fragment_3_1(info, 1, PLAN_TOL)
-    finally:
-        np.random.set_state(saved)
-    return PropagationPlan(int(m), int(s))
-
-
-def _generator_operator(A0, A1, t):
-    """t G as a LinearOperator on the raveled state Z.ravel().
-
-    A block of k columns is one batched (k, 2, n, n) product, so
-    ``onenormest`` makes one call per block rather than one per column.
-    """
-    from scipy.sparse.linalg import LinearOperator
-
-    n = A0.shape[0]
-    N = 2 * n * n
-    tA0, tA1 = t * A0, t * A1
-
-    def matmat(V):
-        return _rhs(V.T.reshape(-1, 2, n, n), tA0, tA1).reshape(-1, N).T
-
-    def rmatmat(V):
-        W = V.T.reshape(-1, 2, n, n)
-        out = W @ tA0.T
-        out -= (W @ tA1.T).swapaxes(-1, -2)[..., ::-1, :, :]
-        out[..., 1, :, :] *= -1.0
-        return out.reshape(-1, N).T
-
-    return LinearOperator((N, N), matvec=matmat, rmatvec=rmatmat, matmat=matmat,
-                          rmatmat=rmatmat, dtype=float)
+    degrees = np.array(list(TAYLOR_THETA), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm1 = _row_sum_norm(A0, A1)
+        if np.isfinite(A0).all():  # gebal takes finite input only
+            T = matrix_balance(A0, permute=False, separate=True)[1][0]
+            scale = np.outer(1.0 / T, T)
+            norm1 = min(norm1, _row_sum_norm(A0 * scale, A1 * scale))
+        norm1 *= 0.5 * tau
+        if norm1 == 0.0:
+            return PropagationPlan(0, 1)
+        if not np.isfinite(norm1):
+            raise SolverError("exp-overflow", "||tG||_1 overflowed")
+        steps = np.ceil(norm1 / np.array(list(TAYLOR_THETA.values())))
+        terms = degrees * steps
+    best = int(np.argmin(terms))  # the first minimum: ties go to the smallest m
+    if not np.isfinite(terms[best]):
+        raise SolverError("exp-overflow",
+                          f"the Taylor term count overflowed for ||tG||_1 = {norm1:.3g}")
+    return PropagationPlan(int(degrees[best]), int(steps[best]))
 
 
 def _even_odd_pass(S, V, h, degree):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import matrix_balance
 
 from delaylyap import (
     OdeConfig,
@@ -21,8 +22,15 @@ from delaylyap import (
     unvec,
     vec,
 )
-from delaylyap.propagation import MAX_PLAN_TERMS, _generator_operator, _rhs
+from delaylyap.propagation import MAX_PLAN_TERMS
 from helpers import random_stable_problem
+
+
+def generator_action(A0, A1, Z1, Z2):
+    """G on the pair (Z1, Z2) through the dense oracle on [vec Z1; vec Z2^T]."""
+    n = Z1.shape[0]
+    out = coupled_generator(A0, A1) @ np.concatenate([vec(Z1), vec(Z2.T)])
+    return unvec(out[: n * n], n), unvec(out[n * n:], n).T
 
 
 class TestCoupledRhs:
@@ -90,14 +98,15 @@ class TestSplitCoordinates:
     def test_swap_anticommutes_with_generator(self):
         rng = np.random.default_rng(20)
         A0, A1, Z1, Z2 = (rng.standard_normal((4, 4)) for _ in range(4))
-        G = _rhs(np.stack((Z1, Z2)), A0, A1)
-        assert_allclose(_rhs(np.stack((Z2, Z1)), A0, A1), -G[::-1], rtol=1e-14, atol=1e-14)
+        G1, G2 = generator_action(A0, A1, Z1, Z2)
+        for got, want in zip(generator_action(A0, A1, Z2, Z1), (-G2, -G1)):
+            assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_generator_in_split_coordinates(self):
         # G(P, Q) = (g-(Q), g+(P)) with Z1 = P + Q, Z2 = P - Q
         rng = np.random.default_rng(21)
         A0, A1, P, Q = (rng.standard_normal((4, 4)) for _ in range(4))
-        G1, G2 = _rhs(np.stack((P + Q, P - Q)), A0, A1)
+        G1, G2 = generator_action(A0, A1, P + Q, P - Q)
         S_minus, S_plus = term_operands(A0, A1)
         assert_allclose(0.5 * (G1 + G2), coupled_rhs(Q, S_minus), rtol=1e-13, atol=1e-13)
         assert_allclose(0.5 * (G1 - G2), coupled_rhs(P, S_plus), rtol=1e-13, atol=1e-13)
@@ -258,8 +267,9 @@ class TestTaylorPlan:
         assert plan_propagation(p.A0, p.A1, p.tau).rhs_evals <= 100
 
     def test_deterministic_and_leaves_global_rng_alone(self):
-        # PDDE 3x3 is large enough in norm that the plan rests on
-        # onenormest estimates of ||G^p||, which draw random start vectors
+        # PDDE 3x3's unbalanced ||tG||_1 = 74 is above the 63.4 under which
+        # Al-Mohy & Higham plan from the 1-norm alone; the plan still reads
+        # only (A0, A1, tau), with no random power estimates
         p = pdde_generate(3, 3).problem
         plans = []
         for seed in (1, 2):
@@ -277,51 +287,56 @@ class TestTaylorPlan:
         res = rk4_propagate(zero, zero, X, 1.0)
         assert np.array_equal(res.Z1_end, X) and np.array_equal(res.Z2_end, X)
 
-    def test_generator_operator_norm_and_adjoint(self):
-        rng = np.random.default_rng(12)
-        n, t = 3, 0.7
-        A0, A1 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        op = _generator_operator(A0, A1, t)
-        dense = op.matmat(np.eye(2 * n * n))
-        one_norm = t * (np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max())
-        assert np.abs(dense).sum(axis=0).max() == pytest.approx(one_norm, rel=1e-14)
-        assert_allclose(op.rmatmat(np.eye(2 * n * n)), dense.T, atol=1e-14)
-
-    def test_generator_operator_block_equals_columns(self):
-        rng = np.random.default_rng(13)
-        n, t = 3, 0.7
-        A0, A1 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        op = _generator_operator(A0, A1, t)
-        V = rng.standard_normal((2 * n * n, 2))
-        for block, column in ((op.matmat, op.matvec), (op.rmatmat, op.rmatvec)):
-            by_column = np.column_stack([column(v) for v in V.T])
-            assert_allclose(block(V), by_column, rtol=1e-14, atol=1e-14)
-
-    @pytest.mark.parametrize("A1", [small_example(1e100).problem.A1,
-                                    small_example(1e308).problem.A1,
-                                    np.full((4, 4), 1e308)],
-                             ids=["alpha-1e100", "alpha-1e308", "norm-overflow"])
-    def test_overflowing_norm_estimate_is_exp_overflow(self, A1):
-        # At alpha = 1e100 and 1e308 ||tG||_1 is finite and an estimate of
-        # ||(tG)^p||_1 overflows; a row of four 1e308 entries overflows
-        # ||tG||_1 itself.  No RuntimeWarning escapes.
-        p = small_example(1.0).problem
+    @pytest.mark.parametrize("A0, A1", [
+        (small_example(1.0).problem.A0, small_example(1e308).problem.A1),
+        (small_example(1.0).problem.A0, np.full((4, 4), 1e308)),
+        (np.full((4, 4), np.nan), small_example(1.0).problem.A1),
+    ], ids=["alpha-1e308", "norm-overflow", "nan-A0"])
+    def test_overflowing_norm_estimate_is_exp_overflow(self, A0, A1):
+        # At alpha = 1e308 ||tG||_1 = 5e307 is finite and 55 ceil(||tG||_1 /
+        # 9.9), the least term count, overflows; a row of four 1e308 entries
+        # overflows ||tG||_1 itself, and a NaN A0, which gebal rejects, makes
+        # it NaN.  No RuntimeWarning escapes: the suite turns them into errors.
         with pytest.raises(SolverError) as err:
-            plan_propagation(p.A0, A1, p.tau)
+            plan_propagation(A0, A1, 1.0)
         assert err.value.code == "exp-overflow"
 
     def test_plans_on_benchmark_problems(self):
+        # PDDE 5x5 and 11x11 plan from the balanced norm; unbalanced they
+        # would plan 55 x 17 and 55 x 62 terms
         problems = {(50, 4): small_example(1.0).problem, (55, 4): small_example(5.0).problem,
-                    (55, 1): pdde_generate(3, 3).problem, (50, 2): pdde_generate(5, 5).problem}
+                    (55, 1): pdde_generate(3, 3).problem, (40, 2): pdde_generate(5, 5).problem,
+                    (55, 2): pdde_generate(11, 11).problem}
         for (m, s), p in problems.items():
             assert plan_propagation(p.A0, p.A1, p.tau) == PropagationPlan(degree=m, steps=s)
 
+    def test_ties_go_to_the_smallest_degree(self):
+        # ||tG||_1 = 90 costs 50 x ceil(90 / 8.5) = 55 x ceil(90 / 9.9) = 550
+        plan = plan_propagation(-180.0 * np.eye(2), np.zeros((2, 2)), 1.0)
+        assert plan == PropagationPlan(degree=50, steps=11)
+
     def test_absurd_plan_is_plan_too_large(self):
-        # alpha = 1e20 plans 55 x 5.05e18 terms, a propagation that never ends
-        p = small_example(1e20).problem
-        with pytest.raises(SolverError) as err:
-            plan_propagation(p.A0, p.A1, p.tau)
-        assert err.value.code == "plan-too-large"
+        # alpha = 1e20 plans 55 x 5.05e18 terms and alpha = 1e100 55 x
+        # 5.05e98, finite propagations that never end
+        for alpha in (1e20, 1e100):
+            p = small_example(alpha).problem
+            with pytest.raises(SolverError) as err:
+                plan_propagation(p.A0, p.A1, p.tau)
+            assert err.value.code == "plan-too-large"
+
+    def test_balancing_is_exact(self):
+        # the pair propagated from T X T under (T^-1 A0 T, T^-1 A1 T) is
+        # T Z T to the last bit when T is a diagonal of powers of 2
+        p = pdde_generate(5, 5).problem
+        T = matrix_balance(p.A0, permute=False, separate=True)[1][0]
+        assert set(np.log2(T)) == {-4.0, 0.0}
+        scale = np.outer(1.0 / T, T)
+        X = np.random.default_rng(14).standard_normal((p.n, p.n))
+        plan = plan_propagation(p.A0, p.A1, p.tau)
+        res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=plan)
+        bal = rk4_propagate(p.A0 * scale, p.A1 * scale, X * np.outer(T, T), p.tau, plan=plan)
+        for got, want in ((bal.Z1_end, res.Z1_end), (bal.Z2_end, res.Z2_end)):
+            assert np.array_equal(got, want * np.outer(T, T))
 
     @pytest.mark.parametrize("steps, ok", [(MAX_PLAN_TERMS // 4, True),
                                            (MAX_PLAN_TERMS // 4 + 1, False)])
