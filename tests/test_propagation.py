@@ -287,18 +287,21 @@ class TestTaylorPlan:
         res = rk4_propagate(zero, zero, X, 1.0)
         assert np.array_equal(res.Z1_end, X) and np.array_equal(res.Z2_end, X)
 
-    @pytest.mark.parametrize("A0, A1", [
-        (small_example(1.0).problem.A0, small_example(1e308).problem.A1),
-        (small_example(1.0).problem.A0, np.full((4, 4), 1e308)),
-        (np.full((4, 4), np.nan), small_example(1.0).problem.A1),
-    ], ids=["alpha-1e308", "norm-overflow", "nan-A0"])
-    def test_overflowing_norm_estimate_is_exp_overflow(self, A0, A1):
-        # At alpha = 1e308 ||tG||_1 = 5e307 is finite and 55 ceil(||tG||_1 /
-        # 9.9), the least term count, overflows; a row of four 1e308 entries
-        # overflows ||tG||_1 itself, and a NaN A0, which gebal rejects, makes
-        # it NaN.  No RuntimeWarning escapes: the suite turns them into errors.
+    @pytest.mark.parametrize("A0, A1, tau", [
+        (small_example(1.0).problem.A0, small_example(1e100).problem.A1, 1e208),
+        (small_example(1.0).problem.A0, small_example(1e308).problem.A1, 1.0),
+        (small_example(1.0).problem.A0, np.full((4, 4), 1e308), 1.0),
+        (np.full((4, 4), np.nan), small_example(1.0).problem.A1, 1.0),
+    ], ids=["alpha-1e100", "alpha-1e308", "norm-overflow", "nan-A0"])
+    def test_overflowing_norm_estimate_is_exp_overflow(self, A0, A1, tau):
+        # At alpha = 1e308 and tau = 1, and at alpha = 1e100 and tau = 1e208,
+        # ||tG||_1 = 5e307 is finite and 55 ceil(||tG||_1 / 9.9), the least
+        # term count, overflows (at tau = 1, alpha = 1e100 is plan-too-large);
+        # a row of four 1e308 entries overflows ||tG||_1 itself, and a NaN A0,
+        # which gebal rejects, makes it NaN.  No RuntimeWarning escapes: the
+        # suite turns them into errors.
         with pytest.raises(SolverError) as err:
-            plan_propagation(A0, A1, 1.0)
+            plan_propagation(A0, A1, tau)
         assert err.value.code == "exp-overflow"
 
     def test_plans_on_benchmark_problems(self):
