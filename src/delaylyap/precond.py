@@ -7,9 +7,9 @@ Y = S + K with K = (C - C^T) / (4c) and S the symmetric solution of the
 Lyapunov equation A0^T S + S A0 = sym(C) - (A0^T K - K A0), solved by
 Bartels-Stewart on one cached real Schur form A0^T = U T U^T.  S is
 symmetrized, since it can be far larger than K and its rounding asymmetry
-would leak into the skew part, and corrected by one more solve on its
-residual, which recovers the digits the Schur form loses.  The step count
-is fixed, so an application is an exactly linear map.
+would leak into the skew part.  An application is six n x n products and
+one :func:`_trlyap`, with a backward error of the order of the unit
+roundoff.  The step count is fixed, so it is an exactly linear map.
 
 The Schur form is :func:`delaylyap.linalg.real_schur`.  This module owns
 the rule that the map T(Y) is invertible: :func:`has_no_hamiltonian_pairing`.
@@ -137,30 +137,27 @@ def _trlyap(T, C):
     return np.block([[X11, X12], [X12.T, (s2 * s3) * X22]]), s1 * s2 * s3
 
 
-def _lyapunov(factors, R):
-    """Symmetric S with A0^T S + S A0 = R, R symmetric, by Bartels-Stewart.
-
-    Projects R onto the cached Schur basis, solves the triangular equation
-    T X + X T^T = U^T R U by :func:`_trlyap` and projects back.  Raises
-    ``SolverError("tsylv-near-singular")`` when any ``dtrsyl`` block fails.
-    """
-    U = factors.U
-    X, scale = _trlyap(factors.T, _sym(U.T @ R @ U))
-    return _sym(U @ _sym(X / scale) @ U.T)
-
-
 def apply_preconditioner(factors, Z):
-    """Apply the inverse of the zero-coupling operator to Z.
+    """Apply the inverse of the zero-coupling operator to an n x n Z.
 
-    Raises ``SolverError("tsylv-near-singular")`` when a ``dtrsyl`` block fails.
+    One Bartels-Stewart solve for S: project the right-hand side onto the
+    cached Schur basis, solve T X + X T^T = U^T R U by :func:`_trlyap` and
+    project back.  A non-finite Z gives a non-finite result and no NumPy
+    warning, so the Krylov kernel's ``"krylov-nonfinite"`` reports it.
+
+    Raises ``ValueError`` when Z is not n x n and
+    ``SolverError("tsylv-near-singular")`` when a ``dtrsyl`` block fails.
     """
     Z = np.asarray(Z, dtype=float)
-    At = factors.A0.T
-    K = (Z - Z.T) / (4.0 * factors.shift)
-    R = _sym(Z) - 2.0 * _sym(At @ K)
-    S = _lyapunov(factors, R)
-    S += _lyapunov(factors, R - 2.0 * _sym(At @ S))
-    return (S + K) @ factors.exp_forward
+    U, At = factors.U, factors.A0.T
+    if Z.shape != At.shape:
+        raise ValueError(f"Z must be {At.shape}, got {Z.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = (Z - Z.T) / (4.0 * factors.shift)
+        R = _sym(Z) - 2.0 * _sym(At @ K)
+        X, scale = _trlyap(factors.T, _sym(U.T @ R @ U))
+        S = _sym(U @ _sym(X / scale) @ U.T)
+        return (S + K) @ factors.exp_forward
 
 
 def preconditioner_quality(ctx, factors, trials=20, seed=0):

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,6 +22,7 @@ from delaylyap import (
     gmres,
     KrylovConfig,
     kron,
+    pdde_generate,
     preconditioned_spectrum,
     preconditioner_quality,
     small_example,
@@ -350,6 +354,61 @@ class TestApply:
             Z = rng.standard_normal((n, n))
             assert frobenius(apply_preconditioner(factors, Z)) \
                 <= bound * frobenius(Z) * (1 + 1e-8)
+
+    def test_one_lyapunov_solve_per_apply(self, monkeypatch):
+        # a top-level solve gets the cached Schur factor itself; the
+        # recursion hands on slices of it
+        rng = np.random.default_rng(25)
+        p = random_stable_problem(2 * LEAF + 3, rng)
+        factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
+        calls = []
+        original = delaylyap.precond._trlyap
+
+        def counted(T, C):
+            calls.append(T is factors.T)
+            return original(T, C)
+
+        monkeypatch.setattr(delaylyap.precond, "_trlyap", counted)
+        for _ in range(3):
+            apply_preconditioner(factors, rng.standard_normal((p.n, p.n)))
+        assert sum(calls) == 3
+        assert len(calls) > 3  # the recursive calls went through the counter too
+
+    def test_backward_error_at_unit_roundoff_on_pdde(self):
+        # the bench's gate: normwise backward error of T(Y) = Z with
+        # Y = P expm(-tau A0 / 2), T(Y) = (A0^T + I) Y + Y^T (A0 - I)
+        p = pdde_generate(11, 11).problem
+        factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
+        I = np.eye(p.n)
+        M, N = p.A0.T + I, p.A0 - I
+        E = scipy.linalg.expm((-0.5 * p.tau) * p.A0)
+        rng = np.random.default_rng(26)
+        for _ in range(8):
+            Z = rng.standard_normal((p.n, p.n))
+            Y = apply_preconditioner(factors, Z) @ E
+            err = frobenius(M @ Y + Y.T @ N - Z) / (
+                (frobenius(M) + frobenius(N)) * frobenius(Y) + frobenius(Z))
+            assert err <= 1e-15
+
+    @pytest.mark.parametrize("n, shape", [(4, (3, 3)), (4, (2, 4, 4)), (2, (2, 2, 2)), (4, (16,))])
+    def test_wrong_shape_rejected(self, n, shape):
+        factors = build_preconditioner(-np.eye(n), shift=1.0, tau=1.0)
+        with pytest.raises(ValueError, match=re.escape(f"Z must be ({n}, {n}), got {shape}")):
+            apply_preconditioner(factors, np.ones(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, 1e308])
+    def test_nonfinite_input_is_silent(self, value):
+        p = small_example(1.0).problem
+        factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_preconditioner(factors, np.full((4, 4), value))
+            assert not np.isfinite(out).all()
+            # the Krylov kernel is left to report it, by its code alone
+            with pytest.raises(SolverError) as err:
+                gmres(lambda X: X, np.full((4, 4), value),
+                      precond=lambda X: apply_preconditioner(factors, X))
+        assert err.value.code == "krylov-nonfinite"
 
 
 class TestQuality:

@@ -57,6 +57,25 @@ def test_refinement_recycles_the_main_krylov_space(alpha):
     assert report.r_alg <= 1e-8
 
 
+@pytest.mark.parametrize("grid, main", [(3, 33), (5, 45)])
+def test_pdde_iteration_counts(grid, main):
+    # the preconditioner's accuracy shows in these counts: more main
+    # iterations, or any refinement, means it lost digits that mattered
+    report = solve_delay_lyapunov(pdde_generate(grid, grid).problem)
+    assert report.converged
+    assert report.iterations <= main
+    assert report.refinement_passes == 0
+
+
+@pytest.mark.parametrize("alpha", [1.0, 5.0])
+def test_small_example_iteration_total(alpha):
+    # only the total is pinned: alpha = 5 splits 13 + 2 or 14 + 1 between
+    # the main solve and refinement depending on rounding
+    report = solve_delay_lyapunov(small_example(alpha).problem)
+    assert report.converged
+    assert report.iterations + report.refinement_iterations <= 15
+
+
 def test_report_holds_no_krylov_basis():
     # the basis is n^2 x iterations: about 500 MB at n = 882
     report = solve_delay_lyapunov(small_example(1.0).problem)
