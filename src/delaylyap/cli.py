@@ -25,7 +25,7 @@ from .matio import read_matrix, write_matrix
 from .operators import ASSEMBLE_MAX_N, OperatorContext, TdsProblem, reconstruct_solution
 from .precond import build_preconditioner, preconditioned_spectrum
 from .problems import bench_table, pdde_generate, small_example
-from .propagation import OdeConfig
+from .propagation import OdeConfig, plan_propagation
 from .solver import solve_delay_lyapunov
 from .tsylv import tsylv_solve, tsylv_solve_kron
 
@@ -109,7 +109,7 @@ def cmd_solve(args):
     outdir.mkdir(parents=True, exist_ok=True)
     write_matrix(outdir / "X.mtx", report.X, comment="U(tau/2)")
 
-    ctx = OperatorContext(problem=problem, ode=ode, plan=report.plan)
+    ctx = OperatorContext(problem=problem, plan=report.plan)
     grid = reconstruct_solution(ctx, report.X, args.samples)
     for k, (t, U) in enumerate(grid):
         write_matrix(outdir / f"U_{k:03d}.mtx", U, comment=f"t={t!r}")
@@ -183,7 +183,7 @@ def cmd_spectrum(args):
         raise SolverError("oracle-too-large",
                           f"n={problem.n} exceeds the dense-assembly cap {ASSEMBLE_MAX_N}")
     factors = build_preconditioner(problem.A0, tau=problem.tau)
-    ctx = OperatorContext(problem=problem, ode=ode)
+    ctx = OperatorContext(problem, plan=plan_propagation(problem.A0, problem.A1, problem.tau, ode))
     ev = preconditioned_spectrum(ctx, factors)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

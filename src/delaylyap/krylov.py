@@ -15,6 +15,7 @@ The norms and inner products the kernels form are checked: one that
 overflows raises ``"krylov-nonfinite"`` instead of a NumPy warning.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -31,8 +32,8 @@ _BASIS_INITIAL_ROWS = 32
 class KrylovConfig:
     """Iterative-solver settings.
 
-    ``maxit=None`` lets the caller default to n^2, the dimension bound of
-    the matrix space.
+    ``maxit``, an integer >= 1, caps the iterations; ``maxit=None`` lets
+    the caller default to n^2, the dimension bound of the matrix space.
     """
 
     method: str = "gmres"
@@ -42,8 +43,9 @@ class KrylovConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        if self.maxit is not None and self.maxit < 1:
-            raise ValueError("maxit must be >= 1")
+        if self.maxit is not None and (not isinstance(self.maxit, numbers.Integral)
+                                       or self.maxit < 1):
+            raise ValueError(f"maxit must be an integer >= 1, got {self.maxit!r}")
         if self.method not in ("gmres", "bicgstab"):
             raise ValueError(f"unknown method {self.method!r}")
 

@@ -4,14 +4,14 @@ solution curve, and the boundary-value residuals of the original equation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError
 from .linalg import frobenius
-from .propagation import (OdeConfig, PropagationPlan, PropagationResult, _chebyshev_steps,
-                          plan_propagation, rk4_propagate)
+from .propagation import (PropagationPlan, PropagationResult, _chebyshev_steps, plan_propagation,
+                          rk4_propagate)
 
 ASSEMBLE_MAX_N = 20
 
@@ -70,18 +70,17 @@ class TdsProblem:
 
 @dataclass(frozen=True)
 class OperatorContext:
-    """Problem plus the nonzero shift and integrator settings that fix the
+    """Problem plus the nonzero shift and the propagation plan that fix the
     realized (discretized) linear operator.
 
-    ``plan`` is the propagation plan every apply, residual and reconstruction
-    of this context uses.  It is computed from ``ode`` once, at construction,
-    unless one is passed (for instance ``SolveReport.plan`` of an earlier
-    solve of the same problem and settings).
+    Every apply, residual and reconstruction of this context runs ``plan``;
+    without one, the default plan of the problem is made once, at
+    construction.  Pass ``plan_propagation(A0, A1, tau, OdeConfig(...))``,
+    or ``SolveReport.plan`` of an earlier solve, for any other.
     """
 
     problem: TdsProblem
     shift: float = 1.0
-    ode: OdeConfig = field(default_factory=OdeConfig)
     plan: PropagationPlan = None
 
     def __post_init__(self):
@@ -89,7 +88,7 @@ class OperatorContext:
             raise ValueError("shift must be nonzero")
         if self.plan is None:
             p = self.problem
-            object.__setattr__(self, "plan", plan_propagation(p.A0, p.A1, p.tau, self.ode))
+            object.__setattr__(self, "plan", plan_propagation(p.A0, p.A1, p.tau))
 
 
 def apply_operator(ctx, X):

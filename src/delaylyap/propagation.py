@@ -64,6 +64,7 @@ backward error over k h as the terminal value over tau/2.
 The dense exponential of the vectorized generator is a small-size oracle.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +91,22 @@ TAYLOR_THETA = {
 }
 
 
+def _check_count(value, name, least):
+    """Raise ``ValueError`` unless value is an integer >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OdeConfig:
-    """Integrator configuration.
+    """The user-facing propagation setting, read by ``plan_propagation``
+    alone; below ``solve_delay_lyapunov`` only the plan made from it is
+    passed on.
 
     ``steps=None`` (the default) plans the Taylor degree and step count from
     the 1-norm of the generator, balanced or not, whichever is smaller, for a
-    double-precision target (``plan_propagation``); ``steps=N`` runs N
-    uniform degree-4 Taylor steps (the classic RK4 polynomial) on [0, tau/2]
+    double-precision target; ``steps=N``, an integer >= 1, runs N uniform
+    degree-4 Taylor steps (the classic RK4 polynomial) on [0, tau/2]
     through the same even/odd recurrence as every plan, so it is fourth
     order like RK4 but not literally classic RK4.
     """
@@ -105,22 +114,25 @@ class OdeConfig:
     steps: int = None
 
     def __post_init__(self):
-        if self.steps is not None and self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if self.steps is not None:
+            _check_count(self.steps, "steps", 1)
 
 
 @dataclass(frozen=True)
 class PropagationPlan:
     """Taylor degree and step count of one propagation over [0, tau/2].
 
-    Raises ``SolverError("plan-too-large")`` when degree * steps exceeds
-    ``MAX_PLAN_TERMS``: such a propagation would not finish.
+    Raises ``ValueError`` unless degree is an integer >= 0 and steps an
+    integer >= 1, and ``SolverError("plan-too-large")`` when degree * steps
+    exceeds ``MAX_PLAN_TERMS``: such a propagation would not finish.
     """
 
     degree: int
     steps: int
 
     def __post_init__(self):
+        _check_count(self.degree, "degree", 0)
+        _check_count(self.steps, "steps", 1)
         if self.degree * self.steps > MAX_PLAN_TERMS:
             raise SolverError(
                 "plan-too-large",
@@ -200,11 +212,15 @@ def plan_propagation(A0, A1, tau, cfg=None):
 
     Raises
     ------
+    ValueError
+        When tau < 0.
     SolverError
         ``"exp-overflow"`` when norm1, or the number of terms it implies, is
         not finite; ``"plan-too-large"`` when that number is finite but
         exceeds ``MAX_PLAN_TERMS``.  No warning escapes.
     """
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
     cfg = cfg or OdeConfig()
     if cfg.steps is not None:
         return PropagationPlan(RK4_DEGREE, cfg.steps)
@@ -259,19 +275,19 @@ def _chebyshev_steps(A0, A1, X, h, degree, steps):
         yield PropagationResult(P + Q, P - Q)
 
 
-def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
+def rk4_propagate(A0, A1, X, tau, *, plan=None):
     """Propagate Z1, Z2 from the common initial value X to t = tau/2.
 
     X is n x n or a batch (..., n, n).  Runs the plan's s passes of m
     single-matrix Taylor terms and combines them by the Chebyshev recurrence
     in difference form (module docstring), m s products [B, B^T] S of an
-    n x 2n by a 2n x n matrix in all (per batch member);
-    ``plan`` is made from ``cfg`` by ``plan_propagation`` when not given.
+    n x 2n by a 2n x n matrix in all (per batch member); without ``plan``
+    it runs ``plan_propagation(A0, A1, tau)``, the default plan.
     The map X -> (Z1_end, Z2_end) is linear, since every propagation applies
     the same fixed polynomial in G.  tau = 0 is accepted and returns (X, X).
     The name is kept because it is the package's one propagation entry
-    point; ``OdeConfig(steps=N)`` gives N degree-4 steps of the order of
-    classic RK4 through the same recurrence, not classic RK4 itself.
+    point; the plan of ``OdeConfig(steps=N)`` gives N degree-4 steps of the
+    order of classic RK4 through the same recurrence, not classic RK4 itself.
     Raises ``SolverError("exp-overflow")``, with no warning, when it overflows.
     """
     X = np.asarray(X, dtype=float)
@@ -279,7 +295,7 @@ def rk4_propagate(A0, A1, X, tau, cfg=None, plan=None):
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
         return PropagationResult(X.copy(), X.copy())
-    plan = plan or plan_propagation(A0, A1, tau, cfg)
+    plan = plan or plan_propagation(A0, A1, tau)
     h = (0.5 * tau) / plan.steps
     with np.errstate(over="ignore", invalid="ignore"):
         for pair in _chebyshev_steps(A0, A1, X, h, plan.degree, plan.steps):

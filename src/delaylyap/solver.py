@@ -11,10 +11,12 @@ main-solve iteration count.
 
 import time
 
-from .krylov import KrylovConfig, SolveTimings, bicgstab, gmres
+import numpy as np
+
+from .krylov import KrylovConfig, SolveReport, SolveTimings, bicgstab, gmres
 from .operators import OperatorContext, apply_operator, boundary_residuals, combine_pair
 from .precond import apply_preconditioner, build_preconditioner
-from .propagation import OdeConfig, rk4_propagate
+from .propagation import plan_propagation, rk4_propagate
 
 BV_TARGET = 1e-8
 REFINE_MAX = 2  # cap on the correction solves appended after the main solve
@@ -29,12 +31,16 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     subspace by c, so P_c^-1 L_c = P_1^-1 L_1, and the right-hand side -W is
     symmetric.  Up to ``REFINE_MAX`` refinement passes run while a
     boundary-value residual exceeds ``BV_TARGET``; with GMRES, each
-    recycles the main solve's Arnoldi relation.
+    recycles the main solve's Arnoldi relation.  A zero W returns the exact
+    X = 0 with no Krylov solve: converged, 0 iterations, r_alg = r_sym = 0.
 
     Parameters
     ----------
     problem : TdsProblem
     ode : OdeConfig
+        Read once, by ``plan_propagation``, into the plan that every
+        propagation of the solve runs (``report.plan``); None plans from
+        the generator's norm.
     krylov : KrylovConfig
 
     Returns
@@ -47,13 +53,16 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
         and the timings of the whole solve (``SolveTimings``).  It holds no
         Krylov basis (``relation`` is None).
     """
-    ode = ode or OdeConfig()
     krylov = krylov or KrylovConfig()
     timings = SolveTimings()
     t_start = time.perf_counter()
     factors = build_preconditioner(problem.A0, tau=problem.tau)
-    ctx = OperatorContext(problem=problem, ode=ode)
+    ctx = OperatorContext(problem, plan=plan_propagation(problem.A0, problem.A1, problem.tau, ode))
     timings.setup_seconds = time.perf_counter() - t_start
+    if not problem.W.any():  # X = 0 is exact; the kernels reject a zero right-hand side
+        timings.total_seconds = timings.setup_seconds
+        return SolveReport(np.zeros_like(problem.W), [0.0], [0.0], 0, True, krylov.method,
+                           timings=timings, plan=ctx.plan, r_alg=0.0, r_sym=0.0)
 
     def op(X):
         return _timed(timings, "apply_seconds", apply_operator, ctx, X)

@@ -1,11 +1,11 @@
 """Shared test oracles and data: characteristic-polynomial eigenvalues,
-pencil eigenvalues by determinant interpolation, multiset matching, and a
-seeded generator of delay-stable problems."""
+pencil eigenvalues by determinant interpolation, multiset matching, a
+seeded generator of delay-stable problems and fixed-step plans."""
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from delaylyap import TdsProblem
+from delaylyap import PropagationPlan, TdsProblem
 
 # Reference midpoint solution of the 4x4 example at coupling 1 (entries are
 # 4-decimal prints of the matrix scaled by 100, so each carries an absolute
@@ -16,6 +16,11 @@ SMALL_EXAMPLE_MIDPOINT = 0.01 * np.array([
     [0.1466, -0.0057, 0.0056, -0.2263],
     [-0.5485, 0.0331, -0.0238, 0.8755],
 ])
+
+
+def rk4_plan(steps):
+    """The plan of ``OdeConfig(steps=steps)``: ``steps`` degree-4 Taylor steps."""
+    return PropagationPlan(degree=4, steps=steps)
 
 
 def char_poly_coeffs(A):

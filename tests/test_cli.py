@@ -168,6 +168,20 @@ def test_spectrum_small_example(tmp_path):
     assert np.array_equal(got, want)
 
 
+def test_zero_cost_solve_writes_zero_solution(tmp_path, capsys):
+    assert main(["pdde", "3", "3", "--outdir", str(tmp_path)]) == 0
+    write_matrix(tmp_path / "zero.mtx", np.zeros((18, 18)))
+    outdir = tmp_path / "out"
+    status = main(["solve", "--a0", str(tmp_path / "A0.mtx"), "--a1", str(tmp_path / "A1.mtx"),
+                   "--w", str(tmp_path / "zero.mtx"), "--samples", "3", "--outdir", str(outdir)])
+    assert status == 0
+    assert "error" not in capsys.readouterr().err
+    X = read_matrix(outdir / "X.mtx")
+    assert X.shape == (18, 18) and not X.any()
+    summary = read_summary(outdir / "summary.txt")
+    assert (summary["converged"], summary["iterations"], summary["r_alg"]) == ("True", "0", "0")
+
+
 @pytest.mark.parametrize("alpha, code", [("1e308", "exp-overflow"), ("1e20", "plan-too-large")])
 def test_failed_solve_leaves_no_outdir(alpha, code, tmp_path, capsys):
     outdir = tmp_path / "out"

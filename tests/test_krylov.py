@@ -315,5 +315,8 @@ def test_config_validation():
         KrylovConfig(tol=2.0)
     with pytest.raises(ValueError):
         KrylovConfig(maxit=0)
+    for maxit in (2.5, "8"):  # a TypeError in range() or np.empty when unchecked
+        with pytest.raises(ValueError, match="maxit must be an integer >= 1"):
+            KrylovConfig(maxit=maxit)
     with pytest.raises(ValueError):
         KrylovConfig(method="qmr")

@@ -25,11 +25,11 @@ from delaylyap import (
     unvec,
     vec,
 )
-from helpers import SMALL_EXAMPLE_MIDPOINT, random_stable_problem
+from helpers import SMALL_EXAMPLE_MIDPOINT, random_stable_problem, rk4_plan
 
 
 def make_ctx(problem, shift=1.0, steps=100):
-    return OperatorContext(problem=problem, shift=shift, ode=OdeConfig(steps=steps))
+    return OperatorContext(problem=problem, shift=shift, plan=rk4_plan(steps))
 
 
 class TestProblemValidation:
@@ -189,7 +189,7 @@ class TestApply:
         c = 1.7
         X = rng.standard_normal((4, 4))
         Lc = apply_operator(make_ctx(p, shift=c), X)
-        res = rk4_propagate(p.A0, p.A1, X, p.tau, OdeConfig(steps=100))
+        res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=rk4_plan(100))
         Z1, Z2 = res.Z1_end, res.Z2_end
         S = Z2.T @ p.A0 + p.A0.T @ Z2 + Z1.T @ p.A1 + p.A1.T @ Z1
         K = (Lc - S) / c
@@ -346,6 +346,7 @@ def test_gmres_agrees_with_dense_solve_small():
     for n in (2, 4, 6):
         p = random_stable_problem(n, rng)
         ctx = make_ctx(p)
-        report = solve_delay_lyapunov(p, ode=ctx.ode, krylov=KrylovConfig(tol=1e-12))
+        report = solve_delay_lyapunov(p, ode=OdeConfig(steps=100), krylov=KrylovConfig(tol=1e-12))
+        assert report.plan == ctx.plan
         X_direct = unvec(lu_solve(assemble_operator(ctx), -vec(p.W)), n)
         assert frobenius(report.X - X_direct) <= 1e-8 * frobenius(X_direct)

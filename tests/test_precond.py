@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 import delaylyap.precond
 import delaylyap.tsylv
 from delaylyap import (
-    OdeConfig,
     OperatorContext,
     PrecondFactors,
     SolverError,
@@ -30,7 +29,7 @@ from delaylyap import (
     unvec,
     vec,
 )
-from helpers import random_stable_problem
+from helpers import random_stable_problem, rk4_plan
 
 
 def tilde_apply(A0, c, tau, X):
@@ -325,7 +324,7 @@ class TestApply:
     def test_identity_on_coupled_operator_without_coupling(self):
         rng = np.random.default_rng(3)
         p0 = random_stable_problem(5, rng, coupling=0.0)
-        ctx = OperatorContext(problem=p0, shift=1.0, ode=OdeConfig(steps=500))
+        ctx = OperatorContext(problem=p0, shift=1.0, plan=rk4_plan(500))
         factors = build_preconditioner(p0.A0, shift=1.0, tau=p0.tau)
         X = rng.standard_normal((5, 5))
         X /= frobenius(X)
@@ -414,7 +413,7 @@ class TestApply:
 class TestQuality:
     def test_vanishes_without_coupling(self):
         ex = small_example(0.0)
-        ctx = OperatorContext(problem=ex.problem, shift=1.0, ode=OdeConfig(steps=4000))
+        ctx = OperatorContext(problem=ex.problem, shift=1.0, plan=rk4_plan(4000))
         factors = build_preconditioner(ex.problem.A0, shift=1.0, tau=1.0)
         assert preconditioner_quality(ctx, factors, trials=20) <= 1e-8
 
@@ -423,7 +422,7 @@ class TestQuality:
         values = []
         for alpha in (1e-3, 1e-2, 1e-1):
             ctx = OperatorContext(problem=small_example(alpha).problem, shift=1.0,
-                                  ode=OdeConfig(steps=500))
+                                  plan=rk4_plan(500))
             values.append(preconditioner_quality(ctx, factors, trials=10))
         assert values[0] < values[1] < values[2]
 
@@ -438,7 +437,7 @@ class TestQuality:
 class TestSpectrum:
     def test_identity_when_no_coupling(self):
         ex = small_example(0.0)
-        ctx = OperatorContext(problem=ex.problem, shift=1.0, ode=OdeConfig(steps=4000))
+        ctx = OperatorContext(problem=ex.problem, shift=1.0, plan=rk4_plan(4000))
         factors = build_preconditioner(ex.problem.A0, shift=1.0, tau=1.0)
         ev = preconditioned_spectrum(ctx, factors)
         assert len(ev) == 16
@@ -449,7 +448,7 @@ class TestSpectrum:
         radii = []
         for alpha in (1e-3, 1e-2, 1e-1):
             ctx = OperatorContext(problem=small_example(alpha).problem, shift=1.0,
-                                  ode=OdeConfig(steps=500))
+                                  plan=rk4_plan(500))
             ev = preconditioned_spectrum(ctx, factors)
             radii.append(np.abs(ev - 1.0).max())
         assert radii[0] < radii[1] < radii[2]
@@ -459,8 +458,7 @@ def test_residual_bound_from_deviation_and_conditioning():
     # with deviation r < 1, full GMRES satisfies |r_m| <= cond(V) r^m |r_0|
     ex = small_example(1e-2)
     p = ex.problem
-    ode = OdeConfig(steps=500)
-    ctx = OperatorContext(problem=p, shift=1.0, ode=ode)
+    ctx = OperatorContext(problem=p, shift=1.0, plan=rk4_plan(500))
     factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
     r = preconditioner_quality(ctx, factors, trials=20)
     assert r < 1

@@ -23,7 +23,7 @@ from delaylyap import (
     vec,
 )
 from delaylyap.propagation import MAX_PLAN_TERMS
-from helpers import random_stable_problem
+from helpers import random_stable_problem, rk4_plan
 
 
 def generator_action(A0, A1, Z1, Z2):
@@ -154,7 +154,7 @@ class TestSplitCoordinates:
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         err_rk4 = (frobenius(unvec(y[: n * n], n) - exact.Z1_end)
                    + frobenius(unvec(y[n * n:], n).T - exact.Z2_end))
-        res = rk4_propagate(p.A0, p.A1, X, p.tau, OdeConfig(steps=steps))
+        res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=rk4_plan(steps))
         err = frobenius(res.Z1_end - exact.Z1_end) + frobenius(res.Z2_end - exact.Z2_end)
         assert err <= err_rk4
 
@@ -169,7 +169,7 @@ class TestRk4:
     def test_zero_initial_value(self):
         rng = np.random.default_rng(2)
         A0 = rng.standard_normal((4, 4))
-        res = rk4_propagate(A0, A0, np.zeros((4, 4)), 1.0, OdeConfig(steps=20))
+        res = rk4_propagate(A0, A0, np.zeros((4, 4)), 1.0, plan=rk4_plan(20))
         assert not res.Z1_end.any() and not res.Z2_end.any()
 
     def test_closed_form_when_decoupled(self):
@@ -180,7 +180,7 @@ class TestRk4:
         ref = X @ expm(-0.5 * tau * A0)
         errs = []
         for steps in (250, 500):
-            res = rk4_propagate(A0, np.zeros((4, 4)), X, tau, OdeConfig(steps=steps))
+            res = rk4_propagate(A0, np.zeros((4, 4)), X, tau, plan=rk4_plan(steps))
             errs.append(frobenius(res.Z2_end - ref))
         assert errs[1] <= 1e-10 * frobenius(ref)
         assert errs[0] / errs[1] >= 2 ** 3 * 0.9
@@ -192,7 +192,7 @@ class TestRk4:
         exact = exact_propagate(p.A0, p.A1, X, p.tau)
         errs = []
         for steps in (40, 80, 160):
-            res = rk4_propagate(p.A0, p.A1, X, p.tau, OdeConfig(steps=steps))
+            res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=rk4_plan(steps))
             errs.append(frobenius(res.Z1_end - exact.Z1_end)
                         + frobenius(res.Z2_end - exact.Z2_end))
         for a, b in zip(errs, errs[1:]):
@@ -203,10 +203,10 @@ class TestRk4:
         p = random_stable_problem(4, rng)
         X, Y = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
         a, b = 0.7, -1.3
-        cfg = OdeConfig(steps=60)
-        mix = rk4_propagate(p.A0, p.A1, a * X + b * Y, p.tau, cfg)
-        rx = rk4_propagate(p.A0, p.A1, X, p.tau, cfg)
-        ry = rk4_propagate(p.A0, p.A1, Y, p.tau, cfg)
+        plan = rk4_plan(60)
+        mix = rk4_propagate(p.A0, p.A1, a * X + b * Y, p.tau, plan=plan)
+        rx = rk4_propagate(p.A0, p.A1, X, p.tau, plan=plan)
+        ry = rk4_propagate(p.A0, p.A1, Y, p.tau, plan=plan)
         for got, want in ((mix.Z1_end, a * rx.Z1_end + b * ry.Z1_end),
                           (mix.Z2_end, a * rx.Z2_end + b * ry.Z2_end)):
             assert frobenius(got - want) <= 1e-12 * max(frobenius(want), 1e-300)
@@ -222,9 +222,15 @@ class TestRk4:
             assert_allclose(res.Z1_end[k], one.Z1_end, rtol=1e-14, atol=1e-14)
             assert_allclose(res.Z2_end[k], one.Z2_end, rtol=1e-14, atol=1e-14)
 
+    def test_plan_is_keyword_only(self):
+        # a fifth positional argument, such as an OdeConfig, is refused
+        # instead of being taken for the plan
+        with pytest.raises(TypeError):
+            rk4_propagate(np.eye(2), np.eye(2), np.eye(2), 1.0, OdeConfig(steps=5))
+
     def test_tau_zero_returns_initial_value(self):
         X = np.arange(4.0).reshape(2, 2)
-        res = rk4_propagate(np.eye(2), np.eye(2), X, 0.0, OdeConfig(steps=5))
+        res = rk4_propagate(np.eye(2), np.eye(2), X, 0.0, plan=rk4_plan(5))
         assert np.array_equal(res.Z1_end, X)
         assert np.array_equal(res.Z2_end, X)
 
@@ -258,6 +264,23 @@ class TestTaylorPlan:
     def test_fixed_steps_plan_is_rk4(self):
         assert plan_propagation(np.eye(2), np.eye(2), 1.0, OdeConfig(steps=7)) \
             == PropagationPlan(degree=4, steps=7)
+
+    @pytest.mark.parametrize("degree, steps", [(4, 0), (4, -1), (4, 2.5), (2.5, 3), (-1, 3)])
+    def test_malformed_plan_rejected(self, degree, steps):
+        # unchecked, these reached the loop: ZeroDivisionError,
+        # UnboundLocalError, TypeError twice and a silent degree-0 run
+        with pytest.raises(ValueError):
+            PropagationPlan(degree=degree, steps=steps)
+
+    @pytest.mark.parametrize("steps", [2.5, "3", 0])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            OdeConfig(steps=steps)
+
+    @pytest.mark.parametrize("cfg", [None, OdeConfig(steps=7)], ids=["planned", "steps-7"])
+    def test_negative_tau_rejected(self, cfg):
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            plan_propagation(np.eye(2), np.eye(2), -1.0, cfg)
 
     def test_cost_on_benchmark_problems(self):
         for alpha in (1.0, 5.0):

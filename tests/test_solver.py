@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from delaylyap import (
     kron,
     lu_solve,
     pdde_generate,
+    plan_propagation,
     small_example,
     solve_delay_lyapunov,
     unvec,
@@ -122,6 +124,33 @@ def test_shift_cancels_from_the_preconditioned_operator(problem):
         assert frobenius(out[c] - out[1.0]) <= 1e-11 * frobenius(out[1.0])
 
 
+@pytest.mark.parametrize("ode", [None, OdeConfig(steps=7)], ids=["planned", "steps-7"])
+def test_report_plan_is_the_plan_of_ode(ode):
+    p = small_example(1.0).problem
+    report = solve_delay_lyapunov(p, ode=ode)
+    assert report.plan == plan_propagation(p.A0, p.A1, p.tau, ode)
+
+
+@pytest.mark.parametrize("method", ["gmres", "bicgstab"])
+def test_zero_cost_returns_exact_zero(method, monkeypatch):
+    # X = 0 solves the equation exactly; the kernels, which reject a zero
+    # right-hand side, are not called
+    import delaylyap.solver
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a Krylov kernel ran on a zero right-hand side")
+
+    monkeypatch.setattr(delaylyap.solver, "gmres", no_kernel)
+    monkeypatch.setattr(delaylyap.solver, "bicgstab", no_kernel)
+    p = dataclasses.replace(small_example(1.0).problem, W=np.zeros((4, 4)))
+    report = solve_delay_lyapunov(p, krylov=KrylovConfig(method=method))
+    assert report.converged and report.iterations == 0 and report.method == method
+    assert report.X.shape == (4, 4) and not report.X.any()
+    assert report.r_alg == 0.0 and report.r_sym == 0.0
+    assert report.plan == plan_propagation(p.A0, p.A1, p.tau)
+    assert 0.0 < report.timings.setup_seconds <= report.timings.total_seconds
+
+
 def test_unsolvable_preconditioner_propagates():
     p = TdsProblem(A0=np.diag([1.0, -1.0]), A1=np.zeros((2, 2)), tau=1.0, W=np.eye(2))
     with pytest.raises(SolverError) as err:
@@ -183,7 +212,7 @@ def test_driver_times_planning_and_every_propagation(problem, monkeypatch):
             return out
         return wrapper
 
-    for module, attr, name in ((delaylyap.operators, "plan_propagation", "setup"),
+    for module, attr, name in ((delaylyap.solver, "plan_propagation", "setup"),
                                (delaylyap.solver, "build_preconditioner", "setup"),
                                (delaylyap.solver, "apply_operator", "apply"),
                                (delaylyap.solver, "rk4_propagate", "apply")):
