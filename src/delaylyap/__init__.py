@@ -9,17 +9,7 @@ combined with a matrix exponential.
 
 from .errors import SolverError
 from .krylov import KrylovConfig, SolveReport, SolveTimings, bicgstab, gmres
-from .linalg import (
-    commutation_matrix,
-    eigenvalues,
-    expm,
-    frobenius,
-    kron,
-    lu_solve,
-    real_schur,
-    unvec,
-    vec,
-)
+from .linalg import eigenvalues, expm, frobenius, lu_solve, matrix_of, real_schur, unvec, vec
 from .matio import read_matrix, write_matrix
 from .operators import (
     OperatorContext,
@@ -66,9 +56,9 @@ __all__ = [
     "SolveReport", "SolveTimings", "SolverError", "TdsProblem", "TsylvPencil",
     "apply_operator", "apply_preconditioner", "assemble_operator",
     "bench_table", "bicgstab", "boundary_residuals", "build_preconditioner",
-    "commutation_matrix", "coupled_generator", "coupled_rhs", "eigenvalues",
-    "exact_propagate", "expm", "factor_pencil", "frobenius", "gmres",
-    "has_no_hamiltonian_pairing", "kron", "lu_solve", "pdde_generate",
+    "coupled_generator", "coupled_rhs", "eigenvalues", "exact_propagate",
+    "expm", "factor_pencil", "frobenius", "gmres",
+    "has_no_hamiltonian_pairing", "lu_solve", "matrix_of", "pdde_generate",
     "plan_propagation", "preconditioned_spectrum", "preconditioner_quality",
     "read_matrix", "real_schur", "reconstruct_solution", "rk4_propagate",
     "small_example", "solve_delay_lyapunov", "term_operands", "tsylv_solvable",

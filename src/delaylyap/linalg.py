@@ -1,13 +1,19 @@
 """Dense linear-algebra kernels shared by every other module.
 
-Real matrices are float64 ndarrays, complex ones complex128; the
-column-stacking convention vec(AXB) = (B^T (x) A) vec(X) is used throughout.
+Real matrices are float64 ndarrays, complex ones complex128.  The vec basis
+is defined here and only here: :func:`vec` stacks columns, so
+vec(AXB) = (B^T (x) A) vec(X), a pair (B0, B1) is [vec B0; vec B1], and
+:func:`matrix_of` assembles the dense matrix of a linear map in that basis.
+Every dense oracle (the coupled generator, the assembled operator and its
+preconditioned spectrum, the Kronecker T-Sylvester solve) is built by
+:func:`matrix_of`; no other module reshapes to or from the vec basis.
 The factorizations are SciPy's (``scipy.linalg.expm``, ``lu_factor``/
 ``lu_solve``, ``schur``); the wrappers here add input checks and map their
 failures to stable ``SolverError`` codes.  :func:`real_schur` is the one
 Schur route; the T-Sylvester pencil is factored in :mod:`delaylyap.tsylv`.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -15,7 +21,6 @@ import scipy.linalg
 
 from .errors import SolverError
 
-KRON_MAX_DIM = 16384
 REAL_RTOL = 1e-9
 
 
@@ -41,32 +46,18 @@ def unvec(x, rows=None):
     return x.reshape((rows, x.size // rows), order="F")
 
 
-def kron(A, B):
-    """Kronecker product with a size guard of ``KRON_MAX_DIM`` rows and columns.
+def matrix_of(fn, shape):
+    """Dense matrix M of a linear map, with M vec(X) = vec(fn(X)).
 
-    Follows vec(AXB) = (B^T (x) A) vec(X).
+    ``shape`` is (n, n) for a matrix X and (2, n, n) for a pair (B0, B1),
+    whose vec is [vec B0; vec B1].  ``fn`` is applied once, to the batch of
+    all unit arrays E_j = unvec(e_j) stacked on a leading axis, so it must
+    accept such a batch; column j of M is vec(fn(E_j)).
     """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape[0] * B.shape[0] > KRON_MAX_DIM or A.shape[1] * B.shape[1] > KRON_MAX_DIM:
-        raise SolverError(
-            "kron-too-large",
-            f"result of shape {A.shape[0]*B.shape[0]}x{A.shape[1]*B.shape[1]} "
-            f"exceeds the cap {KRON_MAX_DIM}",
-        )
-    return np.kron(A, B)
-
-
-def commutation_matrix(n):
-    """Permutation P of size n^2 x n^2 with P vec(X) = vec(X^T).
-
-    Row k of P is row perm[k] of the identity, where perm lists the
-    column-major positions of X^T's entries in X.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    perm = np.arange(n * n).reshape(n, n).flatten(order="F")
-    return np.eye(n * n)[perm]
+    size = math.prod(shape)
+    # a column-major vec is a row-major reshape with the last two axes swapped
+    E = np.eye(size).reshape(size, *shape[:-2], shape[-1], shape[-2]).swapaxes(-1, -2)
+    return fn(E).swapaxes(-1, -2).reshape(size, size).T
 
 
 def expm(A):

@@ -5,11 +5,12 @@ solution curve, and the boundary-value residuals of the original equation.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import SolverError
-from .linalg import frobenius
+from .linalg import frobenius, matrix_of
 from .propagation import (PropagationPlan, PropagationResult, _chebyshev_steps, plan_propagation,
                           rk4_propagate)
 
@@ -119,18 +120,16 @@ def combine_pair(ctx, pair):
 
 
 def assemble_operator(ctx):
-    """Dense n^2 x n^2 matrix of the operator in the vec basis.
+    """Dense n^2 x n^2 matrix A of the operator, A vec(X) = vec(apply(X)).
 
-    Column j is vec(apply(E_j)) for the j-th unit matrix E_j = unvec(e_j),
-    all n^2 of them applied as one batch, so A vec(X) = vec(apply(X)).
-    Above n = ``ASSEMBLE_MAX_N`` it raises ``SolverError("oracle-too-large")``.
+    Built by :func:`delaylyap.linalg.matrix_of`: one batched apply on all
+    n^2 unit matrices.  Above n = ``ASSEMBLE_MAX_N`` it raises
+    ``SolverError("oracle-too-large")``.
     """
     n = ctx.problem.n
     if n > ASSEMBLE_MAX_N:
         raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {ASSEMBLE_MAX_N}")
-    # unvec and vec are column-major: E_j = e_j.reshape(n, n).T, vec(Y) = Y.T.ravel()
-    Y = apply_operator(ctx, np.eye(n * n).reshape(n * n, n, n).swapaxes(-1, -2))
-    return Y.swapaxes(-1, -2).reshape(n * n, n * n).T
+    return matrix_of(partial(apply_operator, ctx), (n, n))
 
 
 def reconstruct_solution(ctx, X, samples):

@@ -30,8 +30,8 @@ import numpy as np
 from scipy.linalg.lapack import dtrsyl
 
 from .errors import SolverError
-from .linalg import eigenvalues, expm, frobenius, real_schur, schur_eigenvalues, unvec, vec
-from .operators import apply_operator, assemble_operator
+from .linalg import eigenvalues, expm, frobenius, matrix_of, real_schur, schur_eigenvalues
+from .operators import ASSEMBLE_MAX_N, apply_operator
 from .tsylv import pairing_free
 from .tsylv import factor_pencil, solve_with_factors  # noqa: F401 -- bench/tracing.py wraps these
 
@@ -179,13 +179,17 @@ def preconditioned_spectrum(ctx, factors):
     """Eigenvalues of the preconditioned operator, assembled densely.
 
     Builds the n^2 x n^2 matrix of X -> apply_preconditioner(apply_operator(X))
-    from the batched :func:`assemble_operator`, preconditioning column by
-    column, and returns its eigenvalue multiset (sorted by real part, then
-    imaginary, for reproducible output).  Above the dense-assembly cap of
-    :func:`assemble_operator` it raises ``SolverError("oracle-too-large")``.
+    by :func:`delaylyap.linalg.matrix_of` (one batched operator apply, then
+    the preconditioner on each of its n^2 results) and returns its
+    eigenvalue multiset (sorted by real part, then imaginary, for
+    reproducible output).  Above n = ``ASSEMBLE_MAX_N``, the cap of
+    :func:`assemble_operator`, it raises ``SolverError("oracle-too-large")``.
     """
-    PA = np.column_stack([vec(apply_preconditioner(factors, unvec(a)))
-                          for a in assemble_operator(ctx).T])
+    n = ctx.problem.n
+    if n > ASSEMBLE_MAX_N:
+        raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {ASSEMBLE_MAX_N}")
+    PA = matrix_of(lambda X: np.stack([apply_preconditioner(factors, Y)
+                                       for Y in apply_operator(ctx, X)]), (n, n))
     ev = np.linalg.eigvals(PA)
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]

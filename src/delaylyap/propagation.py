@@ -64,6 +64,7 @@ backward error over k h as the terminal value over tau/2.
 The dense exponential of the vectorized generator is a small-size oracle.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -71,7 +72,7 @@ import numpy as np
 from scipy.linalg import matrix_balance
 
 from .errors import SolverError
-from .linalg import expm, kron, unvec, vec
+from .linalg import expm, matrix_of, unvec, vec
 
 EXACT_MAX_N = 12
 RK4_DEGREE = 4      # the Taylor degree of classic RK4 on a linear autonomous ODE
@@ -182,6 +183,12 @@ def coupled_rhs(B, S):
     return np.dot(BB.reshape(-1, BB.shape[-1]), S).reshape(B.shape)
 
 
+def _check_tau(tau):
+    # a scalar check: rk4_propagate runs it on every apply
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and >= 0")
+
+
 def _row_sum_norm(A0, A1):
     # ||G||_1 in the original coordinates: a unit matrix in Z1 or Z2 maps to
     # one row of A0 plus one row of A1.
@@ -213,14 +220,13 @@ def plan_propagation(A0, A1, tau, cfg=None):
     Raises
     ------
     ValueError
-        When tau < 0.
+        When tau is not finite or is negative.
     SolverError
         ``"exp-overflow"`` when norm1, or the number of terms it implies, is
         not finite; ``"plan-too-large"`` when that number is finite but
         exceeds ``MAX_PLAN_TERMS``.  No warning escapes.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau)
     cfg = cfg or OdeConfig()
     if cfg.steps is not None:
         return PropagationPlan(RK4_DEGREE, cfg.steps)
@@ -284,15 +290,15 @@ def rk4_propagate(A0, A1, X, tau, *, plan=None):
     n x 2n by a 2n x n matrix in all (per batch member); without ``plan``
     it runs ``plan_propagation(A0, A1, tau)``, the default plan.
     The map X -> (Z1_end, Z2_end) is linear, since every propagation applies
-    the same fixed polynomial in G.  tau = 0 is accepted and returns (X, X).
+    the same fixed polynomial in G.  tau = 0 is accepted and returns (X, X);
+    a tau that is not finite or is negative raises ``ValueError``.
     The name is kept because it is the package's one propagation entry
     point; the plan of ``OdeConfig(steps=N)`` gives N degree-4 steps of the
     order of classic RK4 through the same recurrence, not classic RK4 itself.
     Raises ``SolverError("exp-overflow")``, with no warning, when it overflows.
     """
     X = np.asarray(X, dtype=float)
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau)
     if tau == 0.0:
         return PropagationResult(X.copy(), X.copy())
     plan = plan or plan_propagation(A0, A1, tau)
@@ -308,35 +314,51 @@ def rk4_propagate(A0, A1, X, tau, *, plan=None):
 def coupled_generator(A0, A1):
     """The 2n^2 x 2n^2 generator of the vectorized coupled system.
 
-    Acts on [vec Z1; vec Z2^T] with blocks
-    [[A0^T (x) I, A1^T (x) I], [-I (x) A1^T, -I (x) A0^T]].
-    """
-    n = A0.shape[0]
-    I = np.eye(n)
-    top = np.hstack([kron(A0.T, I), kron(A1.T, I)])
-    bot = np.hstack([-kron(I, A1.T), -kron(I, A0.T)])
-    return np.vstack([top, bot])
+    Acts on the state [vec Z1; vec W], W = Z2^T, as the matrix of
 
+        (Z1, W) -> (Z1 A0 + W A1, -A1^T Z1 - A0^T W),
 
-def exact_propagate(A0, A1, X, tau):
-    """Terminal pair via the dense exponential of the vectorized generator.
-
-    Exact up to the matrix exponential; intended as an oracle for small n
-    since the generator is 2n^2 x 2n^2.
+    the coupled system in its original coordinates, assembled by
+    :func:`delaylyap.linalg.matrix_of`.  It shares no code with the
+    split-coordinate loop of :func:`rk4_propagate`, which it checks.
 
     Raises
     ------
     SolverError
-        ``"oracle-too-large"`` when n exceeds ``EXACT_MAX_N``.
+        ``"oracle-too-large"`` when n exceeds ``EXACT_MAX_N``, before
+        anything is allocated.
     """
     A0 = np.asarray(A0, dtype=float)
-    X = np.asarray(X, dtype=float)
+    A1 = np.asarray(A1, dtype=float)
     n = A0.shape[0]
     if n > EXACT_MAX_N:
         raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {EXACT_MAX_N}")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+
+    def generator(S):
+        Z1, W = S[..., 0, :, :], S[..., 1, :, :]
+        return np.stack((Z1 @ A0 + W @ A1, -(A1.T @ Z1) - A0.T @ W), axis=-3)
+
+    return matrix_of(generator, (2, n, n))
+
+
+def exact_propagate(A0, A1, X, tau):
+    """Terminal pair via the dense exponential of :func:`coupled_generator`.
+
+    The state [vec Z1; vec Z2^T] starts at [vec X; vec X^T] and is
+    multiplied by exp((tau/2) G).  Exact up to the matrix exponential; an
+    oracle for small n, since G is 2n^2 x 2n^2.
+
+    Raises
+    ------
+    ValueError
+        When tau is not finite or is negative.
+    SolverError
+        ``"oracle-too-large"`` when n exceeds ``EXACT_MAX_N``.
+    """
+    X = np.asarray(X, dtype=float)
+    _check_tau(tau)
     G = coupled_generator(A0, A1)
+    n = X.shape[0]
     state = np.concatenate([vec(X), vec(X.T)])
     out = expm((0.5 * tau) * G) @ state
     Z1 = unvec(out[: n * n], n)

@@ -31,15 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .linalg import (
-    commutation_matrix,
-    frobenius,
-    kron,
-    lu_solve,
-    require_real,
-    unvec,
-    vec,
-)
+from .linalg import frobenius, lu_solve, matrix_of, require_real, unvec, vec
 
 KRON_MAX_N = 60
 SOLVABLE_RTOL = 1e-10
@@ -208,9 +200,11 @@ def tsylv_solve(M, N, C):
 def tsylv_solve_kron(M, N, C):
     """Reference solve through the n^2 x n^2 Kronecker system.
 
-    Vectorizes the equation as (I (x) M + (N^T (x) I) P) vec X = vec C with
-    P the commutation matrix.  Raises ``SolverError("oracle-too-large")``
-    when n exceeds ``KRON_MAX_N``.
+    The matrix of Y -> M Y + Y^T N, which is I (x) M + (N^T (x) I) P with P
+    the commutation matrix, is assembled by
+    :func:`delaylyap.linalg.matrix_of` and solved for vec C by dense LU.
+    Raises ``SolverError("oracle-too-large")`` when n exceeds
+    ``KRON_MAX_N``, before anything is allocated.
     """
     M = np.asarray(M, dtype=float)
     N = np.asarray(N, dtype=float)
@@ -218,8 +212,7 @@ def tsylv_solve_kron(M, N, C):
     n = M.shape[0]
     if n > KRON_MAX_N:
         raise SolverError("oracle-too-large", f"n={n} exceeds the dense oracle cap {KRON_MAX_N}")
-    P = commutation_matrix(n)
-    K = kron(np.eye(n), M) + kron(N.T, np.eye(n)) @ P
+    K = matrix_of(lambda Y: M @ Y + Y.swapaxes(-1, -2) @ N, (n, n))
     try:
         x = lu_solve(K, vec(C))
     except SolverError as exc:

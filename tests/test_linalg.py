@@ -4,12 +4,12 @@ from numpy.testing import assert_allclose
 
 from delaylyap import (
     SolverError,
-    commutation_matrix,
+    coupled_generator,
     eigenvalues,
     expm,
     factor_pencil,
-    kron,
     lu_solve,
+    matrix_of,
     real_schur,
     unvec,
     vec,
@@ -60,21 +60,11 @@ class TestExpm:
 
 
 class TestKronVec:
-    def test_kron_identity(self):
-        assert_allclose(kron(np.eye(2), np.eye(3)), np.eye(6), atol=0)
-
-    def test_kron_nilpotent_structure(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        K = kron(A, np.eye(2))
-        expected = np.zeros((4, 4))
-        expected[0, 2] = expected[1, 3] = 1.0
-        assert_allclose(K, expected, atol=0)
-
     def test_vec_product_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             A, B, X = (rng.standard_normal((2, 2)) for _ in range(3))
-            assert_allclose(unvec(kron(B.T, A) @ vec(X), 2), A @ X @ B, rtol=1e-13)
+            assert_allclose(unvec(np.kron(B.T, A) @ vec(X), 2), A @ X @ B, rtol=1e-13)
 
     def test_vec_round_trip(self):
         rng = np.random.default_rng(1)
@@ -83,25 +73,77 @@ class TestKronVec:
         Y = rng.standard_normal((4, 4))
         assert np.array_equal(unvec(vec(Y)), Y)
 
-    def test_kron_cap(self):
-        with pytest.raises(SolverError) as err:
-            kron(np.eye(200), np.eye(200))
-        assert err.value.code == "kron-too-large"
+
+def transpose_matrix(n):
+    """The commutation matrix P, P vec(X) = vec(X^T), as the matrix of X -> X^T."""
+    return matrix_of(lambda X: X.swapaxes(-1, -2), (n, n))
 
 
 class TestCommutation:
     def test_n1(self):
-        assert_allclose(commutation_matrix(1), np.array([[1.0]]), atol=0)
+        assert_allclose(transpose_matrix(1), np.array([[1.0]]), atol=0)
 
     def test_n2_swaps_middle(self):
-        P = commutation_matrix(2)
+        P = transpose_matrix(2)
         x = np.array([1.0, 2.0, 3.0, 4.0])
         assert_allclose(P @ x, np.array([1.0, 3.0, 2.0, 4.0]), atol=0)
 
     def test_transposes_vec(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((4, 4))
-        assert_allclose(unvec(commutation_matrix(4) @ vec(X), 4), X.T, atol=0)
+        assert_allclose(unvec(transpose_matrix(4) @ vec(X), 4), X.T, atol=0)
+
+
+class TestMatrixOf:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_two_sided_product_is_kron(self, n):
+        rng = np.random.default_rng(n)
+        A, B = rng.standard_normal((2, n, n))
+        assert np.array_equal(matrix_of(lambda X: A @ X @ B, (n, n)), np.kron(B.T, A))
+
+    def test_applies_fn_once_to_the_unit_batch(self):
+        calls = []
+
+        def fn(X):
+            calls.append(X.shape)
+            return 2.0 * X
+
+        assert np.array_equal(matrix_of(fn, (3, 3)), 2.0 * np.eye(9))
+        assert calls == [(9, 3, 3)]
+
+    def test_pair_block_order(self):
+        # a pair (B0, B1) is [vec B0; vec B1]: (B0, B1) -> (B1, 0) is the top
+        # right block, and (B0, B1) -> (0, A B0) the bottom left one
+        n = 3
+        A = np.random.default_rng(4).standard_normal((n, n))
+        I, O = np.eye(n * n), np.zeros((n * n, n * n))
+        up = matrix_of(lambda S: np.stack((S[..., 1, :, :], 0 * S[..., 0, :, :]), axis=-3),
+                       (2, n, n))
+        assert np.array_equal(up, np.block([[O, I], [O, O]]))
+        down = matrix_of(lambda S: np.stack((0 * S[..., 1, :, :], A @ S[..., 0, :, :]), axis=-3),
+                         (2, n, n))
+        assert np.array_equal(down, np.block([[O, O], [np.kron(np.eye(n), A), O]]))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_tsylv_matrix_matches_kronecker_formula(self, n):
+        # (I (x) M + (N^T (x) I) P) with P the commutation matrix, bit for bit
+        rng = np.random.default_rng(10 + n)
+        M, N = rng.standard_normal((2, n, n))
+        I = np.eye(n)
+        P = np.eye(n * n)[np.arange(n * n).reshape(n, n).flatten(order="F")]
+        K = np.kron(I, M) + np.kron(N.T, I) @ P
+        assert np.array_equal(matrix_of(lambda Y: M @ Y + Y.swapaxes(-1, -2) @ N, (n, n)), K)
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_generator_matches_kronecker_blocks(self, n):
+        # the blocks [[A0^T (x) I, A1^T (x) I], [-I (x) A1^T, -I (x) A0^T]]
+        # on [vec Z1; vec Z2^T], bit for bit
+        rng = np.random.default_rng(20 + n)
+        A0, A1 = rng.standard_normal((2, n, n))
+        I = np.eye(n)
+        G = np.block([[np.kron(A0.T, I), np.kron(A1.T, I)],
+                      [-np.kron(I, A1.T), -np.kron(I, A0.T)]])
+        assert np.array_equal(coupled_generator(A0, A1), G)
 
 
 class TestRealSchur:

@@ -15,7 +15,6 @@ from delaylyap import (
     build_preconditioner,
     exact_propagate,
     frobenius,
-    kron,
     lu_solve,
     pdde_generate,
     reconstruct_solution,
@@ -321,7 +320,7 @@ class TestBoundaryResiduals:
         A0 = random_stable_problem(5, rng).A0
         B = rng.standard_normal((5, 5))
         W = B @ B.T + np.eye(5)
-        K = kron(np.eye(5), A0.T) + kron(A0.T, np.eye(5))
+        K = np.kron(np.eye(5), A0.T) + np.kron(A0.T, np.eye(5))
         U0 = unvec(lu_solve(K, -vec(W)), 5)
         p = TdsProblem(A0=A0, A1=np.zeros((5, 5)), tau=1.0, W=W)
         r_alg, r_sym = boundary_residuals(p, U0, rng.standard_normal((5, 5)))

@@ -15,12 +15,11 @@ from delaylyap import (
     apply_operator,
     apply_preconditioner,
     build_preconditioner,
-    commutation_matrix,
     expm,
     frobenius,
     gmres,
+    matrix_of,
     KrylovConfig,
-    kron,
     pdde_generate,
     preconditioned_spectrum,
     preconditioner_quality,
@@ -224,7 +223,7 @@ class TestRecursiveLyapunov:
         m = 8
         assert T[n - m, n - m - 1] == 0
         Tm, I = T[-m:, -m:], np.eye(m)
-        oracle = unvec(np.linalg.solve(kron(I, Tm) + kron(Tm, I), vec(C[-m:, -m:])), m)
+        oracle = unvec(np.linalg.solve(np.kron(I, Tm) + np.kron(Tm, I), vec(C[-m:, -m:])), m)
         assert frobenius(X[-m:, -m:] - oracle) <= 1e-13 * frobenius(oracle)
 
     def test_split_keeps_2x2_blocks_whole(self, monkeypatch):
@@ -347,7 +346,7 @@ class TestApply:
             factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
             n = p.n
             I = np.eye(n)
-            T = kron(I, p.A0.T + I) + kron((p.A0 - I).T, I) @ commutation_matrix(n)
+            T = matrix_of(lambda Y: (p.A0.T + I) @ Y + Y.swapaxes(-1, -2) @ (p.A0 - I), (n, n))
             K = np.linalg.norm(np.linalg.inv(T), 2)
             bound = K * np.exp(0.5 * p.tau * np.linalg.norm(p.A0, 2))
             Z = rng.standard_normal((n, n))
@@ -462,12 +461,8 @@ def test_residual_bound_from_deviation_and_conditioning():
     factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
     r = preconditioner_quality(ctx, factors, trials=20)
     assert r < 1
-    from delaylyap import assemble_operator, unvec, vec
-
-    A = assemble_operator(ctx)
-    PA = np.empty_like(A)
-    for j in range(16):
-        PA[:, j] = vec(apply_preconditioner(factors, unvec(A[:, j], 4)))
+    PA = matrix_of(lambda X: np.stack([apply_preconditioner(factors, Y)
+                                       for Y in apply_operator(ctx, X)]), (4, 4))
     lam, V = np.linalg.eig(PA)
     kappa = np.linalg.cond(V)
     report = gmres(lambda X: apply_operator(ctx, X), -p.W,

@@ -279,7 +279,7 @@ class TestTaylorPlan:
 
     @pytest.mark.parametrize("cfg", [None, OdeConfig(steps=7)], ids=["planned", "steps-7"])
     def test_negative_tau_rejected(self, cfg):
-        with pytest.raises(ValueError, match="tau must be >= 0"):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
             plan_propagation(np.eye(2), np.eye(2), -1.0, cfg)
 
     def test_cost_on_benchmark_problems(self):
@@ -391,6 +391,30 @@ class TestExactPropagate:
         with pytest.raises(SolverError) as err:
             exact_propagate(np.eye(n), np.eye(n), np.eye(n), 1.0)
         assert err.value.code == "oracle-too-large"
+
+    def test_generator_cap_before_assembly(self, monkeypatch):
+        # the public generator is capped itself, before the 2n^2 unit batch
+        # is made
+        def fail(*args):
+            raise AssertionError("matrix_of reached above the cap")
+
+        monkeypatch.setattr("delaylyap.propagation.matrix_of", fail)
+        n = 13
+        with pytest.raises(SolverError) as err:
+            coupled_generator(np.eye(n), np.eye(n))
+        assert err.value.code == "oracle-too-large"
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("propagate", [
+    lambda I, tau: rk4_propagate(I, I, I, tau),
+    lambda I, tau: plan_propagation(I, I, tau),
+    lambda I, tau: exact_propagate(I, I, I, tau),
+], ids=["rk4_propagate", "plan_propagation", "exact_propagate"])
+def test_malformed_tau_rejected(propagate, tau):
+    # a NaN or infinite tau is malformed input, not an exp-overflow
+    with pytest.raises(ValueError, match=r"^tau must be finite and >= 0$"):
+        propagate(np.eye(2), tau)
 
 
 def test_generator_norm_bound():

@@ -14,7 +14,6 @@ from delaylyap import (
     apply_preconditioner,
     build_preconditioner,
     frobenius,
-    kron,
     lu_solve,
     pdde_generate,
     plan_propagation,
@@ -103,7 +102,7 @@ def test_tau_zero_reduces_to_standard_lyapunov():
         p = TdsProblem(A0=base.A0, A1=base.A1, tau=0.0, W=base.W)
         report = solve_delay_lyapunov(p, ode=OdeConfig(steps=1))
         S = p.A0 + p.A1
-        K = kron(np.eye(p.n), S.T) + kron(S.T, np.eye(p.n))
+        K = np.kron(np.eye(p.n), S.T) + np.kron(S.T, np.eye(p.n))
         U = unvec(lu_solve(K, -vec(p.W)), p.n)
         assert frobenius(report.X - U) <= 1e-8 * frobenius(U)
 

@@ -4,11 +4,11 @@ from numpy.testing import assert_allclose
 
 from delaylyap import (
     SolverError,
-    commutation_matrix,
     eigenvalues,
     factor_pencil,
     frobenius,
     has_no_hamiltonian_pairing,
+    matrix_of,
     tsylv_solvable,
     tsylv_solve,
     tsylv_solve_kron,
@@ -46,7 +46,7 @@ def designed_pencil(rng, n, design):
 def kron_sigma_ratio(M, N):
     """sigma_min / sigma_max of the vectorized operator X -> M X + X^T N (0 if it is 0)."""
     n = M.shape[0]
-    K = np.kron(np.eye(n), M) + np.kron(N.T, np.eye(n)) @ commutation_matrix(n)
+    K = matrix_of(lambda Y: M @ Y + Y.swapaxes(-1, -2) @ N, (n, n))
     s = np.linalg.svd(K, compute_uv=False)
     return s[-1] / s[0] if s[0] > 0 else 0.0
 
