@@ -48,9 +48,10 @@ E_h^2 - O_h^2 = I.  Here E_h^2 - O_h^2 = p(hG) p(-hG), which is I up to the
 same truncation the plan bounds for p(hG) itself, so the recurrence
 realizes exp((tau/2) G) to the order of p(hG)^s without being the identical
 polynomial.  The plan (m, s) is fixed per problem, before any X is seen --
-from the Al-Mohy & Higham (2011) bound on the 1-norm of the balanced
-generator for a double-precision target, or as (4, steps), degree-4 steps
-of the order of classic RK4 -- and the loop never
+from the Al-Mohy & Higham (2009, 2011) bounds on ||(tG)^p||^(1/p) of the
+balanced generator for a double-precision target, each taken from the
+nonnegative matrix |tG| with no random estimate, or as (4, steps), degree-4
+steps of the order of classic RK4 -- and the loop never
 stops early, so every propagation is the same polynomial in G and the
 discretized operator stays exactly linear.
 
@@ -77,10 +78,12 @@ from .linalg import expm, matrix_of, unvec, vec
 EXACT_MAX_N = 12
 RK4_DEGREE = 4      # the Taylor degree of classic RK4 on a linear autonomous ODE
 MAX_PLAN_TERMS = 10**7  # right-hand-side evaluations per propagation
+MAX_POWER = 8       # the largest p of the planner's alpha_p (Al-Mohy & Higham 2011)
 
-# theta_m: the largest ||hG||_1 for which the degree-m Taylor polynomial has
-# backward error at most 2^-53 (Al-Mohy & Higham 2011, Table 3.1 for m >= 35;
-# m <= 30 from the same bound, as tabulated by SciPy's expm_multiply).
+# theta_m: the largest alpha_p(hG), ||hG||_1 when p = 1, for which the degree-m
+# Taylor polynomial has backward error at most 2^-53 (Al-Mohy & Higham 2011,
+# Table 3.1 for m >= 35; m <= 30 from the same bound, as tabulated by SciPy's
+# expm_multiply).
 TAYLOR_THETA = {
     1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
     6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
@@ -105,8 +108,9 @@ class OdeConfig:
     passed on.
 
     ``steps=None`` (the default) plans the Taylor degree and step count from
-    the 1-norm of the generator, balanced or not, whichever is smaller, for a
-    double-precision target; ``steps=N``, an integer >= 1, runs N uniform
+    bounds on the 1-norms of the generator's powers p = 1..9, balanced or
+    not, whichever has the smaller 1-norm, for a double-precision target;
+    ``steps=N``, an integer >= 1, runs N uniform
     degree-4 Taylor steps (the classic RK4 polynomial) on [0, tau/2]
     through the same even/odd recurrence as every plan, so it is fourth
     order like RK4 but not literally classic RK4.
@@ -195,27 +199,78 @@ def _row_sum_norm(A0, A1):
     return np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max()
 
 
+def _planning_pair(A0, A1):
+    """(A0, A1) or (T^-1 A0 T, T^-1 A1 T), T the diagonal power-of-2
+    scaling of LAPACK ``gebal`` on A0, whichever has the smaller ||G||_1;
+    the first when A0 is not finite, which gebal rejects."""
+    if not np.isfinite(A0).all():
+        return A0, A1
+    T = matrix_balance(A0, permute=False, separate=True)[1][0]
+    scale = np.outer(1.0 / T, T)
+    B0, B1 = A0 * scale, A1 * scale
+    return (B0, B1) if _row_sum_norm(B0, B1) < _row_sum_norm(A0, A1) else (A0, A1)
+
+
+def _power_bounds(A0, A1, t):
+    """Upper bounds on d_p = ||(tG)^p||_1^(1/p) for p = 1..MAX_POWER + 1,
+    the first being ||tG||_1 itself.
+
+    Column sums of |G|^p bound those of G^p, since |G^p| <= |G|^p entrywise.
+    For both Z1 and Z2 they are the entries of Y_p = Y_{p-1} |A0|^T +
+    |A1| Y_{p-1}^T, Y_0 = ones.  Each iterate is run on |A| / ||G||_1 and
+    rescaled to max 1, keeping the log of its scale, so no bound overflows
+    where ||tG||_1 is finite; a |G|^p that is zero gives zero bounds from p
+    on.  A zero or non-finite ||tG||_1 is returned alone, the rest zero.
+    """
+    r0, r1 = np.abs(A0).sum(axis=1), np.abs(A1).sum(axis=1)
+    norm = r0.max() + r1.max()
+    bounds = np.zeros(MAX_POWER + 1)
+    bounds[0] = t * norm
+    if not 0.0 < bounds[0] < np.inf:
+        return bounds
+    B0, B1 = np.abs(A0) / norm, np.abs(A1) / norm
+    Y = (r0[None, :] + r1[:, None]) / norm  # Y_1, from the row sums
+    log_scale = 0.0
+    for p in range(2, MAX_POWER + 2):
+        Y = Y @ B0.T + B1 @ Y.T
+        top = Y.max()
+        if top == 0.0:
+            break
+        Y /= top
+        log_scale += math.log(top)
+        # ||G^p||^(1/p) <= ||G||: the min only removes rounding
+        bounds[p - 1] = bounds[0] * min(math.exp(log_scale / p), 1.0)
+    return bounds
+
+
 def plan_propagation(A0, A1, tau, cfg=None):
     """Choose the Taylor degree m and step count s for a propagation to tau/2.
 
     With ``cfg.steps`` set the plan is (4, steps).  Otherwise the plan is
-    read off one number, a bound on ||tG||_1 with t = tau/2,
+    read off upper bounds on d_p = ||(tG)^p||_1^(1/p), t = tau/2, for
+    p = 1..9, all taken in one coordinate system: the original one or the
+    one of T^-1 A0 T and T^-1 A1 T, T the diagonal power-of-2 scaling of
+    LAPACK ``gebal`` on A0, whichever gives the smaller
 
-        norm1 = t min(||A0||_inf + ||A1||_inf, ||T^-1 A0 T||_inf + ||T^-1 A1 T||_inf),
+        norm1 = t (||A0||_inf + ||A1||_inf) = ||tG||_1.
 
-    with T the diagonal power-of-2 scaling of LAPACK ``gebal`` on A0.  The
-    pair propagated from T X T under (T^-1 A0 T, T^-1 A1 T) is T Z T, so
-    p(hG)^s is the same polynomial in either coordinate system and either
-    norm bounds it.  On the PDDE matrices, whose Laplacian and identity
-    blocks differ in scale by 1/h^2, balancing cuts norm1 from 74 to 9.7
-    (3x3) and from 1991 to 33 (21x21).
+    The pair propagated from T X T under the balanced matrices is T Z T, so
+    p(hG)^s is the same polynomial in either system.  On the PDDE matrices,
+    whose Laplacian and identity blocks differ in scale by 1/h^2, balancing
+    cuts norm1 from 74 to 9.7 (3x3) and from 1991 to 33 (21x21).  The bound
+    on d_1 is norm1; for p >= 2 it is read off the column sums of |tG|^p
+    (``_power_bounds``): 2 MAX_POWER products of n x n matrices and no
+    random estimate.
 
-    (m, s) minimizes m * ceil(norm1 / theta_m) over ``TAYLOR_THETA``, ties
-    going to the smallest m: the Al-Mohy & Higham (2011) plan for a backward
-    error of 2^-53 from the 1-norm alone, their fragment (3.1) under
-    condition (3.13).  Above norm1 = 63.4 their estimates of ||(tG)^p||_1
-    may allow fewer terms; this plan is never smaller.  It depends only on
-    (A0, A1, tau) and costs O(n^2).
+    With alpha_p = max(d_p, d_{p+1}) and alpha(m) the least alpha_p over
+    p(p-1) <= m + 1, (m, s) minimizes m * s, s = max(1, ceil(alpha(m) /
+    theta_m)), over ``TAYLOR_THETA``, ties going to the smallest m: the
+    Al-Mohy & Higham plan for a backward error of 2^-53 (2009, Thm 4.2;
+    2011, fragment (3.1)).  p = 1 alone gives m * ceil(norm1 / theta_m), so
+    this plan is never larger than the one from the 1-norm alone.  Al-Mohy &
+    Higham skip the power estimates below norm1 = 63.4, weighing them against
+    one exponential action; here one plan serves every apply of a solve.
+    The plan depends only on (A0, A1, tau).
 
     Raises
     ------
@@ -234,17 +289,16 @@ def plan_propagation(A0, A1, tau, cfg=None):
     A1 = np.asarray(A1, dtype=float)
     degrees = np.array(list(TAYLOR_THETA), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm1 = _row_sum_norm(A0, A1)
-        if np.isfinite(A0).all():  # gebal takes finite input only
-            T = matrix_balance(A0, permute=False, separate=True)[1][0]
-            scale = np.outer(1.0 / T, T)
-            norm1 = min(norm1, _row_sum_norm(A0 * scale, A1 * scale))
-        norm1 *= 0.5 * tau
+        d = _power_bounds(*_planning_pair(A0, A1), 0.5 * tau)
+        norm1 = d[0]
         if norm1 == 0.0:
             return PropagationPlan(0, 1)
         if not np.isfinite(norm1):
             raise SolverError("exp-overflow", "||tG||_1 overflowed")
-        steps = np.ceil(norm1 / np.array(list(TAYLOR_THETA.values())))
+        p = np.arange(1, MAX_POWER + 1)
+        alpha = np.where(p * (p - 1) <= degrees[:, None] + 1,
+                         np.maximum(d[:-1], d[1:]), np.inf).min(axis=1)
+        steps = np.maximum(np.ceil(alpha / np.array(list(TAYLOR_THETA.values()))), 1.0)
         terms = degrees * steps
     best = int(np.argmin(terms))  # the first minimum: ties go to the smallest m
     if not np.isfinite(terms[best]):

@@ -214,7 +214,7 @@ class TestApply:
         assert frobenius(pre) / frobenius(b) <= 0.05
 
     def test_overflowing_propagation_is_exp_overflow(self):
-        # alpha = 1e4 plans an affordable 55 x 506 terms, but the pair
+        # alpha = 1e4 plans an affordable 55 x 507 terms, but the pair
         # overflows on the way; no RuntimeWarning escapes
         ctx = OperatorContext(problem=small_example(1e4).problem)
         for propagate in (lambda X: apply_operator(ctx, X),

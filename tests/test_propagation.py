@@ -22,8 +22,40 @@ from delaylyap import (
     unvec,
     vec,
 )
-from delaylyap.propagation import MAX_PLAN_TERMS
+from delaylyap.propagation import (
+    MAX_PLAN_TERMS,
+    MAX_POWER,
+    TAYLOR_THETA,
+    _planning_pair,
+    _power_bounds,
+)
 from helpers import random_stable_problem, rk4_plan
+
+
+def _random_pairs(count, n, seed):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((n, n)), rng.standard_normal((n, n)), 1.0)
+            for _ in range(count)]
+
+
+def dense_power_norms(A0, A1, t):
+    """d_p = ||(tG)^p||_1^(1/p) for p = 1..MAX_POWER + 1, from the dense
+    generator."""
+    tG = t * coupled_generator(A0, A1)
+    power, d = np.eye(tG.shape[0]), []
+    for p in range(1, MAX_POWER + 2):
+        power = power @ tG
+        d.append(np.linalg.norm(power, 1) ** (1.0 / p))
+    return d
+
+
+POWER_BOUND_CASES = [
+    *((p.A0, p.A1, p.tau) for p in (small_example(1.0).problem, small_example(5.0).problem,
+                                    pdde_generate(3, 1).problem, pdde_generate(5, 1).problem)),
+    *_random_pairs(3, 6, 21),
+]
+POWER_BOUND_IDS = ["small4-alpha1", "small4-alpha5", "pdde-3x1", "pdde-5x1",
+                   "random-6x6-0", "random-6x6-1", "random-6x6-2"]
 
 
 def generator_action(A0, A1, Z1, Z2):
@@ -328,12 +360,15 @@ class TestTaylorPlan:
         assert err.value.code == "exp-overflow"
 
     def test_plans_on_benchmark_problems(self):
-        # PDDE 5x5 and 11x11 plan from the balanced norm; unbalanced they
-        # would plan 55 x 17 and 55 x 62 terms
-        problems = {(50, 4): small_example(1.0).problem, (55, 4): small_example(5.0).problem,
-                    (55, 1): pdde_generate(3, 3).problem, (40, 2): pdde_generate(5, 5).problem,
-                    (55, 2): pdde_generate(11, 11).problem}
-        for (m, s), p in problems.items():
+        # the power bounds of the balanced generator cut every plan but
+        # PDDE 11x11's; from the 1-norm alone these read (50, 4), (55, 4),
+        # (55, 1), (40, 2), (55, 3) and (55, 2), and unbalanced PDDE 5x5 and
+        # 11x11 would plan 55 x 17 and 55 x 62 terms
+        problems = [((50, 3), small_example(1.0).problem), ((50, 3), small_example(5.0).problem),
+                    ((45, 1), pdde_generate(3, 3).problem), ((55, 1), pdde_generate(5, 5).problem),
+                    ((50, 2), pdde_generate(9, 9).problem),
+                    ((55, 2), pdde_generate(11, 11).problem)]
+        for (m, s), p in problems:
             assert plan_propagation(p.A0, p.A1, p.tau) == PropagationPlan(degree=m, steps=s)
 
     def test_ties_go_to_the_smallest_degree(self):
@@ -343,12 +378,65 @@ class TestTaylorPlan:
 
     def test_absurd_plan_is_plan_too_large(self):
         # alpha = 1e20 plans 55 x 5.05e18 terms and alpha = 1e100 55 x
-        # 5.05e98, finite propagations that never end
-        for alpha in (1e20, 1e100):
+        # 5.05e98, finite propagations that never end; at 1e120 and 1e200
+        # the unscaled powers of |tG| would overflow, which is not what the
+        # finite ||tG||_1 means
+        for alpha in (1e20, 1e100, 1e120, 1e200):
             p = small_example(alpha).problem
             with pytest.raises(SolverError) as err:
                 plan_propagation(p.A0, p.A1, p.tau)
             assert err.value.code == "plan-too-large"
+
+    @pytest.mark.parametrize("A0, A1, tau", POWER_BOUND_CASES, ids=POWER_BOUND_IDS)
+    def test_power_bounds_hold(self, A0, A1, tau):
+        # column sums of |tG|^p bound ||(tG)^p||_1, computed from the dense
+        # generator in the original and in the planning coordinates
+        t = 0.5 * tau
+        for B0, B1 in ((A0, A1), _planning_pair(A0, A1)):
+            for bound, d in zip(_power_bounds(B0, B1, t), dense_power_norms(B0, B1, t)):
+                assert bound >= d * (1.0 - 1e-13)
+
+    @pytest.mark.parametrize("A0, A1, tau", POWER_BOUND_CASES, ids=POWER_BOUND_IDS)
+    def test_power_plan_never_exceeds_the_norm_plan(self, A0, A1, tau):
+        # the first bound is the 1-norm of the balanced or original generator,
+        # whichever is smaller, and the plan from it stays a candidate
+        T = matrix_balance(A0, permute=False, separate=True)[1][0]
+        scale = np.outer(1.0 / T, T)
+        norm1 = 0.5 * tau * min(np.linalg.norm(A0, np.inf) + np.linalg.norm(A1, np.inf),
+                                np.linalg.norm(A0 * scale, np.inf)
+                                + np.linalg.norm(A1 * scale, np.inf))
+        assert _power_bounds(*_planning_pair(A0, A1), 0.5 * tau)[0] == norm1
+        norm_plan = min(m * np.ceil(norm1 / theta) for m, theta in TAYLOR_THETA.items())
+        assert plan_propagation(A0, A1, tau).rhs_evals <= norm_plan
+
+    @pytest.mark.parametrize("A0, A1, tau", [
+        *POWER_BOUND_CASES,
+        # d_p = 100, 100, 4.6, 1, 2.5, 4.6, 1.9, 1, 1.7: d_4 alone would
+        # allow degree 18 where max(d_4, d_5) needs 26
+        (np.zeros((2, 2)), np.array([[0.0, 100.0], [0.01, 0.0]]), 2.0),
+        # (tG)^4 = 0, which only p(p - 1) <= m + 1 with p = 4 may use
+        (np.triu(np.full((4, 4), 30.0), 1), np.zeros((4, 4)), 1.0),
+    ], ids=[*POWER_BOUND_IDS, "non-monotone", "nilpotent"])
+    def test_plan_meets_the_backward_error_condition(self, A0, A1, tau):
+        # Al-Mohy & Higham (2009, Thm 4.2): some p with p(p - 1) <= m + 1 has
+        # max(d_p, d_{p+1}) <= s theta_m, d_p from the dense generator
+        plan = plan_propagation(A0, A1, tau)
+        d = dense_power_norms(*_planning_pair(A0, A1), 0.5 * tau)
+        budget = plan.steps * TAYLOR_THETA[plan.degree]
+        assert any(max(d[p - 1], d[p]) <= budget
+                   for p in range(1, MAX_POWER + 1) if p * (p - 1) <= plan.degree + 1)
+
+    def test_nilpotent_generator_plans_exact_terms(self):
+        # A1 = 0 and a nilpotent A0 make (tG)^2 = 0: one degree-1 step is exp
+        A0 = np.array([[0.0, 3.0], [0.0, 0.0]])
+        A1 = np.zeros((2, 2))
+        assert list(_power_bounds(A0, A1, 0.5)[1:]) == [0.0] * MAX_POWER
+        assert plan_propagation(A0, A1, 1.0) == PropagationPlan(degree=1, steps=1)
+        X = np.arange(4.0).reshape(2, 2)
+        res = rk4_propagate(A0, A1, X, 1.0)
+        exact = exact_propagate(A0, A1, X, 1.0)
+        assert_allclose(res.Z1_end, exact.Z1_end, rtol=0, atol=1e-14)
+        assert_allclose(res.Z2_end, exact.Z2_end, rtol=0, atol=1e-14)
 
     def test_balancing_is_exact(self):
         # the pair propagated from T X T under (T^-1 A0 T, T^-1 A1 T) is

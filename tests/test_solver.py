@@ -8,6 +8,7 @@ from delaylyap import (
     KrylovConfig,
     OdeConfig,
     OperatorContext,
+    PropagationPlan,
     SolverError,
     TdsProblem,
     apply_operator,
@@ -66,6 +67,23 @@ def test_pdde_iteration_counts(grid, main):
     assert report.converged
     assert report.iterations <= main
     assert report.refinement_passes == 0
+
+
+@pytest.mark.parametrize("problem, norm_plan", [
+    (small_example(1.0).problem, (50, 4)), (small_example(5.0).problem, (55, 4)),
+    (pdde_generate(3, 3).problem, (55, 1)), (pdde_generate(5, 5).problem, (40, 2)),
+], ids=["small4-alpha1", "small4-alpha5", "pdde-3x3", "pdde-5x5"])
+def test_power_bound_plan_keeps_the_solution(problem, norm_plan, monkeypatch):
+    # the plan from the generator's power bounds runs fewer Taylor terms than
+    # the one from its 1-norm alone, and the solution does not move
+    import delaylyap.solver
+
+    X = solve_delay_lyapunov(problem).X
+    monkeypatch.setattr(delaylyap.solver, "plan_propagation",
+                        lambda *args: PropagationPlan(*norm_plan))
+    reference = solve_delay_lyapunov(problem)
+    assert reference.plan == PropagationPlan(*norm_plan)
+    assert frobenius(X - reference.X) <= 1e-12 * frobenius(reference.X)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 5.0])
