@@ -25,7 +25,6 @@ from .precond import (
     build_preconditioner,
     has_no_hamiltonian_pairing,
     preconditioned_spectrum,
-    preconditioner_quality,
 )
 from .problems import PddeSystem, SmallExample, bench_table, pdde_generate, small_example
 from .propagation import (
@@ -59,7 +58,7 @@ __all__ = [
     "coupled_generator", "coupled_rhs", "eigenvalues", "exact_propagate",
     "expm", "factor_pencil", "frobenius", "gmres",
     "has_no_hamiltonian_pairing", "lu_solve", "matrix_of", "pdde_generate",
-    "plan_propagation", "preconditioned_spectrum", "preconditioner_quality",
+    "plan_propagation", "preconditioned_spectrum",
     "read_matrix", "real_schur", "reconstruct_solution", "rk4_propagate",
     "small_example", "solve_delay_lyapunov", "term_operands", "tsylv_solvable",
     "tsylv_solve", "tsylv_solve_kron", "unvec", "vec", "write_matrix",

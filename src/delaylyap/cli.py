@@ -4,7 +4,10 @@ Subcommands: solve, bench, spectrum, tsylv, pdde.  Matrices travel as
 Matrix Market files, histories and spectra as CSV with a header row, run
 summaries as key=value text.  Failures exit nonzero with the error code on
 stderr; unreadable or inconsistent input gives ``invalid-input``.  In
-``solve``'s summary.txt, ``setup_seconds`` includes the propagation plan.
+``solve``'s summary.txt, ``setup_seconds`` includes the propagation plans;
+``propagation_*`` and ``rhs_evals_per_apply`` give the 2^-53 plan of the
+residual checks and the solution samples, and the ``krylov_`` keys the
+2^-24 plan of the Krylov operator applies.
 
 No subcommand takes the operator shift c: it scales the antisymmetric part
 of the operator and of its preconditioner alike, so it cancels from the
@@ -133,6 +136,9 @@ def cmd_solve(args):
         ("propagation_degree", report.plan.degree),
         ("propagation_steps", report.plan.steps),
         ("rhs_evals_per_apply", report.plan.rhs_evals),
+        ("krylov_propagation_degree", report.krylov_plan.degree),
+        ("krylov_propagation_steps", report.krylov_plan.steps),
+        ("krylov_rhs_evals_per_apply", report.krylov_plan.rhs_evals),
         ("tau", problem.tau),
         ("setup_seconds", report.timings.setup_seconds),
         ("apply_seconds", report.timings.apply_seconds),

@@ -132,9 +132,11 @@ class SolveReport:
     is non-increasing.  ``iteration_seconds`` holds, for each history entry,
     the ``perf_counter`` time elapsed since the solve started when that
     entry was recorded.  ``relation`` is the Arnoldi relation of a GMRES
-    solve (None for BiCGStab).  The propagation plan, the boundary-value
+    solve (None for BiCGStab).  The propagation plans, the boundary-value
     residuals and the refinement counts are filled in by
-    ``solve_delay_lyapunov``, not by the Krylov kernels;
+    ``solve_delay_lyapunov``, not by the Krylov kernels: ``plan`` is the
+    2^-53 plan of the boundary residuals and refinement, ``krylov_plan``
+    the 2^-24 plan of every Krylov operator apply;
     ``refinement_iterations`` counts the new Arnoldi iterations of the
     correction solves, not the recycled space they start from.
     """
@@ -147,6 +149,7 @@ class SolveReport:
     method: str
     timings: SolveTimings = field(default_factory=SolveTimings)
     plan: object = None
+    krylov_plan: object = None
     r_alg: float = None
     r_sym: float = None
     refinement_passes: int = 0

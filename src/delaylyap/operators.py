@@ -77,7 +77,8 @@ class OperatorContext:
     Every apply, residual and reconstruction of this context runs ``plan``;
     without one, the default plan of the problem is made once, at
     construction.  Pass ``plan_propagation(A0, A1, tau, OdeConfig(...))``,
-    or ``SolveReport.plan`` of an earlier solve, for any other.
+    or ``SolveReport.plan`` of an earlier solve, for any other;
+    ``SolveReport.krylov_plan`` gives the operator its Krylov solves applied.
     """
 
     problem: TdsProblem

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrsyl
 
 from .errors import SolverError
-from .linalg import eigenvalues, expm, frobenius, matrix_of, real_schur, schur_eigenvalues
+from .linalg import eigenvalues, expm, matrix_of, real_schur, schur_eigenvalues
 from .operators import ASSEMBLE_MAX_N, apply_operator
 from .tsylv import pairing_free
 from .tsylv import factor_pencil, solve_with_factors  # noqa: F401 -- bench/tracing.py wraps these
@@ -158,21 +158,6 @@ def apply_preconditioner(factors, Z):
         X, scale = _trlyap(factors.T, _sym(U.T @ R @ U))
         S = _sym(U @ _sym(X / scale) @ U.T)
         return (S + K) @ factors.exp_forward
-
-
-def preconditioner_quality(ctx, factors, trials=20, seed=0):
-    """Largest observed deviation of the preconditioned operator from identity.
-
-    Returns max over random unit-Frobenius X of
-    ||apply_preconditioner(apply_operator(X)) - X||_F, a lower bound on the
-    operator-norm deviation of the preconditioned system from the identity.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    X = np.random.default_rng(seed).standard_normal((trials, ctx.problem.n, ctx.problem.n))
-    X /= np.linalg.norm(X, axis=(-2, -1), keepdims=True)
-    return max(frobenius(apply_preconditioner(factors, Y) - Xk)
-               for Xk, Y in zip(X, apply_operator(ctx, X)))
 
 
 def preconditioned_spectrum(ctx, factors):

@@ -49,11 +49,17 @@ same truncation the plan bounds for p(hG) itself, so the recurrence
 realizes exp((tau/2) G) to the order of p(hG)^s without being the identical
 polynomial.  The plan (m, s) is fixed per problem, before any X is seen --
 from the Al-Mohy & Higham (2009, 2011) bounds on ||(tG)^p||^(1/p) of the
-balanced generator for a double-precision target, each taken from the
-nonnegative matrix |tG| with no random estimate, or as (4, steps), degree-4
-steps of the order of classic RK4 -- and the loop never
-stops early, so every propagation is the same polynomial in G and the
-discretized operator stays exactly linear.
+balanced generator, each taken from the nonnegative matrix |tG| with no
+random estimate, or as (4, steps), degree-4 steps of the order of classic
+RK4 -- and the loop never stops early, so every propagation is the same
+polynomial in G and the discretized operator stays exactly linear.
+
+One set of bounds gives two plans (``plan_propagations``): one for a
+backward error of 2^-53 (``TAYLOR_THETA``), which runs the residual checks,
+refinement and the solution curve, and one for 2^-24 (``KRYLOV_THETA``),
+which runs the Krylov operator applies, as in GMRES-based iterative
+refinement (Carson & Higham 2018).  Each is fixed per problem, so each
+operator is exactly linear on its own; (4, steps) serves as both.
 
 The recurrence yields the pair after every step k, from P_k = (D_k +
 D_{k-1})/2 and Q_k = O_h U_{k-1}, so the solution curve is read off the
@@ -92,6 +98,20 @@ TAYLOR_THETA = {
     21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+# theta_m for a backward error of 2^-24, from the same bound, each rounded
+# down to 3 significant digits so that it stays a valid bound: the table of
+# the Krylov plan.  KRYLOV_THETA[m] > TAYLOR_THETA[m] for every m, so the
+# Krylov plan never runs more terms than the double-precision one.
+KRYLOV_THETA = {
+    1: 1.19e-7, 2: 5.97e-4, 3: 1.12e-2, 4: 5.11e-2, 5: 1.30e-1,
+    6: 2.49e-1, 7: 4.01e-1, 8: 5.80e-1, 9: 7.79e-1, 10: 9.95e-1,
+    11: 1.22, 12: 1.46, 13: 1.70, 14: 1.95, 15: 2.21,
+    16: 2.47, 17: 2.74, 18: 3.01, 19: 3.27, 20: 3.55,
+    21: 3.82, 22: 4.09, 23: 4.37, 24: 4.64, 25: 4.92,
+    26: 5.20, 27: 5.48, 28: 5.76, 29: 6.04, 30: 6.32,
+    35: 7.72, 40: 9.13, 45: 10.5, 50: 11.9, 55: 13.3,
 }
 
 
@@ -272,6 +292,15 @@ def plan_propagation(A0, A1, tau, cfg=None):
     one exponential action; here one plan serves every apply of a solve.
     The plan depends only on (A0, A1, tau).
 
+    This 2^-53 plan runs the driver's checks: the boundary residuals, the
+    true residual of refinement and the reconstructed solution curve.  The
+    Krylov operator of ``solve_delay_lyapunov`` runs the plan that the same
+    rule gives from ``KRYLOV_THETA``, for a backward error of 2^-24, read
+    off the same bounds by :func:`plan_propagations`.  Each plan is fixed
+    before any X is seen, so each operator is a fixed polynomial in G and
+    exactly linear; refinement on the 2^-53 residual corrects what the
+    coarser operator misses.
+
     Raises
     ------
     ValueError
@@ -281,10 +310,23 @@ def plan_propagation(A0, A1, tau, cfg=None):
         not finite; ``"plan-too-large"`` when that number is finite but
         exceeds ``MAX_PLAN_TERMS``.  No warning escapes.
     """
+    return plan_propagations(A0, A1, tau, cfg)[0]
+
+
+def plan_propagations(A0, A1, tau, cfg=None):
+    """The two plans of one solve, (plan, krylov_plan), from one call of
+    ``_power_bounds``: the 2^-53 plan of :func:`plan_propagation` and the
+    Krylov plan, chosen by the same rule from ``KRYLOV_THETA``.
+
+    The Krylov plan never has more terms, since every KRYLOV_THETA[m]
+    exceeds TAYLOR_THETA[m].  ``cfg.steps = N`` gives (4, N) to both, and a
+    zero generator (0, 1).  Raises as :func:`plan_propagation`.
+    """
     _check_tau(tau)
     cfg = cfg or OdeConfig()
     if cfg.steps is not None:
-        return PropagationPlan(RK4_DEGREE, cfg.steps)
+        plan = PropagationPlan(RK4_DEGREE, cfg.steps)
+        return plan, plan
     A0 = np.asarray(A0, dtype=float)
     A1 = np.asarray(A1, dtype=float)
     degrees = np.array(list(TAYLOR_THETA), dtype=float)
@@ -292,13 +334,23 @@ def plan_propagation(A0, A1, tau, cfg=None):
         d = _power_bounds(*_planning_pair(A0, A1), 0.5 * tau)
         norm1 = d[0]
         if norm1 == 0.0:
-            return PropagationPlan(0, 1)
+            plan = PropagationPlan(0, 1)
+            return plan, plan
         if not np.isfinite(norm1):
             raise SolverError("exp-overflow", "||tG||_1 overflowed")
         p = np.arange(1, MAX_POWER + 1)
         alpha = np.where(p * (p - 1) <= degrees[:, None] + 1,
                          np.maximum(d[:-1], d[1:]), np.inf).min(axis=1)
-        steps = np.maximum(np.ceil(alpha / np.array(list(TAYLOR_THETA.values()))), 1.0)
+    return tuple(_cheapest_plan(degrees, alpha, theta, norm1)
+                 for theta in (TAYLOR_THETA, KRYLOV_THETA))
+
+
+def _cheapest_plan(degrees, alpha, theta, norm1):
+    """The (m, s) of least m s, s = max(1, ceil(alpha(m) / theta_m)), over
+    one theta table, whose degrees are ``degrees`` in order; ties go to the
+    smallest m."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.maximum(np.ceil(alpha / np.array(list(theta.values()))), 1.0)
         terms = degrees * steps
     best = int(np.argmin(terms))  # the first minimum: ties go to the smallest m
     if not np.isfinite(terms[best]):

@@ -1,11 +1,13 @@
 """Shared test oracles and data: characteristic-polynomial eigenvalues,
 pencil eigenvalues by determinant interpolation, multiset matching, a
-seeded generator of delay-stable problems and fixed-step plans."""
+seeded generator of delay-stable problems, fixed-step plans and the
+sampled deviation of the preconditioned operator from the identity."""
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from delaylyap import PropagationPlan, TdsProblem
+from delaylyap import (PropagationPlan, TdsProblem, apply_operator, apply_preconditioner,
+                       frobenius)
 
 # Reference midpoint solution of the 4x4 example at coupling 1 (entries are
 # 4-decimal prints of the matrix scaled by 100, so each carries an absolute
@@ -76,3 +78,18 @@ def random_stable_problem(n, rng, coupling=0.3, tau=1.0):
     B = rng.standard_normal((n, n))
     W = 0.5 * (B + B.T)
     return TdsProblem(A0=A0, A1=A1, tau=tau, W=W)
+
+
+def preconditioner_quality(ctx, factors, trials=20, seed=0):
+    """Largest observed deviation of the preconditioned operator from identity.
+
+    Returns max over random unit-Frobenius X of
+    ||apply_preconditioner(apply_operator(X)) - X||_F, a lower bound on the
+    operator-norm deviation of the preconditioned system from the identity.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    X = np.random.default_rng(seed).standard_normal((trials, ctx.problem.n, ctx.problem.n))
+    X /= np.linalg.norm(X, axis=(-2, -1), keepdims=True)
+    return max(frobenius(apply_preconditioner(factors, Y) - Xk)
+               for Xk, Y in zip(X, apply_operator(ctx, X)))

@@ -150,6 +150,21 @@ def test_configuration_error_is_invalid_input(argv, tmp_path, capsys):
     assert not outdir.exists()  # rejected before any solve or file write
 
 
+@pytest.mark.parametrize("options, krylov", [([], (50, 2)), (["--steps", "7"], (4, 7))],
+                         ids=["planned", "steps-7"])
+def test_summary_reports_the_krylov_plan(options, krylov, tmp_path):
+    # the Krylov applies run the 2^-24 plan, never more terms than the
+    # 2^-53 plan of the residual checks; --steps fixes both
+    assert main(["solve", "--small-example", "--samples", "3", *options,
+                 "--outdir", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path / "summary.txt")
+    degree = int(summary["krylov_propagation_degree"])
+    steps = int(summary["krylov_propagation_steps"])
+    assert (degree, steps) == krylov
+    assert int(summary["krylov_rhs_evals_per_apply"]) == degree * steps
+    assert degree * steps <= int(summary["rhs_evals_per_apply"])
+
+
 def test_small_example_honours_tau(tmp_path):
     assert main(["solve", "--small-example", "--tau", "2", "--samples", "3",
                  "--outdir", str(tmp_path)]) == 0

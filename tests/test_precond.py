@@ -22,13 +22,12 @@ from delaylyap import (
     KrylovConfig,
     pdde_generate,
     preconditioned_spectrum,
-    preconditioner_quality,
     small_example,
     tsylv_solve_kron,
     unvec,
     vec,
 )
-from helpers import random_stable_problem, rk4_plan
+from helpers import preconditioner_quality, random_stable_problem, rk4_plan
 
 
 def tilde_apply(A0, c, tau, X):

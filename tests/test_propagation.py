@@ -1,7 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 from scipy.linalg import matrix_balance
+from scipy.sparse.linalg import expm_multiply
 
 from delaylyap import (
     OdeConfig,
@@ -23,11 +28,13 @@ from delaylyap import (
     vec,
 )
 from delaylyap.propagation import (
+    KRYLOV_THETA,
     MAX_PLAN_TERMS,
     MAX_POWER,
     TAYLOR_THETA,
     _planning_pair,
     _power_bounds,
+    plan_propagations,
 )
 from helpers import random_stable_problem, rk4_plan
 
@@ -56,6 +63,46 @@ POWER_BOUND_CASES = [
 ]
 POWER_BOUND_IDS = ["small4-alpha1", "small4-alpha5", "pdde-3x1", "pdde-5x1",
                    "random-6x6-0", "random-6x6-1", "random-6x6-2"]
+
+
+def exact_thetas(m, targets, extra=150):
+    """theta_m for each backward-error target u: the largest x with
+    sum_{k > m} |c_k| x^(k - 1) <= u, c_k the coefficients of the series of
+    log(e^-x T_m(x)), T_m the degree-m Taylor polynomial of e^x (Al-Mohy &
+    Higham 2009, Sec. 3), in exact rational arithmetic to k = m + extra."""
+    K = m + extra
+    a = [Fraction(1, math.factorial(j)) for j in range(m + 1)]
+    c = [Fraction(0)] * (K + 1)
+    for k in range(1, K + 1):  # log T_m: k c_k = k a_k - sum_j j c_j a_{k-j}
+        lower = sum((j * c[j] * a[k - j] for j in range(max(1, k - m), k)), Fraction(0))
+        c[k] = (a[k] if k <= m else 0) - lower / k
+    c[1] -= 1  # the -x of e^-x
+    assert not any(c[: m + 1])  # e^-x T_m(x) = 1 + O(x^(m + 1))
+    terms = [(k - 1, math.log(abs(ck.numerator)) - math.log(ck.denominator))
+             for k, ck in enumerate(c) if k > m and ck]
+
+    def scaled_error(x):
+        return sum(math.exp(log_c + p * math.log(x)) for p, log_c in terms)
+
+    thetas = []
+    for u in targets:
+        lo, hi = 0.0, float(m)
+        for _ in range(64):  # scaled_error increases on x > 0
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if scaled_error(mid) <= u else (lo, mid)
+        thetas.append(lo)
+    return thetas
+
+
+def sparse_generator(A0, A1):
+    """G on [vec Z1; vec Z2^T], column-stacked, from SciPy's sparse kron and
+    bmat alone: no code shared with delaylyap."""
+    n = A0.shape[0]
+    I = scipy.sparse.identity(n, format="csr")
+    A0T, A1T = scipy.sparse.csr_matrix(A0.T), scipy.sparse.csr_matrix(A1.T)
+    kron = scipy.sparse.kron
+    return scipy.sparse.bmat([[kron(A0T, I), kron(A1T, I)],
+                              [-kron(I, A1T), -kron(I, A0T)]], format="csr")
 
 
 def generator_action(A0, A1, Z1, Z2):
@@ -461,6 +508,63 @@ class TestTaylorPlan:
         else:
             with pytest.raises(SolverError, match="plan-too-large"):
                 plan_propagation(np.eye(2), np.eye(2), 1.0, cfg)
+
+
+class TestKrylovPlan:
+    @pytest.mark.parametrize("m, exact53, exact24", [
+        (10, 0.144, 0.995), (20, 1.438, 3.551), (30, 3.540, 6.321),
+        (45, 7.245, 10.539), (55, 9.867, 13.359),
+    ])
+    def test_theta_tables_match_exact_arithmetic(self, m, exact53, exact24):
+        theta53, theta24 = exact_thetas(m, (2.0 ** -53, 2.0 ** -24))
+        assert theta53 == pytest.approx(exact53, abs=5e-4)
+        assert theta24 == pytest.approx(exact24, abs=5e-4)
+        # SciPy's 2^-53 table rounds a few values up (9.9 for 9.867); the
+        # 2^-24 one is rounded down, so each value stays a valid bound
+        assert TAYLOR_THETA[m] == pytest.approx(theta53, rel=0.01)
+        assert KRYLOV_THETA[m] == pytest.approx(theta24, rel=0.01)
+        assert KRYLOV_THETA[m] <= theta24
+
+    def test_krylov_table_is_never_below_the_double_precision_one(self):
+        assert KRYLOV_THETA.keys() == TAYLOR_THETA.keys()
+        assert all(KRYLOV_THETA[m] >= TAYLOR_THETA[m] for m in TAYLOR_THETA)
+
+    @pytest.mark.parametrize("A0, A1, tau", POWER_BOUND_CASES, ids=POWER_BOUND_IDS)
+    def test_plans_from_one_set_of_bounds(self, A0, A1, tau):
+        # the first plan is plan_propagation's; the Krylov plan meets the
+        # 2^-24 condition of Al-Mohy & Higham and never runs more terms
+        plan, krylov_plan = plan_propagations(A0, A1, tau)
+        assert plan == plan_propagation(A0, A1, tau)
+        assert krylov_plan.rhs_evals <= plan.rhs_evals
+        d = dense_power_norms(*_planning_pair(A0, A1), 0.5 * tau)
+        budget = krylov_plan.steps * KRYLOV_THETA[krylov_plan.degree]
+        assert any(max(d[p - 1], d[p]) <= budget
+                   for p in range(1, MAX_POWER + 1) if p * (p - 1) <= krylov_plan.degree + 1)
+
+    @pytest.mark.parametrize("A0, cfg, want", [
+        (np.eye(2), OdeConfig(steps=7), (4, 7)),
+        (np.zeros((2, 2)), None, (0, 1)),
+    ], ids=["steps-7", "zero-generator"])
+    def test_one_plan_for_both(self, A0, cfg, want):
+        plan = PropagationPlan(*want)
+        assert plan_propagations(A0, np.zeros((2, 2)), 1.0, cfg) == (plan, plan)
+
+    @pytest.mark.parametrize("which, gate", [(0, 1e-12), (1, 1e-10)], ids=["plan", "krylov-plan"])
+    def test_matches_sparse_reference_above_the_dense_cap(self, which, gate):
+        # PDDE 7x7, n = 98 > EXACT_MAX_N: expm_multiply on the sparse
+        # generator measures 4.5e-15 on the 2^-53 plan and 3.3e-13 on the
+        # 2^-24 one
+        p = pdde_generate(7, 7).problem
+        n = p.n
+        X = np.random.default_rng(98).standard_normal((n, n))
+        state = np.concatenate([X.ravel(order="F"), X.ravel(order="C")])  # [vec X; vec X^T]
+        out = expm_multiply((0.5 * p.tau) * sparse_generator(p.A0, p.A1), state)
+        want = np.stack((out[: n * n].reshape((n, n), order="F"),
+                         out[n * n:].reshape((n, n), order="F").T))
+        plan = plan_propagations(p.A0, p.A1, p.tau)[which]
+        res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=plan)
+        got = np.stack((res.Z1_end, res.Z2_end))
+        assert np.linalg.norm(got - want) <= gate * np.linalg.norm(want)
 
 
 class TestExactPropagate:

@@ -18,11 +18,13 @@ from delaylyap import (
     lu_solve,
     pdde_generate,
     plan_propagation,
+    rk4_propagate,
     small_example,
     solve_delay_lyapunov,
     unvec,
     vec,
 )
+from delaylyap.propagation import plan_propagations
 from helpers import SMALL_EXAMPLE_MIDPOINT, random_stable_problem
 
 
@@ -79,8 +81,8 @@ def test_power_bound_plan_keeps_the_solution(problem, norm_plan, monkeypatch):
     import delaylyap.solver
 
     X = solve_delay_lyapunov(problem).X
-    monkeypatch.setattr(delaylyap.solver, "plan_propagation",
-                        lambda *args: PropagationPlan(*norm_plan))
+    monkeypatch.setattr(delaylyap.solver, "plan_propagations",
+                        lambda *args: (PropagationPlan(*norm_plan),) * 2)
     reference = solve_delay_lyapunov(problem)
     assert reference.plan == PropagationPlan(*norm_plan)
     assert frobenius(X - reference.X) <= 1e-12 * frobenius(reference.X)
@@ -146,6 +148,50 @@ def test_report_plan_is_the_plan_of_ode(ode):
     p = small_example(1.0).problem
     report = solve_delay_lyapunov(p, ode=ode)
     assert report.plan == plan_propagation(p.A0, p.A1, p.tau, ode)
+    assert (report.plan, report.krylov_plan) == plan_propagations(p.A0, p.A1, p.tau, ode)
+
+
+@pytest.mark.parametrize("problem, plan, krylov_plan", [
+    (small_example(1.0).problem, (50, 3), (50, 2)), (small_example(5.0).problem, (50, 3), (55, 2)),
+    (pdde_generate(3, 3).problem, (45, 1), (35, 1)), (pdde_generate(5, 5).problem, (55, 1), (45, 1)),
+], ids=["small4-alpha1", "small4-alpha5", "pdde-3x3", "pdde-5x5"])
+def test_report_carries_both_plans(problem, plan, krylov_plan):
+    # the 2^-24 plan runs fewer Taylor terms per Krylov apply, or as many
+    report = solve_delay_lyapunov(problem)
+    assert report.plan == PropagationPlan(*plan)
+    assert report.krylov_plan == PropagationPlan(*krylov_plan)
+    assert report.krylov_plan.rhs_evals <= report.plan.rhs_evals
+
+
+def test_krylov_plan_at_pdde_9x9():
+    # planned, not solved: the solve takes seconds
+    p = pdde_generate(9, 9).problem
+    plan, krylov_plan = plan_propagations(p.A0, p.A1, p.tau)
+    assert (plan, krylov_plan) == (PropagationPlan(50, 2), PropagationPlan(40, 2))
+    assert krylov_plan.rhs_evals <= plan.rhs_evals
+
+
+@pytest.mark.parametrize("problem", [small_example(5.0).problem, pdde_generate(3, 3).problem],
+                         ids=["small4-alpha5", "pdde-3x3"])
+def test_krylov_applies_and_checks_run_their_own_plans(problem, monkeypatch):
+    # every Krylov apply, main and correction solves alike, propagates on
+    # the 2^-24 plan; the boundary and refinement residuals on the 2^-53 one
+    import delaylyap.operators
+    import delaylyap.solver
+
+    plans = {"krylov": set(), "check": set()}
+
+    def recording(key):
+        def propagate(*args, plan, **kwargs):
+            plans[key].add(plan)
+            return rk4_propagate(*args, plan=plan, **kwargs)
+        return propagate
+
+    monkeypatch.setattr(delaylyap.operators, "rk4_propagate", recording("krylov"))
+    monkeypatch.setattr(delaylyap.solver, "rk4_propagate", recording("check"))
+    report = solve_delay_lyapunov(problem)
+    assert report.krylov_plan != report.plan
+    assert plans == {"krylov": {report.krylov_plan}, "check": {report.plan}}
 
 
 @pytest.mark.parametrize("method", ["gmres", "bicgstab"])
@@ -165,6 +211,7 @@ def test_zero_cost_returns_exact_zero(method, monkeypatch):
     assert report.X.shape == (4, 4) and not report.X.any()
     assert report.r_alg == 0.0 and report.r_sym == 0.0
     assert report.plan == plan_propagation(p.A0, p.A1, p.tau)
+    assert report.krylov_plan == plan_propagations(p.A0, p.A1, p.tau)[1]
     assert 0.0 < report.timings.setup_seconds <= report.timings.total_seconds
 
 
@@ -229,7 +276,7 @@ def test_driver_times_planning_and_every_propagation(problem, monkeypatch):
             return out
         return wrapper
 
-    for module, attr, name in ((delaylyap.solver, "plan_propagation", "setup"),
+    for module, attr, name in ((delaylyap.solver, "plan_propagations", "setup"),
                                (delaylyap.solver, "build_preconditioner", "setup"),
                                (delaylyap.solver, "apply_operator", "apply"),
                                (delaylyap.solver, "rk4_propagate", "apply")):
