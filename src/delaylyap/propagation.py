@@ -292,7 +292,7 @@ def plan_propagation(A0, A1, tau, cfg=None):
     one exponential action; here one plan serves every apply of a solve.
     The plan depends only on (A0, A1, tau).
 
-    This 2^-53 plan runs the driver's checks: the boundary residuals, the
+    This 2^-53 plan runs the solver's checks: the boundary residuals, the
     true residual of refinement and the reconstructed solution curve.  The
     Krylov operator of ``solve_delay_lyapunov`` runs the plan that the same
     rule gives from ``KRYLOV_THETA``, for a backward error of 2^-24, read

@@ -9,7 +9,7 @@ builds no Arnoldi relation.  Refinement never changes the reported
 main-solve iteration count.
 
 The Krylov solves apply the operator on a plan for a backward error of
-2^-24, the driver's checks run on the 2^-53 plan: GMRES-based iterative
+2^-24, the solver's checks run on the 2^-53 plan: GMRES-based iterative
 refinement (Carson & Higham 2018), with the Krylov solve as the inner,
 less accurate one.
 """
