@@ -31,7 +31,6 @@ from .propagation import (
     OdeConfig,
     PropagationPlan,
     PropagationResult,
-    coupled_generator,
     coupled_rhs,
     exact_propagate,
     plan_propagation,
@@ -42,7 +41,6 @@ from .solver import solve_delay_lyapunov
 from .tsylv import (
     TsylvPencil,
     factor_pencil,
-    tsylv_solvable,
     tsylv_solve,
     tsylv_solve_kron,
 )
@@ -55,11 +53,11 @@ __all__ = [
     "SolveReport", "SolveTimings", "SolverError", "TdsProblem", "TsylvPencil",
     "apply_operator", "apply_preconditioner", "assemble_operator",
     "bench_table", "bicgstab", "boundary_residuals", "build_preconditioner",
-    "coupled_generator", "coupled_rhs", "eigenvalues", "exact_propagate",
-    "expm", "factor_pencil", "frobenius", "gmres",
+    "coupled_rhs", "eigenvalues", "exact_propagate", "expm",
+    "factor_pencil", "frobenius", "gmres",
     "has_no_hamiltonian_pairing", "lu_solve", "matrix_of", "pdde_generate",
     "plan_propagation", "preconditioned_spectrum",
     "read_matrix", "real_schur", "reconstruct_solution", "rk4_propagate",
-    "small_example", "solve_delay_lyapunov", "term_operands", "tsylv_solvable",
-    "tsylv_solve", "tsylv_solve_kron", "unvec", "vec", "write_matrix",
+    "small_example", "solve_delay_lyapunov", "term_operands", "tsylv_solve",
+    "tsylv_solve_kron", "unvec", "vec", "write_matrix",
 ]

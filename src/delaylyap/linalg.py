@@ -2,18 +2,17 @@
 
 Real matrices are float64 ndarrays, complex ones complex128.  The vec basis
 is defined here and only here: :func:`vec` stacks columns, so
-vec(AXB) = (B^T (x) A) vec(X), a pair (B0, B1) is [vec B0; vec B1], and
-:func:`matrix_of` assembles the dense matrix of a linear map in that basis.
-Every dense oracle (the coupled generator, the assembled operator and its
-preconditioned spectrum, the Kronecker T-Sylvester solve) is built by
-:func:`matrix_of`; no other module reshapes to or from the vec basis.
+vec(AXB) = (B^T (x) A) vec(X), and :func:`matrix_of` assembles the dense
+matrix of a linear map in that basis.  Every dense oracle (the assembled
+operator and its preconditioned spectrum, the Kronecker T-Sylvester solve)
+is built by :func:`matrix_of`; no other module reshapes to or from the vec
+basis.
 The factorizations are SciPy's (``scipy.linalg.expm``, ``lu_factor``/
 ``lu_solve``, ``schur``); the wrappers here add input checks and map their
 failures to stable ``SolverError`` codes.  :func:`real_schur` is the one
 Schur route; the T-Sylvester pencil is factored in :mod:`delaylyap.tsylv`.
 """
 
-import math
 import warnings
 
 import numpy as np
@@ -46,17 +45,17 @@ def unvec(x, rows=None):
     return x.reshape((rows, x.size // rows), order="F")
 
 
-def matrix_of(fn, shape):
-    """Dense matrix M of a linear map, with M vec(X) = vec(fn(X)).
+def matrix_of(fn, n):
+    """Dense n^2 x n^2 matrix M of a linear map on n x n matrices, with
+    M vec(X) = vec(fn(X)).
 
-    ``shape`` is (n, n) for a matrix X and (2, n, n) for a pair (B0, B1),
-    whose vec is [vec B0; vec B1].  ``fn`` is applied once, to the batch of
-    all unit arrays E_j = unvec(e_j) stacked on a leading axis, so it must
-    accept such a batch; column j of M is vec(fn(E_j)).
+    ``fn`` is applied once, to the batch of all unit matrices
+    E_j = unvec(e_j) stacked on a leading axis, so it must accept such a
+    batch; column j of M is vec(fn(E_j)).
     """
-    size = math.prod(shape)
+    size = n * n
     # a column-major vec is a row-major reshape with the last two axes swapped
-    E = np.eye(size).reshape(size, *shape[:-2], shape[-1], shape[-2]).swapaxes(-1, -2)
+    E = np.eye(size).reshape(size, n, n).swapaxes(-1, -2)
     return fn(E).swapaxes(-1, -2).reshape(size, size).T
 
 

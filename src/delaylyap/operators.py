@@ -130,7 +130,7 @@ def assemble_operator(ctx):
     n = ctx.problem.n
     if n > ASSEMBLE_MAX_N:
         raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {ASSEMBLE_MAX_N}")
-    return matrix_of(partial(apply_operator, ctx), (n, n))
+    return matrix_of(partial(apply_operator, ctx), n)
 
 
 def reconstruct_solution(ctx, X, samples):

@@ -174,7 +174,7 @@ def preconditioned_spectrum(ctx, factors):
     if n > ASSEMBLE_MAX_N:
         raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {ASSEMBLE_MAX_N}")
     PA = matrix_of(lambda X: np.stack([apply_preconditioner(factors, Y)
-                                       for Y in apply_operator(ctx, X)]), (n, n))
+                                       for Y in apply_operator(ctx, X)]), n)
     ev = np.linalg.eigvals(PA)
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]

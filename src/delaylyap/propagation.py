@@ -68,7 +68,8 @@ recurrence stopped early.  The Al-Mohy & Higham bound holds per step for
 any h no longer than the plan's, so a snapshot meets the same relative
 backward error over k h as the terminal value over tau/2.
 
-The dense exponential of the vectorized generator is a small-size oracle.
+SciPy's ``expm_multiply`` on the sparse vectorized generator is the
+reference (:func:`exact_propagate`).
 """
 
 import math
@@ -79,25 +80,24 @@ import numpy as np
 from scipy.linalg import matrix_balance
 
 from .errors import SolverError
-from .linalg import expm, matrix_of, unvec, vec
+from .linalg import unvec, vec
 
-EXACT_MAX_N = 12
 RK4_DEGREE = 4      # the Taylor degree of classic RK4 on a linear autonomous ODE
 MAX_PLAN_TERMS = 10**7  # right-hand-side evaluations per propagation
 MAX_POWER = 8       # the largest p of the planner's alpha_p (Al-Mohy & Higham 2011)
 
 # theta_m: the largest alpha_p(hG), ||hG||_1 when p = 1, for which the degree-m
 # Taylor polynomial has backward error at most 2^-53 (Al-Mohy & Higham 2011,
-# Table 3.1 for m >= 35; m <= 30 from the same bound, as tabulated by SciPy's
-# expm_multiply).
+# Table 3.1 for m >= 35; m <= 30 from the same bound), each at or below the
+# exact value so that it stays a valid bound.
 TAYLOR_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+    1: 2.21e-16, 2: 2.58e-8, 3: 1.38e-5, 4: 3.39e-4, 5: 2.40e-3,
+    6: 9.06e-3, 7: 2.38e-2, 8: 4.99e-2, 9: 8.95e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 2.99e-1, 13: 3.99e-1, 14: 5.13e-1, 15: 6.41e-1,
+    16: 7.80e-1, 17: 9.30e-1, 18: 1.09, 19: 1.26, 20: 1.43,
+    21: 1.62, 22: 1.81, 23: 2.01, 24: 2.21, 25: 2.42,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.53,
+    35: 4.7, 40: 5.96, 45: 7.2, 50: 8.5, 55: 9.86,
 }
 
 # theta_m for a backward error of 2^-24, from the same bound, each rounded
@@ -219,16 +219,23 @@ def _row_sum_norm(A0, A1):
     return np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max()
 
 
-def _planning_pair(A0, A1):
-    """(A0, A1) or (T^-1 A0 T, T^-1 A1 T), T the diagonal power-of-2
-    scaling of LAPACK ``gebal`` on A0, whichever has the smaller ||G||_1;
-    the first when A0 is not finite, which gebal rejects."""
+def _planning_scale(A0, A1):
+    """The diagonal T of the planning coordinates, T^-1 A0 T and T^-1 A1 T:
+    the power-of-2 scaling of LAPACK ``gebal`` on A0 if it gives the smaller
+    ||G||_1, else ones; ones when A0 is not finite, which gebal rejects."""
+    ones = np.ones(A0.shape[0])
     if not np.isfinite(A0).all():
-        return A0, A1
+        return ones
     T = matrix_balance(A0, permute=False, separate=True)[1][0]
     scale = np.outer(1.0 / T, T)
-    B0, B1 = A0 * scale, A1 * scale
-    return (B0, B1) if _row_sum_norm(B0, B1) < _row_sum_norm(A0, A1) else (A0, A1)
+    return T if _row_sum_norm(A0 * scale, A1 * scale) < _row_sum_norm(A0, A1) else ones
+
+
+def _planning_pair(A0, A1):
+    """The pair (T^-1 A0 T, T^-1 A1 T), T = ``_planning_scale(A0, A1)``."""
+    T = _planning_scale(A0, A1)
+    scale = np.outer(1.0 / T, T)
+    return A0 * scale, A1 * scale
 
 
 def _power_bounds(A0, A1, t):
@@ -417,56 +424,47 @@ def rk4_propagate(A0, A1, X, tau, *, plan=None):
     return pair
 
 
-def coupled_generator(A0, A1):
-    """The 2n^2 x 2n^2 generator of the vectorized coupled system.
-
-    Acts on the state [vec Z1; vec W], W = Z2^T, as the matrix of
-
-        (Z1, W) -> (Z1 A0 + W A1, -A1^T Z1 - A0^T W),
-
-    the coupled system in its original coordinates, assembled by
-    :func:`delaylyap.linalg.matrix_of`.  It shares no code with the
-    split-coordinate loop of :func:`rk4_propagate`, which it checks.
-
-    Raises
-    ------
-    SolverError
-        ``"oracle-too-large"`` when n exceeds ``EXACT_MAX_N``, before
-        anything is allocated.
-    """
-    A0 = np.asarray(A0, dtype=float)
-    A1 = np.asarray(A1, dtype=float)
-    n = A0.shape[0]
-    if n > EXACT_MAX_N:
-        raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {EXACT_MAX_N}")
-
-    def generator(S):
-        Z1, W = S[..., 0, :, :], S[..., 1, :, :]
-        return np.stack((Z1 @ A0 + W @ A1, -(A1.T @ Z1) - A0.T @ W), axis=-3)
-
-    return matrix_of(generator, (2, n, n))
-
-
 def exact_propagate(A0, A1, X, tau):
-    """Terminal pair via the dense exponential of :func:`coupled_generator`.
+    """Terminal pair by SciPy's ``expm_multiply`` (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33(2), 2011), a reference that shares no propagation code
+    with :func:`rk4_propagate`.
 
     The state [vec Z1; vec Z2^T] starts at [vec X; vec X^T] and is
-    multiplied by exp((tau/2) G).  Exact up to the matrix exponential; an
-    oracle for small n, since G is 2n^2 x 2n^2.
+    multiplied by exp((tau/2) G), with G the sparse 2n^2 x 2n^2 generator
+
+        G = [[A0^T (x) I, A1^T (x) I], [-(I (x) A1^T), -(I (x) A0^T)]],
+
+    built with ``scipy.sparse.kron`` and ``bmat``.  It runs in the
+    coordinates of ``plan_propagation`` (the pair from T X T under
+    T^-1 A0 T, T^-1 A1 T is T Z T, T a power-of-2 diagonal), which keeps
+    ||tG||_1 small enough that SciPy's ``onenormest`` and its global-RNG
+    draws are not reached on the PDDE matrices.
 
     Raises
     ------
     ValueError
         When tau is not finite or is negative.
     SolverError
-        ``"oracle-too-large"`` when n exceeds ``EXACT_MAX_N``.
+        ``"exp-overflow"`` or ``"plan-too-large"`` where
+        :func:`plan_propagation` raises them, so that no propagation runs
+        for ever, and ``"exp-overflow"`` when the pair is not finite.
     """
+    from scipy.sparse import bmat, csr_array, identity, kron
+    from scipy.sparse.linalg import expm_multiply
+
     X = np.asarray(X, dtype=float)
-    _check_tau(tau)
-    G = coupled_generator(A0, A1)
+    A0 = np.asarray(A0, dtype=float)
+    A1 = np.asarray(A1, dtype=float)
+    plan_propagation(A0, A1, tau)
+    T = _planning_scale(A0, A1)
+    scale, TXT = np.outer(1.0 / T, T), np.outer(T, T)
+    B0T, B1T = csr_array((A0 * scale).T), csr_array((A1 * scale).T)
     n = X.shape[0]
-    state = np.concatenate([vec(X), vec(X.T)])
-    out = expm((0.5 * tau) * G) @ state
-    Z1 = unvec(out[: n * n], n)
-    Z2 = unvec(out[n * n:], n).T
-    return PropagationResult(Z1, Z2)
+    I = identity(n, format="csr")
+    G = bmat([[kron(B0T, I), kron(B1T, I)], [-kron(I, B1T), -kron(I, B0T)]], format="csr")
+    Y = X * TXT
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = expm_multiply((0.5 * tau) * G, np.concatenate([vec(Y), vec(Y.T)]))
+    if not np.isfinite(out).all():
+        raise SolverError("exp-overflow", "the propagated pair overflowed")
+    return PropagationResult(unvec(out[: n * n], n) / TXT, unvec(out[n * n:], n).T / TXT)

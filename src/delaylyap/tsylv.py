@@ -11,9 +11,8 @@ This module is the one place that knows the general pencil:
 :func:`factor_pencil` triangularizes it by complex QZ, so a singular N^T
 gives an infinite eigenvalue rather than a failure, and
 :func:`_check_pair_determinants` is the one reading of the condition, as
-nonzero pivots of the back substitution on the triangular factors.
-:func:`tsylv_solve` raises from that check and :func:`tsylv_solvable`
-returns its verdict.
+nonzero pivots of the back substitution on the triangular factors;
+:func:`tsylv_solve` raises ``tsylv-near-singular`` from it.
 
 Two routes are provided: a Kronecker-vectorized dense solve (the reference
 oracle, O(n^6)) and a Schur-reduction solver (O(n^3)) that back-substitutes
@@ -178,7 +177,7 @@ def tsylv_solve(M, N, C):
     SolverError
         ``"pencil-reduction-failed"`` when the pencil M - lambda N^T is
         singular, ``"tsylv-near-singular"`` when the solvability condition
-        fails (exactly when :func:`tsylv_solvable` is False),
+        fails on the computed pencil eigenvalues, to ``SOLVABLE_RTOL``,
         ``"tsylv-residual-fail"`` when the computed solution is not real or
         fails the defining-equation check.
     """
@@ -212,33 +211,12 @@ def tsylv_solve_kron(M, N, C):
     n = M.shape[0]
     if n > KRON_MAX_N:
         raise SolverError("oracle-too-large", f"n={n} exceeds the dense oracle cap {KRON_MAX_N}")
-    K = matrix_of(lambda Y: M @ Y + Y.swapaxes(-1, -2) @ N, (n, n))
+    K = matrix_of(lambda Y: M @ Y + Y.swapaxes(-1, -2) @ N, n)
     try:
         x = lu_solve(K, vec(C))
     except SolverError as exc:
         raise SolverError("tsylv-singular", str(exc)) from exc
     return unvec(x, n)
-
-
-def tsylv_solvable(M, N):
-    """True iff M X + X^T N = C has a unique solution for every C.
-
-    The condition is the one stated in the module docstring (Byers &
-    Kressner 2006; De Teran & Dopico 2011): no pencil eigenvalue -1 and no
-    pair lambda_i lambda_j = 1 with i != j.  It is decided by the same check
-    :func:`tsylv_solve` enforces, so this is True exactly when that solve
-    does not raise ``tsylv-near-singular``.  The check reads the computed
-    eigenvalues; where they are too ill-conditioned to show a singular pair,
-    the solve's residual check raises ``tsylv-residual-fail`` instead.
-
-    Raises ``SolverError("pencil-reduction-failed")`` for a singular pencil.
-    """
-    pencil = factor_pencil(M, N)
-    try:
-        _check_pair_determinants(pencil.TM, pencil.TN)
-    except SolverError:
-        return False
-    return True
 
 
 def pairing_free(lam):

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from delaylyap import (
     SolverError,
-    coupled_generator,
     eigenvalues,
     expm,
     factor_pencil,
@@ -76,7 +75,7 @@ class TestKronVec:
 
 def transpose_matrix(n):
     """The commutation matrix P, P vec(X) = vec(X^T), as the matrix of X -> X^T."""
-    return matrix_of(lambda X: X.swapaxes(-1, -2), (n, n))
+    return matrix_of(lambda X: X.swapaxes(-1, -2), n)
 
 
 class TestCommutation:
@@ -99,7 +98,7 @@ class TestMatrixOf:
     def test_two_sided_product_is_kron(self, n):
         rng = np.random.default_rng(n)
         A, B = rng.standard_normal((2, n, n))
-        assert np.array_equal(matrix_of(lambda X: A @ X @ B, (n, n)), np.kron(B.T, A))
+        assert np.array_equal(matrix_of(lambda X: A @ X @ B, n), np.kron(B.T, A))
 
     def test_applies_fn_once_to_the_unit_batch(self):
         calls = []
@@ -108,21 +107,8 @@ class TestMatrixOf:
             calls.append(X.shape)
             return 2.0 * X
 
-        assert np.array_equal(matrix_of(fn, (3, 3)), 2.0 * np.eye(9))
+        assert np.array_equal(matrix_of(fn, 3), 2.0 * np.eye(9))
         assert calls == [(9, 3, 3)]
-
-    def test_pair_block_order(self):
-        # a pair (B0, B1) is [vec B0; vec B1]: (B0, B1) -> (B1, 0) is the top
-        # right block, and (B0, B1) -> (0, A B0) the bottom left one
-        n = 3
-        A = np.random.default_rng(4).standard_normal((n, n))
-        I, O = np.eye(n * n), np.zeros((n * n, n * n))
-        up = matrix_of(lambda S: np.stack((S[..., 1, :, :], 0 * S[..., 0, :, :]), axis=-3),
-                       (2, n, n))
-        assert np.array_equal(up, np.block([[O, I], [O, O]]))
-        down = matrix_of(lambda S: np.stack((0 * S[..., 1, :, :], A @ S[..., 0, :, :]), axis=-3),
-                         (2, n, n))
-        assert np.array_equal(down, np.block([[O, O], [np.kron(np.eye(n), A), O]]))
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_tsylv_matrix_matches_kronecker_formula(self, n):
@@ -132,18 +118,7 @@ class TestMatrixOf:
         I = np.eye(n)
         P = np.eye(n * n)[np.arange(n * n).reshape(n, n).flatten(order="F")]
         K = np.kron(I, M) + np.kron(N.T, I) @ P
-        assert np.array_equal(matrix_of(lambda Y: M @ Y + Y.swapaxes(-1, -2) @ N, (n, n)), K)
-
-    @pytest.mark.parametrize("n", [1, 4, 12])
-    def test_generator_matches_kronecker_blocks(self, n):
-        # the blocks [[A0^T (x) I, A1^T (x) I], [-I (x) A1^T, -I (x) A0^T]]
-        # on [vec Z1; vec Z2^T], bit for bit
-        rng = np.random.default_rng(20 + n)
-        A0, A1 = rng.standard_normal((2, n, n))
-        I = np.eye(n)
-        G = np.block([[np.kron(A0.T, I), np.kron(A1.T, I)],
-                      [-np.kron(I, A1.T), -np.kron(I, A0.T)]])
-        assert np.array_equal(coupled_generator(A0, A1), G)
+        assert np.array_equal(matrix_of(lambda Y: M @ Y + Y.swapaxes(-1, -2) @ N, n), K)
 
 
 class TestRealSchur:

@@ -345,7 +345,7 @@ class TestApply:
             factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
             n = p.n
             I = np.eye(n)
-            T = matrix_of(lambda Y: (p.A0.T + I) @ Y + Y.swapaxes(-1, -2) @ (p.A0 - I), (n, n))
+            T = matrix_of(lambda Y: (p.A0.T + I) @ Y + Y.swapaxes(-1, -2) @ (p.A0 - I), n)
             K = np.linalg.norm(np.linalg.inv(T), 2)
             bound = K * np.exp(0.5 * p.tau * np.linalg.norm(p.A0, 2))
             Z = rng.standard_normal((n, n))
@@ -461,7 +461,7 @@ def test_residual_bound_from_deviation_and_conditioning():
     r = preconditioner_quality(ctx, factors, trials=20)
     assert r < 1
     PA = matrix_of(lambda X: np.stack([apply_preconditioner(factors, Y)
-                                       for Y in apply_operator(ctx, X)]), (4, 4))
+                                       for Y in apply_operator(ctx, X)]), 4)
     lam, V = np.linalg.eig(PA)
     kappa = np.linalg.cond(V)
     report = gmres(lambda X: apply_operator(ctx, X), -p.W,

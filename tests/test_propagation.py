@@ -13,7 +13,6 @@ from delaylyap import (
     OperatorContext,
     PropagationPlan,
     SolverError,
-    coupled_generator,
     coupled_rhs,
     exact_propagate,
     expm,
@@ -48,7 +47,7 @@ def _random_pairs(count, n, seed):
 def dense_power_norms(A0, A1, t):
     """d_p = ||(tG)^p||_1^(1/p) for p = 1..MAX_POWER + 1, from the dense
     generator."""
-    tG = t * coupled_generator(A0, A1)
+    tG = t * sparse_generator(A0, A1).toarray()
     power, d = np.eye(tG.shape[0]), []
     for p in range(1, MAX_POWER + 2):
         power = power @ tG
@@ -106,9 +105,10 @@ def sparse_generator(A0, A1):
 
 
 def generator_action(A0, A1, Z1, Z2):
-    """G on the pair (Z1, Z2) through the dense oracle on [vec Z1; vec Z2^T]."""
+    """G on the pair (Z1, Z2) through the vectorized generator on
+    [vec Z1; vec Z2^T]."""
     n = Z1.shape[0]
-    out = coupled_generator(A0, A1) @ np.concatenate([vec(Z1), vec(Z2.T)])
+    out = sparse_generator(A0, A1) @ np.concatenate([vec(Z1), vec(Z2.T)])
     return unvec(out[: n * n], n), unvec(out[n * n:], n).T
 
 
@@ -216,13 +216,13 @@ class TestSplitCoordinates:
     def test_difference_form_keeps_rk4_rounding(self):
         # Near E_h = I the plain three-term Chebyshev recurrence loses about
         # s^2 eps (2.2e-10 here); the difference form stays at classic RK4's
-        # error (1.10e-12 against 1.16e-12 for RK4 on this problem).
+        # error (1.22e-13 against 1.63e-13 for RK4 on this problem).
         rng = np.random.default_rng(0)
         p = random_stable_problem(5, rng)
         X = rng.standard_normal((5, 5))
         steps, n = 4000, p.n
         exact = exact_propagate(p.A0, p.A1, X, p.tau)
-        G = coupled_generator(p.A0, p.A1)
+        G = sparse_generator(p.A0, p.A1).toarray()
         h = 0.5 * p.tau / steps
         y = np.concatenate([vec(X), vec(X.T)])
         for _ in range(steps):
@@ -397,7 +397,7 @@ class TestTaylorPlan:
     ], ids=["alpha-1e100", "alpha-1e308", "norm-overflow", "nan-A0"])
     def test_overflowing_norm_estimate_is_exp_overflow(self, A0, A1, tau):
         # At alpha = 1e308 and tau = 1, and at alpha = 1e100 and tau = 1e208,
-        # ||tG||_1 = 5e307 is finite and 55 ceil(||tG||_1 / 9.9), the least
+        # ||tG||_1 = 5e307 is finite and 55 ceil(||tG||_1 / 9.86), the least
         # term count, overflows (at tau = 1, alpha = 1e100 is plan-too-large);
         # a row of four 1e308 entries overflows ||tG||_1 itself, and a NaN A0,
         # which gebal rejects, makes it NaN.  No RuntimeWarning escapes: the
@@ -419,13 +419,13 @@ class TestTaylorPlan:
             assert plan_propagation(p.A0, p.A1, p.tau) == PropagationPlan(degree=m, steps=s)
 
     def test_ties_go_to_the_smallest_degree(self):
-        # ||tG||_1 = 90 costs 50 x ceil(90 / 8.5) = 55 x ceil(90 / 9.9) = 550
+        # ||tG||_1 = 90 costs 50 x ceil(90 / 8.5) = 55 x ceil(90 / 9.86) = 550
         plan = plan_propagation(-180.0 * np.eye(2), np.zeros((2, 2)), 1.0)
         assert plan == PropagationPlan(degree=50, steps=11)
 
     def test_absurd_plan_is_plan_too_large(self):
-        # alpha = 1e20 plans 55 x 5.05e18 terms and alpha = 1e100 55 x
-        # 5.05e98, finite propagations that never end; at 1e120 and 1e200
+        # alpha = 1e20 plans 55 x 5.07e18 terms and alpha = 1e100 55 x
+        # 5.07e98, finite propagations that never end; at 1e120 and 1e200
         # the unscaled powers of |tG| would overflow, which is not what the
         # finite ||tG||_1 means
         for alpha in (1e20, 1e100, 1e120, 1e200):
@@ -512,17 +512,18 @@ class TestTaylorPlan:
 
 class TestKrylovPlan:
     @pytest.mark.parametrize("m, exact53, exact24", [
-        (10, 0.144, 0.995), (20, 1.438, 3.551), (30, 3.540, 6.321),
+        (1, 2.220e-16, 1.192e-7), (8, 0.0499, 0.580),
+        (10, 0.144, 0.995), (20, 1.438, 3.551), (30, 3.540, 6.321), (40, 5.969, 9.131),
         (45, 7.245, 10.539), (55, 9.867, 13.359),
     ])
     def test_theta_tables_match_exact_arithmetic(self, m, exact53, exact24):
         theta53, theta24 = exact_thetas(m, (2.0 ** -53, 2.0 ** -24))
         assert theta53 == pytest.approx(exact53, abs=5e-4)
         assert theta24 == pytest.approx(exact24, abs=5e-4)
-        # SciPy's 2^-53 table rounds a few values up (9.9 for 9.867); the
-        # 2^-24 one is rounded down, so each value stays a valid bound
+        # both tables round down, so each value stays a valid bound
         assert TAYLOR_THETA[m] == pytest.approx(theta53, rel=0.01)
         assert KRYLOV_THETA[m] == pytest.approx(theta24, rel=0.01)
+        assert TAYLOR_THETA[m] <= theta53
         assert KRYLOV_THETA[m] <= theta24
 
     def test_krylov_table_is_never_below_the_double_precision_one(self):
@@ -551,9 +552,9 @@ class TestKrylovPlan:
 
     @pytest.mark.parametrize("which, gate", [(0, 1e-12), (1, 1e-10)], ids=["plan", "krylov-plan"])
     def test_matches_sparse_reference_above_the_dense_cap(self, which, gate):
-        # PDDE 7x7, n = 98 > EXACT_MAX_N: expm_multiply on the sparse
-        # generator measures 4.5e-15 on the 2^-53 plan and 3.3e-13 on the
-        # 2^-24 one
+        # PDDE 7x7, n = 98: expm_multiply on the unbalanced sparse
+        # generator, which shares no code with delaylyap, measures 4.5e-15
+        # on the 2^-53 plan and 3.3e-13 on the 2^-24 one
         p = pdde_generate(7, 7).problem
         n = p.n
         X = np.random.default_rng(98).standard_normal((n, n))
@@ -578,23 +579,42 @@ class TestExactPropagate:
         assert_allclose(res.Z1_end, X, atol=1e-14)
         assert_allclose(res.Z2_end, X, atol=1e-14)
 
-    def test_cap(self):
-        n = 13
+    @pytest.mark.parametrize("alpha, code", [(1e4, "exp-overflow"), (1e8, "plan-too-large")])
+    def test_refuses_as_the_propagation_does(self, alpha, code):
+        # unguarded, expm_multiply returned a non-finite pair with no warning
+        # at alpha = 1e4 and ran for more than 20 s at 1e8
+        p = small_example(alpha).problem
         with pytest.raises(SolverError) as err:
-            exact_propagate(np.eye(n), np.eye(n), np.eye(n), 1.0)
-        assert err.value.code == "oracle-too-large"
+            exact_propagate(p.A0, p.A1, np.eye(p.n), p.tau)
+        assert err.value.code == code
 
-    def test_generator_cap_before_assembly(self, monkeypatch):
-        # the public generator is capped itself, before the 2n^2 unit batch
-        # is made
-        def fail(*args):
-            raise AssertionError("matrix_of reached above the cap")
+    def test_leaves_global_rng_alone(self):
+        # unbalanced, PDDE 7x7's ||tG||_1 is above 63.4, where SciPy's
+        # expm_multiply estimates norms with onenormest and np.random
+        p = pdde_generate(7, 7).problem
+        X = np.random.default_rng(7).standard_normal((p.n, p.n))
+        np.random.seed(1)
+        before = np.random.get_state()
+        exact_propagate(p.A0, p.A1, X, p.tau)
+        after = np.random.get_state()
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
-        monkeypatch.setattr("delaylyap.propagation.matrix_of", fail)
-        n = 13
-        with pytest.raises(SolverError) as err:
-            coupled_generator(np.eye(n), np.eye(n))
-        assert err.value.code == "oracle-too-large"
+    def test_closed_form_when_decoupled(self):
+        # A1 = 0: Z1 = X expm(tau A0 / 2) and Z2 = X expm(-tau A0 / 2)
+        rng = np.random.default_rng(3)
+        A0, X = rng.standard_normal((2, 4, 4))
+        res = exact_propagate(A0, np.zeros((4, 4)), X, 1.0)
+        for got, want in ((res.Z1_end, X @ expm(0.5 * A0)), (res.Z2_end, X @ expm(-0.5 * A0))):
+            assert frobenius(got - want) <= 1e-13 * frobenius(want)
+
+    def test_above_the_former_dense_cap(self):
+        rng = np.random.default_rng(13)
+        p = random_stable_problem(13, rng)
+        X = rng.standard_normal((13, 13))
+        exact = exact_propagate(p.A0, p.A1, X, p.tau)
+        res = rk4_propagate(p.A0, p.A1, X, p.tau)
+        for got, want in ((res.Z1_end, exact.Z1_end), (res.Z2_end, exact.Z2_end)):
+            assert frobenius(got - want) <= 1e-12 * frobenius(want)
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
@@ -615,5 +635,5 @@ def test_generator_norm_bound():
         n = int(rng.integers(2, 7))
         A0 = rng.standard_normal((n, n))
         A1 = rng.standard_normal((n, n))
-        lhs = np.linalg.norm(coupled_generator(A0, A1), 2)
+        lhs = np.linalg.norm(sparse_generator(A0, A1).toarray(), 2)
         assert lhs <= 2.0 * (np.linalg.norm(A0, 2) + np.linalg.norm(A1, 2)) * (1 + 1e-8)

@@ -9,7 +9,6 @@ from delaylyap import (
     frobenius,
     has_no_hamiltonian_pairing,
     matrix_of,
-    tsylv_solvable,
     tsylv_solve,
     tsylv_solve_kron,
 )
@@ -43,10 +42,25 @@ def designed_pencil(rng, n, design):
     return Q @ TM @ Z.T, (Q @ TN @ Z.T).T
 
 
+def solvable(M, N, C=None):
+    """The verdict of ``tsylv_solve``'s solvability check on the pencil
+    M - lambda N^T, which does not depend on C (ones by default): False when
+    the solve raises ``tsylv-near-singular``, True when it solves or fails
+    only the residual check that follows."""
+    try:
+        tsylv_solve(M, N, np.ones(M.shape) if C is None else C)
+    except SolverError as exc:
+        if exc.code == "tsylv-near-singular":
+            return False
+        if exc.code != "tsylv-residual-fail":
+            raise
+    return True
+
+
 def kron_sigma_ratio(M, N):
     """sigma_min / sigma_max of the vectorized operator X -> M X + X^T N (0 if it is 0)."""
     n = M.shape[0]
-    K = matrix_of(lambda Y: M @ Y + Y.swapaxes(-1, -2) @ N, (n, n))
+    K = matrix_of(lambda Y: M @ Y + Y.swapaxes(-1, -2) @ N, n)
     s = np.linalg.svd(K, compute_uv=False)
     return s[-1] / s[0] if s[0] > 0 else 0.0
 
@@ -106,7 +120,7 @@ class TestSchurSolver:
             n = int(rng.integers(2, 13))
             M = rng.standard_normal((n, n))
             N = rng.standard_normal((n, n))
-            if not tsylv_solvable(M, N):
+            if not solvable(M, N):
                 continue
             C = rng.standard_normal((n, n))
             X1 = tsylv_solve(M, N, C)
@@ -142,11 +156,11 @@ class TestSchurSolver:
     def test_residual_fail_signalled(self):
         # mu = {2, 0.5 (1 + 1e-9)} in a rotated basis: the pair product misses 1
         # by 1e-9, which passes the pivot test, but the solve loses the
-        # digits and fails the residual check (relative residual about 4e-7)
+        # digits and fails the residual check (relative residual about 4e-7),
+        # which only a solve that passed the pivot test reaches
         Q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
         M = Q @ np.diag([2.0, 0.5 * (1.0 + 1e-9)]) @ Q.T
         C = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert tsylv_solvable(M, np.eye(2)) is True
         with pytest.raises(SolverError) as err:
             tsylv_solve(M, np.eye(2), C)
         assert err.value.code == "tsylv-residual-fail"
@@ -154,7 +168,8 @@ class TestSchurSolver:
     def test_singular_pencil_rejected(self):
         # M and N^T share the null vector e_1: mu_1 = 0/0
         D = np.diag([0.0, 1.0])
-        for call in (lambda: factor_pencil(D, 2.0 * D), lambda: tsylv_solvable(D, 2.0 * D)):
+        for call in (lambda: factor_pencil(D, 2.0 * D),
+                     lambda: tsylv_solve(D, 2.0 * D, np.ones((2, 2)))):
             with pytest.raises(SolverError) as err:
                 call()
             assert err.value.code == "pencil-reduction-failed"
@@ -162,10 +177,10 @@ class TestSchurSolver:
 
 class TestSolvable:
     def test_identity_pair_unsolvable(self):
-        assert tsylv_solvable(np.eye(3), np.eye(3)) is False
+        assert solvable(np.eye(3), np.eye(3)) is False
 
     def test_scaled_identity_solvable(self):
-        assert tsylv_solvable(2.0 * np.eye(3), np.eye(3)) is True
+        assert solvable(2.0 * np.eye(3), np.eye(3)) is True
 
     def test_matches_pairing_predicate(self):
         rng = np.random.default_rng(3)
@@ -173,7 +188,7 @@ class TestSolvable:
             n = int(rng.integers(2, 7))
             A0 = random_stable_problem(n, rng).A0
             c = 1.0
-            lhs = tsylv_solvable(A0.T + c * np.eye(n), A0 - c * np.eye(n))
+            lhs = solvable(A0.T + c * np.eye(n), A0 - c * np.eye(n))
             assert lhs == has_no_hamiltonian_pairing(A0)
 
     def test_shift_independent(self):
@@ -181,16 +196,16 @@ class TestSolvable:
         for _ in range(10):
             n = int(rng.integers(2, 7))
             A0 = rng.standard_normal((n, n))
-            answers = {c: tsylv_solvable(A0.T + c * np.eye(n), A0 - c * np.eye(n))
+            answers = {c: solvable(A0.T + c * np.eye(n), A0 - c * np.eye(n))
                        for c in (0.5, 1.0, 2.0)}
             assert len(set(answers.values())) == 1
 
     def test_infinite_eigenvalue_handling(self):
         # pencil I - lambda*diag(0,1): eigenvalues {1, inf}; inf pairs only with
         # 0, and a simple eigenvalue 1 is allowed (x21 = c21, x12 = c12 - c21)
-        assert tsylv_solvable(np.eye(2), np.diag([0.0, 1.0])) is True
+        assert solvable(np.eye(2), np.diag([0.0, 1.0])) is True
         # shifted variant: eigenvalues {2, inf} are harmless
-        assert tsylv_solvable(2.0 * np.eye(2), np.diag([0.0, 0.5])) is True
+        assert solvable(2.0 * np.eye(2), np.diag([0.0, 0.5])) is True
 
     @pytest.mark.parametrize("M, N", [
         (np.eye(2), np.diag([0.0, 1.0])),  # {1, inf}
@@ -198,16 +213,14 @@ class TestSolvable:
         (np.array([[1.0]]), np.array([[1.0]])),  # {1}: 2x = c
     ])
     def test_simple_eigenvalue_one_is_solvable(self, M, N):
-        assert tsylv_solvable(M, N) is True
         C = np.arange(1.0, M.size + 1.0).reshape(M.shape)
         assert residual(M, N, C, tsylv_solve(M, N, C)) <= 1e-14
         assert residual(M, N, C, tsylv_solve_kron(M, N, C)) <= 1e-14
 
     def test_one_rule_with_the_solver(self):
         # mu = {2, 0.5 (1 + 1e-11)}: the pair product is 1 to within the
-        # tolerance, so the predicate and the solve both reject it
+        # tolerance, so the solve rejects it before substituting
         M, N = np.diag([2.0, 0.5 * (1.0 + 1e-11)]), np.eye(2)
-        assert tsylv_solvable(M, N) is False
         with pytest.raises(SolverError) as err:
             tsylv_solve(M, N, np.ones((2, 2)))
         assert err.value.code == "tsylv-near-singular"
@@ -221,16 +234,10 @@ class TestSolvable:
         for _ in range(250):
             n = int(rng.integers(1, 6))
             M, N = designed_pencil(rng, n, DESIGNS[int(rng.integers(len(DESIGNS)))])
-            solvable = tsylv_solvable(M, N)
-            try:
-                tsylv_solve(M, N, rng.standard_normal((n, n)))
-                rejected = False
-            except SolverError as exc:
-                rejected = exc.code == "tsylv-near-singular"
-            assert solvable is not rejected
+            verdict = solvable(M, N, rng.standard_normal((n, n)))
             ratio = kron_sigma_ratio(M, N)
             if ratio <= 1e-13 or ratio >= 1e-7:
-                assert solvable == (ratio >= 1e-7)
+                assert verdict == (ratio >= 1e-7)
                 clear += 1
         assert clear >= 200
 
@@ -249,7 +256,6 @@ class TestSolvable:
     def test_huge_finite_eigenvalue_does_not_mask_others(self):
         # nearly singular N^T: mu = {2e17, 4}, and no pair has mu_i mu_j near 1
         M, N = 2.0 * np.eye(2), np.diag([1e-17, 0.5])
-        assert tsylv_solvable(M, N) is True
         C = np.arange(4.0).reshape(2, 2)
         X = tsylv_solve(M, N, C)
         assert frobenius(M @ X + X.T @ N - C) <= 1e-14 * frobenius(C)
