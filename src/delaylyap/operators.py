@@ -150,7 +150,8 @@ def reconstruct_solution(ctx, X, samples):
     (tau/2)/(J r) and the context plan's degree m, r = ceil(s / J), so no
     step is longer than the plan's; sample i is read at step (j_i / g) r.
     Returns a list of (t, U(t)) pairs in increasing t order; raises
-    ``SolverError("exp-overflow")`` when a sample is not finite.
+    ``SolverError("exp-overflow")`` at the first step whose pair is not
+    finite.
     """
     if samples < 3:
         raise ValueError("samples must be >= 3")
@@ -176,8 +177,6 @@ def reconstruct_solution(ctx, X, samples):
     for t, ai, k in zip(ts, a, at):
         U = states[k].Z2_end if 2 * ai < M else states[k].Z1_end
         out.append((float(t), U.T.copy() if t < 0 else U.copy()))
-    if not np.isfinite([U for _, U in out]).all():
-        raise SolverError("exp-overflow", "a propagated sample overflowed")
     return out
 
 

@@ -1,6 +1,7 @@
 """Shared test oracles and data: characteristic-polynomial eigenvalues,
 pencil eigenvalues by determinant interpolation, multiset matching, a
-seeded generator of delay-stable problems, fixed-step plans and the
+seeded generator of delay-stable problems, fixed-step plans, a
+propagation that concatenates [B, B^T] for every Taylor term and the
 sampled deviation of the preconditioned operator from the identity."""
 
 import numpy as np
@@ -23,6 +24,29 @@ SMALL_EXAMPLE_MIDPOINT = 0.01 * np.array([
 def rk4_plan(steps):
     """The plan of ``OdeConfig(steps=steps)``: ``steps`` degree-4 Taylor steps."""
     return PropagationPlan(degree=4, steps=steps)
+
+
+def reference_propagate(A0, A1, X, tau, plan):
+    """The terminal pair (Z1, Z2) of ``plan`` from Z1(0) = Z2(0) = X, for an
+    n x n X, with every Taylor term a fresh product [B, B^T] S-+ of the
+    concatenated n x 2n matrix and the stacked S-+ = [A0; -+A1], and the
+    steps combined by the Chebyshev recurrence in difference form."""
+    A0 = np.asarray(A0, dtype=float)
+    A1 = np.asarray(A1, dtype=float)
+    S = (np.concatenate((A0, -A1)), np.concatenate((A0, A1)))
+    h = 0.5 * tau / plan.steps
+    U = D = np.asarray(X, dtype=float)
+    for _ in range(plan.steps):
+        sums = [np.zeros_like(U), np.zeros_like(U)]  # W U and O_h U
+        B = U
+        for j in range(1, plan.degree + 1):
+            B = np.dot(np.concatenate((B, B.T), axis=1), S[j % 2])
+            B *= h / j
+            sums[j % 2] += B
+        D_prev, D = D, D + 2.0 * sums[0]
+        U = U + D
+        P = 0.5 * (D + D_prev)
+    return P + sums[1], P - sums[1]
 
 
 def char_poly_coeffs(A):

@@ -13,6 +13,7 @@ from delaylyap import (
     OperatorContext,
     PropagationPlan,
     SolverError,
+    assemble_operator,
     coupled_rhs,
     exact_propagate,
     expm,
@@ -27,6 +28,7 @@ from delaylyap import (
     vec,
 )
 from delaylyap.propagation import (
+    CONTIGUOUS_OPERANDS_MIN_N,
     KRYLOV_THETA,
     MAX_PLAN_TERMS,
     MAX_POWER,
@@ -35,7 +37,7 @@ from delaylyap.propagation import (
     _power_bounds,
     plan_propagations,
 )
-from helpers import random_stable_problem, rk4_plan
+from helpers import random_stable_problem, reference_propagate, rk4_plan
 
 
 def _random_pairs(count, n, seed):
@@ -112,28 +114,37 @@ def generator_action(A0, A1, Z1, Z2):
     return unvec(out[: n * n], n), unvec(out[n * n:], n).T
 
 
+def term(B, ST):
+    """g(B) for the operand ST, by one ``coupled_rhs`` call on the stacked
+    pair [B^T; B] of B, (..., n, n)."""
+    B = np.asarray(B)
+    out = np.empty(B.shape)
+    assert coupled_rhs(np.concatenate((B.swapaxes(-1, -2), B), axis=-2), ST, out) is out
+    return out.swapaxes(-1, -2)
+
+
 class TestCoupledRhs:
     def test_zero_state(self):
         A = np.ones((3, 3))
-        for S in term_operands(A, A):
-            G = coupled_rhs(np.zeros((3, 3)), S)
+        for ST in term_operands(A, A):
+            G = term(np.zeros((3, 3)), ST)
             assert G.shape == (3, 3) and not G.any()
         S_minus, _ = term_operands(np.eye(3, dtype=int), np.eye(3, dtype=int))
-        G = coupled_rhs(np.zeros((3, 3), dtype=int), S_minus)
+        G = term(np.zeros((3, 3), dtype=int), S_minus)
         assert G.dtype == float and not G.any()
 
     def test_decoupled_when_no_delay_term(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((3, 3))
         A0 = rng.standard_normal((3, 3))
-        for S in term_operands(A0, np.zeros((3, 3))):
-            assert_allclose(coupled_rhs(X, S), X @ A0, rtol=1e-15, atol=1e-15)
+        for ST in term_operands(A0, np.zeros((3, 3))):
+            assert_allclose(term(X, ST), X @ A0, rtol=1e-15, atol=1e-15)
 
     def test_entrywise_formula(self):
         rng = np.random.default_rng(1)
         B, A0, A1 = (rng.standard_normal((3, 3)) for _ in range(3))
-        for sign, S in zip((-1.0, 1.0), term_operands(A0, A1)):
-            G = coupled_rhs(B, S)
+        for sign, ST in zip((-1.0, 1.0), term_operands(A0, A1)):
+            G = term(B, ST)
             for i in range(3):
                 for j in range(3):
                     g = sum(B[i, k] * A0[k, j] + sign * B[k, i] * A1[k, j] for k in range(3))
@@ -144,17 +155,21 @@ class TestCoupledRhs:
         A1 = 2 * np.eye(3, dtype=int)
         S_minus, S_plus = term_operands(A0, A1)
         assert S_minus.dtype == S_plus.dtype == float
-        assert np.array_equal(S_minus, np.vstack((A0, -A1)))
-        assert np.array_equal(S_plus, np.vstack((A0, A1)))
+        # transposed views of the stacks below CONTIGUOUS_OPERANDS_MIN_N,
+        # C-contiguous copies from there on
+        assert S_minus.T.flags.c_contiguous and S_plus.T.flags.c_contiguous
+        n = CONTIGUOUS_OPERANDS_MIN_N
+        assert all(ST.flags.c_contiguous for ST in term_operands(np.eye(n), np.eye(n)))
+        assert np.array_equal(S_minus, np.hstack((A0.T, -A1.T)))
+        assert np.array_equal(S_plus, np.hstack((A0.T, A1.T)))
 
     def test_shape_mismatch(self):
-        _, S = term_operands(np.eye(3), np.eye(3))
-        with pytest.raises(ValueError):
-            coupled_rhs(np.zeros((2, 2)), S)
-        with pytest.raises(ValueError):
-            coupled_rhs(np.zeros((4, 4)), S)
-        with pytest.raises(ValueError):
-            coupled_rhs(np.zeros((3, 3, 2)), S)
+        # V must be (..., 2n, n) and out (..., n, n)
+        _, ST = term_operands(np.eye(3), np.eye(3))
+        for V, out in (((4, 2), (3, 3)), ((8, 4), (3, 3)), ((6, 3, 2), (6, 3, 3)),
+                       ((6, 2), (3, 3)), ((6, 3), (2, 2))):
+            with pytest.raises(ValueError):
+                coupled_rhs(np.zeros(V), ST, np.empty(out))
         with pytest.raises(ValueError):
             term_operands(np.eye(3), np.eye(2))
         with pytest.raises(ValueError):
@@ -164,13 +179,28 @@ class TestCoupledRhs:
         rng = np.random.default_rng(2)
         B = rng.standard_normal((4, 2, 3, 3))
         A0, A1 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        for S in term_operands(A0, A1):
-            G = coupled_rhs(B, S)
+        for ST in term_operands(A0, A1):
+            G = term(B, ST)
             assert G.shape == B.shape
             for k in range(4):
                 for half in range(2):
-                    assert_allclose(G[k, half], coupled_rhs(B[k, half], S),
-                                    rtol=1e-14, atol=1e-14)
+                    assert_allclose(G[k, half], term(B[k, half], ST), rtol=1e-14, atol=1e-14)
+
+
+def count_terms(monkeypatch):
+    """Count the calls of ``propagation.coupled_rhs``: the shape of each
+    call's stacked pair is appended to the returned list."""
+    import delaylyap.propagation
+
+    shapes = []
+    inner = delaylyap.propagation.coupled_rhs
+
+    def counted(V, *args):
+        shapes.append(V.shape)
+        return inner(V, *args)
+
+    monkeypatch.setattr(delaylyap.propagation, "coupled_rhs", counted)
+    return shapes
 
 
 class TestSplitCoordinates:
@@ -187,31 +217,39 @@ class TestSplitCoordinates:
         A0, A1, P, Q = (rng.standard_normal((4, 4)) for _ in range(4))
         G1, G2 = generator_action(A0, A1, P + Q, P - Q)
         S_minus, S_plus = term_operands(A0, A1)
-        assert_allclose(0.5 * (G1 + G2), coupled_rhs(Q, S_minus), rtol=1e-13, atol=1e-13)
-        assert_allclose(0.5 * (G1 - G2), coupled_rhs(P, S_plus), rtol=1e-13, atol=1e-13)
+        assert_allclose(0.5 * (G1 + G2), term(Q, S_minus), rtol=1e-13, atol=1e-13)
+        assert_allclose(0.5 * (G1 - G2), term(P, S_plus), rtol=1e-13, atol=1e-13)
 
     def test_one_matrix_per_counted_term(self, monkeypatch):
-        import delaylyap.propagation
-
-        shapes = []
-        inner = delaylyap.propagation.coupled_rhs
-
-        def counted(B, *args):
-            shapes.append(B.shape)
-            return inner(B, *args)
-
-        monkeypatch.setattr(delaylyap.propagation, "coupled_rhs", counted)
+        # each term is one counted call on one stacked pair [B^T; B]
         p = small_example(5.0).problem
+        shapes = count_terms(monkeypatch)
         plan = plan_propagation(p.A0, p.A1, p.tau)
         rk4_propagate(p.A0, p.A1, np.eye(p.n), p.tau, plan=plan)
         assert len(shapes) == plan.rhs_evals > 0
-        assert set(shapes) == {(p.n, p.n)}
+        assert set(shapes) == {(2 * p.n, p.n)}
         # 10 samples: propagation times j (tau/2)/9 with gcd(j) = 1, so J = 9
         # steps, each refined r = ceil(s / 9) times
         shapes.clear()
         reconstruct_solution(OperatorContext(problem=p, plan=plan), np.eye(p.n), samples=10)
         assert len(shapes) == plan.degree * 9 * -(-plan.steps // 9) > 0
-        assert set(shapes) == {(p.n, p.n)}
+        assert set(shapes) == {(2 * p.n, p.n)}
+
+    def test_batch_runs_one_call_per_term(self, monkeypatch):
+        # a batch of k matrices costs the plan's terms, not k times them:
+        # through rk4_propagate and through the n^2 unit matrices of
+        # assemble_operator
+        p = small_example(5.0).problem
+        shapes = count_terms(monkeypatch)
+        plan = plan_propagation(p.A0, p.A1, p.tau)
+        X = np.random.default_rng(23).standard_normal((3, p.n, p.n))
+        rk4_propagate(p.A0, p.A1, X, p.tau, plan=plan)
+        assert len(shapes) == plan.rhs_evals > 0
+        assert set(shapes) == {(3, 2 * p.n, p.n)}
+        shapes.clear()
+        assemble_operator(OperatorContext(problem=p, plan=plan))
+        assert len(shapes) == plan.rhs_evals
+        assert set(shapes) == {(p.n * p.n, 2 * p.n, p.n)}
 
     def test_difference_form_keeps_rk4_rounding(self):
         # Near E_h = I the plain three-term Chebyshev recurrence loses about
@@ -289,6 +327,33 @@ class TestRk4:
         for got, want in ((mix.Z1_end, a * rx.Z1_end + b * ry.Z1_end),
                           (mix.Z2_end, a * rx.Z2_end + b * ry.Z2_end)):
             assert frobenius(got - want) <= 1e-12 * max(frobenius(want), 1e-300)
+
+    @pytest.mark.parametrize("grid, gate", [(0, 1e-14), (3, 1e-14), (5, 1e-14), (7, 1e-13)],
+                             ids=["small4-alpha5", "pdde-3x3", "pdde-5x5", "pdde-7x7"])
+    def test_matches_the_concatenating_reference(self, grid, gate):
+        # the stacked pair [B^T; B] against fresh [B, B^T] S products on both
+        # plans: the same bits up to n = 50; at n = 98 BLAS blocking no
+        # longer gives both the same bits, and the 2^-24 plan's single step
+        # amplifies that to 1.4e-15 - 9.2e-14 over eight seeded X
+        p = pdde_generate(grid, grid).problem if grid else small_example(5.0).problem
+        X = np.random.default_rng(grid).standard_normal((p.n, p.n))
+        for plan in plan_propagations(p.A0, p.A1, p.tau):
+            res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=plan)
+            want = np.stack(reference_propagate(p.A0, p.A1, X, p.tau, plan))
+            got = np.stack((res.Z1_end, res.Z2_end))
+            assert np.linalg.norm(got - want) <= gate * np.linalg.norm(want)
+
+    def test_overflow_stops_at_the_first_non_finite_step(self, monkeypatch):
+        # alpha = 1e4 plans an affordable 55 x 510 terms; the pair is not
+        # finite from step 103 on, and the propagation raises there rather
+        # than after the other 407 steps
+        p = small_example(1e4).problem
+        plan = plan_propagation(p.A0, p.A1, p.tau)
+        shapes = count_terms(monkeypatch)
+        with pytest.raises(SolverError) as err:
+            rk4_propagate(p.A0, p.A1, np.eye(p.n), p.tau, plan=plan)
+        assert err.value.code == "exp-overflow"
+        assert 0 < len(shapes) < plan.rhs_evals / 2
 
     def test_batch_axis(self):
         rng = np.random.default_rng(8)
