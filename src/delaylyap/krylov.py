@@ -54,8 +54,10 @@ class KrylovConfig:
 class SolveTimings:
     """Wall seconds of one solve.  In a ``solve_delay_lyapunov`` report, setup
     is the preconditioner build plus the propagation plan, apply every
-    propagation the driver makes, precond every preconditioner apply, and
-    total the whole solve; a Krylov kernel fills in only its own total."""
+    propagation the driver makes (at small n, the assembly of the Krylov
+    operator's matrix) and every product with that matrix, precond every
+    preconditioner apply, and total the whole solve; a Krylov kernel fills
+    in only its own total."""
 
     setup_seconds: float = 0.0
     apply_seconds: float = 0.0

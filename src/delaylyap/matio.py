@@ -2,11 +2,11 @@
 
 All matrices cross the process boundary as ``array real general`` or
 ``array complex general`` files; values are written with enough digits to
-round-trip float64 exactly.
+round-trip float64 exactly.  ``scipy.io`` is imported on first use, so
+``import delaylyap`` does not pay for it.
 """
 
 import numpy as np
-import scipy.io
 
 from .errors import SolverError
 
@@ -20,6 +20,8 @@ def write_matrix(path, A, comment=""):
         raise ValueError(f"expected a matrix, got array of ndim {A.ndim}")
     if not np.all(np.isfinite(A)):
         raise SolverError("matrix-not-finite", f"refusing to write non-finite entries to {path}")
+    import scipy.io
+
     field = "complex" if np.iscomplexobj(A) else "real"
     scipy.io.mmwrite(str(path), A, comment=comment, field=field,
                      precision=17, symmetry="general")
@@ -33,6 +35,8 @@ def read_matrix(path):
     SolverError
         ``"matrix-not-finite"`` when the file carries NaN or Inf entries.
     """
+    import scipy.io
+
     A = scipy.io.mmread(str(path))
     if hasattr(A, "todense"):
         A = np.asarray(A.todense())

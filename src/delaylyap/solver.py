@@ -12,6 +12,16 @@ The Krylov solves apply the operator on a plan for a backward error of
 2^-24, the solver's checks run on the 2^-53 plan: GMRES-based iterative
 refinement (Carson & Higham 2018), with the Krylov solve as the inner,
 less accurate one.
+
+At n <= ``ASSEMBLE_MAX_N`` the Krylov operator is assembled once per solve
+into its dense n^2 x n^2 matrix M, by one batched propagation of all n^2
+unit matrices on the Krylov plan (the small-n Kronecker route of
+Jarlebring, Vanbiervliet & Michiels 2011), and every Krylov apply is the
+product M vec(X).  At such n a propagation costs NumPy call overhead
+whatever its batch, so the assembly costs about one apply.  M is a fixed
+matrix, so the operator stays exactly linear, and the recycled Arnoldi
+relation belongs to it.  Above the constant every Krylov apply propagates.
+The report's apply time counts the assembly and the dense products.
 """
 
 import time
@@ -19,6 +29,7 @@ import time
 import numpy as np
 
 from .krylov import KrylovConfig, SolveReport, SolveTimings, bicgstab, gmres
+from .linalg import matrix_of, unvec, vec
 from .operators import OperatorContext, apply_operator, boundary_residuals, combine_pair
 from .precond import apply_preconditioner, build_preconditioner
 from .propagation import plan_propagations, rk4_propagate
@@ -27,6 +38,9 @@ from .propagation import plan_propagations, rk4_propagate
 # accuracy of X that the report claims and the bench gates
 BV_TARGET = 1e-8
 REFINE_MAX = 2  # cap on the correction solves appended after the main solve
+# largest n whose Krylov operator is assembled, at most 8^4 doubles (32 KB);
+# set by timing both routes (CHANGES.md)
+ASSEMBLE_MAX_N = 8
 
 
 def solve_delay_lyapunov(problem, ode=None, krylov=None):
@@ -53,6 +67,11 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     corrects what the Krylov operator misses.  Under ``OdeConfig(steps=N)``
     both plans are (4, N).
 
+    At n <= ``ASSEMBLE_MAX_N`` the Krylov operator is assembled once, after
+    the zero-W return, into its n^2 x n^2 matrix M by one batched apply on
+    the n^2 unit matrices, and the main and correction solves apply M; the
+    residual propagations and the preconditioner do not change.
+
     Parameters
     ----------
     problem : TdsProblem
@@ -68,7 +87,8 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
         iteration count, the 2^-53 plan and the Krylov plan, the final
         boundary residuals r_alg, r_sym read off a 2^-53 propagation, the
         refinement passes and their new Krylov iterations,
-        and the timings of the whole solve (``SolveTimings``).  It holds no
+        and the timings of the whole solve (``SolveTimings``; apply time
+        includes the assembly of M and its products).  It holds no
         Krylov basis (``relation`` is None).
     """
     krylov = krylov or KrylovConfig()
@@ -85,8 +105,16 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
                            timings=timings, plan=plan, krylov_plan=krylov_plan,
                            r_alg=0.0, r_sym=0.0)
 
-    def op(X):
-        return _timed(timings, "apply_seconds", apply_operator, krylov_ctx, X)
+    if problem.n <= ASSEMBLE_MAX_N:
+        # apply_operator is looked up here at call time, like every driver call
+        M = _timed(timings, "apply_seconds", matrix_of,
+                   lambda B: apply_operator(krylov_ctx, B), problem.n)
+
+        def op(X):
+            return _timed(timings, "apply_seconds", _dense_apply, M, X)
+    else:
+        def op(X):
+            return _timed(timings, "apply_seconds", apply_operator, krylov_ctx, X)
 
     def pc(X):
         return _timed(timings, "precond_seconds", apply_preconditioner, factors, X)
@@ -119,6 +147,11 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     timings.total_seconds = time.perf_counter() - t_start
     report.timings = timings
     return report
+
+
+def _dense_apply(M, X):
+    """unvec(M vec(X)): the assembled operator applied to the n x n matrix X."""
+    return unvec(M @ vec(X))
 
 
 def _timed(timings, name, fn, *args, **kwargs):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import delaylyap
 from delaylyap import SolverError, read_matrix, write_matrix
 
 
@@ -71,3 +77,22 @@ def test_complex_file_with_zero_imaginary_parts_read_real(tmp_path):
     A = read_matrix(path)
     assert not np.iscomplexobj(A)
     assert np.array_equal(A, [[1.0], [-2.5]])
+
+
+def test_import_leaves_scipy_io_out(tmp_path):
+    # scipy.io costs about 20 ms of `import delaylyap`; only the Matrix
+    # Market functions need it, and they import it on first use
+    script = (
+        "import sys, numpy, delaylyap\n"
+        "assert 'scipy.io' not in sys.modules, 'import delaylyap loaded scipy.io'\n"
+        "A = numpy.arange(6.0).reshape(2, 3)\n"
+        "delaylyap.write_matrix(sys.argv[1], A)\n"
+        "assert numpy.array_equal(delaylyap.read_matrix(sys.argv[1]), A)\n"
+        "assert 'scipy.io' in sys.modules\n"
+    )
+    src = str(Path(delaylyap.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.mtx")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

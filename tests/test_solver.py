@@ -260,7 +260,8 @@ def test_timings_include_refinement(monkeypatch):
                          ids=["small4-alpha5", "pdde-3x3"])
 def test_driver_times_planning_and_every_propagation(problem, monkeypatch):
     # setup covers the preconditioner build and the propagation plan; apply
-    # covers the Krylov operator applies and the driver's own propagations
+    # covers the Krylov operator applies (at n = 4 the assembly) and the
+    # driver's own propagations
     import time
 
     import delaylyap.operators
@@ -288,6 +289,28 @@ def test_driver_times_planning_and_every_propagation(problem, monkeypatch):
     assert timings.apply_seconds >= 0.8 * measured["apply"]
     parts = timings.setup_seconds + timings.apply_seconds + timings.precond_seconds
     assert parts <= timings.total_seconds
+
+
+def test_assembled_products_count_as_apply_time(monkeypatch):
+    # each product with the assembled matrix is slowed by 2 ms, which must
+    # all show up in the apply time
+    import time
+
+    import delaylyap.solver
+
+    calls = 0
+    dense_apply = delaylyap.solver._dense_apply
+
+    def slow(M, X):
+        nonlocal calls
+        calls += 1
+        time.sleep(0.002)
+        return dense_apply(M, X)
+
+    monkeypatch.setattr(delaylyap.solver, "_dense_apply", slow)
+    report = solve_delay_lyapunov(small_example(5.0).problem)
+    assert calls >= report.iterations + report.refinement_iterations
+    assert report.timings.apply_seconds >= 0.002 * calls
 
 
 def test_unconverged_correction_is_discarded(monkeypatch):
@@ -320,26 +343,108 @@ def test_unconverged_correction_is_discarded(monkeypatch):
 
 def test_one_propagation_per_refinement_iterate(monkeypatch):
     # The driver propagates each iterate once: the boundary residuals and the
-    # true residual of the next refinement pass share that propagation.
+    # true residual of the next refinement pass share that propagation.  The
+    # Krylov applies, assembled or propagated, are not the driver's own.
     import delaylyap.solver as solver
 
-    calls = {"propagate": 0, "apply": 0, "krylov_apply": 0}
+    for assemble_max_n in (solver.ASSEMBLE_MAX_N, 0):
+        calls = 0
 
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return rk4_propagate(*args, **kwargs)
 
-    gmres = solver.gmres
-    monkeypatch.setattr(solver, "gmres", lambda op, *args, **kwargs:
-                        gmres(counting("krylov_apply", op), *args, **kwargs))
-    monkeypatch.setattr(solver, "rk4_propagate", counting("propagate", solver.rk4_propagate))
-    monkeypatch.setattr(solver, "apply_operator", counting("apply", solver.apply_operator))
-    report = solve_delay_lyapunov(small_example(5.0).problem)
-    assert report.refinement_passes > 0
-    driver = calls["propagate"] + calls["apply"] - calls["krylov_apply"]
-    assert driver == report.refinement_passes + 1
+        with monkeypatch.context() as m:
+            m.setattr(solver, "ASSEMBLE_MAX_N", assemble_max_n)
+            m.setattr(solver, "rk4_propagate", counting)
+            report = solve_delay_lyapunov(small_example(5.0).problem)
+        assert report.refinement_passes > 0
+        assert calls == report.refinement_passes + 1
+
+
+def _solve_both_routes(problem, monkeypatch, **kwargs):
+    """The reports of one problem with the Krylov operator assembled and propagated."""
+    import delaylyap.solver
+
+    assembled = solve_delay_lyapunov(problem, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(delaylyap.solver, "ASSEMBLE_MAX_N", 0)
+        propagated = solve_delay_lyapunov(problem, **kwargs)
+    return assembled, propagated
+
+
+@pytest.mark.parametrize("alpha", [1.0, 5.0])
+def test_assembled_and_propagated_operators_agree(alpha, monkeypatch):
+    # the assembled matrix is the propagated operator up to rounding, so X,
+    # the iteration total and the accuracy do not move
+    assembled, propagated = _solve_both_routes(small_example(alpha).problem, monkeypatch)
+    assert frobenius(assembled.X - propagated.X) <= 1e-13 * frobenius(propagated.X)
+    assert (assembled.iterations + assembled.refinement_iterations
+            == propagated.iterations + propagated.refinement_iterations)
+    assert assembled.r_alg <= 1e-8 and propagated.r_alg <= 1e-8
+
+
+def _record_applies(monkeypatch):
+    """Record the argument shape of every ``solver.apply_operator`` call and
+    count the operator calls each Krylov kernel makes."""
+    import delaylyap.solver as solver
+
+    seen = {"shapes": [], "krylov": 0}
+
+    def apply(ctx, X):
+        seen["shapes"].append(np.shape(X))
+        return apply_operator(ctx, X)
+
+    def counting_kernel(kernel):
+        def run(op, *args, **kwargs):
+            def counted(X):
+                seen["krylov"] += 1
+                return op(X)
+            return kernel(counted, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(solver, "apply_operator", apply)
+    monkeypatch.setattr(solver, "gmres", counting_kernel(solver.gmres))
+    monkeypatch.setattr(solver, "bicgstab", counting_kernel(solver.bicgstab))
+    return seen
+
+
+@pytest.mark.parametrize("problem, assembled", [
+    (small_example(5.0).problem, True),
+    (random_stable_problem(8, np.random.default_rng(3)), True),
+    (random_stable_problem(9, np.random.default_rng(3)), False),
+    (pdde_generate(3, 3).problem, False),
+], ids=["small4-alpha5", "random-n8", "random-n9", "pdde-3x3"])
+def test_krylov_operator_assembled_at_small_n(problem, assembled, monkeypatch):
+    # at n <= ASSEMBLE_MAX_N = 8 one batched apply on the n^2 unit matrices
+    # serves the main and every correction solve; above it each Krylov
+    # apply propagates its own n x n argument
+    seen = _record_applies(monkeypatch)
+    report = solve_delay_lyapunov(problem)
+    assert report.converged
+    n = problem.n
+    assert seen["krylov"] >= report.iterations + report.refinement_iterations
+    if assembled:
+        assert seen["shapes"] == [(n * n, n, n)]
+    else:
+        assert seen["shapes"] == [(n, n)] * seen["krylov"]
+
+
+def test_bicgstab_runs_on_the_assembled_operator(monkeypatch):
+    # BiCGStab takes the assembled matrix too, and ends as on the propagated
+    # operator
+    problem = small_example(1.0).problem
+    krylov = KrylovConfig(method="bicgstab")
+    seen = _record_applies(monkeypatch)
+    assembled = solve_delay_lyapunov(problem, krylov=krylov)
+    assert seen["shapes"] == [(16, 4, 4)]
+    _, propagated = _solve_both_routes(problem, monkeypatch, krylov=krylov)
+    assert assembled.converged and propagated.converged
+    assert assembled.iterations == propagated.iterations
+    assert assembled.refinement_passes == propagated.refinement_passes
+    assert assembled.r_alg <= 1e-8
+    assert frobenius(assembled.X - propagated.X) <= 1e-10 * frobenius(propagated.X)
 
 
 def test_bicgstab_path():
