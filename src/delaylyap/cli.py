@@ -7,7 +7,11 @@ stderr; unreadable or inconsistent input gives ``invalid-input``.  In
 ``solve``'s summary.txt, ``setup_seconds`` includes the propagation plans;
 ``propagation_*`` and ``rhs_evals_per_apply`` give the 2^-53 plan of the
 residual checks and the solution samples, and the ``krylov_`` keys the
-2^-24 plan of the Krylov operator applies.
+2^-24 plan of the Krylov operator applies; at n <= ``DIRECT_MAX_N``, where
+the solve is LU on the assembled operator (``method=lu``), they repeat the
+2^-53 plan that operator ran.  ``target_met`` is False when r_alg or r_sym
+ends above 1e-8; such a solve still exits 0, since the accuracy it reached
+is in the summary.
 
 No subcommand takes the operator shift c: it scales the antisymmetric part
 of the operator and of its preconditioner alike, so it cancels from the
@@ -29,7 +33,7 @@ from .operators import ASSEMBLE_MAX_N, OperatorContext, TdsProblem, reconstruct_
 from .precond import build_preconditioner, preconditioned_spectrum
 from .problems import bench_table, pdde_generate, small_example
 from .propagation import OdeConfig, plan_propagation
-from .solver import solve_delay_lyapunov
+from .solver import DIRECT_MAX_N, solve_delay_lyapunov
 from .tsylv import tsylv_solve, tsylv_solve_kron
 
 
@@ -55,11 +59,13 @@ def _add_steps_arg(p):
 
 def _add_solver_args(p):
     _add_steps_arg(p)
-    p.add_argument("--method", choices=("gmres", "bicgstab"), default="gmres")
+    above = f"; read only at n > {DIRECT_MAX_N}, the solve is LU at smaller n"
+    p.add_argument("--method", choices=("gmres", "bicgstab"), default="gmres",
+                   help=f"Krylov method (default gmres){above}")
     p.add_argument("--tol", type=float, default=1e-12,
-                   help="relative residual tolerance (default 1e-12)")
+                   help=f"relative residual tolerance (default 1e-12){above}")
     p.add_argument("--maxit", type=int, default=None,
-                   help="iteration cap (default n^2)")
+                   help=f"iteration cap (default n^2){above}")
 
 
 @contextlib.contextmanager
@@ -132,6 +138,7 @@ def cmd_solve(args):
         ("refinement_iterations", report.refinement_iterations),
         ("r_alg", report.r_alg),
         ("r_sym", report.r_sym),
+        ("target_met", report.target_met),
         ("tol", args.tol),
         ("propagation_degree", report.plan.degree),
         ("propagation_steps", report.plan.steps),
@@ -148,8 +155,10 @@ def cmd_solve(args):
     if not report.converged:
         print("krylov-maxit: no convergence within the iteration cap", file=sys.stderr)
         return 1
-    print(f"converged in {report.iterations} iterations; "
-          f"r_alg={report.r_alg:.3e} r_sym={report.r_sym:.3e}; wrote {outdir}")
+    how = ("solved by LU" if report.method == "lu"
+           else f"converged in {report.iterations} iterations")
+    print(f"{how}; r_alg={report.r_alg:.3e} r_sym={report.r_sym:.3e} "
+          f"target_met={report.target_met}; wrote {outdir}")
     return 0
 
 

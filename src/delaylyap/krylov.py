@@ -53,11 +53,12 @@ class KrylovConfig:
 @dataclass
 class SolveTimings:
     """Wall seconds of one solve.  In a ``solve_delay_lyapunov`` report, setup
-    is the preconditioner build plus the propagation plan, apply every
-    propagation the driver makes (at small n, the assembly of the Krylov
-    operator's matrix) and every product with that matrix, precond every
-    preconditioner apply, and total the whole solve; a Krylov kernel fills
-    in only its own total."""
+    is the preconditioner build (on the LU route, its eigenvalue pairing
+    check) plus the propagation plans, apply every propagation the driver
+    makes (on the LU route, the assembly of the operator's matrix and the
+    residual propagation), precond every preconditioner apply (none on the
+    LU route), and total the whole solve, the LU factorization included; a
+    Krylov kernel fills in only its own total."""
 
     setup_seconds: float = 0.0
     apply_seconds: float = 0.0
@@ -127,18 +128,23 @@ class ArnoldiRelation:
 
 @dataclass
 class SolveReport:
-    """Outcome of one iterative solve.
+    """Outcome of one solve: a Krylov kernel's or ``solve_delay_lyapunov``'s.
 
     ``residual_history`` has one entry per iteration plus the initial one,
     1.0 unless a recycled space already reduces the residual; for GMRES it
     is non-increasing.  ``iteration_seconds`` holds, for each history entry,
     the ``perf_counter`` time elapsed since the solve started when that
     entry was recorded.  ``relation`` is the Arnoldi relation of a GMRES
-    solve (None for BiCGStab).  The propagation plans, the boundary-value
-    residuals and the refinement counts are filled in by
+    solve (None for BiCGStab).  ``method`` is the kernel's name, or
+    ``"lu"`` for the driver's direct route at n <= ``DIRECT_MAX_N``: 0
+    iterations and the one history entry ||M vec(X) + vec(W)|| / ||W|| of
+    the assembled matrix M.  The propagation plans, the boundary-value
+    residuals, ``target_met`` and the refinement counts are filled in by
     ``solve_delay_lyapunov``, not by the Krylov kernels: ``plan`` is the
     2^-53 plan of the boundary residuals and refinement, ``krylov_plan``
-    the 2^-24 plan of every Krylov operator apply;
+    the plan of every operator apply of the solve, 2^-24 for a Krylov solve
+    and the 2^-53 plan on the LU route; ``target_met`` is False when the
+    final r_alg or r_sym exceeds ``solver.BV_TARGET`` (or is not finite);
     ``refinement_iterations`` counts the new Arnoldi iterations of the
     correction solves, not the recycled space they start from.
     """
@@ -154,6 +160,7 @@ class SolveReport:
     krylov_plan: object = None
     r_alg: float = None
     r_sym: float = None
+    target_met: bool = None
     refinement_passes: int = 0
     refinement_iterations: int = 0
     relation: ArnoldiRelation = None

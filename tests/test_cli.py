@@ -150,12 +150,13 @@ def test_configuration_error_is_invalid_input(argv, tmp_path, capsys):
     assert not outdir.exists()  # rejected before any solve or file write
 
 
-@pytest.mark.parametrize("options, krylov", [([], (50, 2)), (["--steps", "7"], (4, 7))],
+@pytest.mark.parametrize("options, krylov", [([], (35, 1)), (["--steps", "7"], (4, 7))],
                          ids=["planned", "steps-7"])
 def test_summary_reports_the_krylov_plan(options, krylov, tmp_path):
     # the Krylov applies run the 2^-24 plan, never more terms than the
-    # 2^-53 plan of the residual checks; --steps fixes both
-    assert main(["solve", "--small-example", "--samples", "3", *options,
+    # 2^-53 plan of the residual checks; --steps fixes both.  PDDE 3x3
+    # (n = 18) lies above the LU switch
+    assert main(["solve", "--pdde", "3", "3", "--samples", "3", *options,
                  "--outdir", str(tmp_path)]) == 0
     summary = read_summary(tmp_path / "summary.txt")
     degree = int(summary["krylov_propagation_degree"])
@@ -163,6 +164,29 @@ def test_summary_reports_the_krylov_plan(options, krylov, tmp_path):
     assert (degree, steps) == krylov
     assert int(summary["krylov_rhs_evals_per_apply"]) == degree * steps
     assert degree * steps <= int(summary["rhs_evals_per_apply"])
+
+
+def test_direct_route_summary(tmp_path):
+    # at n = 4 the solve is LU on the operator assembled on the 2^-53 plan:
+    # no Krylov iteration, and the krylov_ keys give that plan
+    assert main(["solve", "--small-example", "--method", "bicgstab", "--samples", "3",
+                 "--outdir", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path / "summary.txt")
+    assert (summary["method"], summary["converged"], summary["iterations"]) == ("lu", "True", "0")
+    assert (summary["refinement_passes"], summary["target_met"]) == ("0", "True")
+    for key in ("propagation_degree", "propagation_steps", "rhs_evals_per_apply"):
+        assert summary[f"krylov_{key}"] == summary[key]
+
+
+@pytest.mark.parametrize("alpha, met", [("12", "False"), ("5", "True")])
+def test_summary_reports_a_missed_target(alpha, met, tmp_path, capsys):
+    # alpha 12 ends with r_alg above 1e-8: the summary says so, and the
+    # exit code stays 0, as for any converged solve
+    assert main(["solve", "--small-example", "--alpha", alpha, "--samples", "3",
+                 "--outdir", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path / "summary.txt")
+    assert summary["target_met"] == met
+    assert (float(summary["r_alg"]) <= 1e-8) == (met == "True")
 
 
 def test_small_example_honours_tau(tmp_path):
@@ -197,7 +221,8 @@ def test_zero_cost_solve_writes_zero_solution(tmp_path, capsys):
     assert (summary["converged"], summary["iterations"], summary["r_alg"]) == ("True", "0", "0")
 
 
-@pytest.mark.parametrize("alpha, code", [("1e308", "exp-overflow"), ("1e20", "plan-too-large")])
+@pytest.mark.parametrize("alpha, code", [("1e308", "exp-overflow"), ("1e20", "plan-too-large"),
+                                         ("1000", "singular-matrix")])
 def test_failed_solve_leaves_no_outdir(alpha, code, tmp_path, capsys):
     outdir = tmp_path / "out"
     status = main(["solve", "--small-example", "--alpha", alpha, "--outdir", str(outdir)])
@@ -227,7 +252,8 @@ def test_tsylv_complex_matrix_is_invalid_input(name, tmp_path, capsys):
 
 
 def test_solve_maxit_reports_krylov_maxit(tmp_path, capsys):
-    status = main(["solve", "--small-example", "--maxit", "1", "--samples", "3",
+    # PDDE 3x3 (n = 18) lies above the LU switch, which reads no --maxit
+    status = main(["solve", "--pdde", "3", "3", "--maxit", "1", "--samples", "3",
                    "--outdir", str(tmp_path)])
     assert status == 1
     assert "krylov-maxit" in capsys.readouterr().err

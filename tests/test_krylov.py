@@ -239,7 +239,7 @@ class TestBicgstab:
         xb = bicgstab(op, b, cfg=KrylovConfig(method="bicgstab", tol=tol, maxit=64)).X
         assert frobenius(xg - xb) <= 10 * tol * max(frobenius(xg), 1.0)
 
-    def test_small_example_converges_before_dimension_bound(self):
+    def test_small_example_converges_before_dimension_bound(self, krylov_route):
         ode = OdeConfig()
         krylov = KrylovConfig(method="bicgstab", tol=1e-12, maxit=64)
         report = solve_delay_lyapunov(small_example(1.0).problem, ode=ode, krylov=krylov)

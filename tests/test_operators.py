@@ -340,7 +340,7 @@ class TestBoundaryResiduals:
         assert report.r_sym <= 1e-8
 
 
-def test_gmres_agrees_with_dense_solve_small():
+def test_gmres_agrees_with_dense_solve_small(krylov_route):
     rng = np.random.default_rng(10)
     for n in (2, 4, 6):
         p = random_stable_problem(n, rng)

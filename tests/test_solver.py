@@ -36,7 +36,7 @@ def test_small_example_matches_reference():
     assert report.r_sym <= 1e-8
 
 
-def test_refinement_reduces_boundary_residuals(monkeypatch):
+def test_refinement_reduces_boundary_residuals(monkeypatch, krylov_route):
     # the stiff 4x4 problem needs one correction pass to push the
     # boundary-value residuals below the target
     import delaylyap.solver
@@ -52,7 +52,7 @@ def test_refinement_reduces_boundary_residuals(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", [1.0, 5.0])
-def test_refinement_recycles_the_main_krylov_space(alpha):
+def test_refinement_recycles_the_main_krylov_space(alpha, krylov_route):
     # a fresh correction solve takes 12 (alpha = 1) and 14 (alpha = 5)
     # iterations; recycling the main solve's Arnoldi relation leaves a few
     report = solve_delay_lyapunov(small_example(alpha).problem)
@@ -75,9 +75,10 @@ def test_pdde_iteration_counts(grid, main):
     (small_example(1.0).problem, (50, 4)), (small_example(5.0).problem, (55, 4)),
     (pdde_generate(3, 3).problem, (55, 1)), (pdde_generate(5, 5).problem, (40, 2)),
 ], ids=["small4-alpha1", "small4-alpha5", "pdde-3x3", "pdde-5x5"])
-def test_power_bound_plan_keeps_the_solution(problem, norm_plan, monkeypatch):
+def test_power_bound_plan_keeps_the_solution(problem, norm_plan, monkeypatch, krylov_route):
     # the plan from the generator's power bounds runs fewer Taylor terms than
-    # the one from its 1-norm alone, and the solution does not move
+    # the one from its 1-norm alone, and the solution does not move; refined
+    # to 1e-12 on the Krylov route (the LU route's X moves 1.4e-10 at small4)
     import delaylyap.solver
 
     X = solve_delay_lyapunov(problem).X
@@ -89,7 +90,7 @@ def test_power_bound_plan_keeps_the_solution(problem, norm_plan, monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", [1.0, 5.0])
-def test_small_example_iteration_total(alpha):
+def test_small_example_iteration_total(alpha, krylov_route):
     # only the total is pinned: alpha = 5 splits 13 + 2 or 14 + 1 between
     # the main solve and refinement depending on rounding
     report = solve_delay_lyapunov(small_example(alpha).problem)
@@ -97,14 +98,14 @@ def test_small_example_iteration_total(alpha):
     assert report.iterations + report.refinement_iterations <= 15
 
 
-def test_report_holds_no_krylov_basis():
+def test_report_holds_no_krylov_basis(krylov_route):
     # the basis is n^2 x iterations: about 500 MB at n = 882
     report = solve_delay_lyapunov(small_example(1.0).problem)
     assert report.relation is None
 
 
 @pytest.mark.parametrize("method", ["gmres", "bicgstab"])
-def test_overflowing_kernel_norm_is_nonfinite(method):
+def test_overflowing_kernel_norm_is_nonfinite(method, krylov_route):
     # alpha = 1000 has a finite plan, but the preconditioned operator output
     # is so large that the kernels' norms overflow
     with warnings.catch_warnings():
@@ -144,7 +145,7 @@ def test_shift_cancels_from_the_preconditioned_operator(problem):
 
 
 @pytest.mark.parametrize("ode", [None, OdeConfig(steps=7)], ids=["planned", "steps-7"])
-def test_report_plan_is_the_plan_of_ode(ode):
+def test_report_plan_is_the_plan_of_ode(ode, krylov_route):
     p = small_example(1.0).problem
     report = solve_delay_lyapunov(p, ode=ode)
     assert report.plan == plan_propagation(p.A0, p.A1, p.tau, ode)
@@ -155,7 +156,7 @@ def test_report_plan_is_the_plan_of_ode(ode):
     (small_example(1.0).problem, (50, 3), (50, 2)), (small_example(5.0).problem, (50, 3), (55, 2)),
     (pdde_generate(3, 3).problem, (45, 1), (35, 1)), (pdde_generate(5, 5).problem, (55, 1), (45, 1)),
 ], ids=["small4-alpha1", "small4-alpha5", "pdde-3x3", "pdde-5x5"])
-def test_report_carries_both_plans(problem, plan, krylov_plan):
+def test_report_carries_both_plans(problem, plan, krylov_plan, krylov_route):
     # the 2^-24 plan runs fewer Taylor terms per Krylov apply, or as many
     report = solve_delay_lyapunov(problem)
     assert report.plan == PropagationPlan(*plan)
@@ -173,7 +174,7 @@ def test_krylov_plan_at_pdde_9x9():
 
 @pytest.mark.parametrize("problem", [small_example(5.0).problem, pdde_generate(3, 3).problem],
                          ids=["small4-alpha5", "pdde-3x3"])
-def test_krylov_applies_and_checks_run_their_own_plans(problem, monkeypatch):
+def test_krylov_applies_and_checks_run_their_own_plans(problem, monkeypatch, krylov_route):
     # every Krylov apply, main and correction solves alike, propagates on
     # the 2^-24 plan; the boundary and refinement residuals on the 2^-53 one
     import delaylyap.operators
@@ -195,7 +196,7 @@ def test_krylov_applies_and_checks_run_their_own_plans(problem, monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["gmres", "bicgstab"])
-def test_zero_cost_returns_exact_zero(method, monkeypatch):
+def test_zero_cost_returns_exact_zero(method, monkeypatch, krylov_route):
     # X = 0 solves the equation exactly; the kernels, which reject a zero
     # right-hand side, are not called
     import delaylyap.solver
@@ -222,7 +223,7 @@ def test_unsolvable_preconditioner_propagates():
     assert err.value.code == "precond-unsolvable"
 
 
-def test_report_fields_filled():
+def test_report_fields_filled(krylov_route):
     report = solve_delay_lyapunov(small_example(0.5).problem)
     assert report.method == "gmres"
     assert len(report.residual_history) == report.iterations + 1
@@ -231,7 +232,7 @@ def test_report_fields_filled():
     assert report.timings.precond_seconds > 0
 
 
-def test_timings_include_refinement(monkeypatch):
+def test_timings_include_refinement(monkeypatch, krylov_route):
     import time
 
     import delaylyap.solver
@@ -259,9 +260,9 @@ def test_timings_include_refinement(monkeypatch):
 @pytest.mark.parametrize("problem", [small_example(5.0).problem, pdde_generate(3, 3).problem],
                          ids=["small4-alpha5", "pdde-3x3"])
 def test_driver_times_planning_and_every_propagation(problem, monkeypatch):
-    # setup covers the preconditioner build and the propagation plan; apply
-    # covers the Krylov operator applies (at n = 4 the assembly) and the
-    # driver's own propagations
+    # setup covers the preconditioner build (at n = 4 the pairing check)
+    # and the propagation plan; apply covers the operator applies (at n = 4
+    # the assembly) and the driver's own propagations
     import time
 
     import delaylyap.operators
@@ -291,29 +292,7 @@ def test_driver_times_planning_and_every_propagation(problem, monkeypatch):
     assert parts <= timings.total_seconds
 
 
-def test_assembled_products_count_as_apply_time(monkeypatch):
-    # each product with the assembled matrix is slowed by 2 ms, which must
-    # all show up in the apply time
-    import time
-
-    import delaylyap.solver
-
-    calls = 0
-    dense_apply = delaylyap.solver._dense_apply
-
-    def slow(M, X):
-        nonlocal calls
-        calls += 1
-        time.sleep(0.002)
-        return dense_apply(M, X)
-
-    monkeypatch.setattr(delaylyap.solver, "_dense_apply", slow)
-    report = solve_delay_lyapunov(small_example(5.0).problem)
-    assert calls >= report.iterations + report.refinement_iterations
-    assert report.timings.apply_seconds >= 0.002 * calls
-
-
-def test_unconverged_correction_is_discarded(monkeypatch):
+def test_unconverged_correction_is_discarded(monkeypatch, krylov_route):
     # a refinement correction that does not converge ends refinement and
     # leaves the main solve's X as it was
     import delaylyap.solver
@@ -341,60 +320,88 @@ def test_unconverged_correction_is_discarded(monkeypatch):
     assert np.array_equal(report.X, main_x)
 
 
-def test_one_propagation_per_refinement_iterate(monkeypatch):
+def test_one_propagation_per_refinement_iterate(monkeypatch, krylov_route):
     # The driver propagates each iterate once: the boundary residuals and the
     # true residual of the next refinement pass share that propagation.  The
-    # Krylov applies, assembled or propagated, are not the driver's own.
+    # Krylov applies are not the driver's own.
     import delaylyap.solver as solver
 
-    for assemble_max_n in (solver.ASSEMBLE_MAX_N, 0):
-        calls = 0
+    calls = 0
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return rk4_propagate(*args, **kwargs)
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return rk4_propagate(*args, **kwargs)
 
-        with monkeypatch.context() as m:
-            m.setattr(solver, "ASSEMBLE_MAX_N", assemble_max_n)
-            m.setattr(solver, "rk4_propagate", counting)
-            report = solve_delay_lyapunov(small_example(5.0).problem)
-        assert report.refinement_passes > 0
-        assert calls == report.refinement_passes + 1
+    monkeypatch.setattr(solver, "rk4_propagate", counting)
+    report = solve_delay_lyapunov(small_example(5.0).problem)
+    assert report.refinement_passes > 0
+    assert calls == report.refinement_passes + 1
 
 
 def _solve_both_routes(problem, monkeypatch, **kwargs):
-    """The reports of one problem with the Krylov operator assembled and propagated."""
+    """The reports of one problem solved by LU and, forced, by Krylov."""
     import delaylyap.solver
 
-    assembled = solve_delay_lyapunov(problem, **kwargs)
+    direct = solve_delay_lyapunov(problem, **kwargs)
     with monkeypatch.context() as m:
-        m.setattr(delaylyap.solver, "ASSEMBLE_MAX_N", 0)
-        propagated = solve_delay_lyapunov(problem, **kwargs)
-    return assembled, propagated
+        m.setattr(delaylyap.solver, "DIRECT_MAX_N", 0)
+        krylov = solve_delay_lyapunov(problem, **kwargs)
+    return direct, krylov
+
+
+@pytest.mark.parametrize("problem", [
+    small_example(1.0).problem, small_example(5.0).problem,
+    random_stable_problem(8, np.random.default_rng(3)),
+], ids=["small4-alpha1", "small4-alpha5", "random-n8"])
+def test_direct_and_krylov_routes_agree(problem, monkeypatch):
+    # LU on the assembled 2^-53 operator and the refined Krylov solve reach
+    # one X; cond(M) = 1.6e7 at small4 leaves them about 1e-10 apart
+    direct, krylov = _solve_both_routes(problem, monkeypatch)
+    assert (direct.method, krylov.method) == ("lu", "gmres")
+    assert frobenius(direct.X - krylov.X) <= 1e-9 * frobenius(krylov.X)
+    assert direct.r_alg <= 1e-8 and krylov.r_alg <= 1e-8
+    assert direct.target_met and krylov.target_met
 
 
 @pytest.mark.parametrize("alpha", [1.0, 5.0])
 def test_assembled_and_propagated_operators_agree(alpha, monkeypatch):
-    # the assembled matrix is the propagated operator up to rounding, so X,
-    # the iteration total and the accuracy do not move
-    assembled, propagated = _solve_both_routes(small_example(alpha).problem, monkeypatch)
-    assert frobenius(assembled.X - propagated.X) <= 1e-13 * frobenius(propagated.X)
-    assert (assembled.iterations + assembled.refinement_iterations
-            == propagated.iterations + propagated.refinement_iterations)
-    assert assembled.r_alg <= 1e-8 and propagated.r_alg <= 1e-8
-
-
-def _record_applies(monkeypatch):
-    """Record the argument shape of every ``solver.apply_operator`` call and
-    count the operator calls each Krylov kernel makes."""
+    # the matrix that LU factors is the propagated operator on the report's
+    # 2^-53 plan up to rounding
     import delaylyap.solver as solver
 
-    seen = {"shapes": [], "krylov": 0}
+    problem = small_example(alpha).problem
+    factored = []
+
+    def recording(M, b):
+        factored.append(M)
+        return lu_solve(M, b)
+
+    monkeypatch.setattr(solver, "lu_solve", recording)
+    report = solve_delay_lyapunov(problem)
+    (M,) = factored
+    ctx = OperatorContext(problem, plan=report.plan)
+    X = np.random.default_rng(4).standard_normal((4, 4))
+    want = apply_operator(ctx, X)
+    assert frobenius(unvec(M @ vec(X)) - want) <= 1e-13 * frobenius(want)
+
+
+def _record_calls(monkeypatch):
+    """Record the argument shape and plan of every ``solver.apply_operator``
+    call, count the ``solver.rk4_propagate`` calls and the operator calls
+    each Krylov kernel makes."""
+    import delaylyap.solver as solver
+
+    seen = {"shapes": [], "plans": [], "krylov": 0, "propagations": 0}
 
     def apply(ctx, X):
         seen["shapes"].append(np.shape(X))
+        seen["plans"].append(ctx.plan)
         return apply_operator(ctx, X)
+
+    def propagate(*args, **kwargs):
+        seen["propagations"] += 1
+        return rk4_propagate(*args, **kwargs)
 
     def counting_kernel(kernel):
         def run(op, *args, **kwargs):
@@ -405,49 +412,131 @@ def _record_applies(monkeypatch):
         return run
 
     monkeypatch.setattr(solver, "apply_operator", apply)
+    monkeypatch.setattr(solver, "rk4_propagate", propagate)
     monkeypatch.setattr(solver, "gmres", counting_kernel(solver.gmres))
     monkeypatch.setattr(solver, "bicgstab", counting_kernel(solver.bicgstab))
     return seen
 
 
-@pytest.mark.parametrize("problem, assembled", [
+@pytest.mark.parametrize("problem, direct", [
     (small_example(5.0).problem, True),
     (random_stable_problem(8, np.random.default_rng(3)), True),
-    (random_stable_problem(9, np.random.default_rng(3)), False),
+    (random_stable_problem(9, np.random.default_rng(3)), True),
+    (random_stable_problem(10, np.random.default_rng(3)), False),
     (pdde_generate(3, 3).problem, False),
-], ids=["small4-alpha5", "random-n8", "random-n9", "pdde-3x3"])
-def test_krylov_operator_assembled_at_small_n(problem, assembled, monkeypatch):
-    # at n <= ASSEMBLE_MAX_N = 8 one batched apply on the n^2 unit matrices
-    # serves the main and every correction solve; above it each Krylov
-    # apply propagates its own n x n argument
-    seen = _record_applies(monkeypatch)
+], ids=["small4-alpha5", "random-n8", "random-n9", "random-n10", "pdde-3x3"])
+def test_krylov_operator_assembled_at_small_n(problem, direct, monkeypatch):
+    # the operator that the Krylov route propagates apply by apply is
+    # assembled at n <= DIRECT_MAX_N = 9, for LU: one batched apply on the
+    # n^2 unit matrices, on the 2^-53 plan, and one residual propagation
+    # serve the solve.  Above the switch each Krylov apply propagates its
+    # own n x n argument on the Krylov plan
+    seen = _record_calls(monkeypatch)
     report = solve_delay_lyapunov(problem)
     assert report.converged
     n = problem.n
-    assert seen["krylov"] >= report.iterations + report.refinement_iterations
-    if assembled:
+    if direct:
         assert seen["shapes"] == [(n * n, n, n)]
+        assert seen["plans"] == [report.plan]
+        assert (seen["krylov"], seen["propagations"]) == (0, 1)
     else:
+        assert seen["krylov"] >= report.iterations + report.refinement_iterations
         assert seen["shapes"] == [(n, n)] * seen["krylov"]
+        assert seen["plans"] == [report.krylov_plan] * seen["krylov"]
+        assert seen["propagations"] == report.refinement_passes + 1
 
 
-def test_bicgstab_runs_on_the_assembled_operator(monkeypatch):
-    # BiCGStab takes the assembled matrix too, and ends as on the propagated
-    # operator
+def _unreachable(*args, **kwargs):
+    raise AssertionError("called on the LU route")
+
+
+@pytest.mark.parametrize("method", ["gmres", "bicgstab"])
+def test_direct_route_runs_no_krylov_solve(method, monkeypatch):
+    # whatever method is asked for, the LU route builds and applies no
+    # preconditioner and calls no Krylov kernel: one batched apply and one
+    # residual propagation, and the same X
+    import delaylyap.solver as solver
+
     problem = small_example(1.0).problem
-    krylov = KrylovConfig(method="bicgstab")
-    seen = _record_applies(monkeypatch)
-    assembled = solve_delay_lyapunov(problem, krylov=krylov)
-    assert seen["shapes"] == [(16, 4, 4)]
-    _, propagated = _solve_both_routes(problem, monkeypatch, krylov=krylov)
-    assert assembled.converged and propagated.converged
-    assert assembled.iterations == propagated.iterations
-    assert assembled.refinement_passes == propagated.refinement_passes
-    assert assembled.r_alg <= 1e-8
-    assert frobenius(assembled.X - propagated.X) <= 1e-10 * frobenius(propagated.X)
+    reference = solve_delay_lyapunov(problem)
+    for name in ("gmres", "bicgstab", "build_preconditioner", "apply_preconditioner"):
+        monkeypatch.setattr(solver, name, _unreachable)
+    seen = _record_calls(monkeypatch)
+    report = solve_delay_lyapunov(problem, krylov=KrylovConfig(method=method, maxit=1))
+    assert report.method == "lu" and report.converged
+    assert seen["shapes"] == [(16, 4, 4)] and seen["propagations"] == 1
+    assert np.array_equal(report.X, reference.X)
 
 
-def test_bicgstab_path():
+def test_direct_report_is_a_zero_iteration_solve():
+    # one history entry, as convergence.csv writes it: the residual of the
+    # LU solution in the assembled system, at 0 iterations; the operator
+    # ran the 2^-53 plan, which the report gives as both plans
+    p = small_example(1.0).problem
+    report = solve_delay_lyapunov(p)
+    assert report.method == "lu" and report.converged and report.iterations == 0
+    assert len(report.residual_history) == report.iterations + 1
+    assert len(report.iteration_seconds) == len(report.residual_history)
+    assert 0.0 < report.residual_history[0] <= 1e-8
+    assert report.refinement_passes == report.refinement_iterations == 0
+    assert report.krylov_plan == report.plan == plan_propagation(p.A0, p.A1, p.tau)
+    assert report.relation is None
+    timings = report.timings
+    assert timings.precond_seconds == 0.0
+    assert 0.0 < timings.setup_seconds + timings.apply_seconds <= timings.total_seconds
+
+
+def test_zero_cost_on_the_direct_route(monkeypatch):
+    import delaylyap.solver as solver
+
+    monkeypatch.setattr(solver, "matrix_of", _unreachable)
+    p = dataclasses.replace(small_example(1.0).problem, W=np.zeros((4, 4)))
+    report = solve_delay_lyapunov(p)
+    assert report.method == "lu" and report.converged and report.iterations == 0
+    assert not report.X.any() and report.target_met
+    assert report.krylov_plan == report.plan == plan_propagation(p.A0, p.A1, p.tau)
+
+
+def test_pairing_rule_precedes_the_zero_cost_return(monkeypatch):
+    # no preconditioner is built at n = 2, yet the A0 it would refuse is
+    # refused with its code, for a zero W too, as above the switch
+    import delaylyap.solver as solver
+
+    monkeypatch.setattr(solver, "build_preconditioner", _unreachable)
+    p = TdsProblem(A0=np.diag([1.0, -1.0]), A1=np.zeros((2, 2)), tau=1.0, W=np.zeros((2, 2)))
+    with pytest.raises(SolverError) as err:
+        solve_delay_lyapunov(p)
+    assert err.value.code == "precond-unsolvable"
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["lu", "krylov"])
+def test_missed_accuracy_target_is_reported(direct, monkeypatch):
+    # small4 at alpha 12 (cond(L) = 4.7e9) ends above BV_TARGET on both
+    # routes, r_alg 1.1e-6 by LU and 2.3e-8 by refined Krylov: converged,
+    # with the target reported missed
+    import delaylyap.solver as solver
+
+    if not direct:
+        monkeypatch.setattr(solver, "DIRECT_MAX_N", 0)
+    report = solve_delay_lyapunov(small_example(12.0).problem)
+    assert report.method == ("lu" if direct else "gmres")
+    assert report.converged
+    assert report.r_alg > solver.BV_TARGET
+    assert report.target_met is False
+
+
+@pytest.mark.parametrize("residuals, met", [((0.0, 0.0), True), ((1e-8, 1e-8), True),
+                                            ((2e-8, 0.0), False), ((0.0, 2e-8), False),
+                                            ((np.nan, 0.0), False)])
+def test_target_reads_both_boundary_residuals(residuals, met, monkeypatch):
+    import delaylyap.solver as solver
+
+    monkeypatch.setattr(solver, "boundary_residuals", lambda *args: residuals)
+    report = solve_delay_lyapunov(small_example(1.0).problem)
+    assert report.target_met is met
+
+
+def test_bicgstab_path(krylov_route):
     report = solve_delay_lyapunov(small_example(0.5).problem,
                                   krylov=KrylovConfig(method="bicgstab", tol=1e-12, maxit=64))
     assert report.converged
