@@ -9,7 +9,7 @@ matrices costs about one apply, and LU on that matrix is the small-n
 Kronecker route of Jarlebring, Vanbiervliet & Michiels (2011).  Above the
 switch the solve is GMRES-based iterative refinement (Carson & Higham
 2018): the preconditioned Krylov solve on a 2^-24 plan is the inner, less
-accurate one, and the driver's checks run on the 2^-53 plan.  A GMRES
+accurate one, and the boundary-residual checks run on the 2^-53 plan.  A GMRES
 correction solve recycles the main solve's Arnoldi relation as a fixed
 GCRO space, so it iterates only on what that space misses; a BiCGStab
 correction starts afresh, since BiCGStab builds no Arnoldi relation.
