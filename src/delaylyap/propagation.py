@@ -20,19 +20,22 @@ to swap-odd ones (0, Q) and back.  A propagation starts at the even state
 (X, 0), and the Taylor terms (hG)^j / j! applied to an even matrix V are
 single n x n matrices B_j = (h/j) g(B_{j-1}), B_0 = V, with g = g+ for odd
 j and g- for even j, half the work of stepping the pair.  A pass holds
-each term as the stacked pair [B^T; B], a (..., 2n, n) array, and each
-term is one ``coupled_rhs`` call: a single product of an n x 2n
-coefficient operand with the previous term's pair,
+each term as the stacked pair [B^T; B], 2n x n, and a batch of b matrices
+as the column blocks of one wide pair, 2n x bn, block k being
+[B_k^T; B_k].  Each term is one ``coupled_rhs`` call whatever b: a single
+2-D ``np.dot`` of an n x 2n coefficient operand with the previous term's
+pair,
 
     g+-(B)^T = S+-^T [B^T; B],   S+-^T = [A0^T, +-A1^T],
 
-written straight into the top half of the next pair, one ``np.dot`` for a
-single X and one ``np.matmul`` for a batch.  The pair (S-^T, S+^T) is
-built, checked and cast to float64 once per propagation, not per term.  The
-rest of a term is three in-place steps: the scale by h/j, the transposed
-copy of the top half into the bottom one, and the add of that bottom half,
-B_j itself, to the running sum of its parity.  A pass allocates its two
-pair buffers and its two sums once, and nothing per term.
+written straight into the top half of the next pair.  The pair (S-^T,
+S+^T) is built, checked and cast to float64 once per propagation, not per
+term.  The rest of a term is three in-place steps: the scale by h/j, the
+transposed copy of the top half into the bottom one (one strided copy
+through the (n, b, n) views of both halves), and the add of that bottom
+half, every B_j, to the running sum of its parity.  A pass allocates its
+two pair buffers and its two sums once, and nothing per term.  A single X
+is the b = 1 case, with the arithmetic of a 2n x n pair.
 One such pass returns the even terms j >= 2, W V = (E_h - I) V, and the
 odd terms O_h V, where E_h and O_h are the even and odd parts of the
 degree-m Taylor polynomial p(hG).
@@ -215,17 +218,15 @@ def term_operands(A0, A1):
 def coupled_rhs(V, ST, out):
     """One Taylor term's generator action, transposed: out = ST V.
 
-    V is the stacked pair [B^T; B], (..., 2n, n), and ST one of the n x 2n
-    operands of ``term_operands``: S+^T gives g+(B)^T = A0^T B^T + A1^T B
-    (even to odd), S-^T gives g-(B)^T = A0^T B^T - A1^T B (odd to even).
-    out is a float64 (..., n, n) array, C-contiguous for a single matrix,
-    and receives the product: one ``np.dot`` for a single matrix, one
-    ``np.matmul`` over the batch otherwise.  Returns out; a V or out of
-    another shape raises NumPy's ``ValueError``.
+    V is the stacked pair [B^T; B], 2n x n, or the wide pair of a batch of
+    b matrices, 2n x bn, whose column block k is [B_k^T; B_k]; ST is one of
+    the n x 2n operands of ``term_operands``: S+^T gives g+(B)^T = A0^T B^T
+    + A1^T B (even to odd), S-^T gives g-(B)^T = A0^T B^T - A1^T B (odd to
+    even), block by block.  out is a C-contiguous float64 n x bn array and
+    receives the product, one ``np.dot`` for any b.  Returns out; a V or out
+    of another shape raises NumPy's ``ValueError``.
     """
-    if V.ndim == 2:
-        return np.dot(ST, V, out=out)
-    return np.matmul(ST, V, out=out)
+    return np.dot(ST, V, out=out)
 
 
 def _check_tau(tau):
@@ -392,28 +393,33 @@ def _even_odd_pass(ST, V, scales):
     terms of one Taylor step, on the operands ST = (S-^T, S+^T) of
     ``term_operands``, with ``scales[j - 1]`` = h/j for a step of length h.
 
-    Term j reads the pair [B_{j-1}^T; B_{j-1}] in buffer (j - 1) % 2 and
-    writes B_j^T = (h/j) g(B_{j-1})^T into the top half of buffer j % 2, by
-    one ``coupled_rhs`` call, looked up on the module at every term, and
-    three in-place steps: the scale, the transposed copy of the top half
-    into the bottom one, and the add of that B_j to its parity's sum.
+    V is n x n or a batch (..., n, n) of b matrices, held as the column
+    blocks of one wide pair per buffer, 2n x bn: column block k holds
+    [B_k^T; B_k].  Term j reads the pair of B_{j-1} in buffer (j - 1) % 2
+    and writes every B_j^T = (h/j) g(B_{j-1})^T into the top half of buffer
+    j % 2 by one ``coupled_rhs`` call, looked up on the module at every
+    term, whatever b, and three in-place steps: the scale, the transposed
+    copy of the top half into the bottom one, one strided copy through the
+    (n, b, n) views of both, and the add of that bottom half, every B_j, to
+    its parity's sum.
     """
     n = V.shape[-1]
-    # np.empty, not np.empty_like(V): C-contiguous whatever the layout of V
-    pairs = np.empty((2,) + V.shape[:-2] + (2 * n, n))
-    sums = list(np.zeros((2,) + V.shape))
-    tops = [pair[..., :n, :] for pair in pairs]
-    tops_t = [top.swapaxes(-1, -2) for top in tops]
-    bottoms = [pair[..., n:, :] for pair in pairs]
-    tops_t[0][...] = V
-    bottoms[0][...] = V
+    b = math.prod(V.shape[:-2])
+    pairs = np.empty((2, 2 * n, b * n))
+    sums = list(np.zeros((2, n, b, n)))  # a list: sums[k] += x copies nothing back
+    tops = [pair[:n] for pair in pairs]  # C-contiguous, as np.dot's out must be
+    # (n, b, n) views, entry [i, k, j] of each being B_k[i, j]: the bottom
+    # half, and the top half through a transpose
+    bottoms = [pair[n:].reshape(n, b, n) for pair in pairs]
+    tops_t = [top.reshape(n, b, n).transpose(2, 1, 0) for top in tops]
+    tops_t[0][...] = bottoms[0][...] = V.reshape(b, n, n).transpose(1, 0, 2)
     for j, scale in enumerate(scales, 1):
         k = j % 2
         coupled_rhs(pairs[1 - k], ST[k], tops[k])
         tops[k] *= scale
         bottoms[k][...] = tops_t[k]
         sums[k] += bottoms[k]
-    return sums
+    return [s.transpose(1, 0, 2).reshape(V.shape) for s in sums]
 
 
 def _chebyshev_steps(A0, A1, X, h, degree, steps):
@@ -443,12 +449,13 @@ def _chebyshev_steps(A0, A1, X, h, degree, steps):
 def rk4_propagate(A0, A1, X, tau, *, plan=None):
     """Propagate Z1, Z2 from the common initial value X to t = tau/2.
 
-    X is n x n or a batch (..., n, n).  Runs the plan's s passes of m
-    single-matrix Taylor terms and combines them by the Chebyshev recurrence
-    in difference form (module docstring): m s products S^T [B^T; B] of an
-    n x 2n by a (..., 2n, n) stacked pair in all, the batch in one
-    ``np.matmul`` per term; without ``plan`` it runs
-    ``plan_propagation(A0, A1, tau)``, the default plan.
+    X is n x n or a batch (..., n, n) of b matrices.  Runs the plan's s
+    passes of m single-matrix Taylor terms and combines them by the
+    Chebyshev recurrence in difference form (module docstring): m s
+    products S^T [B^T; B] of an n x 2n operand by a 2n x bn pair in all,
+    the batch held as the pair's column blocks, so one 2-D product per term
+    for any b; without ``plan`` it runs ``plan_propagation(A0, A1, tau)``,
+    the default plan.
     The map X -> (Z1_end, Z2_end) is linear, since every propagation applies
     the same fixed polynomial in G.  tau = 0 is accepted and returns (X, X);
     a tau that is not finite or is negative raises ``ValueError``.

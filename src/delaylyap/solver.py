@@ -3,16 +3,17 @@ preconditioned Krylov solve with refinement above; n alone picks the route.
 
 The delay Lyapunov equation is one linear system L(X) = -W in the n^2
 entries of X = U(tau/2), with L known through its action.  At n <=
-``DIRECT_MAX_N`` a propagation costs NumPy call overhead whatever its
-batch, so assembling L from one batched propagation of the n^2 unit
-matrices costs about one apply, and LU on that matrix is the small-n
-Kronecker route of Jarlebring, Vanbiervliet & Michiels (2011).  Above the
-switch the solve is GMRES-based iterative refinement (Carson & Higham
-2018): the preconditioned Krylov solve on a 2^-24 plan is the inner, less
-accurate one, and the boundary-residual checks run on the 2^-53 plan.  A GMRES
-correction solve recycles the main solve's Arnoldi relation as a fixed
-GCRO space, so it iterates only on what that space misses; a BiCGStab
-correction starts afresh, since BiCGStab builds no Arnoldi relation.
+``DIRECT_MAX_N`` L is assembled from one batched propagation of the n^2
+unit matrices, one 2-D product per Taylor term for the whole batch, which
+costs about one apply at n = 4 and a dozen at n = 11, and LU on that
+matrix is the small-n Kronecker route of Jarlebring, Vanbiervliet &
+Michiels (2011).  Above the switch the solve is GMRES-based iterative
+refinement (Carson & Higham 2018): the preconditioned Krylov solve on a
+2^-24 plan is the inner, less accurate one, and the boundary-residual
+checks run on the 2^-53 plan.  A GMRES correction solve recycles the main
+solve's Arnoldi relation as a fixed GCRO space, so it iterates only on
+what that space misses; a BiCGStab correction starts afresh, since
+BiCGStab builds no Arnoldi relation.
 Refinement never changes the reported main-solve iteration count.
 """
 
@@ -32,9 +33,9 @@ from .propagation import plan_propagations, rk4_propagate
 # that the report claims (``target_met``) and the bench gates
 BV_TARGET = 1e-8
 REFINE_MAX = 2  # cap on the correction solves appended after the main solve
-# largest n solved by LU on the assembled operator, at most 9^4 doubles
-# (52 KB); set by timing both routes (CHANGES.md)
-DIRECT_MAX_N = 9
+# largest n solved by LU on the assembled operator, at most 11^4 doubles
+# (117 KB); set by timing both routes (CHANGES.md)
+DIRECT_MAX_N = 11
 
 
 def solve_delay_lyapunov(problem, ode=None, krylov=None):

@@ -114,7 +114,7 @@ class TestApply:
             assert frobenius(got - want) <= 1e-14 * frobenius(want)
 
     def test_two_batch_axes_equal_single_applies(self):
-        # the whole batch runs as one np.matmul per Taylor term
+        # the whole batch runs as one 2-D product per Taylor term
         ctx = OperatorContext(problem=pdde_generate(3, 3).problem)
         n = ctx.problem.n
         X = np.random.default_rng(11).standard_normal((2, 2, n, n))

@@ -116,11 +116,11 @@ def generator_action(A0, A1, Z1, Z2):
 
 def term(B, ST):
     """g(B) for the operand ST, by one ``coupled_rhs`` call on the stacked
-    pair [B^T; B] of B, (..., n, n)."""
+    pair [B^T; B] of the n x n matrix B."""
     B = np.asarray(B)
     out = np.empty(B.shape)
-    assert coupled_rhs(np.concatenate((B.swapaxes(-1, -2), B), axis=-2), ST, out) is out
-    return out.swapaxes(-1, -2)
+    assert coupled_rhs(np.concatenate((B.T, B)), ST, out) is out
+    return out.T
 
 
 class TestCoupledRhs:
@@ -164,10 +164,10 @@ class TestCoupledRhs:
         assert np.array_equal(S_plus, np.hstack((A0.T, A1.T)))
 
     def test_shape_mismatch(self):
-        # V must be (..., 2n, n) and out (..., n, n)
+        # V must be a 2n x bn pair and out n x bn
         _, ST = term_operands(np.eye(3), np.eye(3))
         for V, out in (((4, 2), (3, 3)), ((8, 4), (3, 3)), ((6, 3, 2), (6, 3, 3)),
-                       ((6, 2), (3, 3)), ((6, 3), (2, 2))):
+                       ((6, 2), (3, 3)), ((6, 3), (2, 2)), ((6, 6), (3, 3))):
             with pytest.raises(ValueError):
                 coupled_rhs(np.zeros(V), ST, np.empty(out))
         with pytest.raises(ValueError):
@@ -175,16 +175,19 @@ class TestCoupledRhs:
         with pytest.raises(ValueError):
             term_operands(np.ones((3, 2)), np.ones((3, 2)))
 
-    def test_batch_axis(self):
+    def test_batch_as_column_blocks(self):
+        # a batch of b matrices is one 2n x bn pair whose column block k is
+        # [B_k^T; B_k]; column block k of out is then g(B_k)^T
         rng = np.random.default_rng(2)
-        B = rng.standard_normal((4, 2, 3, 3))
+        B = rng.standard_normal((4, 3, 3))
         A0, A1 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        V = np.hstack([np.vstack((Bk.T, Bk)) for Bk in B])
         for ST in term_operands(A0, A1):
-            G = term(B, ST)
-            assert G.shape == B.shape
+            out = np.empty((3, 12))
+            assert coupled_rhs(V, ST, out) is out
             for k in range(4):
-                for half in range(2):
-                    assert_allclose(G[k, half], term(B[k, half], ST), rtol=1e-14, atol=1e-14)
+                assert_allclose(out[:, 3 * k: 3 * k + 3].T, term(B[k], ST),
+                                rtol=1e-14, atol=1e-14)
 
 
 def count_terms(monkeypatch):
@@ -236,20 +239,20 @@ class TestSplitCoordinates:
         assert set(shapes) == {(2 * p.n, p.n)}
 
     def test_batch_runs_one_call_per_term(self, monkeypatch):
-        # a batch of k matrices costs the plan's terms, not k times them:
-        # through rk4_propagate and through the n^2 unit matrices of
-        # assemble_operator
+        # a batch of b matrices costs the plan's terms, not b times them,
+        # each one product with the 2n x bn wide pair: through rk4_propagate
+        # and through the n^2 unit matrices of assemble_operator
         p = small_example(5.0).problem
         shapes = count_terms(monkeypatch)
         plan = plan_propagation(p.A0, p.A1, p.tau)
         X = np.random.default_rng(23).standard_normal((3, p.n, p.n))
         rk4_propagate(p.A0, p.A1, X, p.tau, plan=plan)
         assert len(shapes) == plan.rhs_evals > 0
-        assert set(shapes) == {(3, 2 * p.n, p.n)}
+        assert set(shapes) == {(2 * p.n, 3 * p.n)}
         shapes.clear()
         assemble_operator(OperatorContext(problem=p, plan=plan))
         assert len(shapes) == plan.rhs_evals
-        assert set(shapes) == {(p.n * p.n, 2 * p.n, p.n)}
+        assert set(shapes) == {(2 * p.n, p.n * p.n * p.n)}
 
     def test_difference_form_keeps_rk4_rounding(self):
         # Near E_h = I the plain three-term Chebyshev recurrence loses about
@@ -365,6 +368,29 @@ class TestRk4:
             one = rk4_propagate(p.A0, p.A1, X[k], p.tau)
             assert_allclose(res.Z1_end[k], one.Z1_end, rtol=1e-14, atol=1e-14)
             assert_allclose(res.Z2_end[k], one.Z2_end, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("grid, gate", [(0, 1e-14), (3, 1e-14), (5, 1e-14), (7, 1e-13)],
+                             ids=["small4-alpha5", "pdde-3x3", "pdde-5x5", "pdde-7x7"])
+    def test_batch_is_the_stack_of_single_propagations(self, grid, gate):
+        # a (2, 3, n, n) batch, held as the column blocks of one wide pair,
+        # against its six single propagations on both plans: the same bits
+        # at n = 4 and 18, 4.9e-15 at n = 50; at n = 98 BLAS blocks the
+        # 6n-column product apart from the n-column one and the 2^-24
+        # plan's single step amplifies that to 7.4e-14, as in
+        # test_matches_the_concatenating_reference
+        p = pdde_generate(grid, grid).problem if grid else small_example(5.0).problem
+        X = np.random.default_rng(grid).standard_normal((2, 3, p.n, p.n))
+        for plan in plan_propagations(p.A0, p.A1, p.tau):
+            res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=plan)
+            got = np.stack((res.Z1_end, res.Z2_end))
+            assert got.shape == (2, 2, 3, p.n, p.n)
+            singles = [rk4_propagate(p.A0, p.A1, Xk, p.tau, plan=plan)
+                       for Xk in X.reshape(6, p.n, p.n)]
+            want = np.stack([np.stack([one.Z1_end for one in singles]),
+                             np.stack([one.Z2_end for one in singles])]).reshape(got.shape)
+            assert np.linalg.norm(got - want) <= gate * np.linalg.norm(want)
+            empty = rk4_propagate(p.A0, p.A1, X[:0, 0], p.tau, plan=plan)
+            assert empty.Z1_end.shape == empty.Z2_end.shape == (0, p.n, p.n)
 
     def test_plan_is_keyword_only(self):
         # a fifth positional argument, such as an OdeConfig, is refused

@@ -422,12 +422,15 @@ def _record_calls(monkeypatch):
     (small_example(5.0).problem, True),
     (random_stable_problem(8, np.random.default_rng(3)), True),
     (random_stable_problem(9, np.random.default_rng(3)), True),
-    (random_stable_problem(10, np.random.default_rng(3)), False),
+    (random_stable_problem(10, np.random.default_rng(3)), True),
+    (random_stable_problem(11, np.random.default_rng(3)), True),
+    (random_stable_problem(12, np.random.default_rng(3)), False),
     (pdde_generate(3, 3).problem, False),
-], ids=["small4-alpha5", "random-n8", "random-n9", "random-n10", "pdde-3x3"])
+], ids=["small4-alpha5", "random-n8", "random-n9", "random-n10", "random-n11", "random-n12",
+        "pdde-3x3"])
 def test_krylov_operator_assembled_at_small_n(problem, direct, monkeypatch):
     # the operator that the Krylov route propagates apply by apply is
-    # assembled at n <= DIRECT_MAX_N = 9, for LU: one batched apply on the
+    # assembled at n <= DIRECT_MAX_N = 11, for LU: one batched apply on the
     # n^2 unit matrices, on the 2^-53 plan, and one residual propagation
     # serve the solve.  Above the switch each Krylov apply propagates its
     # own n x n argument on the Krylov plan
