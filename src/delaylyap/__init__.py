@@ -18,6 +18,7 @@ from .operators import (
     apply_operator,
     assemble_operator,
     boundary_residuals,
+    preconditioned_spectrum,
     reconstruct_solution,
 )
 from .precond import (
@@ -25,7 +26,6 @@ from .precond import (
     apply_preconditioner,
     build_preconditioner,
     has_no_hamiltonian_pairing,
-    preconditioned_spectrum,
 )
 from .problems import PddeSystem, SmallExample, bench_table, pdde_generate, small_example
 from .propagation import (

@@ -29,10 +29,11 @@ import numpy as np
 from .errors import SolverError
 from .krylov import KrylovConfig
 from .matio import read_matrix, write_matrix
-from .operators import ASSEMBLE_MAX_N, OperatorContext, TdsProblem, reconstruct_solution
-from .precond import build_preconditioner, preconditioned_spectrum
+from .operators import (OperatorContext, TdsProblem, _check_dense_cap, preconditioned_spectrum,
+                        reconstruct_solution)
+from .precond import build_preconditioner
 from .problems import bench_table, pdde_generate, small_example
-from .propagation import OdeConfig, plan_propagation
+from .propagation import OdeConfig, _check_tau, plan_propagation
 from .solver import DIRECT_MAX_N, solve_delay_lyapunov
 from .tsylv import tsylv_solve, tsylv_solve_kron
 
@@ -170,8 +171,7 @@ def cmd_bench(args):
             rows.append((int(nx), int(ny)))
             if min(rows[-1]) < 1:
                 raise ValueError(f"grid sizes must be >= 1, got {token}")
-        if not (np.isfinite(args.tau) and args.tau >= 0):
-            raise ValueError("tau must be finite and >= 0")
+        _check_tau(args.tau)
         if not np.isfinite(args.f0):
             raise ValueError("f0 must be finite")
         ode = OdeConfig(steps=args.steps)
@@ -194,9 +194,7 @@ def cmd_spectrum(args):
     problem = _load_problem(args)
     with _input_errors():
         ode = OdeConfig(steps=args.steps)
-    if problem.n > ASSEMBLE_MAX_N:
-        raise SolverError("oracle-too-large",
-                          f"n={problem.n} exceeds the dense-assembly cap {ASSEMBLE_MAX_N}")
+    _check_dense_cap(problem.n)  # before the preconditioner is built
     factors = build_preconditioner(problem.A0, tau=problem.tau)
     ctx = OperatorContext(problem, plan=plan_propagation(problem.A0, problem.A1, problem.tau, ode))
     ev = preconditioned_spectrum(ctx, factors)
@@ -242,7 +240,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="delaylyap",
         description="Delay Lyapunov equation solver "
-                    "(preconditioned matrix-free Krylov iteration)",
+                    "(LU on the assembled operator at small n, "
+                    "preconditioned matrix-free Krylov iteration above)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

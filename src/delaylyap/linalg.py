@@ -35,14 +35,13 @@ def vec(X):
     return np.asarray(X).flatten(order="F")
 
 
-def unvec(x, rows=None):
-    """Inverse of :func:`vec`; square by default."""
+def unvec(x):
+    """Inverse of :func:`vec` for a square matrix."""
     x = np.asarray(x)
-    if rows is None:
-        rows = int(round(np.sqrt(x.size)))
-        if rows * rows != x.size:
-            raise ValueError(f"cannot unvec length {x.size} into a square matrix")
-    return x.reshape((rows, x.size // rows), order="F")
+    n = int(round(np.sqrt(x.size)))
+    if n * n != x.size:
+        raise ValueError(f"cannot unvec length {x.size} into a square matrix")
+    return x.reshape((n, n), order="F")
 
 
 def matrix_of(fn, n):

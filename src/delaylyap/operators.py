@@ -1,6 +1,8 @@
 """The shifted linear operator whose solution is the delay Lyapunov matrix
-at the half-delay, together with dense assembly, reconstruction of the full
-solution curve, and the boundary-value residuals of the original equation.
+at the half-delay, together with its dense oracles (the assembled operator
+and the preconditioned spectrum, under one cap: :func:`_check_dense_cap`),
+reconstruction of the full solution curve, and the boundary-value residuals
+of the original equation.
 """
 
 import math
@@ -11,8 +13,9 @@ import numpy as np
 
 from .errors import SolverError
 from .linalg import frobenius, matrix_of
-from .propagation import (PropagationPlan, PropagationResult, _chebyshev_steps, plan_propagation,
-                          rk4_propagate)
+from .precond import apply_preconditioner
+from .propagation import (PropagationPlan, PropagationResult, _chebyshev_steps, _check_tau,
+                          plan_propagation, rk4_propagate)
 
 ASSEMBLE_MAX_N = 20
 
@@ -55,8 +58,7 @@ class TdsProblem:
                 raise ValueError(f"{name} must be {n}x{n}, got {M.shape}")
             if not np.all(np.isfinite(M)):
                 raise ValueError(f"{name} has non-finite entries")
-        if not (np.isfinite(self.tau) and self.tau >= 0):
-            raise ValueError("tau must be finite and >= 0")
+        _check_tau(self.tau)
         W = arrays["W"]
         defect = frobenius(W - W.T)
         if defect > 1e-12 * max(frobenius(W), 1e-300):
@@ -124,13 +126,35 @@ def assemble_operator(ctx):
     """Dense n^2 x n^2 matrix A of the operator, A vec(X) = vec(apply(X)).
 
     Built by :func:`delaylyap.linalg.matrix_of`: one batched apply on all
-    n^2 unit matrices.  Above n = ``ASSEMBLE_MAX_N`` it raises
-    ``SolverError("oracle-too-large")``.
+    n^2 unit matrices.  Raises as :func:`_check_dense_cap`.
     """
     n = ctx.problem.n
+    _check_dense_cap(n)
+    return matrix_of(partial(apply_operator, ctx), n)
+
+
+def preconditioned_spectrum(ctx, factors):
+    """Eigenvalues of the preconditioned operator, assembled densely.
+
+    Builds the n^2 x n^2 matrix of X -> apply_preconditioner(apply_operator(X))
+    by :func:`delaylyap.linalg.matrix_of` (one batched operator apply, then
+    the preconditioner on each of its n^2 results) and returns its
+    eigenvalue multiset (sorted by real part, then imaginary, for
+    reproducible output).  Raises as :func:`_check_dense_cap`.
+    """
+    n = ctx.problem.n
+    _check_dense_cap(n)
+    PA = matrix_of(lambda X: np.stack([apply_preconditioner(factors, Y)
+                                       for Y in apply_operator(ctx, X)]), n)
+    ev = np.linalg.eigvals(PA)
+    order = np.lexsort((ev.imag, ev.real))
+    return ev[order]
+
+
+def _check_dense_cap(n):
+    """Raise ``SolverError("oracle-too-large")`` above n = ``ASSEMBLE_MAX_N``."""
     if n > ASSEMBLE_MAX_N:
         raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {ASSEMBLE_MAX_N}")
-    return matrix_of(partial(apply_operator, ctx), n)
 
 
 def reconstruct_solution(ctx, X, samples):
@@ -149,18 +173,16 @@ def reconstruct_solution(ctx, X, samples):
     J = M / g, the pair is propagated once, by J r steps of length
     (tau/2)/(J r) and the context plan's degree m, r = ceil(s / J), so no
     step is longer than the plan's; sample i is read at step (j_i / g) r.
-    Returns a list of (t, U(t)) pairs in increasing t order; raises
-    ``SolverError("exp-overflow")`` at the first step whose pair is not
-    finite.
+    At tau = 0 the steps have h = 0, so every t is +0.0 and every sample is
+    a copy of X.  Returns a list of (t, U(t)) pairs in increasing t order;
+    raises ``SolverError("exp-overflow")`` at the first step whose pair is
+    not finite.
     """
     if samples < 3:
         raise ValueError("samples must be >= 3")
     p = ctx.problem
     X = np.asarray(X, dtype=float)
     ts = np.linspace(-p.tau, p.tau, samples)
-    if p.tau == 0.0:
-        return [(0.0, X.copy()) for _ in ts]
-
     M = samples - 1
     a = [abs(2 * i - M) for i in range(samples)]  # |t_i| = a_i tau / M
     j = [abs(2 * ai - M) for ai in a]

@@ -11,8 +11,10 @@ would leak into the skew part.  An application is six n x n products and
 one :func:`_trlyap`, with a backward error of the order of the unit
 roundoff.  The step count is fixed, so it is an exactly linear map.
 
-The Schur form is :func:`delaylyap.linalg.real_schur`.  This module owns
-the rule that the map T(Y) is invertible: :func:`has_no_hamiltonian_pairing`.
+The preconditioner reads A0 and tau alone, never the operator.  The Schur
+form is :func:`delaylyap.linalg.real_schur`.  This module owns the rule
+that the map T(Y) is invertible, :func:`has_no_hamiltonian_pairing`, and
+the ``"precond-unsolvable"`` refusal of an A0 that breaks it.
 
 The triangular equation T X + X T^T = C is solved by recursive blocking
 (Jonsson & Kagstrom's RECSY algorithms, ACM TOMS 28(4), 2002): T is
@@ -30,8 +32,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrsyl
 
 from .errors import SolverError
-from .linalg import eigenvalues, expm, matrix_of, real_schur, schur_eigenvalues
-from .operators import ASSEMBLE_MAX_N, apply_operator
+from .linalg import eigenvalues, expm, real_schur, schur_eigenvalues
 from .tsylv import pairing_free
 from .tsylv import factor_pencil, solve_with_factors  # noqa: F401 -- bench/tracing.py wraps these
 
@@ -47,8 +48,8 @@ class PrecondFactors:
     exp_forward: np.ndarray  # expm(tau * A0 / 2)
 
 
-def build_preconditioner(A0, shift=1.0, tau=1.0):
-    """Factor the preconditioner for the given system matrix, shift and delay.
+def build_preconditioner(A0, shift=1.0, *, tau):
+    """Factor the preconditioner for A0, the shift and the delay tau (keyword only).
 
     Raises
     ------
@@ -62,10 +63,7 @@ def build_preconditioner(A0, shift=1.0, tau=1.0):
         raise ValueError("shift must be nonzero")
     U, T = real_schur(A0.T)
     if not pairing_free(schur_eigenvalues(T)):
-        raise SolverError(
-            "precond-unsolvable",
-            "A0 has a Hamiltonian eigenpairing: lambda_i + conj(lambda_j) = 0",
-        )
+        raise _unsolvable()
     return PrecondFactors(U=U, T=T, A0=A0, shift=float(shift),
                           exp_forward=expm((0.5 * tau) * A0))
 
@@ -77,6 +75,12 @@ def has_no_hamiltonian_pairing(A0):
     meets it.
     """
     return pairing_free(eigenvalues(np.asarray(A0, dtype=float)))
+
+
+def _unsolvable():
+    """A fresh ``SolverError("precond-unsolvable")``, for an A0 with a pairing."""
+    return SolverError("precond-unsolvable",
+                       "A0 has a Hamiltonian eigenpairing: lambda_i + conj(lambda_j) = 0")
 
 
 def _sym(X):
@@ -159,22 +163,3 @@ def apply_preconditioner(factors, Z):
         S = _sym(U @ _sym(X / scale) @ U.T)
         return (S + K) @ factors.exp_forward
 
-
-def preconditioned_spectrum(ctx, factors):
-    """Eigenvalues of the preconditioned operator, assembled densely.
-
-    Builds the n^2 x n^2 matrix of X -> apply_preconditioner(apply_operator(X))
-    by :func:`delaylyap.linalg.matrix_of` (one batched operator apply, then
-    the preconditioner on each of its n^2 results) and returns its
-    eigenvalue multiset (sorted by real part, then imaginary, for
-    reproducible output).  Above n = ``ASSEMBLE_MAX_N``, the cap of
-    :func:`assemble_operator`, it raises ``SolverError("oracle-too-large")``.
-    """
-    n = ctx.problem.n
-    if n > ASSEMBLE_MAX_N:
-        raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {ASSEMBLE_MAX_N}")
-    PA = matrix_of(lambda X: np.stack([apply_preconditioner(factors, Y)
-                                       for Y in apply_operator(ctx, X)]), n)
-    ev = np.linalg.eigvals(PA)
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]

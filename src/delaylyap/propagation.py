@@ -230,34 +230,27 @@ def coupled_rhs(V, ST, out):
 
 
 def _check_tau(tau):
-    # a scalar check: rk4_propagate runs it on every apply
+    # the one tau rule, also run by TdsProblem and the CLI; scalar, run per apply
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError("tau must be finite and >= 0")
 
 
-def _row_sum_norm(A0, A1):
-    # ||G||_1 in the original coordinates: a unit matrix in Z1 or Z2 maps to
-    # one row of A0 plus one row of A1.
-    return np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max()
-
-
-def _planning_scale(A0, A1):
-    """The diagonal T of the planning coordinates, T^-1 A0 T and T^-1 A1 T:
-    the power-of-2 scaling of LAPACK ``gebal`` on A0 if it gives the smaller
-    ||G||_1, else ones; ones when A0 is not finite, which gebal rejects."""
-    ones = np.ones(A0.shape[0])
+def _planning_coordinates(A0, A1):
+    """(T, T^-1 A0 T, T^-1 A1 T), T the power-of-2 diagonal of LAPACK ``gebal``
+    on A0 if it gives the smaller ||G||_1, else ones with the pair (A0, A1);
+    ones too when A0 is not finite, which gebal rejects.  No warning escapes."""
+    A0 = np.asarray(A0, dtype=float)
+    A1 = np.asarray(A1, dtype=float)
     if not np.isfinite(A0).all():
-        return ones
+        return np.ones(A0.shape[0]), A0, A1
     T = matrix_balance(A0, permute=False, separate=True)[1][0]
     scale = np.outer(1.0 / T, T)
-    return T if _row_sum_norm(A0 * scale, A1 * scale) < _row_sum_norm(A0, A1) else ones
-
-
-def _planning_pair(A0, A1):
-    """The pair (T^-1 A0 T, T^-1 A1 T), T = ``_planning_scale(A0, A1)``."""
-    T = _planning_scale(A0, A1)
-    scale = np.outer(1.0 / T, T)
-    return A0 * scale, A1 * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        balanced = A0 * scale, A1 * scale
+        # ||G||_1: a unit matrix in Z1 or Z2 maps to a row of A0 plus one of A1
+        norm1 = [np.abs(B0).sum(axis=1).max() + np.abs(B1).sum(axis=1).max()
+                 for B0, B1 in ((A0, A1), balanced)]
+    return (T, *balanced) if norm1[1] < norm1[0] else (np.ones_like(T), A0, A1)
 
 
 def _power_bounds(A0, A1, t):
@@ -356,11 +349,14 @@ def plan_propagations(A0, A1, tau, cfg=None):
     if cfg.steps is not None:
         plan = PropagationPlan(RK4_DEGREE, cfg.steps)
         return plan, plan
-    A0 = np.asarray(A0, dtype=float)
-    A1 = np.asarray(A1, dtype=float)
+    return _plans(*_planning_coordinates(A0, A1)[1:], tau)
+
+
+def _plans(B0, B1, tau):
+    """The plans of :func:`plan_propagations` from the planning pair (B0, B1)."""
     degrees = np.array(list(TAYLOR_THETA), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = _power_bounds(*_planning_pair(A0, A1), 0.5 * tau)
+        d = _power_bounds(B0, B1, 0.5 * tau)
         norm1 = d[0]
         if norm1 == 0.0:
             plan = PropagationPlan(0, 1)
@@ -457,8 +453,9 @@ def rk4_propagate(A0, A1, X, tau, *, plan=None):
     for any b; without ``plan`` it runs ``plan_propagation(A0, A1, tau)``,
     the default plan.
     The map X -> (Z1_end, Z2_end) is linear, since every propagation applies
-    the same fixed polynomial in G.  tau = 0 is accepted and returns (X, X);
-    a tau that is not finite or is negative raises ``ValueError``.
+    the same fixed polynomial in G.  At tau = 0 the default plan is (0, 1)
+    and any plan runs with h = 0, giving (X, X) to the bit; a tau that is
+    not finite or is negative raises ``ValueError``.
     The name is kept because it is the package's one propagation entry
     point; the plan of ``OdeConfig(steps=N)`` gives N degree-4 steps of the
     order of classic RK4 through the same recurrence, not classic RK4 itself.
@@ -467,8 +464,6 @@ def rk4_propagate(A0, A1, X, tau, *, plan=None):
     """
     X = np.asarray(X, dtype=float)
     _check_tau(tau)
-    if tau == 0.0:
-        return PropagationResult(X.copy(), X.copy())
     plan = plan or plan_propagation(A0, A1, tau)
     h = (0.5 * tau) / plan.steps
     with np.errstate(over="ignore", invalid="ignore"):
@@ -487,11 +482,10 @@ def exact_propagate(A0, A1, X, tau):
 
         G = [[A0^T (x) I, A1^T (x) I], [-(I (x) A1^T), -(I (x) A0^T)]],
 
-    built with ``scipy.sparse.kron`` and ``bmat``.  It runs in the
-    coordinates of ``plan_propagation`` (the pair from T X T under
-    T^-1 A0 T, T^-1 A1 T is T Z T, T a power-of-2 diagonal), which keeps
-    ||tG||_1 small enough that SciPy's ``onenormest`` and its global-RNG
-    draws are not reached on the PDDE matrices.
+    built with ``scipy.sparse.kron`` and ``bmat``, in the coordinates of its
+    plan check (``_planning_coordinates``; the pair from T X T under T^-1 A0 T,
+    T^-1 A1 T is T Z T), which keeps ||tG||_1 small enough that SciPy's
+    ``onenormest`` and its global-RNG draws are not reached on the PDDE matrices.
 
     Raises
     ------
@@ -506,12 +500,11 @@ def exact_propagate(A0, A1, X, tau):
     from scipy.sparse.linalg import expm_multiply
 
     X = np.asarray(X, dtype=float)
-    A0 = np.asarray(A0, dtype=float)
-    A1 = np.asarray(A1, dtype=float)
-    plan_propagation(A0, A1, tau)
-    T = _planning_scale(A0, A1)
-    scale, TXT = np.outer(1.0 / T, T), np.outer(T, T)
-    B0T, B1T = csr_array((A0 * scale).T), csr_array((A1 * scale).T)
+    _check_tau(tau)
+    T, B0, B1 = _planning_coordinates(A0, A1)
+    _plans(B0, B1, tau)  # raises where plan_propagation does
+    TXT = np.outer(T, T)
+    B0T, B1T = csr_array(B0.T), csr_array(B1.T)
     n = X.shape[0]
     I = identity(n, format="csr")
     G = bmat([[kron(B0T, I), kron(B1T, I)], [-kron(I, B1T), -kron(I, B0T)]], format="csr")
@@ -520,4 +513,4 @@ def exact_propagate(A0, A1, X, tau):
         out = expm_multiply((0.5 * tau) * G, np.concatenate([vec(Y), vec(Y.T)]))
     if not np.isfinite(out).all():
         raise SolverError("exp-overflow", "the propagated pair overflowed")
-    return PropagationResult(unvec(out[: n * n], n) / TXT, unvec(out[n * n:], n).T / TXT)
+    return PropagationResult(unvec(out[: n * n]) / TXT, unvec(out[n * n:]).T / TXT)

@@ -22,7 +22,6 @@ import time
 import numpy as np
 
 from . import precond
-from .errors import SolverError
 from .krylov import KrylovConfig, SolveReport, SolveTimings, bicgstab, gmres
 from .linalg import frobenius, lu_solve, matrix_of, unvec, vec
 from .operators import OperatorContext, apply_operator, boundary_residuals, combine_pair
@@ -98,8 +97,7 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     direct = problem.n <= DIRECT_MAX_N
     if direct:
         if not precond.has_no_hamiltonian_pairing(problem.A0):
-            raise SolverError("precond-unsolvable",
-                              "A0 has a Hamiltonian eigenpairing: lambda_i + conj(lambda_j) = 0")
+            raise precond._unsolvable()
         plan = krylov_plan = plan_propagations(problem.A0, problem.A1, problem.tau, ode)[0]
     else:
         factors = build_preconditioner(problem.A0, tau=problem.tau)

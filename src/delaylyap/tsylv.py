@@ -216,7 +216,7 @@ def tsylv_solve_kron(M, N, C):
         x = lu_solve(K, vec(C))
     except SolverError as exc:
         raise SolverError("tsylv-singular", str(exc)) from exc
-    return unvec(x, n)
+    return unvec(x)
 
 
 def pairing_free(lam):

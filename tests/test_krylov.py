@@ -29,7 +29,7 @@ def dense_operator(rng, n, spd=False):
         A = A + n * n * np.eye(n * n)
 
     def op(X):
-        return unvec(A @ vec(X), n)
+        return unvec(A @ vec(X))
 
     return op, A
 
@@ -49,7 +49,7 @@ class TestGmres:
         op, A = dense_operator(rng, 4, spd=True)
         b = rng.standard_normal((4, 4))
         report = gmres(op, b, cfg=KrylovConfig(tol=1e-13, maxit=16))
-        X_direct = unvec(lu_solve(A, vec(b)), 4)
+        X_direct = unvec(lu_solve(A, vec(b)))
         assert frobenius(report.X - X_direct) <= 1e-10 * frobenius(X_direct)
 
     def test_history_non_increasing(self):
@@ -227,7 +227,7 @@ class TestBicgstab:
         op, A = dense_operator(rng, 4)
         b = rng.standard_normal((4, 4))
         report = bicgstab(op, b, cfg=KrylovConfig(method="bicgstab", tol=1e-10, maxit=64))
-        X_direct = unvec(lu_solve(A, vec(b)), 4)
+        X_direct = unvec(lu_solve(A, vec(b)))
         assert frobenius(report.X - X_direct) <= 1e-8 * frobenius(X_direct)
 
     def test_agrees_with_gmres(self):

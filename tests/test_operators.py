@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +19,7 @@ from delaylyap import (
     frobenius,
     lu_solve,
     pdde_generate,
+    preconditioned_spectrum,
     reconstruct_solution,
     rk4_propagate,
     small_example,
@@ -253,9 +256,13 @@ class TestAssemble:
         monkeypatch.setattr(delaylyap.operators, "ASSEMBLE_MAX_N", 3)
         rng = np.random.default_rng(5)
         p = random_stable_problem(4, rng)
-        with pytest.raises(SolverError) as err:
-            assemble_operator(make_ctx(p))
-        assert err.value.code == "oracle-too-large"
+        # one cap for both dense oracles
+        for oracle in (assemble_operator,
+                       lambda ctx: preconditioned_spectrum(
+                           ctx, build_preconditioner(p.A0, tau=p.tau))):
+            with pytest.raises(SolverError) as err:
+                oracle(make_ctx(p))
+            assert err.value.code == "oracle-too-large"
 
 
 class TestReconstruct:
@@ -300,12 +307,18 @@ class TestReconstruct:
         rng = np.random.default_rng(14)
         p = random_stable_problem(3, rng, tau=0.0)
         X = rng.standard_normal((3, 3))
-        grid = reconstruct_solution(OperatorContext(problem=p), X, samples=4)
-        assert [t for t, _ in grid] == [0.0] * 4
-        for _, U in grid:
-            assert np.array_equal(U, X)
-        grid[0][1][0, 0] += 1.0  # each sample is its own copy
-        assert np.array_equal(grid[1][1], X)
+        want = X.copy()
+        for samples in (4, 9):
+            grid = reconstruct_solution(OperatorContext(problem=p), X, samples=samples)
+            assert [t for t, _ in grid] == [0.0] * samples
+            # +0.0, so the CLI's t column reads 0, never -0
+            assert all(math.copysign(1, t) == 1 for t, _ in grid)
+            for _, U in grid:
+                assert np.array_equal(U, want)
+            for _, U in grid:  # each sample is its own copy, and none is X
+                U += 1.0
+            assert np.array_equal(X, want)
+            assert all(np.array_equal(U, want + 1.0) for _, U in grid)
 
     def test_too_few_samples(self):
         rng = np.random.default_rng(7)
@@ -321,7 +334,7 @@ class TestBoundaryResiduals:
         B = rng.standard_normal((5, 5))
         W = B @ B.T + np.eye(5)
         K = np.kron(np.eye(5), A0.T) + np.kron(A0.T, np.eye(5))
-        U0 = unvec(lu_solve(K, -vec(W)), 5)
+        U0 = unvec(lu_solve(K, -vec(W)))
         p = TdsProblem(A0=A0, A1=np.zeros((5, 5)), tau=1.0, W=W)
         r_alg, r_sym = boundary_residuals(p, U0, rng.standard_normal((5, 5)))
         assert r_alg <= 1e-10
@@ -347,5 +360,5 @@ def test_gmres_agrees_with_dense_solve_small(krylov_route):
         ctx = make_ctx(p)
         report = solve_delay_lyapunov(p, ode=OdeConfig(steps=100), krylov=KrylovConfig(tol=1e-12))
         assert report.plan == ctx.plan
-        X_direct = unvec(lu_solve(assemble_operator(ctx), -vec(p.W)), n)
+        X_direct = unvec(lu_solve(assemble_operator(ctx), -vec(p.W)))
         assert frobenius(report.X - X_direct) <= 1e-8 * frobenius(X_direct)

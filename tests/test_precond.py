@@ -222,7 +222,7 @@ class TestRecursiveLyapunov:
         m = 8
         assert T[n - m, n - m - 1] == 0
         Tm, I = T[-m:, -m:], np.eye(m)
-        oracle = unvec(np.linalg.solve(np.kron(I, Tm) + np.kron(Tm, I), vec(C[-m:, -m:])), m)
+        oracle = unvec(np.linalg.solve(np.kron(I, Tm) + np.kron(Tm, I), vec(C[-m:, -m:])))
         assert frobenius(X[-m:, -m:] - oracle) <= 1e-13 * frobenius(oracle)
 
     def test_split_keeps_2x2_blocks_whole(self, monkeypatch):

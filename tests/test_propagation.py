@@ -13,6 +13,7 @@ from delaylyap import (
     OperatorContext,
     PropagationPlan,
     SolverError,
+    TdsProblem,
     assemble_operator,
     coupled_rhs,
     exact_propagate,
@@ -33,7 +34,7 @@ from delaylyap.propagation import (
     MAX_PLAN_TERMS,
     MAX_POWER,
     TAYLOR_THETA,
-    _planning_pair,
+    _planning_coordinates,
     _power_bounds,
     plan_propagations,
 )
@@ -111,7 +112,7 @@ def generator_action(A0, A1, Z1, Z2):
     [vec Z1; vec Z2^T]."""
     n = Z1.shape[0]
     out = sparse_generator(A0, A1) @ np.concatenate([vec(Z1), vec(Z2.T)])
-    return unvec(out[: n * n], n), unvec(out[n * n:], n).T
+    return unvec(out[: n * n]), unvec(out[n * n:]).T
 
 
 def term(B, ST):
@@ -272,8 +273,8 @@ class TestSplitCoordinates:
             k3 = G @ (y + 0.5 * h * k2)
             k4 = G @ (y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        err_rk4 = (frobenius(unvec(y[: n * n], n) - exact.Z1_end)
-                   + frobenius(unvec(y[n * n:], n).T - exact.Z2_end))
+        err_rk4 = (frobenius(unvec(y[: n * n]) - exact.Z1_end)
+                   + frobenius(unvec(y[n * n:]).T - exact.Z2_end))
         res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=rk4_plan(steps))
         err = frobenius(res.Z1_end - exact.Z1_end) + frobenius(res.Z2_end - exact.Z2_end)
         assert err <= err_rk4
@@ -399,10 +400,16 @@ class TestRk4:
             rk4_propagate(np.eye(2), np.eye(2), np.eye(2), 1.0, OdeConfig(steps=5))
 
     def test_tau_zero_returns_initial_value(self):
-        X = np.arange(4.0).reshape(2, 2)
-        res = rk4_propagate(np.eye(2), np.eye(2), X, 0.0, plan=rk4_plan(5))
-        assert np.array_equal(res.Z1_end, X)
-        assert np.array_equal(res.Z2_end, X)
+        # no tau = 0 branch: the planner's zero plan, or any plan run with
+        # h = 0, maps X to itself to the last bit, one matrix or a batch
+        p = small_example(1.0).problem
+        assert plan_propagation(p.A0, p.A1, 0.0) == PropagationPlan(0, 1)
+        X = np.random.default_rng(16).standard_normal((2, p.n, p.n))
+        for plan in (None, PropagationPlan(4, 5), PropagationPlan(55, 2)):
+            for Y in (X[0], X):
+                res = rk4_propagate(p.A0, p.A1, Y, 0.0, plan=plan)
+                assert res.Z1_end.tobytes() == res.Z2_end.tobytes() == Y.tobytes()
+                assert res.Z1_end.shape == res.Z2_end.shape == Y.shape
 
     def test_terminal_norm_bound(self):
         rng = np.random.default_rng(6)
@@ -530,7 +537,7 @@ class TestTaylorPlan:
         # column sums of |tG|^p bound ||(tG)^p||_1, computed from the dense
         # generator in the original and in the planning coordinates
         t = 0.5 * tau
-        for B0, B1 in ((A0, A1), _planning_pair(A0, A1)):
+        for B0, B1 in ((A0, A1), _planning_coordinates(A0, A1)[1:]):
             for bound, d in zip(_power_bounds(B0, B1, t), dense_power_norms(B0, B1, t)):
                 assert bound >= d * (1.0 - 1e-13)
 
@@ -543,7 +550,7 @@ class TestTaylorPlan:
         norm1 = 0.5 * tau * min(np.linalg.norm(A0, np.inf) + np.linalg.norm(A1, np.inf),
                                 np.linalg.norm(A0 * scale, np.inf)
                                 + np.linalg.norm(A1 * scale, np.inf))
-        assert _power_bounds(*_planning_pair(A0, A1), 0.5 * tau)[0] == norm1
+        assert _power_bounds(*_planning_coordinates(A0, A1)[1:], 0.5 * tau)[0] == norm1
         norm_plan = min(m * np.ceil(norm1 / theta) for m, theta in TAYLOR_THETA.items())
         assert plan_propagation(A0, A1, tau).rhs_evals <= norm_plan
 
@@ -559,7 +566,7 @@ class TestTaylorPlan:
         # Al-Mohy & Higham (2009, Thm 4.2): some p with p(p - 1) <= m + 1 has
         # max(d_p, d_{p+1}) <= s theta_m, d_p from the dense generator
         plan = plan_propagation(A0, A1, tau)
-        d = dense_power_norms(*_planning_pair(A0, A1), 0.5 * tau)
+        d = dense_power_norms(*_planning_coordinates(A0, A1)[1:], 0.5 * tau)
         budget = plan.steps * TAYLOR_THETA[plan.degree]
         assert any(max(d[p - 1], d[p]) <= budget
                    for p in range(1, MAX_POWER + 1) if p * (p - 1) <= plan.degree + 1)
@@ -575,6 +582,25 @@ class TestTaylorPlan:
         exact = exact_propagate(A0, A1, X, 1.0)
         assert_allclose(res.Z1_end, exact.Z1_end, rtol=0, atol=1e-14)
         assert_allclose(res.Z2_end, exact.Z2_end, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("run", [
+        lambda p: plan_propagations(p.A0, p.A1, p.tau),
+        lambda p: exact_propagate(p.A0, p.A1, np.eye(p.n), p.tau),
+    ], ids=["plan_propagations", "exact_propagate"])
+    def test_one_balance_per_call(self, run, monkeypatch):
+        # the planning coordinates come from one gebal call, which
+        # exact_propagate shares with its plan check
+        import delaylyap.propagation
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return matrix_balance(*args, **kwargs)
+
+        monkeypatch.setattr(delaylyap.propagation, "matrix_balance", counted)
+        run(pdde_generate(3, 3).problem)
+        assert len(calls) == 1
 
     def test_balancing_is_exact(self):
         # the pair propagated from T X T under (T^-1 A0 T, T^-1 A1 T) is
@@ -628,7 +654,7 @@ class TestKrylovPlan:
         plan, krylov_plan = plan_propagations(A0, A1, tau)
         assert plan == plan_propagation(A0, A1, tau)
         assert krylov_plan.rhs_evals <= plan.rhs_evals
-        d = dense_power_norms(*_planning_pair(A0, A1), 0.5 * tau)
+        d = dense_power_norms(*_planning_coordinates(A0, A1)[1:], 0.5 * tau)
         budget = krylov_plan.steps * KRYLOV_THETA[krylov_plan.degree]
         assert any(max(d[p - 1], d[p]) <= budget
                    for p in range(1, MAX_POWER + 1) if p * (p - 1) <= krylov_plan.degree + 1)
@@ -713,7 +739,8 @@ class TestExactPropagate:
     lambda I, tau: rk4_propagate(I, I, I, tau),
     lambda I, tau: plan_propagation(I, I, tau),
     lambda I, tau: exact_propagate(I, I, I, tau),
-], ids=["rk4_propagate", "plan_propagation", "exact_propagate"])
+    lambda I, tau: TdsProblem(A0=I, A1=I, tau=tau, W=I),
+], ids=["rk4_propagate", "plan_propagation", "exact_propagate", "TdsProblem"])
 def test_malformed_tau_rejected(propagate, tau):
     # a NaN or infinite tau is malformed input, not an exp-overflow
     with pytest.raises(ValueError, match=r"^tau must be finite and >= 0$"):

@@ -124,7 +124,7 @@ def test_tau_zero_reduces_to_standard_lyapunov():
         report = solve_delay_lyapunov(p, ode=OdeConfig(steps=1))
         S = p.A0 + p.A1
         K = np.kron(np.eye(p.n), S.T) + np.kron(S.T, np.eye(p.n))
-        U = unvec(lu_solve(K, -vec(p.W)), p.n)
+        U = unvec(lu_solve(K, -vec(p.W)))
         assert frobenius(report.X - U) <= 1e-8 * frobenius(U)
 
 
@@ -216,11 +216,19 @@ def test_zero_cost_returns_exact_zero(method, monkeypatch, krylov_route):
     assert 0.0 < report.timings.setup_seconds <= report.timings.total_seconds
 
 
-def test_unsolvable_preconditioner_propagates():
+def test_unsolvable_preconditioner_propagates(monkeypatch):
+    # the LU route checks the pairing rule and the Krylov route builds the
+    # preconditioner; both raise the one refusal that precond words
+    import delaylyap.solver as solver
+
     p = TdsProblem(A0=np.diag([1.0, -1.0]), A1=np.zeros((2, 2)), tau=1.0, W=np.eye(2))
-    with pytest.raises(SolverError) as err:
-        solve_delay_lyapunov(p)
-    assert err.value.code == "precond-unsolvable"
+    for direct_max_n in (solver.DIRECT_MAX_N, 0):  # the LU route, then the Krylov one
+        monkeypatch.setattr(solver, "DIRECT_MAX_N", direct_max_n)
+        with pytest.raises(SolverError) as err:
+            solve_delay_lyapunov(p)
+        assert err.value.code == "precond-unsolvable"
+        assert str(err.value) == ("precond-unsolvable: A0 has a Hamiltonian eigenpairing: "
+                                  "lambda_i + conj(lambda_j) = 0")
 
 
 def test_report_fields_filled(krylov_route):
