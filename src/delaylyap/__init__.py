@@ -34,7 +34,7 @@ from .propagation import (
     PropagationResult,
     coupled_rhs,
     exact_propagate,
-    plan_propagation,
+    plan_propagations,
     rk4_propagate,
     term_operands,
 )
@@ -57,7 +57,7 @@ __all__ = [
     "coupled_rhs", "eigenvalues", "exact_propagate", "expm",
     "factor_pencil", "frobenius", "gmres",
     "has_no_hamiltonian_pairing", "lu_solve", "matrix_of", "pdde_generate",
-    "plan_propagation", "preconditioned_spectrum",
+    "plan_propagations", "preconditioned_spectrum",
     "read_matrix", "real_schur", "reconstruct_solution", "rk4_propagate",
     "small_example", "solve_delay_lyapunov", "term_operands", "tsylv_solve",
     "tsylv_solve_kron", "unvec", "vec", "write_matrix",

@@ -9,7 +9,10 @@ stderr; unreadable or inconsistent input gives ``invalid-input``.  In
 residual checks and the solution samples, and the ``krylov_`` keys the
 2^-24 plan of the Krylov operator applies; at n <= ``DIRECT_MAX_N``, where
 the solve is LU on the assembled operator (``method=lu``), they repeat the
-2^-53 plan that operator ran.  ``target_met`` is False when r_alg or r_sym
+2^-53 plan that operator ran.  At tau = 0 both plans are (0, 1) whatever
+``--steps`` says, so the summary reads ``propagation_degree=0``,
+``propagation_steps=1`` and ``rhs_evals_per_apply=0``, and the ``krylov_``
+keys the same.  ``target_met`` is False when r_alg or r_sym
 ends above 1e-8; such a solve still exits 0, since the accuracy it reached
 is in the summary.
 
@@ -33,7 +36,7 @@ from .operators import (OperatorContext, TdsProblem, _check_dense_cap, precondit
                         reconstruct_solution)
 from .precond import build_preconditioner
 from .problems import bench_table, pdde_generate, small_example
-from .propagation import OdeConfig, _check_tau, plan_propagation
+from .propagation import OdeConfig, _check_tau, plan_propagations
 from .solver import DIRECT_MAX_N, solve_delay_lyapunov
 from .tsylv import tsylv_solve, tsylv_solve_kron
 
@@ -196,7 +199,8 @@ def cmd_spectrum(args):
         ode = OdeConfig(steps=args.steps)
     _check_dense_cap(problem.n)  # before the preconditioner is built
     factors = build_preconditioner(problem.A0, tau=problem.tau)
-    ctx = OperatorContext(problem, plan=plan_propagation(problem.A0, problem.A1, problem.tau, ode))
+    ctx = OperatorContext(problem,
+                          plan=plan_propagations(problem.A0, problem.A1, problem.tau, ode)[0])
     ev = preconditioned_spectrum(ctx, factors)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

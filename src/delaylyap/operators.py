@@ -13,9 +13,9 @@ import numpy as np
 
 from .errors import SolverError
 from .linalg import frobenius, matrix_of
-from .precond import apply_preconditioner
+from .precond import _check_shift, apply_preconditioner
 from .propagation import (PropagationPlan, PropagationResult, _chebyshev_steps, _check_tau,
-                          plan_propagation, rk4_propagate)
+                          plan_propagations, rk4_propagate)
 
 ASSEMBLE_MAX_N = 20
 
@@ -77,9 +77,9 @@ class OperatorContext:
     realized (discretized) linear operator.
 
     Every apply, residual and reconstruction of this context runs ``plan``;
-    without one, the default plan of the problem is made once, at
-    construction.  Pass ``plan_propagation(A0, A1, tau, OdeConfig(...))``,
-    or ``SolveReport.plan`` of an earlier solve, for any other;
+    without one, the one planner's default plan is made once, at
+    construction.  Pass ``plan_propagations(A0, A1, tau, cfg)[0]``, or
+    ``SolveReport.plan`` of an earlier solve, for any other;
     ``SolveReport.krylov_plan`` gives the operator its Krylov solves applied.
     """
 
@@ -88,11 +88,10 @@ class OperatorContext:
     plan: PropagationPlan = None
 
     def __post_init__(self):
-        if self.shift == 0.0:
-            raise ValueError("shift must be nonzero")
+        _check_shift(self.shift)
         if self.plan is None:
             p = self.problem
-            object.__setattr__(self, "plan", plan_propagation(p.A0, p.A1, p.tau))
+            object.__setattr__(self, "plan", plan_propagations(p.A0, p.A1, p.tau)[0])
 
 
 def apply_operator(ctx, X):

@@ -59,13 +59,18 @@ def build_preconditioner(A0, shift=1.0, *, tau):
         ``"schur-no-convergence"`` when the Schur iteration fails.
     """
     A0 = np.array(A0, dtype=float)  # a copy: the factors keep it
-    if shift == 0.0:
-        raise ValueError("shift must be nonzero")
+    _check_shift(shift)
     U, T = real_schur(A0.T)
     if not pairing_free(schur_eigenvalues(T)):
         raise _unsolvable()
     return PrecondFactors(U=U, T=T, A0=A0, shift=float(shift),
                           exp_forward=expm((0.5 * tau) * A0))
+
+
+def _check_shift(shift):
+    """Raise ``ValueError`` unless shift is nonzero; the one shift rule."""
+    if shift == 0.0:
+        raise ValueError("shift must be nonzero")
 
 
 def has_no_hamiltonian_pairing(A0):

@@ -61,17 +61,18 @@ polynomial.  The plan (m, s) is fixed per problem, before any X is seen --
 from the Al-Mohy & Higham (2009, 2011) bounds on ||(tG)^p||^(1/p) of the
 balanced generator, each taken from the nonnegative matrix |tG| with no
 random estimate, or as (4, steps), degree-4 steps of the order of classic
-RK4 -- and the loop stops early only to raise ``exp-overflow`` at the
-first step whose pair is not finite, so every propagation that returns is
-the same polynomial in G and the discretized operator stays exactly
-linear.
+RK4, or as (0, 1) over zero time -- and the loop stops early only to raise
+``exp-overflow`` at the first step whose pair is not finite, so every
+propagation that returns is the same polynomial in G and the discretized
+operator stays exactly linear.
 
-One set of bounds gives two plans (``plan_propagations``): one for a
-backward error of 2^-53 (``TAYLOR_THETA``), which runs the residual checks,
-refinement and the solution curve, and one for 2^-24 (``KRYLOV_THETA``),
-which runs the Krylov operator applies, as in GMRES-based iterative
-refinement (Carson & Higham 2018).  Each is fixed per problem, so each
-operator is exactly linear on its own; (4, steps) serves as both.
+One set of bounds gives two plans (``plan_propagations``, the one planner):
+one for a backward error of 2^-53 (``TAYLOR_THETA``), which runs the
+residual checks, refinement and the solution curve, and one for 2^-24
+(``KRYLOV_THETA``), which runs the Krylov operator applies, as in
+GMRES-based iterative refinement (Carson & Higham 2018).  Each is fixed per
+problem, so each operator is exactly linear on its own; (4, steps) and
+(0, 1) serve as both.
 
 The recurrence yields the pair after every step k, from P_k = (D_k +
 D_{k-1})/2 and Q_k = O_h U_{k-1}, so the solution curve is read off the
@@ -127,6 +128,10 @@ KRYLOV_THETA = {
     35: 7.72, 40: 9.13, 45: 10.5, 50: 11.9, 55: 13.3,
 }
 
+# both tables as arrays, made once: the degrees they share, and theta_m by row
+_DEGREES = np.array(list(TAYLOR_THETA), dtype=float)
+_THETAS = np.array([list(theta.values()) for theta in (TAYLOR_THETA, KRYLOV_THETA)])
+
 
 def _check_count(value, name, least):
     """Raise ``ValueError`` unless value is an integer >= least."""
@@ -136,9 +141,9 @@ def _check_count(value, name, least):
 
 @dataclass(frozen=True)
 class OdeConfig:
-    """The user-facing propagation setting, read by ``plan_propagation``
-    alone; below ``solve_delay_lyapunov`` only the plan made from it is
-    passed on.
+    """The user-facing propagation setting, read by the one planner,
+    ``plan_propagations``, alone; below ``solve_delay_lyapunov`` only the
+    plans made from it are passed on.
 
     ``steps=None`` (the default) plans the Taylor degree and step count from
     bounds on the 1-norms of the generator's powers p = 1..9, balanced or
@@ -146,7 +151,8 @@ class OdeConfig:
     ``steps=N``, an integer >= 1, runs N uniform
     degree-4 Taylor steps (the classic RK4 polynomial) on [0, tau/2]
     through the same even/odd recurrence as every plan, so it is fourth
-    order like RK4 but not literally classic RK4.
+    order like RK4 but not literally classic RK4.  Both give (0, 1) when
+    ||tG||_1 = 0.
     """
 
     steps: int = None
@@ -247,10 +253,13 @@ def _planning_coordinates(A0, A1):
     scale = np.outer(1.0 / T, T)
     with np.errstate(over="ignore", invalid="ignore"):
         balanced = A0 * scale, A1 * scale
-        # ||G||_1: a unit matrix in Z1 or Z2 maps to a row of A0 plus one of A1
-        norm1 = [np.abs(B0).sum(axis=1).max() + np.abs(B1).sum(axis=1).max()
-                 for B0, B1 in ((A0, A1), balanced)]
+        norm1 = [_generator_norm(*pair) for pair in ((A0, A1), balanced)]
     return (T, *balanced) if norm1[1] < norm1[0] else (np.ones_like(T), A0, A1)
+
+
+def _generator_norm(A0, A1):
+    """||G||_1: a unit matrix in Z1 or Z2 maps to a row of A0 plus one of A1."""
+    return np.abs(A0).sum(axis=1).max() + np.abs(A1).sum(axis=1).max()
 
 
 def _power_bounds(A0, A1, t):
@@ -262,14 +271,12 @@ def _power_bounds(A0, A1, t):
     |A1| Y_{p-1}^T, Y_0 = ones.  Each iterate is run on |A| / ||G||_1 and
     rescaled to max 1, keeping the log of its scale, so no bound overflows
     where ||tG||_1 is finite; a |G|^p that is zero gives zero bounds from p
-    on.  A zero or non-finite ||tG||_1 is returned alone, the rest zero.
+    on.  ||tG||_1 must be finite and nonzero, as ``_plans`` checks first.
     """
     r0, r1 = np.abs(A0).sum(axis=1), np.abs(A1).sum(axis=1)
     norm = r0.max() + r1.max()
     bounds = np.zeros(MAX_POWER + 1)
     bounds[0] = t * norm
-    if not 0.0 < bounds[0] < np.inf:
-        return bounds
     B0, B1 = np.abs(A0) / norm, np.abs(A1) / norm
     Y = (r0[None, :] + r1[:, None]) / norm  # Y_1, from the row sums
     log_scale = 0.0
@@ -285,14 +292,18 @@ def _power_bounds(A0, A1, t):
     return bounds
 
 
-def plan_propagation(A0, A1, tau, cfg=None):
-    """Choose the Taylor degree m and step count s for a propagation to tau/2.
+def plan_propagations(A0, A1, tau, cfg=None):
+    """The two plans of one solve, (plan, krylov_plan): the Taylor degree m
+    and step count s of a propagation to tau/2, for a backward error of
+    2^-53 and of 2^-24.  The package's one planner.
 
-    With ``cfg.steps`` set the plan is (4, steps).  Otherwise the plan is
-    read off upper bounds on d_p = ||(tG)^p||_1^(1/p), t = tau/2, for
-    p = 1..9, all taken in one coordinate system: the original one or the
-    one of T^-1 A0 T and T^-1 A1 T, T the diagonal power-of-2 scaling of
-    LAPACK ``gebal`` on A0, whichever gives the smaller
+    A zero ||tG||_1, t = tau/2 (tau = 0 or A0 = A1 = 0), gives (0, 1) to
+    both under every setting.  Otherwise ``cfg.steps = N`` gives (4, N) to
+    both.  Otherwise the plans are read off upper bounds on
+    d_p = ||(tG)^p||_1^(1/p) for p = 1..9, all taken in one coordinate
+    system: the original one or the one of T^-1 A0 T and T^-1 A1 T, T the
+    diagonal power-of-2 scaling of LAPACK ``gebal`` on A0, whichever gives
+    the smaller
 
         norm1 = t (||A0||_inf + ||A1||_inf) = ||tG||_1.
 
@@ -305,23 +316,23 @@ def plan_propagation(A0, A1, tau, cfg=None):
     random estimate.
 
     With alpha_p = max(d_p, d_{p+1}) and alpha(m) the least alpha_p over
-    p(p-1) <= m + 1, (m, s) minimizes m * s, s = max(1, ceil(alpha(m) /
-    theta_m)), over ``TAYLOR_THETA``, ties going to the smallest m: the
-    Al-Mohy & Higham plan for a backward error of 2^-53 (2009, Thm 4.2;
-    2011, fragment (3.1)).  p = 1 alone gives m * ceil(norm1 / theta_m), so
-    this plan is never larger than the one from the 1-norm alone.  Al-Mohy &
-    Higham skip the power estimates below norm1 = 63.4, weighing them against
-    one exponential action; here one plan serves every apply of a solve.
-    The plan depends only on (A0, A1, tau).
+    p(p-1) <= m + 1, each plan minimizes m * s, s = max(1, ceil(alpha(m) /
+    theta_m)), over one theta table, ties going to the smallest m: the
+    Al-Mohy & Higham plan (2009, Thm 4.2; 2011, fragment (3.1)), from
+    ``TAYLOR_THETA`` for 2^-53 and from ``KRYLOV_THETA`` for 2^-24.  p = 1
+    alone gives m * ceil(norm1 / theta_m), so no plan is larger than the
+    one from the 1-norm alone, and the Krylov plan never has more terms
+    than the other, since every KRYLOV_THETA[m] exceeds TAYLOR_THETA[m].
+    Al-Mohy & Higham skip the power estimates below norm1 = 63.4, weighing
+    them against one exponential action; here one plan serves every apply
+    of a solve.  The plans depend only on (A0, A1, tau, cfg).
 
-    This 2^-53 plan runs the solver's checks: the boundary residuals, the
+    The 2^-53 plan runs the solver's checks: the boundary residuals, the
     true residual of refinement and the reconstructed solution curve.  The
-    Krylov operator of ``solve_delay_lyapunov`` runs the plan that the same
-    rule gives from ``KRYLOV_THETA``, for a backward error of 2^-24, read
-    off the same bounds by :func:`plan_propagations`.  Each plan is fixed
-    before any X is seen, so each operator is a fixed polynomial in G and
-    exactly linear; refinement on the 2^-53 residual corrects what the
-    coarser operator misses.
+    Krylov operator of ``solve_delay_lyapunov`` runs the 2^-24 plan.  Each
+    plan is fixed before any X is seen, so each operator is a fixed
+    polynomial in G and exactly linear; refinement on the 2^-53 residual
+    corrects what the coarser operator misses.
 
     Raises
     ------
@@ -332,56 +343,33 @@ def plan_propagation(A0, A1, tau, cfg=None):
         not finite; ``"plan-too-large"`` when that number is finite but
         exceeds ``MAX_PLAN_TERMS``.  No warning escapes.
     """
-    return plan_propagations(A0, A1, tau, cfg)[0]
-
-
-def plan_propagations(A0, A1, tau, cfg=None):
-    """The two plans of one solve, (plan, krylov_plan), from one call of
-    ``_power_bounds``: the 2^-53 plan of :func:`plan_propagation` and the
-    Krylov plan, chosen by the same rule from ``KRYLOV_THETA``.
-
-    The Krylov plan never has more terms, since every KRYLOV_THETA[m]
-    exceeds TAYLOR_THETA[m].  ``cfg.steps = N`` gives (4, N) to both, and a
-    zero generator (0, 1).  Raises as :func:`plan_propagation`.
-    """
     _check_tau(tau)
-    cfg = cfg or OdeConfig()
-    if cfg.steps is not None:
-        plan = PropagationPlan(RK4_DEGREE, cfg.steps)
-        return plan, plan
-    return _plans(*_planning_coordinates(A0, A1)[1:], tau)
+    return _plans(*_planning_coordinates(A0, A1)[1:], tau, (cfg or OdeConfig()).steps)
 
 
-def _plans(B0, B1, tau):
-    """The plans of :func:`plan_propagations` from the planning pair (B0, B1)."""
-    degrees = np.array(list(TAYLOR_THETA), dtype=float)
+def _plans(B0, B1, tau, steps=None):
+    """The plans of :func:`plan_propagations` from the planning pair (B0, B1)
+    and ``OdeConfig.steps``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        d = _power_bounds(B0, B1, 0.5 * tau)
-        norm1 = d[0]
-        if norm1 == 0.0:
-            plan = PropagationPlan(0, 1)
-            return plan, plan
+        norm1 = 0.5 * tau * _generator_norm(B0, B1)
+        if norm1 == 0.0:  # zero length: p(hG) = I whatever (m, s), so run no term
+            return (PropagationPlan(0, 1),) * 2
+        if steps is not None:
+            return (PropagationPlan(RK4_DEGREE, steps),) * 2
         if not np.isfinite(norm1):
             raise SolverError("exp-overflow", "||tG||_1 overflowed")
+        d = _power_bounds(B0, B1, 0.5 * tau)
         p = np.arange(1, MAX_POWER + 1)
-        alpha = np.where(p * (p - 1) <= degrees[:, None] + 1,
+        alpha = np.where(p * (p - 1) <= _DEGREES[:, None] + 1,
                          np.maximum(d[:-1], d[1:]), np.inf).min(axis=1)
-    return tuple(_cheapest_plan(degrees, alpha, theta, norm1)
-                 for theta in (TAYLOR_THETA, KRYLOV_THETA))
-
-
-def _cheapest_plan(degrees, alpha, theta, norm1):
-    """The (m, s) of least m s, s = max(1, ceil(alpha(m) / theta_m)), over
-    one theta table, whose degrees are ``degrees`` in order; ties go to the
-    smallest m."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.maximum(np.ceil(alpha / np.array(list(theta.values()))), 1.0)
-        terms = degrees * steps
-    best = int(np.argmin(terms))  # the first minimum: ties go to the smallest m
-    if not np.isfinite(terms[best]):
+        s = np.maximum(np.ceil(alpha / _THETAS), 1.0)  # one row per table
+        terms = _DEGREES * s
+    if not np.isfinite(terms.min(axis=1)).all():
         raise SolverError("exp-overflow",
                           f"the Taylor term count overflowed for ||tG||_1 = {norm1:.3g}")
-    return PropagationPlan(int(degrees[best]), int(steps[best]))
+    # the first minimum of each row: ties go to the smallest m
+    return tuple(PropagationPlan(int(_DEGREES[k]), int(s[row, k]))
+                 for row, k in enumerate(terms.argmin(axis=1)))
 
 
 def _even_odd_pass(ST, V, scales):
@@ -450,8 +438,8 @@ def rk4_propagate(A0, A1, X, tau, *, plan=None):
     Chebyshev recurrence in difference form (module docstring): m s
     products S^T [B^T; B] of an n x 2n operand by a 2n x bn pair in all,
     the batch held as the pair's column blocks, so one 2-D product per term
-    for any b; without ``plan`` it runs ``plan_propagation(A0, A1, tau)``,
-    the default plan.
+    for any b; without ``plan`` it runs the default 2^-53 plan,
+    ``plan_propagations(A0, A1, tau)[0]``.
     The map X -> (Z1_end, Z2_end) is linear, since every propagation applies
     the same fixed polynomial in G.  At tau = 0 the default plan is (0, 1)
     and any plan runs with h = 0, giving (X, X) to the bit; a tau that is
@@ -464,7 +452,7 @@ def rk4_propagate(A0, A1, X, tau, *, plan=None):
     """
     X = np.asarray(X, dtype=float)
     _check_tau(tau)
-    plan = plan or plan_propagation(A0, A1, tau)
+    plan = plan or plan_propagations(A0, A1, tau)[0]
     h = (0.5 * tau) / plan.steps
     with np.errstate(over="ignore", invalid="ignore"):
         for pair in _chebyshev_steps(A0, A1, X, h, plan.degree, plan.steps):
@@ -492,9 +480,9 @@ def exact_propagate(A0, A1, X, tau):
     ValueError
         When tau is not finite or is negative.
     SolverError
-        ``"exp-overflow"`` or ``"plan-too-large"`` where
-        :func:`plan_propagation` raises them, so that no propagation runs
-        for ever, and ``"exp-overflow"`` when the pair is not finite.
+        ``"exp-overflow"`` or ``"plan-too-large"`` where the default plans
+        of :func:`plan_propagations` raise them, so that no propagation
+        runs for ever, and ``"exp-overflow"`` when the pair is not finite.
     """
     from scipy.sparse import bmat, csr_array, identity, kron
     from scipy.sparse.linalg import expm_multiply
@@ -502,7 +490,7 @@ def exact_propagate(A0, A1, X, tau):
     X = np.asarray(X, dtype=float)
     _check_tau(tau)
     T, B0, B1 = _planning_coordinates(A0, A1)
-    _plans(B0, B1, tau)  # raises where plan_propagation does
+    _plans(B0, B1, tau)  # raises where plan_propagations does
     TXT = np.outer(T, T)
     B0T, B1T = csr_array(B0.T), csr_array(B1.T)
     n = X.shape[0]

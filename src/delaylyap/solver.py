@@ -67,14 +67,15 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     of X, as is the solution curve read off the report, so the accuracy the
     report claims is checked at double precision.  A zero W returns the
     exact X = 0 with no solve: converged, 0 iterations, r_alg = r_sym = 0.
-    Under ``OdeConfig(steps=N)`` both plans are (4, N).
+    Under ``OdeConfig(steps=N)`` both plans are (4, N), or (0, 1) over zero
+    time.
 
     Parameters
     ----------
     problem : TdsProblem
     ode : OdeConfig
-        Read once, by ``plan_propagations``, into the plans of the solve;
-        None plans from the generator's power bounds.
+        Read once, by ``plan_propagations``, the one planner, into the
+        plans of the solve; None plans from the generator's power bounds.
     krylov : KrylovConfig
         Read only above ``DIRECT_MAX_N``.
 

@@ -166,6 +166,24 @@ def test_summary_reports_the_krylov_plan(options, krylov, tmp_path):
     assert degree * steps <= int(summary["rhs_evals_per_apply"])
 
 
+def test_zero_delay_summary_ignores_steps(tmp_path):
+    # tau = 0 plans (0, 1) under every setting: 200000 fixed steps of
+    # length 0 would run 800000 Taylor terms per apply
+    assert main(["solve", "--pdde", "3", "3", "--tau", "0", "--steps", "200000",
+                 "--samples", "3", "--outdir", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path / "summary.txt")
+    for prefix in ("", "krylov_"):
+        assert (summary[f"{prefix}propagation_degree"], summary[f"{prefix}propagation_steps"],
+                summary[f"{prefix}rhs_evals_per_apply"]) == ("0", "1", "0")
+
+
+def test_solve_without_problem_source_is_invalid_input(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    status = main(["solve", "--outdir", str(outdir)])
+    assert_invalid_input(status, capsys)
+    assert not outdir.exists()
+
+
 def test_direct_route_summary(tmp_path):
     # at n = 4 the solve is LU on the operator assembled on the 2^-53 plan:
     # no Krylov iteration, and the krylov_ keys give that plan

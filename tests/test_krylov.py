@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -238,6 +239,26 @@ class TestBicgstab:
         xg = gmres(op, b, cfg=KrylovConfig(tol=tol, maxit=32)).X
         xb = bicgstab(op, b, cfg=KrylovConfig(method="bicgstab", tol=tol, maxit=64)).X
         assert frobenius(xg - xb) <= 10 * tol * max(frobenius(xg), 1.0)
+
+    def test_zero_rhs_rejected(self):
+        with pytest.raises(ValueError, match="right-hand side is zero"):
+            bicgstab(lambda X: X, np.zeros((3, 3)), cfg=KrylovConfig(method="bicgstab"))
+
+    @pytest.mark.parametrize("M, b, what", [
+        # a 90 degree rotation moves r0 = e1 onto e2, so <r0, v> = 0
+        ([[0, -1], [1, 0]], [1, 0], "<r0, v> = 0 at iteration 1"),
+        # the oblique projection onto e1 along (1, -1) takes b = (1, 1) to
+        # 2 e1, so alpha = 1 and s = (-1, 1) is in its kernel: t = K s = 0
+        ([[1, 1], [0, 0]], [1, 1], "||t|| = 0 at iteration 1"),
+        # s = -e3, omega = -1/4 and r = (0, 1/2, -1/2), orthogonal to r0 = e1
+        ([[-2, -1, 0], [0, 0, -2], [-2, -2, -2]], [1, 0, 0], "rho=0, omega=-0.25 at iteration 2"),
+    ], ids=["r0-orthogonal-to-v", "t-vanishes", "rho-vanishes"])
+    def test_breakdown_raises(self, M, b, what):
+        M = np.array(M, dtype=float)
+        cfg = KrylovConfig(method="bicgstab", tol=1e-12)
+        with pytest.raises(SolverError, match=re.escape(what)) as err:
+            bicgstab(lambda x: M @ x, np.array(b, dtype=float), cfg=cfg)
+        assert err.value.code == "bicgstab-breakdown"
 
     def test_small_example_converges_before_dimension_bound(self, krylov_route):
         ode = OdeConfig()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from delaylyap import (
@@ -13,7 +14,7 @@ from delaylyap import (
     unvec,
     vec,
 )
-from delaylyap.linalg import schur_eigenvalues
+from delaylyap.linalg import require_real, schur_eigenvalues
 from helpers import eigs_by_char_poly, max_multiset_distance, pencil_eigs_by_det
 
 
@@ -57,6 +58,13 @@ class TestExpm:
             expm(800.0 * np.eye(2))
         assert err.value.code == "exp-overflow"
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input_is_exp_overflow(self, bad):
+        # refused before SciPy sees it, with the code of an overflowing result
+        with pytest.raises(SolverError, match="input matrix has non-finite entries") as err:
+            expm(np.array([[0.0, bad], [0.0, 0.0]]))
+        assert err.value.code == "exp-overflow"
+
 
 class TestKronVec:
     def test_vec_product_identity(self):
@@ -71,6 +79,10 @@ class TestKronVec:
         assert np.array_equal(X.flatten(order="F").reshape(3, 5, order="F"), X)
         Y = rng.standard_normal((4, 4))
         assert np.array_equal(unvec(vec(Y)), Y)
+
+    def test_unvec_non_square_length_rejected(self):
+        with pytest.raises(ValueError, match="cannot unvec length 5 into a square matrix"):
+            unvec(np.arange(5.0))
 
 
 def transpose_matrix(n):
@@ -126,6 +138,17 @@ class TestRealSchur:
         U, T = real_schur(np.eye(3))
         assert_allclose(T, np.eye(3), atol=1e-14)
         assert_allclose(U @ U.T, np.eye(3), atol=1e-14)
+
+    def test_failed_iteration_is_schur_no_convergence(self, monkeypatch):
+        # LAPACK's QR iteration does not fail on any matrix small enough to
+        # test with, so SciPy's error is raised in its place
+        def failing(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("schur form not computed")
+
+        monkeypatch.setattr(scipy.linalg, "schur", failing)
+        with pytest.raises(SolverError, match="schur form not computed") as err:
+            real_schur(np.eye(3))
+        assert err.value.code == "schur-no-convergence"
 
     def test_triangular_input_already_reduced(self):
         rng = np.random.default_rng(5)
@@ -218,3 +241,22 @@ class TestLuSolve:
         with pytest.raises(SolverError) as err:
             lu_solve(A, np.eye(3))
         assert err.value.code == "singular-matrix"
+
+    def test_scipy_error_is_singular_matrix(self):
+        # lu_factor refuses a non-finite matrix with a ValueError of its own
+        with pytest.raises(SolverError, match="infs or NaNs") as err:
+            lu_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+        assert err.value.code == "singular-matrix"
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize("A", [[[1, 2]], [[1.0 + 1e-12j, 2.0]]],
+                             ids=["real", "numerically-real"])
+    def test_real_part_as_float64(self, A):
+        out = require_real(np.array(A))
+        assert out.dtype == float and np.array_equal(out, [[1.0, 2.0]])
+
+    def test_large_imaginary_part_is_tsylv_residual_fail(self):
+        with pytest.raises(SolverError, match="imaginary part") as err:
+            require_real(np.array([[1.0 + 1e-6j, 2.0]]))
+        assert err.value.code == "tsylv-residual-fail"

@@ -42,6 +42,14 @@ def test_vector_written_as_column(tmp_path):
     assert read_matrix(path).shape == (3, 1)
 
 
+@pytest.mark.parametrize("shape", [(), (2, 2, 2)], ids=["scalar", "3-d"])
+def test_non_matrix_write_rejected(shape, tmp_path):
+    path = tmp_path / "bad.mtx"
+    with pytest.raises(ValueError, match=f"expected a matrix, got array of ndim {len(shape)}"):
+        write_matrix(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_non_finite_write_rejected(tmp_path):
     A = np.array([[1.0, np.nan]])
     with pytest.raises(SolverError) as err:

@@ -168,13 +168,13 @@ class TestApply:
         import delaylyap.operators as ops
 
         calls = []
-        original = ops.plan_propagation
+        original = ops.plan_propagations
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(ops, "plan_propagation", counting)
+        monkeypatch.setattr(ops, "plan_propagations", counting)
         ex = small_example(1.0)
         ctx = OperatorContext(problem=ex.problem)
         for _ in range(3):

@@ -77,6 +77,16 @@ class TestSetup:
         with pytest.raises(ValueError):
             build_preconditioner(-np.eye(2), shift=0.0, tau=1.0)
 
+    def test_one_shift_rule_for_operator_and_preconditioner(self):
+        p = small_example(1.0).problem
+        messages = []
+        for make in (lambda: OperatorContext(problem=p, shift=0.0),
+                     lambda: build_preconditioner(p.A0, shift=0.0, tau=p.tau)):
+            with pytest.raises(ValueError) as err:
+                make()
+            messages.append(str(err.value))
+        assert messages == ["shift must be nonzero"] * 2
+
 
 class TestRealSchurSplit:
     def test_one_real_schur_and_no_other_factorization(self, monkeypatch):

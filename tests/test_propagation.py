@@ -20,7 +20,6 @@ from delaylyap import (
     expm,
     frobenius,
     pdde_generate,
-    plan_propagation,
     reconstruct_solution,
     rk4_propagate,
     small_example,
@@ -228,7 +227,7 @@ class TestSplitCoordinates:
         # each term is one counted call on one stacked pair [B^T; B]
         p = small_example(5.0).problem
         shapes = count_terms(monkeypatch)
-        plan = plan_propagation(p.A0, p.A1, p.tau)
+        plan = plan_propagations(p.A0, p.A1, p.tau)[0]
         rk4_propagate(p.A0, p.A1, np.eye(p.n), p.tau, plan=plan)
         assert len(shapes) == plan.rhs_evals > 0
         assert set(shapes) == {(2 * p.n, p.n)}
@@ -245,7 +244,7 @@ class TestSplitCoordinates:
         # and through the n^2 unit matrices of assemble_operator
         p = small_example(5.0).problem
         shapes = count_terms(monkeypatch)
-        plan = plan_propagation(p.A0, p.A1, p.tau)
+        plan = plan_propagations(p.A0, p.A1, p.tau)[0]
         X = np.random.default_rng(23).standard_normal((3, p.n, p.n))
         rk4_propagate(p.A0, p.A1, X, p.tau, plan=plan)
         assert len(shapes) == plan.rhs_evals > 0
@@ -352,7 +351,7 @@ class TestRk4:
         # finite from step 103 on, and the propagation raises there rather
         # than after the other 407 steps
         p = small_example(1e4).problem
-        plan = plan_propagation(p.A0, p.A1, p.tau)
+        plan = plan_propagations(p.A0, p.A1, p.tau)[0]
         shapes = count_terms(monkeypatch)
         with pytest.raises(SolverError) as err:
             rk4_propagate(p.A0, p.A1, np.eye(p.n), p.tau, plan=plan)
@@ -403,7 +402,7 @@ class TestRk4:
         # no tau = 0 branch: the planner's zero plan, or any plan run with
         # h = 0, maps X to itself to the last bit, one matrix or a batch
         p = small_example(1.0).problem
-        assert plan_propagation(p.A0, p.A1, 0.0) == PropagationPlan(0, 1)
+        assert plan_propagations(p.A0, p.A1, 0.0)[0] == PropagationPlan(0, 1)
         X = np.random.default_rng(16).standard_normal((2, p.n, p.n))
         for plan in (None, PropagationPlan(4, 5), PropagationPlan(55, 2)):
             for Y in (X[0], X):
@@ -439,7 +438,7 @@ class TestTaylorPlan:
                 assert frobenius(got - want) <= 1e-12 * frobenius(want)
 
     def test_fixed_steps_plan_is_rk4(self):
-        assert plan_propagation(np.eye(2), np.eye(2), 1.0, OdeConfig(steps=7)) \
+        assert plan_propagations(np.eye(2), np.eye(2), 1.0, OdeConfig(steps=7))[0] \
             == PropagationPlan(degree=4, steps=7)
 
     @pytest.mark.parametrize("degree, steps", [(4, 0), (4, -1), (4, 2.5), (2.5, 3), (-1, 3)])
@@ -457,14 +456,14 @@ class TestTaylorPlan:
     @pytest.mark.parametrize("cfg", [None, OdeConfig(steps=7)], ids=["planned", "steps-7"])
     def test_negative_tau_rejected(self, cfg):
         with pytest.raises(ValueError, match="tau must be finite and >= 0"):
-            plan_propagation(np.eye(2), np.eye(2), -1.0, cfg)
+            plan_propagations(np.eye(2), np.eye(2), -1.0, cfg)[0]
 
     def test_cost_on_benchmark_problems(self):
         for alpha in (1.0, 5.0):
             p = small_example(alpha).problem
-            assert plan_propagation(p.A0, p.A1, p.tau).rhs_evals <= 220
+            assert plan_propagations(p.A0, p.A1, p.tau)[0].rhs_evals <= 220
         p = pdde_generate(5, 5).problem
-        assert plan_propagation(p.A0, p.A1, p.tau).rhs_evals <= 100
+        assert plan_propagations(p.A0, p.A1, p.tau)[0].rhs_evals <= 100
 
     def test_deterministic_and_leaves_global_rng_alone(self):
         # PDDE 3x3's unbalanced ||tG||_1 = 74 is above the 63.4 under which
@@ -475,7 +474,7 @@ class TestTaylorPlan:
         for seed in (1, 2):
             np.random.seed(seed)
             before = np.random.get_state()
-            plans.append(plan_propagation(p.A0, p.A1, p.tau))
+            plans.append(plan_propagations(p.A0, p.A1, p.tau)[0])
             after = np.random.get_state()
             assert all(np.array_equal(a, b) for a, b in zip(before, after))
         assert plans[0] == plans[1]
@@ -483,9 +482,17 @@ class TestTaylorPlan:
     def test_zero_generator(self):
         X = np.arange(4.0).reshape(2, 2)
         zero = np.zeros((2, 2))
-        assert plan_propagation(zero, zero, 1.0).rhs_evals == 0
+        assert plan_propagations(zero, zero, 1.0)[0].rhs_evals == 0
         res = rk4_propagate(zero, zero, X, 1.0)
         assert np.array_equal(res.Z1_end, X) and np.array_equal(res.Z2_end, X)
+
+    @pytest.mark.parametrize("A0, tau", [(np.eye(2), 0.0), (np.zeros((2, 2)), 1.0)],
+                             ids=["tau-0", "zero-generator"])
+    @pytest.mark.parametrize("cfg", [None, OdeConfig(steps=7)], ids=["planned", "steps-7"])
+    def test_zero_length_plan_under_every_setting(self, A0, tau, cfg):
+        # ||tG||_1 = 0: p(hG) = I for any plan, so both plans run no term
+        zero = PropagationPlan(0, 1)
+        assert plan_propagations(A0, np.zeros((2, 2)), tau, cfg) == (zero, zero)
 
     @pytest.mark.parametrize("A0, A1, tau", [
         (small_example(1.0).problem.A0, small_example(1e100).problem.A1, 1e208),
@@ -501,7 +508,7 @@ class TestTaylorPlan:
         # which gebal rejects, makes it NaN.  No RuntimeWarning escapes: the
         # suite turns them into errors.
         with pytest.raises(SolverError) as err:
-            plan_propagation(A0, A1, tau)
+            plan_propagations(A0, A1, tau)[0]
         assert err.value.code == "exp-overflow"
 
     def test_plans_on_benchmark_problems(self):
@@ -514,11 +521,11 @@ class TestTaylorPlan:
                     ((50, 2), pdde_generate(9, 9).problem),
                     ((55, 2), pdde_generate(11, 11).problem)]
         for (m, s), p in problems:
-            assert plan_propagation(p.A0, p.A1, p.tau) == PropagationPlan(degree=m, steps=s)
+            assert plan_propagations(p.A0, p.A1, p.tau)[0] == PropagationPlan(degree=m, steps=s)
 
     def test_ties_go_to_the_smallest_degree(self):
         # ||tG||_1 = 90 costs 50 x ceil(90 / 8.5) = 55 x ceil(90 / 9.86) = 550
-        plan = plan_propagation(-180.0 * np.eye(2), np.zeros((2, 2)), 1.0)
+        plan = plan_propagations(-180.0 * np.eye(2), np.zeros((2, 2)), 1.0)[0]
         assert plan == PropagationPlan(degree=50, steps=11)
 
     def test_absurd_plan_is_plan_too_large(self):
@@ -529,7 +536,7 @@ class TestTaylorPlan:
         for alpha in (1e20, 1e100, 1e120, 1e200):
             p = small_example(alpha).problem
             with pytest.raises(SolverError) as err:
-                plan_propagation(p.A0, p.A1, p.tau)
+                plan_propagations(p.A0, p.A1, p.tau)[0]
             assert err.value.code == "plan-too-large"
 
     @pytest.mark.parametrize("A0, A1, tau", POWER_BOUND_CASES, ids=POWER_BOUND_IDS)
@@ -552,7 +559,7 @@ class TestTaylorPlan:
                                 + np.linalg.norm(A1 * scale, np.inf))
         assert _power_bounds(*_planning_coordinates(A0, A1)[1:], 0.5 * tau)[0] == norm1
         norm_plan = min(m * np.ceil(norm1 / theta) for m, theta in TAYLOR_THETA.items())
-        assert plan_propagation(A0, A1, tau).rhs_evals <= norm_plan
+        assert plan_propagations(A0, A1, tau)[0].rhs_evals <= norm_plan
 
     @pytest.mark.parametrize("A0, A1, tau", [
         *POWER_BOUND_CASES,
@@ -565,7 +572,7 @@ class TestTaylorPlan:
     def test_plan_meets_the_backward_error_condition(self, A0, A1, tau):
         # Al-Mohy & Higham (2009, Thm 4.2): some p with p(p - 1) <= m + 1 has
         # max(d_p, d_{p+1}) <= s theta_m, d_p from the dense generator
-        plan = plan_propagation(A0, A1, tau)
+        plan = plan_propagations(A0, A1, tau)[0]
         d = dense_power_norms(*_planning_coordinates(A0, A1)[1:], 0.5 * tau)
         budget = plan.steps * TAYLOR_THETA[plan.degree]
         assert any(max(d[p - 1], d[p]) <= budget
@@ -576,7 +583,7 @@ class TestTaylorPlan:
         A0 = np.array([[0.0, 3.0], [0.0, 0.0]])
         A1 = np.zeros((2, 2))
         assert list(_power_bounds(A0, A1, 0.5)[1:]) == [0.0] * MAX_POWER
-        assert plan_propagation(A0, A1, 1.0) == PropagationPlan(degree=1, steps=1)
+        assert plan_propagations(A0, A1, 1.0)[0] == PropagationPlan(degree=1, steps=1)
         X = np.arange(4.0).reshape(2, 2)
         res = rk4_propagate(A0, A1, X, 1.0)
         exact = exact_propagate(A0, A1, X, 1.0)
@@ -610,7 +617,7 @@ class TestTaylorPlan:
         assert set(np.log2(T)) == {-4.0, 0.0}
         scale = np.outer(1.0 / T, T)
         X = np.random.default_rng(14).standard_normal((p.n, p.n))
-        plan = plan_propagation(p.A0, p.A1, p.tau)
+        plan = plan_propagations(p.A0, p.A1, p.tau)[0]
         res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=plan)
         bal = rk4_propagate(p.A0 * scale, p.A1 * scale, X * np.outer(T, T), p.tau, plan=plan)
         for got, want in ((bal.Z1_end, res.Z1_end), (bal.Z2_end, res.Z2_end)):
@@ -621,10 +628,10 @@ class TestTaylorPlan:
     def test_fixed_steps_share_the_cap(self, steps, ok):
         cfg = OdeConfig(steps=steps)
         if ok:
-            assert plan_propagation(np.eye(2), np.eye(2), 1.0, cfg).rhs_evals == MAX_PLAN_TERMS
+            assert plan_propagations(np.eye(2), np.eye(2), 1.0, cfg)[0].rhs_evals == MAX_PLAN_TERMS
         else:
             with pytest.raises(SolverError, match="plan-too-large"):
-                plan_propagation(np.eye(2), np.eye(2), 1.0, cfg)
+                plan_propagations(np.eye(2), np.eye(2), 1.0, cfg)[0]
 
 
 class TestKrylovPlan:
@@ -649,10 +656,9 @@ class TestKrylovPlan:
 
     @pytest.mark.parametrize("A0, A1, tau", POWER_BOUND_CASES, ids=POWER_BOUND_IDS)
     def test_plans_from_one_set_of_bounds(self, A0, A1, tau):
-        # the first plan is plan_propagation's; the Krylov plan meets the
+        # the Krylov plan, read off the bounds of the 2^-53 plan, meets the
         # 2^-24 condition of Al-Mohy & Higham and never runs more terms
         plan, krylov_plan = plan_propagations(A0, A1, tau)
-        assert plan == plan_propagation(A0, A1, tau)
         assert krylov_plan.rhs_evals <= plan.rhs_evals
         d = dense_power_norms(*_planning_coordinates(A0, A1)[1:], 0.5 * tau)
         budget = krylov_plan.steps * KRYLOV_THETA[krylov_plan.degree]
@@ -737,10 +743,10 @@ class TestExactPropagate:
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
 @pytest.mark.parametrize("propagate", [
     lambda I, tau: rk4_propagate(I, I, I, tau),
-    lambda I, tau: plan_propagation(I, I, tau),
+    lambda I, tau: plan_propagations(I, I, tau),
     lambda I, tau: exact_propagate(I, I, I, tau),
     lambda I, tau: TdsProblem(A0=I, A1=I, tau=tau, W=I),
-], ids=["rk4_propagate", "plan_propagation", "exact_propagate", "TdsProblem"])
+], ids=["rk4_propagate", "plan_propagations", "exact_propagate", "TdsProblem"])
 def test_malformed_tau_rejected(propagate, tau):
     # a NaN or infinite tau is malformed input, not an exp-overflow
     with pytest.raises(ValueError, match=r"^tau must be finite and >= 0$"):

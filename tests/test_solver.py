@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from delaylyap import (
     KrylovConfig,
@@ -17,7 +18,6 @@ from delaylyap import (
     frobenius,
     lu_solve,
     pdde_generate,
-    plan_propagation,
     rk4_propagate,
     small_example,
     solve_delay_lyapunov,
@@ -34,6 +34,33 @@ def test_small_example_matches_reference():
     assert np.abs(report.X - SMALL_EXAMPLE_MIDPOINT).max() <= 1e-6
     assert report.r_alg <= 1e-8
     assert report.r_sym <= 1e-8
+
+
+@pytest.mark.parametrize("problem", [small_example(1.0).problem, pdde_generate(3, 3).problem],
+                         ids=["small4", "pdde-3x3"])
+def test_zero_delay_plans_no_terms_under_fixed_steps(problem, monkeypatch):
+    # tau = 0 plans (0, 1) under every setting, so OdeConfig(steps=2000)
+    # runs no Taylor term, where it ran 2000 degree-4 steps of length 0
+    # that gave the same X.  U(0) then solves the Lyapunov equation of
+    # A0 + A1, which LU (n = 4) and GMRES (n = 18) reach to rounding
+    import delaylyap.propagation
+
+    p = dataclasses.replace(problem, tau=0.0)
+    default = solve_delay_lyapunov(p)
+    terms = []
+    counted = delaylyap.propagation.coupled_rhs
+
+    def counting(*args):
+        terms.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(delaylyap.propagation, "coupled_rhs", counting)
+    report = solve_delay_lyapunov(p, ode=OdeConfig(steps=2000))
+    assert report.plan == report.krylov_plan == default.plan == PropagationPlan(0, 1)
+    assert not terms
+    assert report.X.tobytes() == default.X.tobytes()
+    lyap = scipy.linalg.solve_continuous_lyapunov((p.A0 + p.A1).T, -p.W)
+    assert frobenius(report.X - lyap) <= 1e-10 * frobenius(lyap)
 
 
 def test_refinement_reduces_boundary_residuals(monkeypatch, krylov_route):
@@ -148,7 +175,6 @@ def test_shift_cancels_from_the_preconditioned_operator(problem):
 def test_report_plan_is_the_plan_of_ode(ode, krylov_route):
     p = small_example(1.0).problem
     report = solve_delay_lyapunov(p, ode=ode)
-    assert report.plan == plan_propagation(p.A0, p.A1, p.tau, ode)
     assert (report.plan, report.krylov_plan) == plan_propagations(p.A0, p.A1, p.tau, ode)
 
 
@@ -211,8 +237,7 @@ def test_zero_cost_returns_exact_zero(method, monkeypatch, krylov_route):
     assert report.converged and report.iterations == 0 and report.method == method
     assert report.X.shape == (4, 4) and not report.X.any()
     assert report.r_alg == 0.0 and report.r_sym == 0.0
-    assert report.plan == plan_propagation(p.A0, p.A1, p.tau)
-    assert report.krylov_plan == plan_propagations(p.A0, p.A1, p.tau)[1]
+    assert (report.plan, report.krylov_plan) == plan_propagations(p.A0, p.A1, p.tau)
     assert 0.0 < report.timings.setup_seconds <= report.timings.total_seconds
 
 
@@ -490,7 +515,7 @@ def test_direct_report_is_a_zero_iteration_solve():
     assert len(report.iteration_seconds) == len(report.residual_history)
     assert 0.0 < report.residual_history[0] <= 1e-8
     assert report.refinement_passes == report.refinement_iterations == 0
-    assert report.krylov_plan == report.plan == plan_propagation(p.A0, p.A1, p.tau)
+    assert report.krylov_plan == report.plan == plan_propagations(p.A0, p.A1, p.tau)[0]
     assert report.relation is None
     timings = report.timings
     assert timings.precond_seconds == 0.0
@@ -505,7 +530,7 @@ def test_zero_cost_on_the_direct_route(monkeypatch):
     report = solve_delay_lyapunov(p)
     assert report.method == "lu" and report.converged and report.iterations == 0
     assert not report.X.any() and report.target_met
-    assert report.krylov_plan == report.plan == plan_propagation(p.A0, p.A1, p.tau)
+    assert report.krylov_plan == report.plan == plan_propagations(p.A0, p.A1, p.tau)[0]
 
 
 def test_pairing_rule_precedes_the_zero_cost_return(monkeypatch):
