@@ -55,10 +55,11 @@ class SolveTimings:
     """Wall seconds of one solve.  In a ``solve_delay_lyapunov`` report, setup
     is the preconditioner build (on the LU route, its eigenvalue pairing
     check) plus the propagation plans, apply every propagation the driver
-    makes (on the LU route, the assembly of the operator's matrix and the
-    residual propagation), precond every preconditioner apply (none on the
-    LU route), and total the whole solve, the LU factorization included; a
-    Krylov kernel fills in only its own total."""
+    makes (on the LU route, the assembly of the operator's matrix alone),
+    precond every preconditioner apply (none on the LU route), and total
+    the whole solve, the LU factorization and the residuals read off the
+    assembly's pairs included; a Krylov kernel fills in only its own
+    total."""
 
     setup_seconds: float = 0.0
     apply_seconds: float = 0.0

@@ -94,7 +94,7 @@ class OperatorContext:
             object.__setattr__(self, "plan", plan_propagations(p.A0, p.A1, p.tau)[0])
 
 
-def apply_operator(ctx, X):
+def apply_operator(ctx, X, *, return_pair=False):
     """Apply the shifted delay Lyapunov operator to X, n x n or a batch (..., n, n).
 
     Propagates the coupled pair from X and evaluates
@@ -103,13 +103,18 @@ def apply_operator(ctx, X):
 
     at t = tau/2.  The propagation runs the context's fixed Taylor plan
     with no data-dependent stopping, so the realized operator is exactly
-    linear in X.
+    linear in X.  With ``return_pair`` it returns (value, pair), pair being
+    the terminal ``PropagationResult`` the value was read from.  The map
+    X -> pair is linear too, so the pair of a combination of a batch's
+    matrices is the same combination of their pairs.
     """
     p = ctx.problem
     X = np.asarray(X, dtype=float)
     if X.shape[-2:] != (p.n, p.n):
         raise ValueError(f"X must be (..., {p.n}, {p.n}), got {X.shape}")
-    return combine_pair(ctx, rk4_propagate(p.A0, p.A1, X, p.tau, plan=ctx.plan))
+    pair = rk4_propagate(p.A0, p.A1, X, p.tau, plan=ctx.plan)
+    value = combine_pair(ctx, pair)
+    return (value, pair) if return_pair else value
 
 
 def combine_pair(ctx, pair):

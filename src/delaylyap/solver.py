@@ -7,13 +7,16 @@ entries of X = U(tau/2), with L known through its action.  At n <=
 unit matrices, one 2-D product per Taylor term for the whole batch, which
 costs about one apply at n = 4 and a dozen at n = 11, and LU on that
 matrix is the small-n Kronecker route of Jarlebring, Vanbiervliet &
-Michiels (2011).  Above the switch the solve is GMRES-based iterative
-refinement (Carson & Higham 2018): the preconditioned Krylov solve on a
-2^-24 plan is the inner, less accurate one, and the boundary-residual
-checks run on the 2^-53 plan.  A GMRES correction solve recycles the main
-solve's Arnoldi relation as a fixed GCRO space, so it iterates only on
-what that space misses; a BiCGStab correction starts afresh, since
-BiCGStab builds no Arnoldi relation.
+Michiels (2011).  That propagation is the only one there: X's terminal
+pair, which the boundary residuals are read off, is the combination of
+the unit matrices' pairs with X's entries as weights.  Above the switch
+the solve is GMRES-based iterative refinement (Carson & Higham 2018): the
+preconditioned Krylov solve on a 2^-24 plan is the inner, less accurate
+one, and the boundary-residual checks propagate X on the 2^-53 plan.  A
+GMRES correction solve recycles the main solve's Arnoldi relation as a
+fixed GCRO space, so it iterates only on what that space misses; a
+BiCGStab correction starts afresh, since BiCGStab builds no Arnoldi
+relation.
 Refinement never changes the reported main-solve iteration count.
 """
 
@@ -28,7 +31,8 @@ from .operators import OperatorContext, apply_operator, boundary_residuals, comb
 from .precond import apply_preconditioner, build_preconditioner
 from .propagation import plan_propagations, rk4_propagate
 
-# read off a 2^-53 propagation, whichever route solved: the accuracy of X
+# read off X's terminal pair on the 2^-53 plan, whichever route solved (on
+# the LU route, contracted from the assembly's pairs): the accuracy of X
 # that the report claims (``target_met``) and the bench gates
 BV_TARGET = 1e-8
 REFINE_MAX = 2  # cap on the correction solves appended after the main solve
@@ -63,9 +67,15 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     residual exceeds ``BV_TARGET``; with GMRES, each recycles the main
     solve's Arnoldi relation.
 
-    On both routes the boundary residuals are read off a 2^-53 propagation
-    of X, as is the solution curve read off the report, so the accuracy the
-    report claims is checked at double precision.  A zero W returns the
+    On both routes the boundary residuals are read off X's terminal pair on
+    the 2^-53 plan, so the accuracy the report claims is checked at double
+    precision.  Above the switch that pair is a propagation of X.  On the LU
+    route it is contracted, Z(X) = sum_j x_j Z(E_j) with x = vec(X), from
+    the pairs of the unit matrices that the assembly propagated, which
+    differs from a propagation of X only by rounding, since every
+    propagation on a plan applies the same fixed polynomial in G; that
+    route makes no propagation after the assembly.  The solution curve read
+    off the report propagates X on the 2^-53 plan.  A zero W returns the
     exact X = 0 with no solve: converged, 0 iterations, r_alg = r_sym = 0.
     Under ``OdeConfig(steps=N)`` both plans are (4, N), or (0, 1) over zero
     time.
@@ -112,18 +122,10 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
                            timings=timings, plan=plan, krylov_plan=krylov_plan,
                            r_alg=0.0, r_sym=0.0, target_met=True)
 
-    def residuals(X):
-        """Boundary residuals of X and the terminal pair they were read from."""
-        pair = _timed(timings, "apply_seconds", rk4_propagate,
-                      problem.A0, problem.A1, X, problem.tau, plan=plan)
-        return boundary_residuals(problem, pair.Z2_end, pair.Z1_end), pair
-
     if direct:
-        report = _solve_direct(ctx, timings)
-        (r_alg, r_sym), _ = residuals(report.X)
+        report, (r_alg, r_sym) = _solve_direct(ctx, timings)
     else:
-        report, (r_alg, r_sym) = _solve_krylov(ctx, krylov_plan, factors, krylov, timings,
-                                               residuals)
+        report, (r_alg, r_sym) = _solve_krylov(ctx, krylov_plan, factors, krylov, timings)
     report.plan, report.krylov_plan = plan, krylov_plan
     report.r_alg, report.r_sym = r_alg, r_sym
     report.target_met = r_alg <= BV_TARGET and r_sym <= BV_TARGET
@@ -133,23 +135,40 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
 
 
 def _solve_direct(ctx, timings):
-    """LU on the operator assembled on ``ctx``'s plan: the report of a 0-iteration solve."""
+    """LU on the operator assembled on ``ctx``'s plan: the report of a
+    0-iteration solve and the boundary residuals of its X."""
     problem = ctx.problem
-    # apply_operator is looked up here at call time, like every driver call
-    M = _timed(timings, "apply_seconds", matrix_of,
-               lambda B: apply_operator(ctx, B), problem.n)
+    units = None
+
+    def assemble(E):
+        nonlocal units
+        # apply_operator is looked up here at call time, like every driver call
+        value, units = apply_operator(ctx, E, return_pair=True)
+        return value
+
+    M = _timed(timings, "apply_seconds", matrix_of, assemble, problem.n)
     t0 = time.perf_counter()
     b = -vec(problem.W)
     x = lu_solve(M, b)
     relres = float(np.linalg.norm(M @ x - b)) / frobenius(problem.W)
-    return SolveReport(unvec(x), [relres], [time.perf_counter() - t0], 0, True, "lu")
+    report = SolveReport(unvec(x), [relres], [time.perf_counter() - t0], 0, True, "lu")
+    # X = sum_j x_j E_j and the pair map is linear (one fixed polynomial in
+    # G), so X's terminal pair is the same sum of the unit matrices' pairs
+    Z1, Z2 = (np.tensordot(x, Z, axes=1) for Z in (units.Z1_end, units.Z2_end))
+    return report, boundary_residuals(problem, Z2, Z1)
 
 
-def _solve_krylov(ctx, krylov_plan, factors, krylov, timings, residuals):
+def _solve_krylov(ctx, krylov_plan, factors, krylov, timings):
     """Preconditioned Krylov solve on ``krylov_plan`` with up to ``REFINE_MAX``
     refinement passes; the report and the final boundary residuals."""
     problem = ctx.problem
     krylov_ctx = OperatorContext(problem, plan=krylov_plan)
+
+    def residuals(X):
+        """Boundary residuals of X and the terminal pair they were read from."""
+        pair = _timed(timings, "apply_seconds", rk4_propagate,
+                      problem.A0, problem.A1, X, problem.tau, plan=ctx.plan)
+        return boundary_residuals(problem, pair.Z2_end, pair.Z1_end), pair
 
     def op(X):
         return _timed(timings, "apply_seconds", apply_operator, krylov_ctx, X)

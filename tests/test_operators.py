@@ -127,6 +127,24 @@ class TestApply:
             want = apply_operator(ctx, X[index])
             assert frobenius(out[index] - want) <= 1e-14 * frobenius(want)
 
+    def test_pair_is_the_propagation_the_value_was_read_from(self):
+        # the default return is unchanged; the pair is the plan's terminal
+        # pair, and a combination of a batch's pairs is the pair of the
+        # same combination up to rounding
+        p = small_example(5.0).problem
+        ctx = OperatorContext(problem=p)
+        X = np.random.default_rng(12).standard_normal((3, 4, 4))
+        value, pair = apply_operator(ctx, X, return_pair=True)
+        assert np.array_equal(value, apply_operator(ctx, X))
+        want = rk4_propagate(p.A0, p.A1, X, p.tau, plan=ctx.plan)
+        assert np.array_equal(pair.Z1_end, want.Z1_end)
+        assert np.array_equal(pair.Z2_end, want.Z2_end)
+        w = np.array([0.5, -2.0, 3.0])
+        mixed = rk4_propagate(p.A0, p.A1, np.tensordot(w, X, axes=1), p.tau, plan=ctx.plan)
+        for got, Z in ((mixed.Z1_end, pair.Z1_end), (mixed.Z2_end, pair.Z2_end)):
+            combined = np.tensordot(w, Z, axes=1)
+            assert frobenius(got - combined) <= 1e-13 * frobenius(got)
+
     def test_shape_checked_on_last_two_axes(self):
         rng = np.random.default_rng(10)
         ctx = make_ctx(random_stable_problem(4, rng))

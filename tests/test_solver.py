@@ -14,6 +14,7 @@ from delaylyap import (
     TdsProblem,
     apply_operator,
     apply_preconditioner,
+    boundary_residuals,
     build_preconditioner,
     frobenius,
     lu_solve,
@@ -419,6 +420,41 @@ def test_assembled_and_propagated_operators_agree(alpha, monkeypatch):
     assert frobenius(unvec(M @ vec(X)) - want) <= 1e-13 * frobenius(want)
 
 
+@pytest.mark.parametrize("problem, met", [
+    (small_example(1.0).problem, True),
+    (small_example(5.0).problem, True),
+    (small_example(12.0).problem, False),
+    (random_stable_problem(8, np.random.default_rng(3)), True),
+    (random_stable_problem(9, np.random.default_rng(3)), True),
+    (random_stable_problem(10, np.random.default_rng(3)), True),
+    (random_stable_problem(11, np.random.default_rng(3)), True),
+], ids=["small4-alpha1", "small4-alpha5", "small4-alpha12", "random-n8", "random-n9",
+        "random-n10", "random-n11"])
+def test_direct_residuals_read_off_the_assembly_pairs(problem, met, monkeypatch):
+    # the LU route reads r_alg, r_sym off X's pair contracted from the
+    # assembly's unit-matrix pairs; a fresh 2^-53 propagation of X gives
+    # them to within a factor of 2 and the same verdict, and X is the LU
+    # solution of the factored matrix to the bit
+    import delaylyap.solver as solver
+
+    factored = []
+
+    def recording(M, b):
+        factored.append(M)
+        return lu_solve(M, b)
+
+    monkeypatch.setattr(solver, "lu_solve", recording)
+    report = solve_delay_lyapunov(problem)
+    assert report.method == "lu"
+    (M,) = factored
+    assert np.array_equal(report.X, unvec(lu_solve(M, -vec(problem.W))))
+    pair = rk4_propagate(problem.A0, problem.A1, report.X, problem.tau, plan=report.plan)
+    fresh = boundary_residuals(problem, pair.Z2_end, pair.Z1_end)
+    for got, want in zip((report.r_alg, report.r_sym), fresh):
+        assert 0.5 * want <= got <= 2.0 * want
+    assert report.target_met == (max(fresh) <= solver.BV_TARGET) == met
+
+
 def _record_calls(monkeypatch):
     """Record the argument shape and plan of every ``solver.apply_operator``
     call, count the ``solver.rk4_propagate`` calls and the operator calls
@@ -427,10 +463,10 @@ def _record_calls(monkeypatch):
 
     seen = {"shapes": [], "plans": [], "krylov": 0, "propagations": 0}
 
-    def apply(ctx, X):
+    def apply(ctx, X, **kwargs):
         seen["shapes"].append(np.shape(X))
         seen["plans"].append(ctx.plan)
-        return apply_operator(ctx, X)
+        return apply_operator(ctx, X, **kwargs)
 
     def propagate(*args, **kwargs):
         seen["propagations"] += 1
@@ -464,9 +500,10 @@ def _record_calls(monkeypatch):
 def test_krylov_operator_assembled_at_small_n(problem, direct, monkeypatch):
     # the operator that the Krylov route propagates apply by apply is
     # assembled at n <= DIRECT_MAX_N = 11, for LU: one batched apply on the
-    # n^2 unit matrices, on the 2^-53 plan, and one residual propagation
-    # serve the solve.  Above the switch each Krylov apply propagates its
-    # own n x n argument on the Krylov plan
+    # n^2 unit matrices, on the 2^-53 plan, serves the solve, and the
+    # residuals are read off its pairs with no propagation of X.  Above the
+    # switch each Krylov apply propagates its own n x n argument on the
+    # Krylov plan
     seen = _record_calls(monkeypatch)
     report = solve_delay_lyapunov(problem)
     assert report.converged
@@ -474,7 +511,7 @@ def test_krylov_operator_assembled_at_small_n(problem, direct, monkeypatch):
     if direct:
         assert seen["shapes"] == [(n * n, n, n)]
         assert seen["plans"] == [report.plan]
-        assert (seen["krylov"], seen["propagations"]) == (0, 1)
+        assert (seen["krylov"], seen["propagations"]) == (0, 0)
     else:
         assert seen["krylov"] >= report.iterations + report.refinement_iterations
         assert seen["shapes"] == [(n, n)] * seen["krylov"]
@@ -489,8 +526,8 @@ def _unreachable(*args, **kwargs):
 @pytest.mark.parametrize("method", ["gmres", "bicgstab"])
 def test_direct_route_runs_no_krylov_solve(method, monkeypatch):
     # whatever method is asked for, the LU route builds and applies no
-    # preconditioner and calls no Krylov kernel: one batched apply and one
-    # residual propagation, and the same X
+    # preconditioner and calls no Krylov kernel: one batched apply, no
+    # other propagation, and the same X
     import delaylyap.solver as solver
 
     problem = small_example(1.0).problem
@@ -500,7 +537,7 @@ def test_direct_route_runs_no_krylov_solve(method, monkeypatch):
     seen = _record_calls(monkeypatch)
     report = solve_delay_lyapunov(problem, krylov=KrylovConfig(method=method, maxit=1))
     assert report.method == "lu" and report.converged
-    assert seen["shapes"] == [(16, 4, 4)] and seen["propagations"] == 1
+    assert seen["shapes"] == [(16, 4, 4)] and seen["propagations"] == 0
     assert np.array_equal(report.X, reference.X)
 
 
