@@ -58,7 +58,7 @@ def _add_problem_args(p):
 
 def _add_steps_arg(p):
     p.add_argument("--steps", type=int, default=None,
-                   help="fixed degree-4 Taylor steps, RK4 order (default: planned Taylor)")
+                   help="number of fixed degree-4 Taylor steps (default: planned Taylor)")
 
 
 def _add_solver_args(p):

@@ -8,8 +8,9 @@ operator and its preconditioned spectrum, the Kronecker T-Sylvester solve)
 is built by :func:`matrix_of`; no other module reshapes to or from the vec
 basis.
 The factorizations are SciPy's (``scipy.linalg.expm``, ``lu_factor``/
-``lu_solve``, ``schur``); the wrappers here add input checks and map their
-failures to stable ``SolverError`` codes.  :func:`real_schur` is the one
+``lu_solve`` with LAPACK's ``dgecon``, ``schur``); the wrappers here add input
+checks and map their failures, or a condition estimate below working
+precision, to stable ``SolverError`` codes.  :func:`real_schur` is the one
 Schur route; the T-Sylvester pencil is factored in :mod:`delaylyap.tsylv`.
 """
 
@@ -17,6 +18,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgecon
 
 from .errors import SolverError
 
@@ -88,23 +90,24 @@ def lu_solve(A, B):
     Raises
     ------
     SolverError
-        ``"singular-matrix"`` when A is singular to working precision.
+        ``"singular-matrix"`` when A is not finite or is singular to working
+        precision: LAPACK's estimate of its reciprocal 1-norm condition
+        number (``dgecon``) is at most N eps for N x N A.
     """
     A = _require_square(A, "lu_solve matrix")
-    B = np.asarray(B)
     try:
-        # the pivots are checked below, so SciPy's singularity warning is redundant
+        # rcond is checked below, so SciPy's singularity warning is redundant
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(A)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SolverError("singular-matrix", str(exc)) from exc
-    d = np.abs(np.diag(lu))
-    if d.size and d.min() <= A.shape[0] * np.finfo(float).eps * max(d.max(), 1e-300):
-        raise SolverError(
-            "singular-matrix",
-            f"pivot ratio {d.min():.3g}/{d.max():.3g} below working precision",
-        )
+    if A.size:  # LAPACK refuses a 0 x 0 matrix
+        with np.errstate(over="ignore"):  # an overflowing norm means rcond = 0
+            norm1 = np.abs(A).sum(axis=0).max()
+        rcond = dgecon(lu, norm1)[0] if np.isfinite(norm1) else 0.0
+        if rcond <= A.shape[0] * np.finfo(float).eps:
+            raise SolverError("singular-matrix", f"rcond {rcond:.3g} below working precision")
     return scipy.linalg.lu_solve((lu, piv), B)
 
 

@@ -17,7 +17,7 @@ from .precond import _check_shift, apply_preconditioner
 from .propagation import (PropagationPlan, PropagationResult, _chebyshev_steps, _check_tau,
                           plan_propagations, rk4_propagate)
 
-ASSEMBLE_MAX_N = 20
+ORACLE_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -156,9 +156,9 @@ def preconditioned_spectrum(ctx, factors):
 
 
 def _check_dense_cap(n):
-    """Raise ``SolverError("oracle-too-large")`` above n = ``ASSEMBLE_MAX_N``."""
-    if n > ASSEMBLE_MAX_N:
-        raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {ASSEMBLE_MAX_N}")
+    """Raise ``SolverError("oracle-too-large")`` above n = ``ORACLE_MAX_N``."""
+    if n > ORACLE_MAX_N:
+        raise SolverError("oracle-too-large", f"n={n} exceeds the dense cap {ORACLE_MAX_N}")
 
 
 def reconstruct_solution(ctx, X, samples):

@@ -12,9 +12,9 @@ one :func:`_trlyap`, with a backward error of the order of the unit
 roundoff.  The step count is fixed, so it is an exactly linear map.
 
 The preconditioner reads A0 and tau alone, never the operator.  The Schur
-form is :func:`delaylyap.linalg.real_schur`.  This module owns the rule
-that the map T(Y) is invertible, :func:`has_no_hamiltonian_pairing`, and
-the ``"precond-unsolvable"`` refusal of an A0 that breaks it.
+form is :func:`delaylyap.linalg.real_schur`.  :func:`build_preconditioner`
+refuses, with ``"precond-unsolvable"``, an A0 whose map T(Y) is singular:
+one with a Hamiltonian eigenpairing (:func:`has_no_hamiltonian_pairing`).
 
 The triangular equation T X + X T^T = C is solved by recursive blocking
 (Jonsson & Kagstrom's RECSY algorithms, ACM TOMS 28(4), 2002): T is
@@ -62,7 +62,8 @@ def build_preconditioner(A0, shift=1.0, *, tau):
     _check_shift(shift)
     U, T = real_schur(A0.T)
     if not pairing_free(schur_eigenvalues(T)):
-        raise _unsolvable()
+        raise SolverError("precond-unsolvable",
+                          "A0 has a Hamiltonian eigenpairing: lambda_i + conj(lambda_j) = 0")
     return PrecondFactors(U=U, T=T, A0=A0, shift=float(shift),
                           exp_forward=expm((0.5 * tau) * A0))
 
@@ -80,12 +81,6 @@ def has_no_hamiltonian_pairing(A0):
     meets it.
     """
     return pairing_free(eigenvalues(np.asarray(A0, dtype=float)))
-
-
-def _unsolvable():
-    """A fresh ``SolverError("precond-unsolvable")``, for an A0 with a pairing."""
-    return SolverError("precond-unsolvable",
-                       "A0 has a Hamiltonian eigenpairing: lambda_i + conj(lambda_j) = 0")
 
 
 def _sym(X):

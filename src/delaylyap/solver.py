@@ -7,9 +7,10 @@ entries of X = U(tau/2), with L known through its action.  At n <=
 unit matrices, one 2-D product per Taylor term for the whole batch, which
 costs about one apply at n = 4 and a dozen at n = 11, and LU on that
 matrix is the small-n Kronecker route of Jarlebring, Vanbiervliet &
-Michiels (2011).  That propagation is the only one there: X's terminal
-pair, which the boundary residuals are read off, is the combination of
-the unit matrices' pairs with X's entries as weights.  Above the switch
+Michiels (2011).  It builds no preconditioner: its one solvability rule
+is the LAPACK condition estimate of ``linalg.lu_solve``.  Its one
+propagation is the assembly's; X's terminal pair, which the boundary
+residuals are read off, combines the unit matrices' pairs.  Above the switch
 the solve is GMRES-based iterative refinement (Carson & Higham 2018): the
 preconditioned Krylov solve on a 2^-24 plan is the inner, less accurate
 one, and the boundary-residual checks propagate X on the 2^-53 plan.  A
@@ -24,7 +25,6 @@ import time
 
 import numpy as np
 
-from . import precond
 from .krylov import KrylovConfig, SolveReport, SolveTimings, bicgstab, gmres
 from .linalg import frobenius, lu_solve, matrix_of, unvec, vec
 from .operators import OperatorContext, apply_operator, boundary_residuals, combine_pair
@@ -46,37 +46,38 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
 
     At n <= ``DIRECT_MAX_N`` the operator is assembled on the 2^-53 plan
     into its n^2 x n^2 matrix M, by one batched apply on the n^2 unit
-    matrices, and M vec(X) = -vec(W) is solved by LU (``linalg.lu_solve``,
-    whose pivot check raises ``"singular-matrix"``).  ``krylov`` is not
-    read there, and no preconditioner is built, but an A0 that the
-    preconditioner would refuse raises ``"precond-unsolvable"`` as above
-    the switch.
+    matrices, and M vec(X) = -vec(W) is solved by LU.  ``krylov`` is not
+    read there and no preconditioner is built, so the one solvability rule
+    is ``linalg.lu_solve``'s rcond check (``"singular-matrix"``): an A0
+    with a Hamiltonian eigenpairing is solved when L is nonsingular.
 
-    Above the switch the operator and its preconditioner use the shift
-    c = 1.  There is no shift argument because c cancels: it scales only
-    the antisymmetric part of both, L_c = D_c L_1 and P_c = D_c P_1 with
-    D_c scaling the skew subspace by c, so P_c^-1 L_c = P_1^-1 L_1, and the
-    right-hand side -W is symmetric.  Two fixed plans, read off one set of
-    bounds (``plan_propagations``), serve the solve.  The main solve and
-    every correction solve apply the operator on the Krylov plan, for a
-    backward error of 2^-24 (``report.krylov_plan``).  The true residual of
-    each refinement pass propagates on the 2^-53 plan (``report.plan``).
-    Each operator is a fixed polynomial in G, so it is exactly linear, and
-    a recycled Arnoldi relation belongs to the operator it is used with.
-    Up to ``REFINE_MAX`` refinement passes run while a boundary-value
-    residual exceeds ``BV_TARGET``; with GMRES, each recycles the main
-    solve's Arnoldi relation.
+    Above the switch the preconditioner is built from A0, or at tau = 0
+    from A0 + A1, whose T-Sylvester map the operator then is; it refuses a
+    Hamiltonian eigenpairing with ``"precond-unsolvable"``.  The operator
+    and the preconditioner use the shift c = 1, with no argument, since c
+    cancels: it scales only the antisymmetric part of both, L_c = D_c L_1
+    and P_c = D_c P_1 with D_c scaling the skew subspace by c, so
+    P_c^-1 L_c = P_1^-1 L_1, and the right-hand side -W is symmetric.
+    Two fixed plans, read off one set of bounds (``plan_propagations``),
+    serve the solve.  The main solve and every correction solve apply the
+    operator on the Krylov plan, for a backward error of 2^-24
+    (``report.krylov_plan``).  The true residual of each refinement pass
+    propagates on the 2^-53 plan (``report.plan``).  Each operator is a
+    fixed polynomial in G, so it is exactly linear, and a recycled Arnoldi
+    relation belongs to the operator it is used with.  Up to
+    ``REFINE_MAX`` refinement passes run while a boundary-value residual
+    exceeds ``BV_TARGET``.
 
     On both routes the boundary residuals are read off X's terminal pair on
     the 2^-53 plan, so the accuracy the report claims is checked at double
     precision.  Above the switch that pair is a propagation of X.  On the LU
     route it is contracted, Z(X) = sum_j x_j Z(E_j) with x = vec(X), from
-    the pairs of the unit matrices that the assembly propagated, which
-    differs from a propagation of X only by rounding, since every
-    propagation on a plan applies the same fixed polynomial in G; that
-    route makes no propagation after the assembly.  The solution curve read
+    the unit matrices' pairs, which differs from a propagation of X only by
+    rounding, since every propagation on a plan applies the same fixed
+    polynomial in G; that route propagates nothing after the assembly.  The solution curve read
     off the report propagates X on the 2^-53 plan.  A zero W returns the
-    exact X = 0 with no solve: converged, 0 iterations, r_alg = r_sym = 0.
+    exact X = 0 with no solve: converged, 0 iterations, r_alg = r_sym = 0;
+    on the LU route even for a singular L, which X = 0 solves too.
     Under ``OdeConfig(steps=N)`` both plans are (4, N), or (0, 1) over zero
     time.
 
@@ -107,11 +108,10 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     t_start = time.perf_counter()
     direct = problem.n <= DIRECT_MAX_N
     if direct:
-        if not precond.has_no_hamiltonian_pairing(problem.A0):
-            raise precond._unsolvable()
         plan = krylov_plan = plan_propagations(problem.A0, problem.A1, problem.tau, ode)[0]
     else:
-        factors = build_preconditioner(problem.A0, tau=problem.tau)
+        A = problem.A0 + problem.A1 if problem.tau == 0 else problem.A0
+        factors = build_preconditioner(A, tau=problem.tau)
         plan, krylov_plan = plan_propagations(problem.A0, problem.A1, problem.tau, ode)
     ctx = OperatorContext(problem, plan=plan)
     timings.setup_seconds = time.perf_counter() - t_start

@@ -1,16 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
 from delaylyap import (
+    OperatorContext,
     SolverError,
+    assemble_operator,
     eigenvalues,
     expm,
     factor_pencil,
     lu_solve,
     matrix_of,
     real_schur,
+    small_example,
     unvec,
     vec,
 )
@@ -241,6 +246,39 @@ class TestLuSolve:
         with pytest.raises(SolverError) as err:
             lu_solve(A, np.eye(3))
         assert err.value.code == "singular-matrix"
+
+    def test_rcond_refuses_a_singular_matrix_with_large_pivots(self):
+        # a rank-3 product: its last pivot is 2.9e-15 of the largest, above
+        # a pivot-ratio test at 4 eps = 8.9e-16, yet LAPACK's dgecon
+        # estimates rcond = 9.8e-18
+        rng = np.random.default_rng(18)
+        A = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 4))
+        d = np.abs(np.diag(scipy.linalg.lu_factor(A)[0]))
+        assert d.min() > 4 * np.finfo(float).eps * d.max()
+        with pytest.raises(SolverError, match="rcond") as err:
+            lu_solve(A, np.ones(4))
+        assert err.value.code == "singular-matrix"
+
+    def test_ill_conditioned_operator_is_solved(self):
+        # the 4x4 example's assembled operator at alpha 30 has rcond 7.5e-12,
+        # well above 16 eps
+        ctx = OperatorContext(small_example(30.0).problem)
+        M = assemble_operator(ctx)
+        b = -vec(ctx.problem.W)
+        x = lu_solve(M, b)
+        assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(M, 1) * np.linalg.norm(x)
+
+    def test_overflowing_norm_is_singular_matrix(self):
+        # finite entries whose 1-norm overflows, with no NumPy warning
+        A = np.array([[1e308, 1e308], [1e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError) as err:
+                lu_solve(A, np.ones(2))
+        assert err.value.code == "singular-matrix"
+
+    def test_empty_matrix(self):
+        assert lu_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
 
     def test_scipy_error_is_singular_matrix(self):
         # lu_factor refuses a non-finite matrix with a ValueError of its own

@@ -271,7 +271,7 @@ class TestAssemble:
     def test_cap(self, monkeypatch):
         import delaylyap.operators
 
-        monkeypatch.setattr(delaylyap.operators, "ASSEMBLE_MAX_N", 3)
+        monkeypatch.setattr(delaylyap.operators, "ORACLE_MAX_N", 3)
         rng = np.random.default_rng(5)
         p = random_stable_problem(4, rng)
         # one cap for both dense oracles

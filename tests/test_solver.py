@@ -16,6 +16,7 @@ from delaylyap import (
     apply_preconditioner,
     boundary_residuals,
     build_preconditioner,
+    exact_propagate,
     frobenius,
     lu_solve,
     pdde_generate,
@@ -25,6 +26,7 @@ from delaylyap import (
     unvec,
     vec,
 )
+from delaylyap.operators import combine_pair
 from delaylyap.propagation import plan_propagations
 from helpers import SMALL_EXAMPLE_MIDPOINT, random_stable_problem
 
@@ -243,18 +245,76 @@ def test_zero_cost_returns_exact_zero(method, monkeypatch, krylov_route):
 
 
 def test_unsolvable_preconditioner_propagates(monkeypatch):
-    # the LU route checks the pairing rule and the Krylov route builds the
-    # preconditioner; both raise the one refusal that precond words
+    # A1 = 0 and A0 = diag(1, -1) make L singular.  The LU route builds no
+    # preconditioner, so lu_solve's rcond check refuses the assembled
+    # matrix; the Krylov route's preconditioner refuses the pairing A0
     import delaylyap.solver as solver
 
     p = TdsProblem(A0=np.diag([1.0, -1.0]), A1=np.zeros((2, 2)), tau=1.0, W=np.eye(2))
-    for direct_max_n in (solver.DIRECT_MAX_N, 0):  # the LU route, then the Krylov one
-        monkeypatch.setattr(solver, "DIRECT_MAX_N", direct_max_n)
-        with pytest.raises(SolverError) as err:
-            solve_delay_lyapunov(p)
-        assert err.value.code == "precond-unsolvable"
-        assert str(err.value) == ("precond-unsolvable: A0 has a Hamiltonian eigenpairing: "
-                                  "lambda_i + conj(lambda_j) = 0")
+    with pytest.raises(SolverError) as err:
+        solve_delay_lyapunov(p)
+    assert err.value.code == "singular-matrix"
+    monkeypatch.setattr(solver, "DIRECT_MAX_N", 0)
+    with pytest.raises(SolverError) as err:
+        solve_delay_lyapunov(p)
+    assert err.value.code == "precond-unsolvable"
+    assert str(err.value) == ("precond-unsolvable: A0 has a Hamiltonian eigenpairing: "
+                              "lambda_i + conj(lambda_j) = 0")
+
+
+# A0 = diag(0.5, -0.5) pairs its eigenvalues, yet the system is exponentially
+# stable: the modes x' = +-0.5 x - x(t - 1) stay stable up to delays of 1.21
+# and 2.42, and cond(L) is about 11
+PAIRING_BUT_STABLE = TdsProblem(A0=np.diag([0.5, -0.5]), A1=-np.eye(2), tau=1.0, W=np.eye(2))
+
+
+def test_lu_route_solves_a_nonsingular_operator_with_a_pairing_a0():
+    # the reference solves the operator assembled column by column from
+    # exact_propagate (SciPy's expm_multiply), sharing no propagation code
+    p = PAIRING_BUT_STABLE
+    ctx = OperatorContext(p)
+    columns = []
+    for j in range(p.n * p.n):
+        pair = exact_propagate(p.A0, p.A1, unvec(np.eye(p.n * p.n)[j]), p.tau)
+        columns.append(vec(combine_pair(ctx, pair)))
+    want = unvec(np.linalg.solve(np.column_stack(columns), -vec(p.W)))
+    report = solve_delay_lyapunov(p)
+    assert report.method == "lu" and report.target_met
+    assert np.abs(report.X - want).max() <= 1e-10
+    assert np.abs(np.diag(report.X) - [5.527168, 0.500918]).max() <= 1e-6
+
+
+def test_krylov_route_refuses_a_pairing_a0(krylov_route):
+    # its preconditioner T-Sylvester map would be singular
+    with pytest.raises(SolverError) as err:
+        solve_delay_lyapunov(PAIRING_BUT_STABLE)
+    assert err.value.code == "precond-unsolvable"
+
+
+def test_lu_route_makes_no_pairing_or_schur_call(monkeypatch):
+    # lu_solve's rcond check is the LU route's one solvability rule
+    import delaylyap.linalg
+    import delaylyap.precond
+    import delaylyap.solver
+
+    monkeypatch.setattr(delaylyap.precond, "has_no_hamiltonian_pairing", _unreachable)
+    monkeypatch.setattr(delaylyap.precond, "real_schur", _unreachable)
+    monkeypatch.setattr(delaylyap.linalg, "real_schur", _unreachable)
+    monkeypatch.setattr(delaylyap.solver, "build_preconditioner", _unreachable)
+    report = solve_delay_lyapunov(small_example(5.0).problem)
+    assert report.method == "lu" and report.target_met
+
+
+def test_zero_delay_preconditioner_inverts_the_operator():
+    # at tau = 0 the operator is the T-Sylvester map of A0 + A1, which the
+    # preconditioner built from A0 + A1 inverts: GMRES converges in one
+    # iteration (30 with the preconditioner of A0), and X agrees with
+    # SciPy's Lyapunov solve to 2.0e-14 (3.1e-13 with that of A0)
+    p = dataclasses.replace(pdde_generate(3, 3).problem, tau=0.0)
+    report = solve_delay_lyapunov(p)
+    assert report.method == "gmres" and report.iterations == 1
+    want = scipy.linalg.solve_continuous_lyapunov((p.A0 + p.A1).T, -p.W)
+    assert frobenius(report.X - want) <= 1e-13 * frobenius(want)
 
 
 def test_report_fields_filled(krylov_route):
@@ -570,16 +630,17 @@ def test_zero_cost_on_the_direct_route(monkeypatch):
     assert report.krylov_plan == report.plan == plan_propagations(p.A0, p.A1, p.tau)[0]
 
 
-def test_pairing_rule_precedes_the_zero_cost_return(monkeypatch):
-    # no preconditioner is built at n = 2, yet the A0 it would refuse is
-    # refused with its code, for a zero W too, as above the switch
+def test_zero_cost_return_on_the_lu_route_reads_no_pairing_rule(monkeypatch):
+    # X = 0 solves L(X) = 0 whether or not L is singular, so a zero W with
+    # a pairing A0 returns it, with no assembly and no preconditioner
     import delaylyap.solver as solver
 
+    monkeypatch.setattr(solver, "matrix_of", _unreachable)
     monkeypatch.setattr(solver, "build_preconditioner", _unreachable)
     p = TdsProblem(A0=np.diag([1.0, -1.0]), A1=np.zeros((2, 2)), tau=1.0, W=np.zeros((2, 2)))
-    with pytest.raises(SolverError) as err:
-        solve_delay_lyapunov(p)
-    assert err.value.code == "precond-unsolvable"
+    report = solve_delay_lyapunov(p)
+    assert report.method == "lu" and report.converged and report.target_met
+    assert report.X.shape == (2, 2) and not report.X.any()
 
 
 @pytest.mark.parametrize("direct", [True, False], ids=["lu", "krylov"])
