@@ -53,8 +53,8 @@ class KrylovConfig:
 @dataclass
 class SolveTimings:
     """Wall seconds of one solve.  In a ``solve_delay_lyapunov`` report, setup
-    is the preconditioner build (on the LU route, its eigenvalue pairing
-    check) plus the propagation plans, apply every propagation the driver
+    is the propagation plans plus the preconditioner build (the plans alone
+    on the LU route or for a zero W), apply every propagation the driver
     makes (on the LU route, the assembly of the operator's matrix alone),
     precond every preconditioner apply (none on the LU route), and total
     the whole solve, the LU factorization and the residuals read off the

@@ -17,8 +17,9 @@ one, and the boundary-residual checks propagate X on the 2^-53 plan.  A
 GMRES correction solve recycles the main solve's Arnoldi relation as a
 fixed GCRO space, so it iterates only on what that space misses; a
 BiCGStab correction starts afresh, since BiCGStab builds no Arnoldi
-relation.
-Refinement never changes the reported main-solve iteration count.
+relation.  Refinement never changes the reported main-solve iteration
+count.  Both routes plan, answer a zero W with the exact X = 0, then solve;
+the Krylov route alone builds a preconditioner, in its own setup.
 """
 
 import time
@@ -74,10 +75,12 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     route it is contracted, Z(X) = sum_j x_j Z(E_j) with x = vec(X), from
     the unit matrices' pairs, which differs from a propagation of X only by
     rounding, since every propagation on a plan applies the same fixed
-    polynomial in G; that route propagates nothing after the assembly.  The solution curve read
-    off the report propagates X on the 2^-53 plan.  A zero W returns the
-    exact X = 0 with no solve: converged, 0 iterations, r_alg = r_sym = 0;
-    on the LU route even for a singular L, which X = 0 solves too.
+    polynomial in G; that route propagates nothing after the assembly.  The
+    solution curve read off the report propagates X on the 2^-53 plan.
+    Both routes plan first, so a planner's refusal comes before the
+    preconditioner's, and a zero W then returns the exact X = 0 with no
+    solve and no preconditioner: converged, 0 iterations, r_alg = r_sym =
+    0, even for a singular L or a pairing A0.
     Under ``OdeConfig(steps=N)`` both plans are (4, N), or (0, 1) over zero
     time.
 
@@ -106,27 +109,19 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     krylov = krylov or KrylovConfig()
     timings = SolveTimings()
     t_start = time.perf_counter()
-    direct = problem.n <= DIRECT_MAX_N
-    if direct:
-        plan = krylov_plan = plan_propagations(problem.A0, problem.A1, problem.tau, ode)[0]
-    else:
-        A = problem.A0 + problem.A1 if problem.tau == 0 else problem.A0
-        factors = build_preconditioner(A, tau=problem.tau)
-        plan, krylov_plan = plan_propagations(problem.A0, problem.A1, problem.tau, ode)
+    plan, krylov_plan = plan_propagations(problem.A0, problem.A1, problem.tau, ode)
     ctx = OperatorContext(problem, plan=plan)
     timings.setup_seconds = time.perf_counter() - t_start
-    method = "lu" if direct else krylov.method
+    direct = problem.n <= DIRECT_MAX_N
     if not problem.W.any():  # X = 0 is exact; the kernels reject a zero right-hand side
-        timings.total_seconds = timings.setup_seconds
-        return SolveReport(np.zeros_like(problem.W), [0.0], [0.0], 0, True, method,
-                           timings=timings, plan=plan, krylov_plan=krylov_plan,
-                           r_alg=0.0, r_sym=0.0, target_met=True)
-
-    if direct:
+        report = SolveReport(np.zeros_like(problem.W), [0.0], [0.0], 0, True,
+                             "lu" if direct else krylov.method)
+        r_alg = r_sym = 0.0
+    elif direct:
         report, (r_alg, r_sym) = _solve_direct(ctx, timings)
     else:
-        report, (r_alg, r_sym) = _solve_krylov(ctx, krylov_plan, factors, krylov, timings)
-    report.plan, report.krylov_plan = plan, krylov_plan
+        report, (r_alg, r_sym) = _solve_krylov(ctx, krylov_plan, krylov, timings)
+    report.plan, report.krylov_plan = plan, plan if direct else krylov_plan
     report.r_alg, report.r_sym = r_alg, r_sym
     report.target_met = r_alg <= BV_TARGET and r_sym <= BV_TARGET
     timings.total_seconds = time.perf_counter() - t_start
@@ -158,10 +153,13 @@ def _solve_direct(ctx, timings):
     return report, boundary_residuals(problem, Z2, Z1)
 
 
-def _solve_krylov(ctx, krylov_plan, factors, krylov, timings):
+def _solve_krylov(ctx, krylov_plan, krylov, timings):
     """Preconditioned Krylov solve on ``krylov_plan`` with up to ``REFINE_MAX``
-    refinement passes; the report and the final boundary residuals."""
+    refinement passes, its preconditioner's build timed into setup; the
+    report and the final boundary residuals."""
     problem = ctx.problem
+    A = problem.A0 + problem.A1 if problem.tau == 0 else problem.A0
+    factors = _timed(timings, "setup_seconds", build_preconditioner, A, tau=problem.tau)
     krylov_ctx = OperatorContext(problem, plan=krylov_plan)
 
     def residuals(X):

@@ -101,6 +101,45 @@ def test_pdde_iteration_counts(grid, main):
     assert report.refinement_passes == 0
 
 
+def test_strong_coupling_ends_within_the_rank_bound():
+    # P^-1 L - I has rank n rank(A1), so GMRES ends within n rank(A1) + 1
+    # steps.  PDDE 3x3 (n = 18, rank(A1) = 6) takes 33 iterations at f0 = 5
+    # and the bound itself, 109, at f0 = 20
+    weak = solve_delay_lyapunov(pdde_generate(3, 3).problem)
+    p = pdde_generate(3, 3, f0=20.0).problem
+    report = solve_delay_lyapunov(p)
+    assert report.method == "gmres" and report.converged
+    assert 3 * weak.iterations < report.iterations <= p.n * np.linalg.matrix_rank(p.A1) + 1
+    assert report.target_met
+
+
+@pytest.mark.parametrize("grid", [3, 5])
+def test_h2_norm_matches_the_frequency_domain(grid):
+    # with W = C0^T C0 the H2 norm of y = C0 x, x' = A0 x + A1 x(t - tau)
+    # + B0 u is tr(B0^T U(0) B0), U(0) read off X's pair, and also
+    # (1/pi) int_0^inf ||C0 (i w I - A0 - A1 e^(-i w tau))^-1 B0||^2 dw,
+    # integrated in w = tan(theta): 1.9e-11 and 1.8e-11 relative apart
+    import scipy.integrate
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    p = pdde_generate(grid, grid).problem
+    report = solve_delay_lyapunov(p)
+    assert report.method == "gmres"
+    U0 = rk4_propagate(p.A0, p.A1, report.X, p.tau, plan=report.plan).Z2_end
+    lyapunov = np.trace(p.B0.T @ U0 @ p.B0)
+    A0, A1, eye = (scipy.sparse.csc_matrix(M) for M in (p.A0, p.A1, np.eye(p.n)))
+
+    def integrand(theta):
+        w = np.tan(theta)
+        x = scipy.sparse.linalg.spsolve(1j * w * eye - A0 - np.exp(-1j * w * p.tau) * A1,
+                                        p.B0[:, 0])
+        return abs(p.C0[0] @ x) ** 2 * (1.0 + w * w)
+
+    value, _ = scipy.integrate.quad(integrand, 0.0, np.pi / 2, epsrel=1e-12, limit=500)
+    assert abs(lyapunov - value / np.pi) <= 1e-10 * lyapunov
+
+
 @pytest.mark.parametrize("problem, norm_plan", [
     (small_example(1.0).problem, (50, 4)), (small_example(5.0).problem, (55, 4)),
     (pdde_generate(3, 3).problem, (55, 1)), (pdde_generate(5, 5).problem, (40, 2)),
@@ -291,6 +330,39 @@ def test_krylov_route_refuses_a_pairing_a0(krylov_route):
     assert err.value.code == "precond-unsolvable"
 
 
+@pytest.mark.parametrize("scale, code", [(1e20, "plan-too-large"), (1e308, "exp-overflow")])
+def test_krylov_route_plans_before_it_builds(scale, code, krylov_route):
+    # A0 = diag(s, -s) pairs and cannot be planned: both routes plan first,
+    # so the Krylov route ends with the planner's code, as the LU route does
+    p = TdsProblem(A0=np.diag([scale, -scale]), A1=np.zeros((2, 2)), tau=1.0, W=np.eye(2))
+    with pytest.raises(SolverError) as err:
+        solve_delay_lyapunov(p)
+    assert err.value.code == code
+
+
+# PAIRING_BUT_STABLE beside three copies of the 4x4 example at alpha = 1:
+# n = 14 runs the Krylov route, whose preconditioner refuses this A0
+_SMALL4 = small_example(1.0).problem
+PAIRING_AT_N14 = TdsProblem(A0=scipy.linalg.block_diag(PAIRING_BUT_STABLE.A0, *[_SMALL4.A0] * 3),
+                            A1=scipy.linalg.block_diag(PAIRING_BUT_STABLE.A1, *[_SMALL4.A1] * 3),
+                            tau=1.0, W=np.eye(14))
+
+
+@pytest.mark.parametrize("problem", [PAIRING_AT_N14, pdde_generate(3, 3).problem],
+                         ids=["pairing-14x14", "pdde-3x3"])
+def test_zero_cost_on_the_krylov_route_builds_no_preconditioner(problem, monkeypatch):
+    # X = 0 is answered after planning and before the route's setup, so a
+    # zero W builds no preconditioner, and a pairing A0 is no refusal
+    import delaylyap.solver as solver
+
+    monkeypatch.setattr(solver, "build_preconditioner", _unreachable)
+    p = dataclasses.replace(problem, W=np.zeros_like(problem.W))
+    report = solve_delay_lyapunov(p)
+    assert report.method == "gmres" and report.converged and report.iterations == 0
+    assert not report.X.any() and report.target_met
+    assert (report.plan, report.krylov_plan) == plan_propagations(p.A0, p.A1, p.tau)
+
+
 def test_lu_route_makes_no_pairing_or_schur_call(monkeypatch):
     # lu_solve's rcond check is the LU route's one solvability rule
     import delaylyap.linalg
@@ -354,8 +426,8 @@ def test_timings_include_refinement(monkeypatch, krylov_route):
 @pytest.mark.parametrize("problem", [small_example(5.0).problem, pdde_generate(3, 3).problem],
                          ids=["small4-alpha5", "pdde-3x3"])
 def test_driver_times_planning_and_every_propagation(problem, monkeypatch):
-    # setup covers the preconditioner build (at n = 4 the pairing check)
-    # and the propagation plan; apply covers the operator applies (at n = 4
+    # setup covers the propagation plans and the preconditioner build (at
+    # n = 4 the plans alone); apply covers the operator applies (at n = 4
     # the assembly) and the driver's own propagations
     import time
 
@@ -580,7 +652,7 @@ def test_krylov_operator_assembled_at_small_n(problem, direct, monkeypatch):
 
 
 def _unreachable(*args, **kwargs):
-    raise AssertionError("called on the LU route")
+    raise AssertionError("a call that the solve must not make")
 
 
 @pytest.mark.parametrize("method", ["gmres", "bicgstab"])
