@@ -19,7 +19,10 @@ one with a Hamiltonian eigenpairing (:func:`has_no_hamiltonian_pairing`).
 The triangular equation T X + X T^T = C is solved by recursive blocking
 (Jonsson & Kagstrom's RECSY algorithms, ACM TOMS 28(4), 2002): T is
 halved, the off-diagonal coupling becomes matrix products, and LAPACK's
-level-2 ``dtrsyl`` runs only on blocks of at most ``LEAF`` rows.  C is
+level-2 ``dtrsyl`` runs only on blocks of at most ``LEAF`` rows.  A leaf
+that ``dtrsyl`` flags as near-singular (``info`` = 1), or whose right-hand
+side it scales down to keep X from overflowing (``scale`` < 1), is refused
+with ``"tsylv-near-singular"``, so X needs no scale bookkeeping.  C is
 symmetric, so X is too: of the off-diagonal blocks only X12 is solved
 (one Sylvester equation) and X21 = X12^T.  A split never falls inside a
 2x2 block of the real Schur form, since ``dtrsyl`` needs each diagonal
@@ -97,32 +100,35 @@ def _split(T):
 
 
 def _dtrsyl(A, B, C):
-    """(X, scale) with A X + X B^T = scale C, by one LAPACK call."""
+    """X with A X + X B^T = C, by one LAPACK call."""
     X, scale, info = dtrsyl(A, B, C, tranb="T")
-    if info != 0:  # 1: LAPACK perturbed a near-singular pair; < 0: illegal argument
-        raise SolverError("tsylv-near-singular", f"dtrsyl returned info = {info}")
-    return X, scale
+    # info 1: LAPACK perturbed a near-singular pair; < 0: illegal argument;
+    # scale < 1: LAPACK scaled C down to keep X from overflowing
+    if info != 0 or scale < 1.0:
+        raise SolverError("tsylv-near-singular",
+                          f"dtrsyl returned info = {info}, scale = {scale:.3g}")
+    return X
 
 
 def _trsylv(A, B, C):
-    """(X, scale) with A X + X B^T = scale C for upper quasi-triangular A, B."""
+    """X with A X + X B^T = C for upper quasi-triangular A, B."""
     m, n = C.shape
     if max(m, n) <= LEAF:
         return _dtrsyl(A, B, C)
     if m >= n:  # rows: A22 X2 + X2 B^T = C2, then A11 X1 + X1 B^T = C1 - A12 X2
         k = _split(A)
-        X2, s1 = _trsylv(A[k:, k:], B, C[k:])
-        X1, s2 = _trsylv(A[:k, :k], B, s1 * C[:k] - A[:k, k:] @ X2)
-        return np.vstack((X1, s2 * X2)), s1 * s2
+        X2 = _trsylv(A[k:, k:], B, C[k:])
+        X1 = _trsylv(A[:k, :k], B, C[:k] - A[:k, k:] @ X2)
+        return np.vstack((X1, X2))
     # columns: A X2 + X2 B22^T = C2, then A X1 + X1 B11^T = C1 - X2 B12^T
     k = _split(B)
-    X2, s1 = _trsylv(A, B[k:, k:], C[:, k:])
-    X1, s2 = _trsylv(A, B[:k, :k], s1 * C[:, :k] - X2 @ B[:k, k:].T)
-    return np.hstack((X1, s2 * X2)), s1 * s2
+    X2 = _trsylv(A, B[k:, k:], C[:, k:])
+    X1 = _trsylv(A, B[:k, :k], C[:, :k] - X2 @ B[:k, k:].T)
+    return np.hstack((X1, X2))
 
 
 def _trlyap(T, C):
-    """(X, scale) with T X + X T^T = scale C for upper quasi-triangular T, C symmetric.
+    """X with T X + X T^T = C for upper quasi-triangular T, C symmetric.
 
     With T = [[T11, T12], [0, T22]] the blocks follow from the bottom up:
     X22 from T22, X12 from the Sylvester equation T11 X12 + X12 T22^T =
@@ -133,12 +139,11 @@ def _trlyap(T, C):
         return _dtrsyl(T, T, C)
     k = _split(T)
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
-    X22, s1 = _trlyap(T22, C[k:, k:])
-    X12, s2 = _trsylv(T11, T22, s1 * C[:k, k:] - T12 @ X22)
+    X22 = _trlyap(T22, C[k:, k:])
+    X12 = _trsylv(T11, T22, C[:k, k:] - T12 @ X22)
     W = T12 @ X12.T
-    X11, s3 = _trlyap(T11, (s1 * s2) * C[:k, :k] - W - W.T)
-    X12 *= s3
-    return np.block([[X11, X12], [X12.T, (s2 * s3) * X22]]), s1 * s2 * s3
+    X11 = _trlyap(T11, C[:k, :k] - W - W.T)
+    return np.block([[X11, X12], [X12.T, X22]])
 
 
 def apply_preconditioner(factors, Z):
@@ -150,7 +155,8 @@ def apply_preconditioner(factors, Z):
     warning, so the Krylov kernel's ``"krylov-nonfinite"`` reports it.
 
     Raises ``ValueError`` when Z is not n x n and
-    ``SolverError("tsylv-near-singular")`` when a ``dtrsyl`` block fails.
+    ``SolverError("tsylv-near-singular")`` when a ``dtrsyl`` block fails
+    or scales its right-hand side down.
     """
     Z = np.asarray(Z, dtype=float)
     U, At = factors.U, factors.A0.T
@@ -159,7 +165,7 @@ def apply_preconditioner(factors, Z):
     with np.errstate(over="ignore", invalid="ignore"):
         K = (Z - Z.T) / (4.0 * factors.shift)
         R = _sym(Z) - 2.0 * _sym(At @ K)
-        X, scale = _trlyap(factors.T, _sym(U.T @ R @ U))
-        S = _sym(U @ _sym(X / scale) @ U.T)
+        X = _trlyap(factors.T, _sym(U.T @ R @ U))
+        S = _sym(U @ _sym(X) @ U.T)
         return (S + K) @ factors.exp_forward
 

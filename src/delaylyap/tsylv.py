@@ -9,10 +9,14 @@ Linear Algebra Appl. 434, 2011).  A simple eigenvalue 1 is allowed.
 
 This module is the one place that knows the general pencil:
 :func:`factor_pencil` triangularizes it by complex QZ, so a singular N^T
-gives an infinite eigenvalue rather than a failure, and
-:func:`_check_pair_determinants` is the one reading of the condition, as
-nonzero pivots of the back substitution on the triangular factors;
-:func:`tsylv_solve` raises ``tsylv-near-singular`` from it.
+gives an infinite eigenvalue rather than a failure.  The condition is read
+off the back substitution on the triangular factors, not off the computed
+eigenvalues, which a large off-diagonal can move off a reciprocal pair:
+:func:`tsylv_solve` raises ``tsylv-near-singular`` on an exactly zero
+pivot, a non-finite X, or a growth ||X||_F (||M||_F + ||N||_F) / ||C||_F
+above 1 / ``SOLVABLE_RTOL``.  That growth is a lower bound on the
+condition number of the map, so it certifies a relative distance to a
+singular map below ``SOLVABLE_RTOL``.
 
 Two routes are provided: a Kronecker-vectorized dense solve (the reference
 oracle, O(n^6)) and a Schur-reduction solver (O(n^3)) that back-substitutes
@@ -88,36 +92,6 @@ def factor_pencil(M, N):
     return TsylvPencil(Q=Q, Z=Z, TM=TM, TN=TN)
 
 
-def _check_pair_determinants(TM, TN):
-    """Raise ``tsylv-near-singular`` unless the pencil meets the solvability condition.
-
-    The back substitution on the triangular factors solves the 2x2 pair
-    systems [[TM_ii, TN_jj], [TN_ii, TM_jj]], singular when
-    TM_ii TM_jj = TN_ii TN_jj (lambda_i lambda_j = 1, infinite eigenvalues
-    included), and the scalar diagonal equations with pivot TM_ii + TN_ii
-    (lambda_i = -1).  Each test is relative to its own entries, to
-    ``SOLVABLE_RTOL``, so one huge eigenvalue does not blur the others.
-    """
-    dM = np.diag(TM)
-    dN = np.diag(TN)
-    det = np.abs(np.outer(dM, dM) - np.outer(dN, dN))
-    scale = np.maximum(np.abs(np.outer(dM, dM)), np.abs(np.outer(dN, dN)))
-    off = ~np.eye(len(dM), dtype=bool)
-    bad = det[off] < SOLVABLE_RTOL * np.maximum(scale[off], 1e-300)
-    if np.any(bad):
-        raise SolverError(
-            "tsylv-near-singular",
-            f"{int(bad.sum())} eigenvalue pair(s) with mu_i*mu_j ~ 1",
-        )
-    piv = np.abs(dM + dN)
-    bad_diag = piv < SOLVABLE_RTOL * np.maximum(np.maximum(np.abs(dM), np.abs(dN)), 1e-300)
-    if np.any(bad_diag):
-        raise SolverError(
-            "tsylv-near-singular",
-            f"{int(bad_diag.sum())} diagonal pivot(s) TM_ii + TN_ii ~ 0",
-        )
-
-
 def _solve_reduced(TM, TN, C):
     """Solve TM Y + Y^T TN^T = C with TM, TN upper triangular.
 
@@ -142,11 +116,13 @@ def _solve_reduced(TM, TN, C):
         tn = TN[m, m]
         if abs(tn) >= abs(tm):
             g = tm / tn
-            u = scipy.linalg.solve_triangular(TNs - g * TMs, r2 - g * r1, lower=False)
+            u = scipy.linalg.solve_triangular(TNs - g * TMs, r2 - g * r1, lower=False,
+                                              check_finite=False)
             v = (r1 - TMs @ u) / tn
         else:
             g = tn / tm
-            u = scipy.linalg.solve_triangular(TMs - g * TNs, r1 - g * r2, lower=False)
+            u = scipy.linalg.solve_triangular(TMs - g * TNs, r1 - g * r2, lower=False,
+                                              check_finite=False)
             v = (r2 - TNs @ u) / tm
         Y[0:m, m] = u
         Y[m, 0:m] = v
@@ -154,7 +130,14 @@ def _solve_reduced(TM, TN, C):
 
 
 def solve_with_factors(pencil, C):
-    """Solve M X + X^T N = C with a factored, pair-checked pencil; returns complex X."""
+    """Solve M X + X^T N = C with a factored pencil; returns complex X.
+
+    No pivot is checked: an exactly zero one raises ``LinAlgError`` from
+    ``solve_triangular`` or makes X non-finite (later groups carry the
+    non-finite entries on, since ``check_finite`` is off), with NumPy
+    warnings that :func:`tsylv_solve` silences and reads as
+    ``tsylv-near-singular``.
+    """
     Ct = pencil.Q.conj().T @ C @ pencil.Q.conj()
     Y = _solve_reduced(pencil.TM, pencil.TN, Ct)
     return pencil.Z @ Y @ pencil.Q.T
@@ -176,8 +159,9 @@ def tsylv_solve(M, N, C):
     ------
     SolverError
         ``"pencil-reduction-failed"`` when the pencil M - lambda N^T is
-        singular, ``"tsylv-near-singular"`` when the solvability condition
-        fails on the computed pencil eigenvalues, to ``SOLVABLE_RTOL``,
+        singular; ``"tsylv-near-singular"`` when the back substitution
+        meets an exactly zero pivot, or its X is not finite or has a growth
+        ||X||_F (||M||_F + ||N||_F) / ||C||_F above 1 / ``SOLVABLE_RTOL``;
         ``"tsylv-residual-fail"`` when the computed solution is not real or
         fails the defining-equation check.
     """
@@ -185,14 +169,20 @@ def tsylv_solve(M, N, C):
     N = np.asarray(N, dtype=float)
     C = np.asarray(C, dtype=float)
     pencil = factor_pencil(M, N)
-    _check_pair_determinants(pencil.TM, pencil.TN)
-    X = require_real(solve_with_factors(pencil, C))
-    res = frobenius(M @ X + X.T @ N - C)
-    if res > 1e-8 * max(frobenius(C), 1e-300):
-        raise SolverError(
-            "tsylv-residual-fail",
-            f"relative residual {res / max(frobenius(C), 1e-300):.3g}",
-        )
+    c_max = float(np.abs(C).max(initial=0.0)) or 1.0  # so no norm below overflows
+    norm_c = max(frobenius(C / c_max), 1e-300)
+    with np.errstate(all="ignore"):
+        try:
+            X = solve_with_factors(pencil, C)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("tsylv-near-singular", f"zero pivot: {exc}") from exc
+        growth = frobenius(X / c_max) * (frobenius(M) + frobenius(N)) / norm_c
+        if not growth <= 1.0 / SOLVABLE_RTOL:  # also a non-finite X
+            raise SolverError("tsylv-near-singular", f"solution growth {growth:.3g}")
+        X = require_real(X)
+        res = frobenius((M @ X + X.T @ N - C) / c_max) / norm_c
+    if res > 1e-8:
+        raise SolverError("tsylv-residual-fail", f"relative residual {res:.3g}")
     return X
 
 

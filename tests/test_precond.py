@@ -105,15 +105,6 @@ class TestRealSchurSplit:
             apply_preconditioner(factors, np.eye(6))
         assert calls == {"schur": ["real"], "qz": [], "lu_factor": [], "qr": []}
 
-    def test_pair_check_never_called(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("pair check called")
-
-        monkeypatch.setattr(delaylyap.tsylv, "_check_pair_determinants", forbidden)
-        p = random_stable_problem(5, np.random.default_rng(7))
-        factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
-        apply_preconditioner(factors, np.random.default_rng(8).standard_normal((5, 5)))
-
     def test_apply_is_real(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("complex substitution called")
@@ -221,8 +212,7 @@ class TestRecursiveLyapunov:
         rng = np.random.default_rng(20)
         T = straddled_schur_form(n, rng)
         C = symmetric(rng, n)
-        X, scale = delaylyap.precond._trlyap(T, C)
-        assert scale == 1.0
+        X = delaylyap.precond._trlyap(T, C)
         R = T @ X + X @ T.T - C
         assert frobenius(R) <= 1e-14 * frobenius(C)
         X0, scale0, info = scipy.linalg.lapack.dtrsyl(T, T, C, tranb="T")
@@ -254,24 +244,21 @@ class TestRecursiveLyapunov:
             assert T[half, half - 1] != 0  # the middle falls inside a 2x2 block ...
             assert k == half + 1 and T[k, k - 1] == 0  # ... so the split moves past it
 
-    def test_scale_bookkeeping(self, monkeypatch):
+    def test_scaled_leaf_refused(self, monkeypatch):
+        # dtrsyl sets scale < 1 only to keep X from overflowing: the leaf is refused
         rng = np.random.default_rng(22)
         p = random_stable_problem(2 * LEAF + 3, rng)
         factors = build_preconditioner(p.A0, shift=1.0, tau=p.tau)
-        Z = rng.standard_normal((p.n, p.n))
-        expected = apply_preconditioner(factors, Z)
         original = delaylyap.precond.dtrsyl
-        calls = []
 
-        def halved(*args, **kwargs):
-            X, scale, info = original(*args, **kwargs)
-            calls.append(scale)
-            return X / 2, scale / 2, info
+        def scaled(*args, **kwargs):
+            X, _, info = original(*args, **kwargs)
+            return X, 0.5, info
 
-        monkeypatch.setattr(delaylyap.precond, "dtrsyl", halved)
-        out = apply_preconditioner(factors, Z)
-        assert len(calls) > 2  # the recursion ran
-        assert frobenius(out - expected) <= 1e-14 * frobenius(expected)
+        monkeypatch.setattr(delaylyap.precond, "dtrsyl", scaled)
+        with pytest.raises(SolverError) as err:
+            apply_preconditioner(factors, rng.standard_normal((p.n, p.n)))
+        assert err.value.code == "tsylv-near-singular"
 
     def test_near_singular_pair_in_sylvester_leaf_signalled(self, monkeypatch):
         # eigenvalues 1 (first row) and -1 (last row) meet only in X12's equation
@@ -309,10 +296,10 @@ class TestRecursiveLyapunov:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(delaylyap.precond, "dtrsyl", counted)
-        X, scale = delaylyap.precond._trlyap(T, C)
+        X = delaylyap.precond._trlyap(T, C)
         X0, scale0, _ = original(T, T, C, tranb="T")
         assert len(calls) == 1
-        assert np.array_equal(X, X0) and scale == scale0
+        assert scale0 == 1.0 and np.array_equal(X, X0)
 
 
 class TestApply:
