@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
+from .linalg import dot, matmul, norm
 
 _TINY = 1e-300
 _BASIS_INITIAL_ROWS = 32
@@ -106,7 +107,7 @@ class ArnoldiRelation:
         """C^T w: the rotations applied to V_{k+1} w (an empty vector when k = 0)."""
         if not self.cs.size:
             return np.zeros(0)
-        t = self.V @ w
+        t = matmul(self.V, w)
         _rotate(t, self.cs.tolist(), self.sn.tolist())
         return t[:-1]
 
@@ -120,11 +121,11 @@ class ArnoldiRelation:
         for i in reversed(range(len(cs))):
             c, s = cs[i], sn[i]
             t[i], t[i + 1] = c * t[i] - s * t[i + 1], s * t[i] + c * t[i + 1]
-        return np.dot(t, self.V)
+        return matmul(np.array(t), self.V)
 
     def u(self, z):
         """U z: R_k^-1 z times V_k."""
-        return scipy.linalg.solve_triangular(self.R, z, lower=False) @ self.V[:-1]
+        return matmul(scipy.linalg.solve_triangular(self.R, z, lower=False), self.V[:-1])
 
 
 @dataclass
@@ -176,10 +177,11 @@ def _finite(out, name):
 
 def _require_finite(iteration, *named):
     """Raise ``"krylov-nonfinite"`` naming the first (name, value) pair with a
-    non-finite entry; the values are computed under ``np.errstate``, so an
-    overflow surfaces here and not as a NumPy warning.  The values are
-    scalars or 1-D arrays, tested by one ``isfinite`` over all of them; the
-    names are searched only when that test fails."""
+    non-finite entry; the values come from BLAS, which warns of nothing, or
+    are computed under ``np.errstate``, so an overflow surfaces here and not
+    as a NumPy warning.  The values are scalars or 1-D arrays, tested by one
+    ``isfinite`` over all of them; the names are searched only when that
+    test fails."""
     values = np.concatenate([v if getattr(v, "ndim", 0) else (v,) for _, v in named])
     if np.isfinite(values).all():
         return
@@ -265,13 +267,13 @@ def gmres(op, b, precond=None, cfg=None, recycle=None):
 
     r0 = preconditioner(b.ravel().copy())
     with np.errstate(over="ignore", invalid="ignore"):
-        bnorm = np.linalg.norm(r0)
+        bnorm = norm(r0)
         z = 0.0  # C^T c, so that x0 = U z
         for _ in range(2):  # CGS2 against C
             t = space.ct(r0)
             r0 -= space.c(t)
             z = z + t
-        beta = np.linalg.norm(r0)
+        beta = norm(r0)
     _require_finite(0, ("norm of the preconditioned right-hand side", bnorm),
                     ("projection onto the recycled space", z),
                     ("initial residual norm", beta))
@@ -300,10 +302,10 @@ def gmres(op, b, precond=None, cfg=None, recycle=None):
         with np.errstate(over="ignore", invalid="ignore"):
             hc = h = 0.0
             for _ in range(2):  # CGS2 against C and the basis
-                hc_pass, h_pass = space.ct(w), basis @ w
-                w -= space.c(hc_pass) + np.dot(h_pass, basis)
+                hc_pass, h_pass = space.ct(w), matmul(basis, w)
+                w -= space.c(hc_pass) + matmul(h_pass, basis)
                 hc, h = hc + hc_pass, h + h_pass
-            h_new = np.linalg.norm(w)
+            h_new = norm(w)
             _rotate(h, cs, sn)
             d = np.hypot(h[j], h_new)
         _require_finite(j + 1, ("projection onto the recycled space", hc),
@@ -340,7 +342,7 @@ def gmres(op, b, precond=None, cfg=None, recycle=None):
     for j in range(m):
         H[:j + 1, j] = R[j]
     y = scipy.linalg.solve_triangular(H, g[:m], lower=False)
-    x = y @ V[:m] + space.u(z - np.reshape(B, (m, len(space.cs))).T @ y)
+    x = matmul(y, V[:m]) + space.u(z - matmul(np.reshape(B, (m, len(space.cs))).T, y))
     return SolveReport(
         X=x.reshape(shape),
         residual_history=history,
@@ -372,8 +374,7 @@ def bicgstab(op, b, precond=None, cfg=None):
         return preconditioner(operator(v))
 
     r = preconditioner(b.ravel().copy())
-    with np.errstate(over="ignore", invalid="ignore"):
-        nb = np.linalg.norm(r)
+    nb = norm(r)
     _require_finite(0, ("norm of the preconditioned right-hand side", nb))
     if nb == 0.0:
         raise ValueError("right-hand side is zero")
@@ -390,8 +391,7 @@ def bicgstab(op, b, precond=None, cfg=None):
     iterations = 0
 
     for j in range(1, maxit + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho_new = r_shadow @ r
+        rho_new = dot(r_shadow, r)
         _require_finite(j, ("rho", rho_new))
         if abs(rho_new) <= _TINY or abs(omega) <= _TINY:
             raise SolverError(
@@ -405,16 +405,14 @@ def bicgstab(op, b, precond=None, cfg=None):
             p = r + beta * (p - omega * v)
         rho = rho_new
         v = K(p)
-        with np.errstate(over="ignore", invalid="ignore"):
-            denom = r_shadow @ v
+        denom = dot(r_shadow, v)
         _require_finite(j, ("<r0, v>", denom))
         if abs(denom) <= _TINY:
             raise SolverError("bicgstab-breakdown", f"<r0, v> = {denom:.3g} at iteration {j}")
         alpha = rho / denom
         s = r - alpha * v
         iterations = j
-        with np.errstate(over="ignore", invalid="ignore"):
-            relres = np.linalg.norm(s) / nb
+        relres = norm(s) / nb
         _require_finite(j, ("residual norm", relres))
         if relres <= cfg.tol:
             x += alpha * p
@@ -423,17 +421,15 @@ def bicgstab(op, b, precond=None, cfg=None):
             converged = True
             break
         t = K(s)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tt = t @ t
-            omega = (t @ s) / tt  # read only past the breakdown check below
+        tt = dot(t, t)
         _require_finite(j, ("||t||^2", tt))
         if tt <= _TINY:
             raise SolverError("bicgstab-breakdown", f"||t|| = 0 at iteration {j}")
+        omega = dot(t, s) / tt
         _require_finite(j, ("omega", omega))
         x += alpha * p + omega * s
         r = s - omega * t
-        with np.errstate(over="ignore", invalid="ignore"):
-            relres = np.linalg.norm(r) / nb
+        relres = norm(r) / nb
         _require_finite(j, ("residual norm", relres))
         history.append(relres)
         stamps.append(time.perf_counter() - t_start)

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from .errors import SolverError
-from .linalg import frobenius, matrix_of
+from .linalg import frobenius, matmul, matrix_of
 from .precond import _check_shift, apply_preconditioner
 from .propagation import (PropagationPlan, PropagationResult, _chebyshev_steps, _check_tau,
                           plan_propagations, rk4_propagate)
@@ -122,8 +122,8 @@ def combine_pair(ctx, pair):
     A0, A1, c = ctx.problem.A0, ctx.problem.A1, ctx.shift
     Z1, Z2 = pair.Z1_end, pair.Z2_end
     I = np.eye(A0.shape[0])
-    return (Z2.swapaxes(-1, -2) @ (A0 - c * I) + (A0.T + c * I) @ Z2
-            + Z1.swapaxes(-1, -2) @ A1 + A1.T @ Z1)
+    return (matmul(Z2.swapaxes(-1, -2), A0 - c * I) + matmul(A0.T + c * I, Z2)
+            + matmul(Z1.swapaxes(-1, -2), A1) + matmul(A1.T, Z1))
 
 
 def assemble_operator(ctx):
@@ -213,7 +213,7 @@ def boundary_residuals(problem, U0, Utau):
     r_sym = ||U0 - U0^T||_F / max(1, ||U0||_F)
     """
     A0, A1, W = problem.A0, problem.A1, problem.W
-    R = W + U0 @ A0 + A0.T @ U0 + Utau.T @ A1 + A1.T @ Utau
+    R = W + matmul(U0, A0) + matmul(A0.T, U0) + matmul(Utau.T, A1) + matmul(A1.T, Utau)
     r_alg = frobenius(R) / max(frobenius(W), 1e-300)
     r_sym = frobenius(U0 - U0.T) / max(1.0, frobenius(U0))
     return r_alg, r_sym

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrsyl
 
 from .errors import SolverError
-from .linalg import eigenvalues, expm, real_schur, schur_eigenvalues
+from .linalg import eigenvalues, expm, matmul, real_schur, schur_eigenvalues
 from .tsylv import pairing_free
 from .tsylv import factor_pencil, solve_with_factors  # noqa: F401 -- bench/tracing.py wraps these
 
@@ -118,12 +118,12 @@ def _trsylv(A, B, C):
     if m >= n:  # rows: A22 X2 + X2 B^T = C2, then A11 X1 + X1 B^T = C1 - A12 X2
         k = _split(A)
         X2 = _trsylv(A[k:, k:], B, C[k:])
-        X1 = _trsylv(A[:k, :k], B, C[:k] - A[:k, k:] @ X2)
+        X1 = _trsylv(A[:k, :k], B, C[:k] - matmul(A[:k, k:], X2))
         return np.vstack((X1, X2))
     # columns: A X2 + X2 B22^T = C2, then A X1 + X1 B11^T = C1 - X2 B12^T
     k = _split(B)
     X2 = _trsylv(A, B[k:, k:], C[:, k:])
-    X1 = _trsylv(A, B[:k, :k], C[:, :k] - X2 @ B[:k, k:].T)
+    X1 = _trsylv(A, B[:k, :k], C[:, :k] - matmul(X2, B[:k, k:].T))
     return np.hstack((X1, X2))
 
 
@@ -140,8 +140,8 @@ def _trlyap(T, C):
     k = _split(T)
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
     X22 = _trlyap(T22, C[k:, k:])
-    X12 = _trsylv(T11, T22, C[:k, k:] - T12 @ X22)
-    W = T12 @ X12.T
+    X12 = _trsylv(T11, T22, C[:k, k:] - matmul(T12, X22))
+    W = matmul(T12, X12.T)
     X11 = _trlyap(T11, C[:k, :k] - W - W.T)
     return np.block([[X11, X12], [X12.T, X22]])
 
@@ -164,8 +164,8 @@ def apply_preconditioner(factors, Z):
         raise ValueError(f"Z must be {At.shape}, got {Z.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         K = (Z - Z.T) / (4.0 * factors.shift)
-        R = _sym(Z) - 2.0 * _sym(At @ K)
-        X = _trlyap(factors.T, _sym(U.T @ R @ U))
-        S = _sym(U @ _sym(X) @ U.T)
-        return (S + K) @ factors.exp_forward
+        R = _sym(Z) - 2.0 * _sym(matmul(At, K))
+        X = _trlyap(factors.T, _sym(matmul(matmul(U.T, R), U)))
+        S = _sym(matmul(matmul(U, _sym(X)), U.T))
+        return matmul(S + K, factors.exp_forward)
 

@@ -23,19 +23,20 @@ j and g- for even j, half the work of stepping the pair.  A pass holds
 each term as the stacked pair [B^T; B], 2n x n, and a batch of b matrices
 as the column blocks of one wide pair, 2n x bn, block k being
 [B_k^T; B_k].  Each term is one ``coupled_rhs`` call whatever b: a single
-2-D ``np.dot`` of an n x 2n coefficient operand with the previous term's
-pair,
+``dgemm`` on SciPy's BLAS (``linalg.gemm``) of an n x 2n coefficient
+operand with the previous term's pair, the step scale h/j folded into its
+alpha,
 
-    g+-(B)^T = S+-^T [B^T; B],   S+-^T = [A0^T, +-A1^T],
+    (h/j) g+-(B)^T = (h/j) S+-^T [B^T; B],   S+-^T = [A0^T, +-A1^T],
 
 written straight into the top half of the next pair.  The pair (S-^T,
 S+^T) is built, checked and cast to float64 once per propagation, not per
-term.  The rest of a term is three in-place steps: the scale by h/j, the
-transposed copy of the top half into the bottom one (one strided copy
-through the (n, b, n) views of both halves), and the add of that bottom
-half, every B_j, to the running sum of its parity.  A pass allocates its
-two pair buffers and its two sums once, and nothing per term.  A single X
-is the b = 1 case, with the arithmetic of a 2n x n pair.
+term.  The rest of a term is two in-place steps: the transposed copy of
+the top half into the bottom one (one strided copy through the (n, b, n)
+views of both halves), and the add of that bottom half, every B_j, to the
+running sum of its parity.  A pass allocates its two pair buffers and its
+two sums once, and nothing per term.  A single X is the b = 1 case, with
+the arithmetic of a 2n x n pair.
 One such pass returns the even terms j >= 2, W V = (E_h - I) V, and the
 odd terms O_h V, where E_h and O_h are the even and odd parts of the
 degree-m Taylor polynomial p(hG).
@@ -93,7 +94,7 @@ import numpy as np
 from scipy.linalg import matrix_balance
 
 from .errors import SolverError
-from .linalg import unvec, vec
+from .linalg import gemm, matmul, unvec, vec
 
 RK4_DEGREE = 4      # the Taylor degree of classic RK4 on a linear autonomous ODE
 MAX_PLAN_TERMS = 10**7  # right-hand-side evaluations per propagation
@@ -204,11 +205,12 @@ def term_operands(A0, A1):
     in this order, so that ``ST[j % 2]`` is the operand of term j.
 
     Below n = ``CONTIGUOUS_OPERANDS_MIN_N`` each is the transpose of the
-    C-contiguous stack S-+ = [A0; -+A1], a view that BLAS reads through its
-    transpose flag; from there on it is a C-contiguous copy, made once per
-    propagation.  Each is the faster layout on its side, measured on one
-    propagation with OpenBLAS 0.3.31: the view by 3-6 % at n = 18..70, the
-    copy by 5-10 % at n = 90..450.
+    C-contiguous stack S-+ = [A0; -+A1], a view that ``dgemm`` reads
+    through its transpose flag; from there on it is a C-contiguous copy,
+    made once per propagation.  Each is the faster layout on its side,
+    measured on one Krylov-plan propagation with SciPy's OpenBLAS 0.3.30
+    (2 vCPU), in four alternating rounds: the view by 9 % at n = 18 and 3 %
+    at n = 50, the copy by 9-10 % at n = 98, 242 and 450.
 
     Raises ``ValueError`` unless A0 and A1 are both n x n.
     """
@@ -221,18 +223,20 @@ def term_operands(A0, A1):
     return tuple(map(np.ascontiguousarray, ST)) if n >= CONTIGUOUS_OPERANDS_MIN_N else ST
 
 
-def coupled_rhs(V, ST, out):
-    """One Taylor term's generator action, transposed: out = ST V.
+def coupled_rhs(V, ST, out, scale=1.0):
+    """One Taylor term's generator action, transposed and scaled:
+    out = scale ST V.
 
     V is the stacked pair [B^T; B], 2n x n, or the wide pair of a batch of
     b matrices, 2n x bn, whose column block k is [B_k^T; B_k]; ST is one of
     the n x 2n operands of ``term_operands``: S+^T gives g+(B)^T = A0^T B^T
     + A1^T B (even to odd), S-^T gives g-(B)^T = A0^T B^T - A1^T B (odd to
     even), block by block.  out is a C-contiguous float64 n x bn array and
-    receives the product, one ``np.dot`` for any b.  Returns out; a V or out
-    of another shape raises NumPy's ``ValueError``.
+    receives the product, one ``dgemm`` (``linalg.gemm``) for any b, the
+    scale, a Taylor term's h/j, being its alpha.  Returns out; a V or out
+    of another shape raises ``ValueError``, and b = 0 gives the empty out.
     """
-    return np.dot(ST, V, out=out)
+    return gemm(ST, V, scale, out)
 
 
 def _check_tau(tau):
@@ -281,7 +285,7 @@ def _power_bounds(A0, A1, t):
     Y = (r0[None, :] + r1[:, None]) / norm  # Y_1, from the row sums
     log_scale = 0.0
     for p in range(2, MAX_POWER + 2):
-        Y = Y @ B0.T + B1 @ Y.T
+        Y = matmul(Y, B0.T) + matmul(B1, Y.T)
         top = Y.max()
         if top == 0.0:
             break
@@ -382,16 +386,16 @@ def _even_odd_pass(ST, V, scales):
     [B_k^T; B_k].  Term j reads the pair of B_{j-1} in buffer (j - 1) % 2
     and writes every B_j^T = (h/j) g(B_{j-1})^T into the top half of buffer
     j % 2 by one ``coupled_rhs`` call, looked up on the module at every
-    term, whatever b, and three in-place steps: the scale, the transposed
-    copy of the top half into the bottom one, one strided copy through the
-    (n, b, n) views of both, and the add of that bottom half, every B_j, to
-    its parity's sum.
+    term, whatever b: one ``dgemm`` with the scale h/j as its alpha.  Two
+    in-place steps follow: the transposed copy of the top half into the
+    bottom one, one strided copy through the (n, b, n) views of both, and
+    the add of that bottom half, every B_j, to its parity's sum.
     """
     n = V.shape[-1]
     b = math.prod(V.shape[:-2])
     pairs = np.empty((2, 2 * n, b * n))
     sums = list(np.zeros((2, n, b, n)))  # a list: sums[k] += x copies nothing back
-    tops = [pair[:n] for pair in pairs]  # C-contiguous, as np.dot's out must be
+    tops = [pair[:n] for pair in pairs]  # C-contiguous, as gemm's out must be
     # (n, b, n) views, entry [i, k, j] of each being B_k[i, j]: the bottom
     # half, and the top half through a transpose
     bottoms = [pair[n:].reshape(n, b, n) for pair in pairs]
@@ -399,8 +403,7 @@ def _even_odd_pass(ST, V, scales):
     tops_t[0][...] = bottoms[0][...] = V.reshape(b, n, n).transpose(1, 0, 2)
     for j, scale in enumerate(scales, 1):
         k = j % 2
-        coupled_rhs(pairs[1 - k], ST[k], tops[k])
-        tops[k] *= scale
+        coupled_rhs(pairs[1 - k], ST[k], tops[k], scale)
         bottoms[k][...] = tops_t[k]
         sums[k] += bottoms[k]
     return [s.transpose(1, 0, 2).reshape(V.shape) for s in sums]
@@ -415,9 +418,7 @@ def _chebyshev_steps(A0, A1, X, h, degree, steps):
     there.
     """
     ST = term_operands(A0, A1)
-    # 0-d arrays: NumPy scales in place by one about a third faster than by
-    # a Python float, which is much of a term's cost at small n
-    scales = [np.array(h / j) for j in range(1, degree + 1)]
+    scales = [h / j for j in range(1, degree + 1)]
     U = D = X
     for _ in range(steps):
         WU, Q = _even_odd_pass(ST, U, scales)

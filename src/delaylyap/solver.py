@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from .krylov import KrylovConfig, SolveReport, SolveTimings, bicgstab, gmres
-from .linalg import frobenius, lu_solve, matrix_of, unvec, vec
+from .linalg import frobenius, lu_solve, matmul, matrix_of, norm, unvec, vec
 from .operators import OperatorContext, apply_operator, boundary_residuals, combine_pair
 from .precond import apply_preconditioner, build_preconditioner
 from .propagation import plan_propagations, rk4_propagate
@@ -145,11 +145,12 @@ def _solve_direct(ctx, timings):
     t0 = time.perf_counter()
     b = -vec(problem.W)
     x = lu_solve(M, b)
-    relres = float(np.linalg.norm(M @ x - b)) / frobenius(problem.W)
+    relres = norm(matmul(M, x) - b) / frobenius(problem.W)
     report = SolveReport(unvec(x), [relres], [time.perf_counter() - t0], 0, True, "lu")
     # X = sum_j x_j E_j and the pair map is linear (one fixed polynomial in
     # G), so X's terminal pair is the same sum of the unit matrices' pairs
-    Z1, Z2 = (np.tensordot(x, Z, axes=1) for Z in (units.Z1_end, units.Z2_end))
+    Z1, Z2 = (matmul(x, Z.reshape(x.size, -1)).reshape(problem.W.shape)
+              for Z in (units.Z1_end, units.Z2_end))
     return report, boundary_residuals(problem, Z2, Z1)
 
 

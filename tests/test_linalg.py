@@ -1,3 +1,5 @@
+import ast
+import inspect
 import warnings
 
 import numpy as np
@@ -19,7 +21,14 @@ from delaylyap import (
     unvec,
     vec,
 )
-from delaylyap.linalg import require_real, schur_eigenvalues
+import delaylyap.krylov
+import delaylyap.linalg
+import delaylyap.operators
+import delaylyap.precond
+import delaylyap.propagation
+import delaylyap.solver
+from delaylyap.linalg import (EXPM_THETA_13, dot, gemm, matmul, norm, require_real,
+                              schur_eigenvalues)
 from helpers import eigs_by_char_poly, max_multiset_distance, pencil_eigs_by_det
 
 
@@ -62,6 +71,21 @@ class TestExpm:
         with pytest.raises(SolverError) as err:
             expm(800.0 * np.eye(2))
         assert err.value.code == "exp-overflow"
+
+    def test_squarings_run_on_gemm(self, monkeypatch):
+        # SciPy's Pade step sees ||2^-s A||_1 <= theta_13, so it squares
+        # nothing itself; the s = 6 squarings run on gemm
+        A = np.random.default_rng(7).standard_normal((6, 6))
+        A *= 200.0 / np.abs(A).sum(axis=0).max()
+        seen, squarings = [], []
+        pade, square = scipy.linalg.expm, delaylyap.linalg.gemm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda M: seen.append(M) or pade(M))
+        monkeypatch.setattr(delaylyap.linalg, "gemm",
+                            lambda *args: squarings.append(args) or square(*args))
+        E = expm(A)
+        assert len(seen) == 1 and np.abs(seen[0]).sum(axis=0).max() <= EXPM_THETA_13
+        assert len(squarings) == 6
+        assert np.linalg.norm(E - pade(A)) <= 1e-12 * np.linalg.norm(pade(A))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_input_is_exp_overflow(self, bad):
@@ -298,3 +322,112 @@ class TestRequireReal:
         with pytest.raises(SolverError, match="imaginary part") as err:
             require_real(np.array([[1.0 + 1e-6j, 2.0]]))
         assert err.value.code == "tsylv-residual-fail"
+
+
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+           "strided": lambda M: np.repeat(M, 2, axis=1)[:, ::2]}
+
+
+class TestBlasHelpers:
+    @pytest.mark.parametrize("left", LAYOUTS)
+    @pytest.mark.parametrize("right", LAYOUTS)
+    def test_gemm_reads_every_layout(self, left, right):
+        rng = np.random.default_rng(11)
+        A, B = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
+        a, b = LAYOUTS[left](A), LAYOUTS[right](B)
+        out = np.full((5, 4), np.nan)  # dgemm reads no out when beta = 0
+        assert gemm(a, b, 0.5, out) is out
+        assert_allclose(out, 0.5 * (A @ B), rtol=1e-14, atol=1e-15)
+        product = gemm(a, b)
+        assert product.flags.c_contiguous
+        assert_allclose(product, A @ B, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("shapes", [((0, 3), (3, 4)), ((5, 3), (3, 0)),
+                                        ((5, 0), (0, 4)), ((0, 0), (0, 0))],
+                             ids=["m0", "n0", "k0", "all0"])
+    def test_gemm_empty_dimensions(self, shapes):
+        A, B = np.ones(shapes[0]), np.ones(shapes[1])
+        out = np.full((A.shape[0], B.shape[1]), np.nan)
+        assert gemm(A, B, 2.0, out) is out and not out.any()
+        assert gemm(A, B).shape == out.shape and not gemm(A, B).any()
+
+    def test_gemm_refusals_are_value_errors(self):
+        A, B = np.ones((3, 4)), np.ones((4, 2))
+        for a, b, out in ((A, np.ones((5, 2)), None), (A, B, np.empty((3, 3))),
+                          (A, B, np.empty((2, 3))), (A, B, np.empty((3, 2), order="F")),
+                          (A, B, np.empty((3, 2), dtype=np.float32)),
+                          (np.ones(4), B, None), (A, np.ones((2, 4, 2)), None)):
+            with pytest.raises(ValueError):
+                gemm(a, b, 1.0, out)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matmul_dispatch(self, layout):
+        rng = np.random.default_rng(12)
+        M = LAYOUTS[layout](rng.standard_normal((5, 3)))
+        x, y = rng.standard_normal(3), rng.standard_normal(5)
+        assert_allclose(matmul(M, x), M @ x, rtol=1e-14, atol=1e-15)
+        assert_allclose(matmul(y, M), y @ M, rtol=1e-14, atol=1e-15)
+        assert matmul(x, x) == pytest.approx(x @ x, rel=1e-15)
+        S = rng.standard_normal((2, 4, 5))
+        assert_allclose(matmul(S, M), S @ M, rtol=1e-14, atol=1e-15)
+        assert matmul(np.zeros((0, 3)), x).shape == (0,)
+        assert not matmul(np.zeros(0), np.zeros((0, 4))).any()
+        with pytest.raises(ValueError):
+            matmul(M, y)
+        with pytest.raises(ValueError):
+            matmul(x, M)
+
+    def test_dot_and_norm(self):
+        x = np.array([3.0, 4.0])
+        assert dot(x, x) == 25.0 and norm(x) == 5.0
+        assert dot(np.zeros(0), np.zeros(0)) == 0.0 == norm(np.zeros(0))
+        with pytest.raises(ValueError):
+            dot(x, np.ones(3))
+        # unscaled, like np.linalg.norm, and silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(np.array([1e200, 1e200])) == np.inf
+
+
+# the modules of the solve path; every dense product there runs on the
+# helpers of delaylyap.linalg
+SOLVE_PATH = (delaylyap.propagation, delaylyap.operators, delaylyap.precond,
+              delaylyap.krylov, delaylyap.solver)
+NUMPY_PRODUCTS = {f"{np_}.{name}" for np_ in ("np", "numpy")
+                  for name in ("dot", "matmul", "tensordot", "vdot", "einsum")}
+NUMPY_NORMS = {"np.linalg.norm", "numpy.linalg.norm"}
+
+
+def _products_outside_linalg(source):
+    """(line, what) of each dense product in the source that bypasses
+    delaylyap.linalg: the @ operator, a NumPy product function, or a
+    np.linalg.norm that is not the Frobenius norm (a vector 2-norm, which
+    the helpers take as sqrt(ddot))."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            args = [*node.args[1:], *(k.value for k in node.keywords if k.arg == "ord")]
+            fro = any(isinstance(a, ast.Constant) and a.value == "fro" for a in args)
+            if name in NUMPY_PRODUCTS or (name in NUMPY_NORMS and not fro):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", SOLVE_PATH, ids=lambda m: m.__name__)
+def test_solve_path_products_run_on_one_blas(module):
+    # NumPy and SciPy each bundle an OpenBLAS with its own thread pool;
+    # SciPy's runs every factorization, so a product left on NumPy's makes
+    # the two pools take turns on the same cores
+    assert _products_outside_linalg(inspect.getsource(module)) == []
+
+
+def test_the_product_scan_sees_each_form():
+    source = ("a = b @ c\nb @= c\nnp.dot(a, b)\nnp.einsum('ij', a)\nnumpy.tensordot(a, b)\n"
+              "np.linalg.norm(a)\nnp.linalg.norm(a, 'fro')\nnp.linalg.norm(a, ord='fro')\n"
+              "matmul(a, b)\n")
+    found = _products_outside_linalg(source)
+    assert [what for _, what in found] == ["@", "@", "np.dot", "np.einsum", "numpy.tensordot",
+                                           "np.linalg.norm"]

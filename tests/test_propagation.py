@@ -337,7 +337,8 @@ class TestRk4:
         # the stacked pair [B^T; B] against fresh [B, B^T] S products on both
         # plans: the same bits up to n = 50; at n = 98 BLAS blocking no
         # longer gives both the same bits, and the 2^-24 plan's single step
-        # amplifies that to 1.4e-15 - 9.2e-14 over eight seeded X
+        # amplifies that to 6.7e-16 - 4.9e-14 over eight seeded X (SciPy's
+        # OpenBLAS 0.3.30 against NumPy's 0.3.31 in the reference)
         p = pdde_generate(grid, grid).problem if grid else small_example(5.0).problem
         X = np.random.default_rng(grid).standard_normal((p.n, p.n))
         for plan in plan_propagations(p.A0, p.A1, p.tau):
@@ -374,10 +375,10 @@ class TestRk4:
     def test_batch_is_the_stack_of_single_propagations(self, grid, gate):
         # a (2, 3, n, n) batch, held as the column blocks of one wide pair,
         # against its six single propagations on both plans: the same bits
-        # at n = 4 and 18, 4.9e-15 at n = 50; at n = 98 BLAS blocks the
+        # at n = 4 and 18, 5.7e-15 at n = 50; at n = 98 BLAS blocks the
         # 6n-column product apart from the n-column one and the 2^-24
-        # plan's single step amplifies that to 7.4e-14, as in
-        # test_matches_the_concatenating_reference
+        # plan's single step amplifies that to 9.4e-14 (8.1e-14 - 9.7e-14
+        # over eight seeded X), as in test_matches_the_concatenating_reference
         p = pdde_generate(grid, grid).problem if grid else small_example(5.0).problem
         X = np.random.default_rng(grid).standard_normal((2, 3, p.n, p.n))
         for plan in plan_propagations(p.A0, p.A1, p.tau):

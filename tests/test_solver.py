@@ -113,6 +113,29 @@ def test_strong_coupling_ends_within_the_rank_bound():
     assert report.target_met
 
 
+def test_strong_coupling_regime_at_pdde_5x5(monkeypatch):
+    # outside the weak-coupling regime: PDDE 5x5 (n = 50, rank(A1) = 20) at
+    # f0 = 12 takes 428 main-solve iterations where f0 = 5 takes 45, and full
+    # GMRES keeps every basis vector, 429 of length n^2 = 2500 (8.6 MB)
+    import delaylyap.solver
+
+    relations = []
+    solve = delaylyap.solver.gmres
+
+    def keep_relation(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        relations.append(report.relation)
+        return report
+
+    monkeypatch.setattr(delaylyap.solver, "gmres", keep_relation)
+    p = pdde_generate(5, 5, f0=12.0).problem
+    report = solve_delay_lyapunov(p)
+    assert report.method == "gmres" and report.converged and report.target_met
+    assert 300 <= report.iterations <= 600
+    assert report.refinement_passes == 0 and len(relations) == 1
+    assert relations[0].V.shape == (report.iterations + 1, p.n * p.n)
+
+
 @pytest.mark.parametrize("grid", [3, 5])
 def test_h2_norm_matches_the_frequency_domain(grid):
     # with W = C0^T C0 the H2 norm of y = C0 x, x' = A0 x + A1 x(t - tau)
