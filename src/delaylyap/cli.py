@@ -15,10 +15,6 @@ the solve is LU on the assembled operator (``method=lu``), they repeat the
 keys the same.  ``target_met`` is False when r_alg or r_sym
 ends above 1e-8; such a solve still exits 0, since the accuracy it reached
 is in the summary.
-
-No subcommand takes the operator shift c: it scales the antisymmetric part
-of the operator and of its preconditioner alike, so it cancels from the
-preconditioned system (:func:`delaylyap.solve_delay_lyapunov`); c = 1.
 """
 
 import argparse

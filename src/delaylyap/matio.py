@@ -32,11 +32,15 @@ def read_matrix(path):
 
     Raises
     ------
+    ValueError
+        on a zero dimension, read off the header: ``mmread`` dies of SIGFPE.
     SolverError
         ``"matrix-not-finite"`` when the file carries NaN or Inf entries.
     """
     import scipy.io
 
+    if 0 in scipy.io.mminfo(str(path))[:2]:
+        raise ValueError(f"{path} has a zero dimension: a matrix needs at least one entry")
     A = scipy.io.mmread(str(path))
     if hasattr(A, "todense"):
         A = np.asarray(A.todense())

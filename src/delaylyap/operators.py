@@ -1,4 +1,4 @@
-"""The shifted linear operator whose solution is the delay Lyapunov matrix
+"""The linear operator whose solution is the delay Lyapunov matrix
 at the half-delay, together with its dense oracles (the assembled operator
 and the preconditioned spectrum, under one cap: :func:`_check_dense_cap`),
 reconstruction of the full solution curve, and the boundary-value residuals
@@ -6,7 +6,7 @@ of the original equation.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import partial
 
 import numpy as np
@@ -49,6 +49,8 @@ class TdsProblem:
             arrays[name] = np.asarray(M, dtype=float)
         A0 = arrays["A0"]
         n = A0.shape[0] if A0.ndim else 0
+        if n == 0:
+            raise ValueError(f"A0 must be n x n with n >= 1, got {A0.shape}")
         for name, M in arrays.items():
             if name in ("B0", "C0"):
                 axis, what = (0, "rows") if name == "B0" else (1, "columns")
@@ -73,33 +75,33 @@ class TdsProblem:
 
 @dataclass(frozen=True)
 class OperatorContext:
-    """Problem plus the nonzero shift and the propagation plan that fix the
-    realized (discretized) linear operator.
+    """Problem plus the propagation plan: the realized (discretized) operator.
 
     Every apply, residual and reconstruction of this context runs ``plan``;
     without one, the one planner's default plan is made once, at
     construction.  Pass ``plan_propagations(A0, A1, tau, cfg)[0]``, or
     ``SolveReport.plan`` of an earlier solve, for any other;
     ``SolveReport.krylov_plan`` gives the operator its Krylov solves applied.
+    ``shift`` is not stored; any value but the constant c = 1 raises.
     """
 
     problem: TdsProblem
-    shift: float = 1.0
+    shift: InitVar[float] = 1.0
     plan: PropagationPlan = None
 
-    def __post_init__(self):
-        _check_shift(self.shift)
+    def __post_init__(self, shift):
+        _check_shift(shift)
         if self.plan is None:
             p = self.problem
             object.__setattr__(self, "plan", plan_propagations(p.A0, p.A1, p.tau)[0])
 
 
 def apply_operator(ctx, X, *, return_pair=False):
-    """Apply the shifted delay Lyapunov operator to X, n x n or a batch (..., n, n).
+    """Apply the delay Lyapunov operator to X, n x n or a batch (..., n, n).
 
     Propagates the coupled pair from X and evaluates
 
-        Z2^T (A0 - cI) + (A0^T + cI) Z2 + Z1^T A1 + A1^T Z1
+        Z2^T (A0 - I) + (A0^T + I) Z2 + Z1^T A1 + A1^T Z1
 
     at t = tau/2.  The propagation runs the context's fixed Taylor plan
     with no data-dependent stopping, so the realized operator is exactly
@@ -119,10 +121,10 @@ def apply_operator(ctx, X, *, return_pair=False):
 
 def combine_pair(ctx, pair):
     """The operator's value from the terminal pair propagated from its argument."""
-    A0, A1, c = ctx.problem.A0, ctx.problem.A1, ctx.shift
+    A0, A1 = ctx.problem.A0, ctx.problem.A1
     Z1, Z2 = pair.Z1_end, pair.Z2_end
     I = np.eye(A0.shape[0])
-    return (matmul(Z2.swapaxes(-1, -2), A0 - c * I) + matmul(A0.T + c * I, Z2)
+    return (matmul(Z2.swapaxes(-1, -2), A0 - I) + matmul(A0.T + I, Z2)
             + matmul(Z1.swapaxes(-1, -2), A1) + matmul(A1.T, Z1))
 
 

@@ -1,15 +1,17 @@
 """Preconditioner that inverts the zero-coupling part of the operator.
 
 Dropping A1 leaves Ltilde(X) = T(X exp(-tau A0 / 2)), where the T-Sylvester
-map T(Y) = (A0^T + cI) Y + Y^T (A0 - cI) = (A0^T Y + Y^T A0) + c (Y - Y^T)
+map T(Y) = (A0^T + I) Y + Y^T (A0 - I) = (A0^T Y + Y^T A0) + (Y - Y^T)
 splits into a symmetric and an antisymmetric bracket.  So T(Y) = C has
-Y = S + K with K = (C - C^T) / (4c) and S the symmetric solution of the
+Y = S + K with K = (C - C^T) / 4 and S the symmetric solution of the
 Lyapunov equation A0^T S + S A0 = sym(C) - (A0^T K - K A0), solved by
 Bartels-Stewart on one cached real Schur form A0^T = U T U^T.  S is
 symmetrized, since it can be far larger than K and its rounding asymmetry
 would leak into the skew part.  An application is six n x n products and
 one :func:`_trlyap`, with a backward error of the order of the unit
-roundoff.  The step count is fixed, so it is an exactly linear map.
+roundoff, and an exactly linear map.  The identity's coefficient c in T
+and in the operator L is 1: any c != 0 scales the skew part of both by
+c, so it cancels from Ltilde_c^-1 L_c, and from Ltilde_c^-1 (-W) as W = W^T.
 
 The preconditioner reads A0 and tau alone, never the operator.  The Schur
 form is :func:`delaylyap.linalg.real_schur`.  :func:`build_preconditioner`
@@ -36,6 +38,7 @@ from scipy.linalg.lapack import dtrsyl
 
 from .errors import SolverError
 from .linalg import eigenvalues, expm, matmul, real_schur, schur_eigenvalues
+from .propagation import _check_tau
 from .tsylv import pairing_free
 from .tsylv import factor_pencil, solve_with_factors  # noqa: F401 -- bench/tracing.py wraps these
 
@@ -47,42 +50,40 @@ class PrecondFactors:
     U: np.ndarray  # orthogonal, A0^T = U T U^T
     T: np.ndarray  # real Schur form of A0^T
     A0: np.ndarray
-    shift: float
     exp_forward: np.ndarray  # expm(tau * A0 / 2)
 
 
 def build_preconditioner(A0, shift=1.0, *, tau):
-    """Factor the preconditioner for A0, the shift and the delay tau (keyword only).
+    """Factor the preconditioner for A0 and the delay tau (keyword only).
 
     Raises
     ------
+    ValueError
+        when tau breaks the one tau rule or shift is not the constant c = 1.
     SolverError
         ``"precond-unsolvable"`` when A0 has a Hamiltonian eigenpairing (the
-        T-Sylvester step would be singular for every shift);
+        T-Sylvester step would be singular);
         ``"schur-no-convergence"`` when the Schur iteration fails.
     """
-    A0 = np.array(A0, dtype=float)  # a copy: the factors keep it
+    _check_tau(tau)
     _check_shift(shift)
+    A0 = np.array(A0, dtype=float)  # a copy: the factors keep it
     U, T = real_schur(A0.T)
     if not pairing_free(schur_eigenvalues(T)):
         raise SolverError("precond-unsolvable",
                           "A0 has a Hamiltonian eigenpairing: lambda_i + conj(lambda_j) = 0")
-    return PrecondFactors(U=U, T=T, A0=A0, shift=float(shift),
-                          exp_forward=expm((0.5 * tau) * A0))
+    return PrecondFactors(U=U, T=T, A0=A0, exp_forward=expm((0.5 * tau) * A0))
 
 
 def _check_shift(shift):
-    """Raise ``ValueError`` unless shift is nonzero; the one shift rule."""
-    if shift == 0.0:
-        raise ValueError("shift must be nonzero")
+    """Raise ``ValueError`` unless shift is the package's constant c = 1."""
+    if shift != 1.0:
+        raise ValueError("shift must be 1")
 
 
 def has_no_hamiltonian_pairing(A0):
-    """True iff no eigenvalue pair of A0 has lambda_i + conj(lambda_j) = 0.
-
-    That is when the map T(Y) is invertible, for every shift c; a stable A0
-    meets it.
-    """
+    """True iff no eigenvalue pair of A0 has lambda_i + conj(lambda_j) = 0,
+    that is when the map T(Y) is invertible; a stable A0 meets it."""
     return pairing_free(eigenvalues(np.asarray(A0, dtype=float)))
 
 
@@ -163,7 +164,7 @@ def apply_preconditioner(factors, Z):
     if Z.shape != At.shape:
         raise ValueError(f"Z must be {At.shape}, got {Z.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        K = (Z - Z.T) / (4.0 * factors.shift)
+        K = (Z - Z.T) / 4.0
         R = _sym(Z) - 2.0 * _sym(matmul(At, K))
         X = _trlyap(factors.T, _sym(matmul(matmul(U.T, R), U)))
         S = _sym(matmul(matmul(U, _sym(X)), U.T))

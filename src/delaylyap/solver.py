@@ -54,14 +54,10 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
 
     Above the switch the preconditioner is built from A0, or at tau = 0
     from A0 + A1, whose T-Sylvester map the operator then is; it refuses a
-    Hamiltonian eigenpairing with ``"precond-unsolvable"``.  The operator
-    and the preconditioner use the shift c = 1, with no argument, since c
-    cancels: it scales only the antisymmetric part of both, L_c = D_c L_1
-    and P_c = D_c P_1 with D_c scaling the skew subspace by c, so
-    P_c^-1 L_c = P_1^-1 L_1, and the right-hand side -W is symmetric.
-    Two fixed plans, read off one set of bounds (``plan_propagations``),
-    serve the solve.  The main solve and every correction solve apply the
-    operator on the Krylov plan, for a backward error of 2^-24
+    Hamiltonian eigenpairing with ``"precond-unsolvable"``.  Two fixed
+    plans, read off one set of bounds (``plan_propagations``), serve the
+    solve.  The main solve and every correction solve apply the operator
+    on the Krylov plan, for a backward error of 2^-24
     (``report.krylov_plan``).  The true residual of each refinement pass
     propagates on the 2^-53 plan (``report.plan``).  Each operator is a
     fixed polynomial in G, so it is exactly linear, and a recycled Arnoldi

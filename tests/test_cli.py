@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import delaylyap
 from delaylyap import (
     OperatorContext,
     build_preconditioner,
@@ -39,6 +45,40 @@ def test_tsylv_mismatched_shapes(tmp_path, capsys):
                    "--out", str(tmp_path / "X.mtx")])
     assert_invalid_input(status, capsys)
     assert not (tmp_path / "X.mtx").exists()
+
+
+EMPTY_HEADERS = {"array": "%%MatrixMarket matrix array real general\n0 0\n",
+                 "coordinate": "%%MatrixMarket matrix coordinate real general\n0 0 0\n"}
+
+
+def test_solve_empty_array_file_is_invalid_input(tmp_path):
+    # mmread of a 0 x 0 array file dies of SIGFPE, so the CLI runs in a
+    # child process, where such a crash fails the test instead of pytest
+    path = tmp_path / "empty.mtx"
+    path.write_text(EMPTY_HEADERS["array"])
+    src = str(Path(delaylyap.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "delaylyap.cli", "solve", "--a0", str(path),
+                           "--a1", str(path), "--w", str(path), "--outdir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: invalid-input: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "spectrum", "tsylv"])
+def test_empty_coordinate_file_is_invalid_input(command, tmp_path, capsys):
+    path = tmp_path / "empty.mtx"
+    path.write_text(EMPTY_HEADERS["coordinate"])
+    if command == "tsylv":
+        argv = ["tsylv", "--m", str(path), "--n", str(path), "--c", str(path),
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = [command, "--a0", str(path), "--a1", str(path), "--w", str(path),
+                "--outdir", str(tmp_path / "out")]
+    assert_invalid_input(main(argv), capsys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_matrix_file(tmp_path, capsys):
@@ -113,7 +153,7 @@ def test_bench_malformed_grid(tmp_path, capsys):
     ["spectrum", "--small-example", "--method", "bicgstab"],
     ["spectrum", "--small-example", "--tol", "1e-8"],
     ["spectrum", "--small-example", "--maxit", "5"],
-    # the shift cancels from the preconditioned system, so no subcommand takes it
+    # the shift is the constant c = 1, so no subcommand takes it
     ["spectrum", "--small-example", "--shift", "2"],
     ["solve", "--small-example", "-c", "2"],
     ["bench", "--shift", "2"],

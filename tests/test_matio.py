@@ -67,6 +67,16 @@ def test_non_finite_read_rejected(tmp_path):
     assert err.value.code == "matrix-not-finite"
 
 
+@pytest.mark.parametrize("size", ["0 0", "0 3", "3 0"])
+def test_zero_dimension_read_rejected(size, tmp_path):
+    # coordinate files only: mmread of a 0 x 0 array file dies of SIGFPE,
+    # which tests/test_cli.py runs in a subprocess
+    path = tmp_path / "empty.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size} 0\n")
+    with pytest.raises(ValueError, match="a matrix needs at least one entry"):
+        read_matrix(path)
+
+
 def test_coordinate_file_read_dense(tmp_path):
     path = tmp_path / "coo.mtx"
     path.write_text(

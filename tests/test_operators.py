@@ -30,8 +30,8 @@ from delaylyap import (
 from helpers import SMALL_EXAMPLE_MIDPOINT, random_stable_problem, rk4_plan
 
 
-def make_ctx(problem, shift=1.0, steps=100):
-    return OperatorContext(problem=problem, shift=shift, plan=rk4_plan(steps))
+def make_ctx(problem, steps=100):
+    return OperatorContext(problem=problem, plan=rk4_plan(steps))
 
 
 class TestProblemValidation:
@@ -39,6 +39,11 @@ class TestProblemValidation:
         W = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             TdsProblem(A0=np.eye(2), A1=np.eye(2), tau=1.0, W=W)
+
+    def test_empty_system_rejected(self):
+        Z = np.zeros((0, 0))
+        with pytest.raises(ValueError, match="n >= 1"):
+            TdsProblem(A0=Z, A1=Z, tau=1.0, W=Z)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
@@ -206,17 +211,16 @@ class TestApply:
     def test_symmetric_antisymmetric_split(self):
         rng = np.random.default_rng(3)
         p = random_stable_problem(4, rng)
-        c = 1.7
         X = rng.standard_normal((4, 4))
-        Lc = apply_operator(make_ctx(p, shift=c), X)
+        L = apply_operator(make_ctx(p), X)
         res = rk4_propagate(p.A0, p.A1, X, p.tau, plan=rk4_plan(100))
         Z1, Z2 = res.Z1_end, res.Z2_end
         S = Z2.T @ p.A0 + p.A0.T @ Z2 + Z1.T @ p.A1 + p.A1.T @ Z1
-        K = (Lc - S) / c
-        scale = max(frobenius(Lc), 1.0)
+        K = L - S
+        scale = max(frobenius(L), 1.0)
         assert frobenius(S - S.T) <= 1e-12 * scale
         assert frobenius(K + K.T) <= 1e-12 * scale
-        # apply_operator's docstring: Z2^T (A0 - cI) + (A0^T + cI) Z2 = S + c (Z2 - Z2^T)
+        # apply_operator's docstring: Z2^T (A0 - I) + (A0^T + I) Z2 = S + (Z2 - Z2^T)
         assert_allclose(K, Z2 - Z2.T, atol=1e-12 * scale)
 
     def test_printed_reference_solution_is_consistent(self):
@@ -225,7 +229,7 @@ class TestApply:
         # in the preconditioned metric it stays at the rounding scale
         ex = small_example(1.0)
         ctx = make_ctx(ex.problem, steps=500)
-        factors = build_preconditioner(ex.problem.A0, shift=1.0, tau=ex.problem.tau)
+        factors = build_preconditioner(ex.problem.A0, tau=ex.problem.tau)
         residual = apply_operator(ctx, SMALL_EXAMPLE_MIDPOINT) + ex.problem.W
         dense = assemble_operator(ctx)
         rounding = 4 * 0.5e-6

@@ -17,12 +17,14 @@ from delaylyap import (
     boundary_residuals,
     build_preconditioner,
     exact_propagate,
+    expm,
     frobenius,
     lu_solve,
     pdde_generate,
     rk4_propagate,
     small_example,
     solve_delay_lyapunov,
+    tsylv_solve_kron,
     unvec,
     vec,
 )
@@ -223,17 +225,18 @@ def test_tau_zero_reduces_to_standard_lyapunov():
 @pytest.mark.parametrize("problem", [small_example(5.0).problem,
                                      random_stable_problem(5, np.random.default_rng(1))])
 def test_shift_cancels_from_the_preconditioned_operator(problem):
-    # the driver takes no shift: c scales only the skew part of both L_c and
-    # P_c, so P_c^-1 L_c is one map for every nonzero c
-    X = np.random.default_rng(2).standard_normal((problem.n, problem.n))
-    plan = OperatorContext(problem=problem).plan
-    out = {}
-    for c in (0.3, 1.0, -2.0):
-        ctx = OperatorContext(problem=problem, shift=c, plan=plan)
-        factors = build_preconditioner(problem.A0, shift=c, tau=problem.tau)
-        out[c] = apply_preconditioner(factors, apply_operator(ctx, X))
+    # the package fixes c = 1: c scales only the skew part of both L_c and
+    # Ltilde_c, so Ltilde_c^-1 L_c is one map for every nonzero c.  Here L_c
+    # is read off the pair and Ltilde_c^-1 is the Kronecker T-Sylvester solve
+    A0, A1, n = problem.A0, problem.A1, problem.n
+    X = np.random.default_rng(2).standard_normal((n, n))
+    L, pair = apply_operator(OperatorContext(problem=problem), X, return_pair=True)
+    want = apply_preconditioner(build_preconditioner(A0, tau=problem.tau), L)
+    Z1, Z2, I = pair.Z1_end, pair.Z2_end, np.eye(n)
     for c in (0.3, -2.0):
-        assert frobenius(out[c] - out[1.0]) <= 1e-11 * frobenius(out[1.0])
+        Lc = Z2.T @ (A0 - c * I) + (A0.T + c * I) @ Z2 + Z1.T @ A1 + A1.T @ Z1
+        out = tsylv_solve_kron(A0.T + c * I, A0 - c * I, Lc) @ expm(0.5 * problem.tau * A0)
+        assert frobenius(out - want) <= 1e-11 * frobenius(want)
 
 
 @pytest.mark.parametrize("ode", [None, OdeConfig(steps=7)], ids=["planned", "steps-7"])
