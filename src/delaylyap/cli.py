@@ -3,7 +3,9 @@
 Subcommands: solve, bench, spectrum, tsylv, pdde.  Matrices travel as
 Matrix Market files, histories and spectra as CSV with a header row, run
 summaries as key=value text.  Failures exit nonzero with the error code on
-stderr; unreadable or inconsistent input gives ``invalid-input``.  In
+stderr; unreadable or inconsistent input gives ``invalid-input`` (in
+``tsylv``, by the solvers' own input rule).  ``spectrum`` plans, then builds
+the preconditioner as the Krylov route does.  In
 ``solve``'s summary.txt, ``setup_seconds`` includes the propagation plans;
 ``propagation_*`` and ``rhs_evals_per_apply`` give the 2^-53 plan of the
 residual checks and the solution samples, and the ``krylov_`` keys the
@@ -30,7 +32,7 @@ from .krylov import KrylovConfig
 from .matio import read_matrix, write_matrix
 from .operators import (OperatorContext, TdsProblem, _check_dense_cap, preconditioned_spectrum,
                         reconstruct_solution)
-from .precond import build_preconditioner
+from .precond import build_preconditioner, preconditioner_matrix
 from .problems import bench_table, pdde_generate, small_example
 from .propagation import OdeConfig, _check_tau, plan_propagations
 from .solver import DIRECT_MAX_N, solve_delay_lyapunov
@@ -193,11 +195,10 @@ def cmd_spectrum(args):
     problem = _load_problem(args)
     with _input_errors():
         ode = OdeConfig(steps=args.steps)
-    _check_dense_cap(problem.n)  # before the preconditioner is built
-    factors = build_preconditioner(problem.A0, tau=problem.tau)
-    ctx = OperatorContext(problem,
-                          plan=plan_propagations(problem.A0, problem.A1, problem.tau, ode)[0])
-    ev = preconditioned_spectrum(ctx, factors)
+    _check_dense_cap(problem.n)  # before the plan and the preconditioner
+    plan = plan_propagations(problem.A0, problem.A1, problem.tau, ode)[0]
+    factors = build_preconditioner(preconditioner_matrix(problem), tau=problem.tau)
+    ev = preconditioned_spectrum(OperatorContext(problem, plan=plan), factors)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "spectrum.csv", ["re", "im"],
@@ -207,14 +208,9 @@ def cmd_spectrum(args):
 
 
 def cmd_tsylv(args):
-    with _input_errors():
+    with _input_errors():  # the solvers' ValueError is their input rule's
         M, N, C = (read_matrix(path) for path in (args.m, args.n, args.c_file))
-        if M.shape[0] != M.shape[1] or not M.shape == N.shape == C.shape:
-            raise ValueError(f"M, N and C must be square of one shape, "
-                             f"got {M.shape}, {N.shape}, {C.shape}")
-        if any(np.iscomplexobj(A) for A in (M, N, C)):
-            raise ValueError("M, N and C must be real")
-    X = tsylv_solve_kron(M, N, C) if args.oracle else tsylv_solve(M, N, C)
+        X = (tsylv_solve_kron if args.oracle else tsylv_solve)(M, N, C)
     write_matrix(args.out, X)
     print(f"wrote {args.out}")
     return 0

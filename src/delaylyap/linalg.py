@@ -23,7 +23,8 @@ The factorizations are SciPy's (the Pade step of ``scipy.linalg.expm``,
 ``lu_factor``/``lu_solve`` with LAPACK's ``dgecon``, ``schur``); the
 wrappers here add input checks and map their failures, or a condition
 estimate below working precision, to stable ``SolverError`` codes.  :func:`real_schur` is the one
-Schur route; the T-Sylvester pencil is factored in :mod:`delaylyap.tsylv`.
+Schur route; the T-Sylvester pencil is factored, and its solution taken
+real, in :mod:`delaylyap.tsylv`.
 """
 
 import math
@@ -35,8 +36,6 @@ from scipy.linalg.blas import ddot, dgemm, dgemv
 from scipy.linalg.lapack import dgecon
 
 from .errors import SolverError
-
-REAL_RTOL = 1e-9
 
 
 def _require_square(A, name="matrix"):
@@ -249,19 +248,3 @@ def eigenvalues(A):
 def frobenius(A):
     return float(np.linalg.norm(np.asarray(A), "fro"))
 
-
-def require_real(A):
-    """Truncate a numerically real complex matrix to float64.
-
-    Raises ``SolverError("tsylv-residual-fail")`` when the imaginary part
-    exceeds ``REAL_RTOL`` relative to the real part.
-    """
-    A = np.asarray(A)
-    if not np.iscomplexobj(A):
-        return A.astype(float)
-    re = np.linalg.norm(A.real, "fro")
-    im = np.linalg.norm(A.imag, "fro")
-    if im > REAL_RTOL * max(re, 1e-300):
-        raise SolverError("tsylv-residual-fail",
-                          f"imaginary part {im:.3g} vs real norm {re:.3g}")
-    return np.ascontiguousarray(A.real)

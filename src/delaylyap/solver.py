@@ -29,7 +29,7 @@ import numpy as np
 from .krylov import KrylovConfig, SolveReport, SolveTimings, bicgstab, gmres
 from .linalg import frobenius, lu_solve, matmul, matrix_of, norm, unvec, vec
 from .operators import OperatorContext, apply_operator, boundary_residuals, combine_pair
-from .precond import apply_preconditioner, build_preconditioner
+from .precond import apply_preconditioner, build_preconditioner, preconditioner_matrix
 from .propagation import plan_propagations, rk4_propagate
 
 # read off X's terminal pair on the 2^-53 plan, whichever route solved (on
@@ -53,7 +53,7 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     with a Hamiltonian eigenpairing is solved when L is nonsingular.
 
     Above the switch the preconditioner is built from A0, or at tau = 0
-    from A0 + A1, whose T-Sylvester map the operator then is; it refuses a
+    from A0 + A1 (``precond.preconditioner_matrix``); it refuses a
     Hamiltonian eigenpairing with ``"precond-unsolvable"``.  Two fixed
     plans, read off one set of bounds (``plan_propagations``), serve the
     solve.  The main solve and every correction solve apply the operator
@@ -155,8 +155,8 @@ def _solve_krylov(ctx, krylov_plan, krylov, timings):
     refinement passes, its preconditioner's build timed into setup; the
     report and the final boundary residuals."""
     problem = ctx.problem
-    A = problem.A0 + problem.A1 if problem.tau == 0 else problem.A0
-    factors = _timed(timings, "setup_seconds", build_preconditioner, A, tau=problem.tau)
+    factors = _timed(timings, "setup_seconds", build_preconditioner,
+                     preconditioner_matrix(problem), tau=problem.tau)
     krylov_ctx = OperatorContext(problem, plan=krylov_plan)
 
     def residuals(X):

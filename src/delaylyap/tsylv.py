@@ -9,14 +9,17 @@ Linear Algebra Appl. 434, 2011).  A simple eigenvalue 1 is allowed.
 
 This module is the one place that knows the general pencil:
 :func:`factor_pencil` triangularizes it by complex QZ, so a singular N^T
-gives an infinite eigenvalue rather than a failure.  The condition is read
-off the back substitution on the triangular factors, not off the computed
-eigenvalues, which a large off-diagonal can move off a reciprocal pair:
-:func:`tsylv_solve` raises ``tsylv-near-singular`` on an exactly zero
-pivot, a non-finite X, or a growth ||X||_F (||M||_F + ||N||_F) / ||C||_F
-above 1 / ``SOLVABLE_RTOL``.  That growth is a lower bound on the
-condition number of the map, so it certifies a relative distance to a
-singular map below ``SOLVABLE_RTOL``.
+gives an infinite eigenvalue rather than a failure.  Both routes take only
+real, square M, N and C of one shape with n >= 1 (``ValueError``) and
+report a singular or near-singular map as ``tsylv-near-singular``, which
+:func:`tsylv_solve` reads off the back substitution, not off the computed
+eigenvalues, which a large off-diagonal can move off a reciprocal pair: an
+exactly zero pivot (a singular pencil's 0/0 eigenvalue gives one), a
+non-finite X, or a growth ||X||_F (||M||_F + ||N||_F) / ||C||_F above
+1 / ``SOLVABLE_RTOL``.  That growth is a lower bound on the condition
+number of the map, so it certifies a relative distance to a singular map
+below ``SOLVABLE_RTOL``.  The residual check on Re X, which solves the
+equation whenever X does (M, N and C are real), is the one accuracy verdict.
 
 Two routes are provided: a Kronecker-vectorized dense solve (the reference
 oracle, O(n^6)) and a Schur-reduction solver (O(n^3)) that back-substitutes
@@ -34,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .linalg import frobenius, lu_solve, matrix_of, require_real, unvec, vec
+from .linalg import frobenius, lu_solve, matrix_of, unvec, vec
 
 KRON_MAX_N = 60
 SOLVABLE_RTOL = 1e-10
@@ -68,28 +71,26 @@ def factor_pencil(M, N):
     """Factor the pencil M - lambda N^T for repeated T-Sylvester solves.
 
     One route, complex QZ (``scipy.linalg.qz``), so N^T need not be
-    invertible and ``mu`` may be infinite.
+    invertible and ``mu`` may be infinite, or 0/0 for a singular pencil.
 
     Raises
     ------
-    SolverError
-        ``"pencil-reduction-failed"`` when the pencil is singular: some
-        TM[i,i] and TN[i,i] are both zero to working precision, so mu[i] is
-        undetermined.
+    ValueError
+        From ``scipy.linalg.qz``, when M or N is not finite.
     """
-    M = np.asarray(M, dtype=float)
-    N = np.asarray(N, dtype=float)
-    TM, TN, Q, Z = scipy.linalg.qz(M, N.T, output="complex")
-    dM = np.diag(TM)
-    dN = np.diag(TN)
-    eps = M.shape[0] * np.finfo(float).eps
-    undetermined = (np.abs(dM) <= eps * frobenius(M)) & (np.abs(dN) <= eps * frobenius(N))
-    if np.any(undetermined):
-        raise SolverError(
-            "pencil-reduction-failed",
-            f"singular pencil: {int(undetermined.sum())} eigenvalue(s) 0/0",
-        )
+    TM, TN, Q, Z = scipy.linalg.qz(M, np.asarray(N).T, output="complex")
     return TsylvPencil(Q=Q, Z=Z, TM=TM, TN=TN)
+
+
+def _check_input(M, N, C):
+    """The input rule of both routes: M, N and C as float64, or ``ValueError``
+    unless they are real and square of one shape with n >= 1."""
+    M, N, C = (np.asarray(A) for A in (M, N, C))
+    if (any(np.iscomplexobj(A) for A in (M, N, C)) or M.ndim != 2 or not M.size
+            or M.shape[0] != M.shape[1] or not M.shape == N.shape == C.shape):
+        raise ValueError(f"M, N and C must be real and square of one shape with n >= 1, got "
+                         f"{M.dtype} {M.shape}, {N.dtype} {N.shape}, {C.dtype} {C.shape}")
+    return tuple(np.asarray(A, dtype=float) for A in (M, N, C))
 
 
 def _solve_reduced(TM, TN, C):
@@ -148,7 +149,7 @@ def tsylv_solve(M, N, C):
 
     Parameters
     ----------
-    M, N, C : (n, n) real arrays.
+    M, N, C : (n, n) real arrays, n >= 1.
 
     Returns
     -------
@@ -157,30 +158,32 @@ def tsylv_solve(M, N, C):
 
     Raises
     ------
+    ValueError
+        When M, N and C are not real and square of one shape with n >= 1,
+        or not finite.
     SolverError
-        ``"pencil-reduction-failed"`` when the pencil M - lambda N^T is
-        singular; ``"tsylv-near-singular"`` when the back substitution
-        meets an exactly zero pivot, or its X is not finite or has a growth
+        ``"tsylv-near-singular"`` when the back substitution meets an
+        exactly zero pivot, or its X is not finite or has a growth
         ||X||_F (||M||_F + ||N||_F) / ||C||_F above 1 / ``SOLVABLE_RTOL``;
-        ``"tsylv-residual-fail"`` when the computed solution is not real or
-        fails the defining-equation check.
+        ``"tsylv-residual-fail"`` when the real part of X fails the
+        defining-equation check.
     """
-    M = np.asarray(M, dtype=float)
-    N = np.asarray(N, dtype=float)
-    C = np.asarray(C, dtype=float)
+    M, N, C = _check_input(M, N, C)
     pencil = factor_pencil(M, N)
-    c_max = float(np.abs(C).max(initial=0.0)) or 1.0  # so no norm below overflows
-    norm_c = max(frobenius(C / c_max), 1e-300)
+    # M, N and C are normed scaled to a largest entry of 1, so no norm overflows
+    s = float(max(np.abs(M).max(), np.abs(N).max())) or 1.0
+    c = float(np.abs(C).max()) or 1.0
+    norm_c = max(frobenius(C / c), 1e-300)
     with np.errstate(all="ignore"):
         try:
             X = solve_with_factors(pencil, C)
         except np.linalg.LinAlgError as exc:
             raise SolverError("tsylv-near-singular", f"zero pivot: {exc}") from exc
-        growth = frobenius(X / c_max) * (frobenius(M) + frobenius(N)) / norm_c
+        growth = frobenius(X / c) * s * (frobenius(M / s) + frobenius(N / s)) / norm_c
         if not growth <= 1.0 / SOLVABLE_RTOL:  # also a non-finite X
             raise SolverError("tsylv-near-singular", f"solution growth {growth:.3g}")
-        X = require_real(X)
-        res = frobenius((M @ X + X.T @ N - C) / c_max) / norm_c
+        X = X.real.copy()
+        res = frobenius((M @ X + X.T @ N - C) / c) / norm_c
     if res > 1e-8:
         raise SolverError("tsylv-residual-fail", f"relative residual {res:.3g}")
     return X
@@ -192,12 +195,12 @@ def tsylv_solve_kron(M, N, C):
     The matrix of Y -> M Y + Y^T N, which is I (x) M + (N^T (x) I) P with P
     the commutation matrix, is assembled by
     :func:`delaylyap.linalg.matrix_of` and solved for vec C by dense LU.
-    Raises ``SolverError("oracle-too-large")`` when n exceeds
-    ``KRON_MAX_N``, before anything is allocated.
+    Raises ``ValueError`` under :func:`tsylv_solve`'s input rule,
+    ``SolverError("oracle-too-large")`` when n exceeds ``KRON_MAX_N``, before
+    anything is allocated, and ``"tsylv-near-singular"`` when
+    ``linalg.lu_solve`` refuses the matrix.
     """
-    M = np.asarray(M, dtype=float)
-    N = np.asarray(N, dtype=float)
-    C = np.asarray(C, dtype=float)
+    M, N, C = _check_input(M, N, C)
     n = M.shape[0]
     if n > KRON_MAX_N:
         raise SolverError("oracle-too-large", f"n={n} exceeds the dense oracle cap {KRON_MAX_N}")
@@ -205,12 +208,13 @@ def tsylv_solve_kron(M, N, C):
     try:
         x = lu_solve(K, vec(C))
     except SolverError as exc:
-        raise SolverError("tsylv-singular", str(exc)) from exc
+        raise SolverError("tsylv-near-singular", str(exc)) from exc
     return unvec(x)
 
 
 def pairing_free(lam):
     """True iff no lambda_i + conj(lambda_j) lies within 1e-10 (1 + max |lambda|) of 0."""
     tol = SOLVABLE_RTOL * (1.0 + float(np.abs(lam).max(initial=0.0)))
-    s = np.abs(lam[:, None] + lam[None, :].conj())
+    with np.errstate(over="ignore"):  # an infinite sum is no pairing
+        s = np.abs(lam[:, None] + lam[None, :].conj())
     return bool(s.min() > tol)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from delaylyap import (
     preconditioned_spectrum,
     read_matrix,
     small_example,
+    tsylv_solve,
+    tsylv_solve_kron,
     write_matrix,
 )
 from delaylyap.cli import main
@@ -39,12 +42,68 @@ def test_solve_mismatched_shapes(tmp_path, capsys):
     assert_invalid_input(status, capsys)
 
 
-def test_tsylv_mismatched_shapes(tmp_path, capsys):
-    f = write_all(tmp_path, M=np.eye(3), N=np.eye(2), C=np.eye(3))
-    status = main(["tsylv", "--m", f["M"], "--n", f["N"], "--c", f["C"],
-                   "--out", str(tmp_path / "X.mtx")])
-    assert_invalid_input(status, capsys)
-    assert not (tmp_path / "X.mtx").exists()
+def _rotated_hidden_pair():
+    """mu = {10, 0.1} behind a 1e5 off-diagonal, rotated: the computed
+    eigenvalues miss the reciprocal pair, the growth of X does not."""
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
+    return {"M": q @ np.array([[10.0, 1e5], [0.0, 1.0]]) @ q.T,
+            "N": (q @ np.array([[1.0, 1e5], [0.0, 10.0]]) @ q.T).T,
+            "C": np.array([[1.0, 2.0], [3.0, 4.0]])}
+
+
+def _complex(name):
+    data = {"M": 2.0 * np.eye(3), "N": np.eye(3), "C": np.eye(3)}
+    data[name] = data[name] + 1j * np.eye(3)
+    return data
+
+
+# M and N^T share the null vector e_1: the pencil's mu_1 is 0/0
+SINGULAR_PENCIL = {"M": np.diag([0.0, 1.0]), "N": np.diag([0.0, 2.0]), "C": np.ones((2, 2))}
+
+
+# Malformed and degenerate T-Sylvester input.  A row runs `tsylv` through
+# main() on the "schur" or "oracle" route and expects an error code, or None
+# for a solve written to --out; or it calls a solver from Python and
+# expects an exception.
+@pytest.mark.parametrize("route, data, expected", [
+    pytest.param("schur", {"M": np.eye(3), "N": np.eye(2), "C": np.eye(3)}, "invalid-input",
+                 id="mismatched-shapes"),
+    *(pytest.param("schur", _complex(name), "invalid-input", id=f"complex-{name}")
+      for name in "MNC"),
+    pytest.param("schur", SINGULAR_PENCIL, "tsylv-near-singular", id="singular-pencil"),
+    pytest.param("oracle", SINGULAR_PENCIL, "tsylv-near-singular", id="singular-pencil-oracle"),
+    # norms of M overflow unless scaled: solved, with no warning and no nan
+    pytest.param("schur", {"M": -1e308 * np.eye(2), "N": np.eye(2), "C": np.eye(2)}, None,
+                 id="huge-M"),
+    pytest.param("oracle", {"M": 2.0 * np.eye(61), "N": np.eye(61), "C": np.eye(61)},
+                 "oracle-too-large", id="oracle-above-cap"),
+    pytest.param("schur", _rotated_hidden_pair(), "tsylv-near-singular",
+                 id="hidden-reciprocal-pair"),
+    *(pytest.param(solve, dict.fromkeys("MNC", np.zeros((0, 0))), ValueError, id=f"empty-{name}")
+      for name, solve in (("python", tsylv_solve), ("python-oracle", tsylv_solve_kron))),
+])
+def test_tsylv_input(route, data, expected, tmp_path, capsys):
+    out = tmp_path / "X.mtx"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if callable(route):
+            with pytest.raises(expected):
+                route(data["M"], data["N"], data["C"])
+            return
+        f = write_all(tmp_path, **data)
+        status = main(["tsylv", "--m", f["M"], "--n", f["N"], "--c", f["C"], "--out", str(out),
+                       *(["--oracle"] if route == "oracle" else [])])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    if expected is None:
+        assert (status, captured.err) == (0, "")
+        X = read_matrix(out)
+        M, N, C = data["M"], data["N"], data["C"]
+        assert np.linalg.norm(M @ X + X.T @ N - C) <= 1e-15 * np.linalg.norm(C)
+    else:
+        assert status == 1
+        assert captured.err.startswith(f"error: {expected}: ")
+        assert not out.exists()
 
 
 EMPTY_HEADERS = {"array": "%%MatrixMarket matrix array real general\n0 0\n",
@@ -99,15 +158,6 @@ def test_convergence_csv_carries_measured_times(tmp_path):
     assert len(seconds) == int(summary["iterations"]) + 1
     assert all(0.0 <= a <= b for a, b in zip(seconds, seconds[1:]))
     assert seconds[-1] <= float(summary["total_seconds"])
-
-
-def test_tsylv_oracle_above_cap(tmp_path, capsys):
-    f = write_all(tmp_path, M=2.0 * np.eye(61), N=np.eye(61), C=np.eye(61))
-    status = main(["tsylv", "--m", f["M"], "--n", f["N"], "--c", f["C"],
-                   "--out", str(tmp_path / "X.mtx"), "--oracle"])
-    assert status == 1
-    assert capsys.readouterr().err.startswith("error: oracle-too-large: ")
-    assert not (tmp_path / "X.mtx").exists()
 
 
 def test_spectrum_above_dense_cap(tmp_path, capsys, monkeypatch):
@@ -265,6 +315,37 @@ def test_spectrum_small_example(tmp_path):
     assert np.array_equal(got, want)
 
 
+def test_spectrum_at_zero_delay_is_one(tmp_path):
+    # at tau = 0 the operator is the T-Sylvester map of A0 + A1, which the
+    # preconditioner built from A0 + A1 inverts, as on the Krylov route
+    assert main(["spectrum", "--small-example", "--tau", "0", "--outdir", str(tmp_path)]) == 0
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+    got = np.array([complex(*map(float, row.split(","))) for row in rows])
+    assert len(got) == 16
+    assert np.abs(got - 1.0).max() <= 1e-12
+
+
+def test_spectrum_plans_before_building(tmp_path, capsys, monkeypatch):
+    # A0 = -1e308 I: the planner refuses it, silently, before the
+    # preconditioner is built, as solve does
+    import delaylyap.cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the preconditioner was built before the plan")
+
+    monkeypatch.setattr(delaylyap.cli, "build_preconditioner", unreachable)
+    f = write_all(tmp_path, A0=-1e308 * np.eye(2), A1=np.zeros((2, 2)), W=np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["spectrum", "--a0", f["A0"], "--a1", f["A1"], "--w", f["W"],
+                       "--outdir", str(tmp_path / "out")])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exp-overflow: ")
+    assert "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_cost_solve_writes_zero_solution(tmp_path, capsys):
     assert main(["pdde", "3", "3", "--outdir", str(tmp_path)]) == 0
     write_matrix(tmp_path / "zero.mtx", np.zeros((18, 18)))
@@ -296,17 +377,6 @@ def test_solve_complex_matrix_is_invalid_input(tmp_path, capsys):
                    "--outdir", str(tmp_path / "out")])
     assert_invalid_input(status, capsys)
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("name", ["M", "N", "C"])
-def test_tsylv_complex_matrix_is_invalid_input(name, tmp_path, capsys):
-    data = {"M": 2.0 * np.eye(3), "N": np.eye(3), "C": np.eye(3)}
-    data[name] = data[name] + 1j * np.eye(3)
-    f = write_all(tmp_path, **data)
-    status = main(["tsylv", "--m", f["M"], "--n", f["N"], "--c", f["C"],
-                   "--out", str(tmp_path / "X.mtx")])
-    assert_invalid_input(status, capsys)
-    assert not (tmp_path / "X.mtx").exists()
 
 
 def test_solve_maxit_reports_krylov_maxit(tmp_path, capsys):

@@ -27,7 +27,7 @@ import delaylyap.operators
 import delaylyap.precond
 import delaylyap.propagation
 import delaylyap.solver
-from delaylyap.linalg import (EXPM_THETA_13, dot, gemm, matmul, norm, require_real,
+from delaylyap.linalg import (EXPM_THETA_13, dot, gemm, matmul, norm,
                               schur_eigenvalues)
 from helpers import eigs_by_char_poly, max_multiset_distance, pencil_eigs_by_det
 
@@ -309,19 +309,6 @@ class TestLuSolve:
         with pytest.raises(SolverError, match="infs or NaNs") as err:
             lu_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
         assert err.value.code == "singular-matrix"
-
-
-class TestRequireReal:
-    @pytest.mark.parametrize("A", [[[1, 2]], [[1.0 + 1e-12j, 2.0]]],
-                             ids=["real", "numerically-real"])
-    def test_real_part_as_float64(self, A):
-        out = require_real(np.array(A))
-        assert out.dtype == float and np.array_equal(out, [[1.0, 2.0]])
-
-    def test_large_imaginary_part_is_tsylv_residual_fail(self):
-        with pytest.raises(SolverError, match="imaginary part") as err:
-            require_real(np.array([[1.0 + 1e-6j, 2.0]]))
-        assert err.value.code == "tsylv-residual-fail"
 
 
 LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,

@@ -14,6 +14,7 @@ from delaylyap import (
     tsylv_solve,
     tsylv_solve_kron,
 )
+from delaylyap.tsylv import pairing_free
 from helpers import random_stable_problem
 
 
@@ -88,10 +89,11 @@ class TestKronOracle:
         assert residual(M, N, C, X) <= 1e-10
 
     def test_singular_signalled(self):
-        # mu = {1, 1}: the pair product hits 1, so the vectorized matrix is singular
+        # mu = {1, 1}: the pair product hits 1, so the vectorized matrix is
+        # singular; the LU's refusal is the Schur route's code
         with pytest.raises(SolverError) as err:
             tsylv_solve_kron(np.eye(2), np.eye(2), np.ones((2, 2)))
-        assert err.value.code == "tsylv-singular"
+        assert err.value.code == "tsylv-near-singular"
 
     def test_cap(self):
         with pytest.raises(SolverError) as err:
@@ -194,13 +196,14 @@ class TestSchurSolver:
         assert err.value.code == "tsylv-residual-fail"
 
     def test_singular_pencil_rejected(self):
-        # M and N^T share the null vector e_1: mu_1 = 0/0
+        # M and N^T share the null vector e_1: the pencil factors with
+        # mu_1 = 0/0, and the solve meets that zero pivot
         D = np.diag([0.0, 1.0])
-        for call in (lambda: factor_pencil(D, 2.0 * D),
-                     lambda: tsylv_solve(D, 2.0 * D, np.ones((2, 2)))):
-            with pytest.raises(SolverError) as err:
-                call()
-            assert err.value.code == "pencil-reduction-failed"
+        pencil = factor_pencil(D, 2.0 * D)
+        assert np.any((np.diag(pencil.TM) == 0) & (np.diag(pencil.TN) == 0))
+        with pytest.raises(SolverError) as err:
+            tsylv_solve(D, 2.0 * D, np.ones((2, 2)))
+        assert err.value.code == "tsylv-near-singular"
 
 
 class TestSolvable:
@@ -291,6 +294,12 @@ class TestSolvable:
 
 
 class TestHamiltonianPairing:
+    def test_overflowing_sum_is_no_pairing(self):
+        # lambda_i + conj(lambda_j) overflows to inf, silently: no pairing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pairing_free(np.array([-1e308, -1.5e308 + 0j])) is True
+
     def test_negative_identity(self):
         assert has_no_hamiltonian_pairing(-np.eye(3)) is True
 
