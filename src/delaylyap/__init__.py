@@ -3,7 +3,7 @@
 The midpoint value U(tau/2) of the delay Lyapunov matrix satisfies a linear
 matrix equation whose action is computed by integrating a coupled matrix ODE;
 this package solves it by LU on the assembled operator at small n and with
-preconditioned matrix-free GMRES/BiCGStab above, where the preconditioner
+preconditioned matrix-free GMRES above, where the preconditioner
 is a T-Sylvester solve on a cached real Schur form combined with a matrix
 exponential.
 """

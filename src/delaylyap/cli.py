@@ -11,12 +11,12 @@ the preconditioner as the Krylov route does.  In
 residual checks and the solution samples, and the ``krylov_`` keys the
 2^-24 plan of the Krylov operator applies; at n <= ``DIRECT_MAX_N``, where
 the solve is LU on the assembled operator (``method=lu``), they repeat the
-2^-53 plan that operator ran.  At tau = 0 both plans are (0, 1) whatever
-``--steps`` says, so the summary reads ``propagation_degree=0``,
-``propagation_steps=1`` and ``rhs_evals_per_apply=0``, and the ``krylov_``
-keys the same.  ``target_met`` is False when r_alg or r_sym
-ends above 1e-8; such a solve still exits 0, since the accuracy it reached
-is in the summary.
+2^-53 plan that operator ran.  Both plans are read off the generator's
+power bounds; at tau = 0 both are (0, 1), so the summary reads
+``propagation_degree=0``, ``propagation_steps=1`` and
+``rhs_evals_per_apply=0``, and the ``krylov_`` keys the same.
+``target_met`` is False when r_alg or r_sym ends above 1e-8; such a solve
+still exits 0, since the accuracy it reached is in the summary.
 """
 
 import argparse
@@ -34,7 +34,7 @@ from .operators import (OperatorContext, TdsProblem, _check_dense_cap, precondit
                         reconstruct_solution)
 from .precond import build_preconditioner, preconditioner_matrix
 from .problems import bench_table, pdde_generate, small_example
-from .propagation import OdeConfig, _check_tau, plan_propagations
+from .propagation import _check_tau, plan_propagations
 from .solver import DIRECT_MAX_N, solve_delay_lyapunov
 from .tsylv import tsylv_solve, tsylv_solve_kron
 
@@ -54,16 +54,8 @@ def _add_problem_args(p):
     p.add_argument("--tau", type=float, default=1.0, help="delay (default 1)")
 
 
-def _add_steps_arg(p):
-    p.add_argument("--steps", type=int, default=None,
-                   help="number of fixed degree-4 Taylor steps (default: planned Taylor)")
-
-
 def _add_solver_args(p):
-    _add_steps_arg(p)
-    above = f"; read only at n > {DIRECT_MAX_N}, the solve is LU at smaller n"
-    p.add_argument("--method", choices=("gmres", "bicgstab"), default="gmres",
-                   help=f"Krylov method (default gmres){above}")
+    above = f"; read only at n > {DIRECT_MAX_N}, where the solve is GMRES, LU below"
     p.add_argument("--tol", type=float, default=1e-12,
                    help=f"relative residual tolerance (default 1e-12){above}")
     p.add_argument("--maxit", type=int, default=None,
@@ -111,11 +103,10 @@ def _write_summary(path, pairs):
 def cmd_solve(args):
     problem = _load_problem(args)
     with _input_errors():  # before any solve or file write
-        ode = OdeConfig(steps=args.steps)
-        krylov = KrylovConfig(method=args.method, tol=args.tol, maxit=args.maxit)
+        krylov = KrylovConfig(tol=args.tol, maxit=args.maxit)
         if args.samples < 3:
             raise ValueError("samples must be >= 3")
-    report = solve_delay_lyapunov(problem, ode=ode, krylov=krylov)
+    report = solve_delay_lyapunov(problem, krylov=krylov)
     outdir = Path(args.outdir)  # made after the solve, so a failed one leaves none
     outdir.mkdir(parents=True, exist_ok=True)
     write_matrix(outdir / "X.mtx", report.X, comment="U(tau/2)")
@@ -175,9 +166,8 @@ def cmd_bench(args):
         _check_tau(args.tau)
         if not np.isfinite(args.f0):
             raise ValueError("f0 must be finite")
-        ode = OdeConfig(steps=args.steps)
-        krylov = KrylovConfig(method=args.method, tol=args.tol, maxit=args.maxit)
-    table = bench_table(rows, f0=args.f0, tau=args.tau, ode=ode, krylov=krylov)
+        krylov = KrylovConfig(tol=args.tol, maxit=args.maxit)
+    table = bench_table(rows, f0=args.f0, tau=args.tau, krylov=krylov)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "bench.csv",
@@ -193,10 +183,8 @@ def cmd_bench(args):
 
 def cmd_spectrum(args):
     problem = _load_problem(args)
-    with _input_errors():
-        ode = OdeConfig(steps=args.steps)
     _check_dense_cap(problem.n)  # before the plan and the preconditioner
-    plan = plan_propagations(problem.A0, problem.A1, problem.tau, ode)[0]
+    plan = plan_propagations(problem.A0, problem.A1, problem.tau)[0]
     factors = build_preconditioner(preconditioner_matrix(problem), tau=problem.tau)
     ev = preconditioned_spectrum(OperatorContext(problem, plan=plan), factors)
     outdir = Path(args.outdir)
@@ -260,7 +248,6 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="eigenvalues of the preconditioned operator")
     _add_problem_args(p)
-    _add_steps_arg(p)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_spectrum)
 

@@ -31,13 +31,15 @@ _BASIS_INITIAL_ROWS = 32
 
 @dataclass(frozen=True)
 class KrylovConfig:
-    """Iterative-solver settings.
+    """Settings of a Krylov solve, read by both kernels; the driver runs
+    GMRES.
 
-    ``maxit``, an integer >= 1, caps the iterations; ``maxit=None`` lets
-    the caller default to n^2, the dimension bound of the matrix space.
+    ``tol``, in (0, 1), is the relative preconditioned residual at which a
+    solve stops.  ``maxit``, an integer >= 1, caps the iterations;
+    ``maxit=None`` lets the caller default to n^2, the dimension bound of
+    the matrix space.
     """
 
-    method: str = "gmres"
     tol: float = 1e-12
     maxit: int = None
 
@@ -47,8 +49,6 @@ class KrylovConfig:
         if self.maxit is not None and (not isinstance(self.maxit, numbers.Integral)
                                        or self.maxit < 1):
             raise ValueError(f"maxit must be an integer >= 1, got {self.maxit!r}")
-        if self.method not in ("gmres", "bicgstab"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -363,7 +363,7 @@ def bicgstab(op, b, precond=None, cfg=None):
     a non-finite operator or preconditioner output raises
     ``"krylov-nonfinite"`` as in :func:`gmres`.
     """
-    cfg = cfg or KrylovConfig(method="bicgstab")
+    cfg = cfg or KrylovConfig()
     b = np.asarray(b, dtype=float)
     shape = b.shape
     maxit = cfg.maxit or b.size

@@ -116,7 +116,7 @@ def pdde_generate(nx, ny, f0=5.0, tau=1.0):
     return PddeSystem(problem=problem, nx=nx, ny=ny, f0=float(f0), hx=hx, hy=hy)
 
 
-def bench_table(rows, f0=5.0, tau=1.0, ode=None, krylov=None):
+def bench_table(rows, f0=5.0, tau=1.0, krylov=None):
     """Solve one PDDE instance per (nx, ny) row and tabulate the outcomes.
 
     Returns a list of dicts with keys n, seconds, iterations, r_alg, and
@@ -131,7 +131,7 @@ def bench_table(rows, f0=5.0, tau=1.0, ode=None, krylov=None):
         t0 = time.perf_counter()
         try:
             system = pdde_generate(nx, ny, f0=f0, tau=tau)
-            report = solve_delay_lyapunov(system.problem, ode=ode, krylov=krylov)
+            report = solve_delay_lyapunov(system.problem, krylov=krylov)
             row["seconds"] = time.perf_counter() - t0
             row["iterations"] = report.iterations
             row["r_alg"] = report.r_alg

@@ -10,7 +10,7 @@ Linear Algebra Appl. 434, 2011).  A simple eigenvalue 1 is allowed.
 This module is the one place that knows the general pencil:
 :func:`factor_pencil` triangularizes it by complex QZ, so a singular N^T
 gives an infinite eigenvalue rather than a failure.  Both routes take only
-real, square M, N and C of one shape with n >= 1 (``ValueError``) and
+real, finite, square M, N and C of one shape with n >= 1 (``ValueError``) and
 report a singular or near-singular map as ``tsylv-near-singular``, which
 :func:`tsylv_solve` reads off the back substitution, not off the computed
 eigenvalues, which a large off-diagonal can move off a reciprocal pair: an
@@ -84,13 +84,16 @@ def factor_pencil(M, N):
 
 def _check_input(M, N, C):
     """The input rule of both routes: M, N and C as float64, or ``ValueError``
-    unless they are real and square of one shape with n >= 1."""
+    unless they are real, finite and square of one shape with n >= 1."""
     M, N, C = (np.asarray(A) for A in (M, N, C))
     if (any(np.iscomplexobj(A) for A in (M, N, C)) or M.ndim != 2 or not M.size
             or M.shape[0] != M.shape[1] or not M.shape == N.shape == C.shape):
         raise ValueError(f"M, N and C must be real and square of one shape with n >= 1, got "
                          f"{M.dtype} {M.shape}, {N.dtype} {N.shape}, {C.dtype} {C.shape}")
-    return tuple(np.asarray(A, dtype=float) for A in (M, N, C))
+    M, N, C = (np.asarray(A, dtype=float) for A in (M, N, C))
+    if not all(np.isfinite(A).all() for A in (M, N, C)):
+        raise ValueError("M, N and C must be finite")
+    return M, N, C
 
 
 def _solve_reduced(TM, TN, C):

@@ -81,6 +81,12 @@ SINGULAR_PENCIL = {"M": np.diag([0.0, 1.0]), "N": np.diag([0.0, 2.0]), "C": np.o
                  id="hidden-reciprocal-pair"),
     *(pytest.param(solve, dict.fromkeys("MNC", np.zeros((0, 0))), ValueError, id=f"empty-{name}")
       for name, solve in (("python", tsylv_solve), ("python-oracle", tsylv_solve_kron))),
+    # a non-finite entry breaks the input rule on both routes, before QZ or
+    # the Kronecker matrix sees it
+    *(pytest.param(solve, {"M": np.array([[1.0, bad], [0.0, 1.0]]), "N": np.eye(2),
+                           "C": np.eye(2)}, ValueError, id=f"{bad}-{name}")
+      for bad in (np.nan, np.inf)
+      for name, solve in (("python", tsylv_solve), ("python-oracle", tsylv_solve_kron))),
 ])
 def test_tsylv_input(route, data, expected, tmp_path, capsys):
     out = tmp_path / "X.mtx"
@@ -207,6 +213,13 @@ def test_bench_malformed_grid(tmp_path, capsys):
     ["spectrum", "--small-example", "--shift", "2"],
     ["solve", "--small-example", "-c", "2"],
     ["bench", "--shift", "2"],
+    # every solve runs GMRES on the planned propagation, so no subcommand
+    # takes a Krylov method or a fixed step count
+    ["solve", "--small-example", "--steps", "7"],
+    ["bench", "--steps", "7"],
+    ["spectrum", "--small-example", "--steps", "7"],
+    ["solve", "--small-example", "--method", "bicgstab"],
+    ["bench", "--method", "bicgstab"],
 ])
 def test_option_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -220,14 +233,14 @@ def read_summary(path):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--small-example", "--samples", "2"],
-    ["solve", "--small-example", "--steps", "0"],
     ["solve", "--small-example", "--tol", "2"],
     ["solve", "--small-example", "--maxit", "0"],
     ["solve", "--pdde", "3", "3", "--tau", "nan"],
     ["solve", "--pdde", "3", "3", "--tau", "inf"],
     ["solve", "--small-example", "--tau", "nan"],
-    ["spectrum", "--small-example", "--steps", "0"],
+    ["spectrum", "--small-example", "--tau", "nan"],
     ["bench", "--grids", "3x3", "--tol", "5"],
+    ["bench", "--grids", "3x3", "--maxit", "0"],
     ["pdde", "0", "3"],
     ["bench", "--grids", "0x3"],
     ["bench", "--grids", "3x3", "--tau", "nan"],
@@ -240,26 +253,23 @@ def test_configuration_error_is_invalid_input(argv, tmp_path, capsys):
     assert not outdir.exists()  # rejected before any solve or file write
 
 
-@pytest.mark.parametrize("options, krylov", [([], (35, 1)), (["--steps", "7"], (4, 7))],
-                         ids=["planned", "steps-7"])
-def test_summary_reports_the_krylov_plan(options, krylov, tmp_path):
+def test_summary_reports_the_krylov_plan(tmp_path):
     # the Krylov applies run the 2^-24 plan, never more terms than the
-    # 2^-53 plan of the residual checks; --steps fixes both.  PDDE 3x3
-    # (n = 18) lies above the LU switch
-    assert main(["solve", "--pdde", "3", "3", "--samples", "3", *options,
+    # 2^-53 plan of the residual checks.  PDDE 3x3 (n = 18) lies above the
+    # LU switch
+    assert main(["solve", "--pdde", "3", "3", "--samples", "3",
                  "--outdir", str(tmp_path)]) == 0
     summary = read_summary(tmp_path / "summary.txt")
     degree = int(summary["krylov_propagation_degree"])
     steps = int(summary["krylov_propagation_steps"])
-    assert (degree, steps) == krylov
+    assert (degree, steps) == (35, 1)
     assert int(summary["krylov_rhs_evals_per_apply"]) == degree * steps
     assert degree * steps <= int(summary["rhs_evals_per_apply"])
 
 
 def test_zero_delay_summary_ignores_steps(tmp_path):
-    # tau = 0 plans (0, 1) under every setting: 200000 fixed steps of
-    # length 0 would run 800000 Taylor terms per apply
-    assert main(["solve", "--pdde", "3", "3", "--tau", "0", "--steps", "200000",
+    # tau = 0 plans (0, 1): no Taylor term on either plan
+    assert main(["solve", "--pdde", "3", "3", "--tau", "0",
                  "--samples", "3", "--outdir", str(tmp_path)]) == 0
     summary = read_summary(tmp_path / "summary.txt")
     for prefix in ("", "krylov_"):
@@ -277,7 +287,7 @@ def test_solve_without_problem_source_is_invalid_input(tmp_path, capsys):
 def test_direct_route_summary(tmp_path):
     # at n = 4 the solve is LU on the operator assembled on the 2^-53 plan:
     # no Krylov iteration, and the krylov_ keys give that plan
-    assert main(["solve", "--small-example", "--method", "bicgstab", "--samples", "3",
+    assert main(["solve", "--small-example", "--samples", "3",
                  "--outdir", str(tmp_path)]) == 0
     summary = read_summary(tmp_path / "summary.txt")
     assert (summary["method"], summary["converged"], summary["iterations"]) == ("lu", "True", "0")

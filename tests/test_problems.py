@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from delaylyap import (
     KrylovConfig,
-    OdeConfig,
     SolverError,
     bench_table,
     pdde_generate,
@@ -91,7 +90,7 @@ class TestPddeGenerate:
 
 class TestBenchTable:
     def test_exact_preconditioner_limit(self):
-        rows = bench_table([(5, 5)], f0=0.0, ode=OdeConfig(steps=500),
+        rows = bench_table([(5, 5)], f0=0.0,
                            krylov=KrylovConfig(tol=1e-6, maxit=100))
         assert rows[0]["n"] == 50
         assert rows[0]["iterations"] == 1
@@ -100,7 +99,6 @@ class TestBenchTable:
 
     def test_failures_recorded_not_raised(self):
         rows = bench_table([(4, 4), (3, 3)], f0=0.0,
-                           ode=OdeConfig(steps=50),
                            krylov=KrylovConfig(tol=1e-6, maxit=50))
         assert rows[0]["error"] == "grid-center-undefined"
         assert rows[1]["error"] == ""

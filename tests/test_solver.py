@@ -198,15 +198,13 @@ def test_report_holds_no_krylov_basis(krylov_route):
     assert report.relation is None
 
 
-@pytest.mark.parametrize("method", ["gmres", "bicgstab"])
-def test_overflowing_kernel_norm_is_nonfinite(method, krylov_route):
+def test_overflowing_kernel_norm_is_nonfinite(krylov_route):
     # alpha = 1000 has a finite plan, but the preconditioned operator output
-    # is so large that the kernels' norms overflow
+    # is so large that GMRES's norms overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError) as err:
-            solve_delay_lyapunov(small_example(1000.0).problem,
-                                 krylov=KrylovConfig(method=method))
+            solve_delay_lyapunov(small_example(1000.0).problem)
     assert err.value.code == "krylov-nonfinite"
 
 
@@ -289,8 +287,7 @@ def test_krylov_applies_and_checks_run_their_own_plans(problem, monkeypatch, kry
     assert plans == {"krylov": {report.krylov_plan}, "check": {report.plan}}
 
 
-@pytest.mark.parametrize("method", ["gmres", "bicgstab"])
-def test_zero_cost_returns_exact_zero(method, monkeypatch, krylov_route):
+def test_zero_cost_returns_exact_zero(monkeypatch, krylov_route):
     # X = 0 solves the equation exactly; the kernels, which reject a zero
     # right-hand side, are not called
     import delaylyap.solver
@@ -301,8 +298,8 @@ def test_zero_cost_returns_exact_zero(method, monkeypatch, krylov_route):
     monkeypatch.setattr(delaylyap.solver, "gmres", no_kernel)
     monkeypatch.setattr(delaylyap.solver, "bicgstab", no_kernel)
     p = dataclasses.replace(small_example(1.0).problem, W=np.zeros((4, 4)))
-    report = solve_delay_lyapunov(p, krylov=KrylovConfig(method=method))
-    assert report.converged and report.iterations == 0 and report.method == method
+    report = solve_delay_lyapunov(p)
+    assert report.converged and report.iterations == 0 and report.method == "gmres"
     assert report.X.shape == (4, 4) and not report.X.any()
     assert report.r_alg == 0.0 and report.r_sym == 0.0
     assert (report.plan, report.krylov_plan) == plan_propagations(p.A0, p.A1, p.tau)
@@ -641,7 +638,7 @@ def _record_calls(monkeypatch):
     monkeypatch.setattr(solver, "apply_operator", apply)
     monkeypatch.setattr(solver, "rk4_propagate", propagate)
     monkeypatch.setattr(solver, "gmres", counting_kernel(solver.gmres))
-    monkeypatch.setattr(solver, "bicgstab", counting_kernel(solver.bicgstab))
+    monkeypatch.setattr(solver, "bicgstab", _unreachable)  # the driver runs GMRES alone
     return seen
 
 
@@ -681,9 +678,8 @@ def _unreachable(*args, **kwargs):
     raise AssertionError("a call that the solve must not make")
 
 
-@pytest.mark.parametrize("method", ["gmres", "bicgstab"])
-def test_direct_route_runs_no_krylov_solve(method, monkeypatch):
-    # whatever method is asked for, the LU route builds and applies no
+def test_direct_route_runs_no_krylov_solve(monkeypatch):
+    # whatever Krylov cap is asked for, the LU route builds and applies no
     # preconditioner and calls no Krylov kernel: one batched apply, no
     # other propagation, and the same X
     import delaylyap.solver as solver
@@ -693,7 +689,7 @@ def test_direct_route_runs_no_krylov_solve(method, monkeypatch):
     for name in ("gmres", "bicgstab", "build_preconditioner", "apply_preconditioner"):
         monkeypatch.setattr(solver, name, _unreachable)
     seen = _record_calls(monkeypatch)
-    report = solve_delay_lyapunov(problem, krylov=KrylovConfig(method=method, maxit=1))
+    report = solve_delay_lyapunov(problem, krylov=KrylovConfig(maxit=1))
     assert report.method == "lu" and report.converged
     assert seen["shapes"] == [(16, 4, 4)] and seen["propagations"] == 0
     assert np.array_equal(report.X, reference.X)
@@ -766,13 +762,6 @@ def test_target_reads_both_boundary_residuals(residuals, met, monkeypatch):
     monkeypatch.setattr(solver, "boundary_residuals", lambda *args: residuals)
     report = solve_delay_lyapunov(small_example(1.0).problem)
     assert report.target_met is met
-
-
-def test_bicgstab_path(krylov_route):
-    report = solve_delay_lyapunov(small_example(0.5).problem,
-                                  krylov=KrylovConfig(method="bicgstab", tol=1e-12, maxit=64))
-    assert report.converged
-    assert report.r_alg <= 1e-8
 
 
 def test_cli_summary_reports_plan(tmp_path):
