@@ -9,7 +9,7 @@ exponential.
 """
 
 from .errors import SolverError
-from .krylov import KrylovConfig, SolveReport, SolveTimings, bicgstab, gmres
+from .krylov import KrylovConfig, bicgstab, gmres
 from .linalg import eigenvalues, expm, frobenius, lu_solve, matrix_of, real_schur, unvec, vec
 from .matio import read_matrix, write_matrix
 from .operators import (
@@ -38,7 +38,7 @@ from .propagation import (
     rk4_propagate,
     term_operands,
 )
-from .solver import solve_delay_lyapunov
+from .solver import SolveReport, SolveTimings, solve_delay_lyapunov
 from .tsylv import (
     TsylvPencil,
     factor_pencil,

@@ -32,10 +32,9 @@ from .krylov import KrylovConfig
 from .matio import read_matrix, write_matrix
 from .operators import (OperatorContext, TdsProblem, _check_dense_cap, preconditioned_spectrum,
                         reconstruct_solution)
-from .precond import build_preconditioner, preconditioner_matrix
 from .problems import bench_table, pdde_generate, small_example
 from .propagation import _check_tau, plan_propagations
-from .solver import DIRECT_MAX_N, solve_delay_lyapunov
+from .solver import DIRECT_MAX_N, preconditioner_for, solve_delay_lyapunov
 from .tsylv import tsylv_solve, tsylv_solve_kron
 
 
@@ -185,7 +184,7 @@ def cmd_spectrum(args):
     problem = _load_problem(args)
     _check_dense_cap(problem.n)  # before the plan and the preconditioner
     plan = plan_propagations(problem.A0, problem.A1, problem.tau)[0]
-    factors = build_preconditioner(preconditioner_matrix(problem), tau=problem.tau)
+    factors = preconditioner_for(problem)
     ev = preconditioned_spectrum(OperatorContext(problem, plan=plan), factors)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -2,9 +2,9 @@
 
 Both solvers work with the trace (Frobenius) inner product, take the operator
 and optional left preconditioner as callables on matrices, start from the
-zero initial guess, and report the relative preconditioned residual history.
-The kernels time only themselves (total and per-iteration wall time); a
-caller that wants operator or preconditioner time times its own callables.
+zero initial guess, and return X, the relative preconditioned residual
+history with its wall-time stamps, and the counts (:class:`KrylovResult`);
+a caller that wants operator or preconditioner time times its own callables.
 GMRES is full (non-restarted) with classical Gram-Schmidt applied twice
 (CGS2, which keeps the basis orthonormal to working precision) and
 Givens-rotation least-squares updates.  It returns its Arnoldi relation, and
@@ -17,7 +17,7 @@ overflows raises ``"krylov-nonfinite"`` instead of a NumPy warning.
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,23 +49,6 @@ class KrylovConfig:
         if self.maxit is not None and (not isinstance(self.maxit, numbers.Integral)
                                        or self.maxit < 1):
             raise ValueError(f"maxit must be an integer >= 1, got {self.maxit!r}")
-
-
-@dataclass
-class SolveTimings:
-    """Wall seconds of one solve.  In a ``solve_delay_lyapunov`` report, setup
-    is the propagation plans plus the preconditioner build (the plans alone
-    on the LU route or for a zero W), apply every propagation the driver
-    makes (on the LU route, the assembly of the operator's matrix alone),
-    precond every preconditioner apply (none on the LU route), and total
-    the whole solve, the LU factorization and the residuals read off the
-    assembly's pairs included; a Krylov kernel fills in only its own
-    total."""
-
-    setup_seconds: float = 0.0
-    apply_seconds: float = 0.0
-    precond_seconds: float = 0.0
-    total_seconds: float = 0.0
 
 
 def _rotate(t, cs, sn):
@@ -128,27 +111,16 @@ class ArnoldiRelation:
         return matmul(scipy.linalg.solve_triangular(self.R, z, lower=False), self.V[:-1])
 
 
-@dataclass
-class SolveReport:
-    """Outcome of one solve: a Krylov kernel's or ``solve_delay_lyapunov``'s.
+@dataclass(frozen=True)
+class KrylovResult:
+    """Outcome of one Krylov kernel solve.
 
     ``residual_history`` has one entry per iteration plus the initial one,
     1.0 unless a recycled space already reduces the residual; for GMRES it
     is non-increasing.  ``iteration_seconds`` holds, for each history entry,
     the ``perf_counter`` time elapsed since the solve started when that
     entry was recorded.  ``relation`` is the Arnoldi relation of a GMRES
-    solve (None for BiCGStab).  ``method`` is the kernel's name, or
-    ``"lu"`` for the driver's direct route at n <= ``DIRECT_MAX_N``: 0
-    iterations and the one history entry ||M vec(X) + vec(W)|| / ||W|| of
-    the assembled matrix M.  The propagation plans, the boundary-value
-    residuals, ``target_met`` and the refinement counts are filled in by
-    ``solve_delay_lyapunov``, not by the Krylov kernels: ``plan`` is the
-    2^-53 plan of the boundary residuals and refinement, ``krylov_plan``
-    the plan of every operator apply of the solve, 2^-24 for a Krylov solve
-    and the 2^-53 plan on the LU route; ``target_met`` is False when the
-    final r_alg or r_sym exceeds ``solver.BV_TARGET`` (or is not finite);
-    ``refinement_iterations`` counts the new Arnoldi iterations of the
-    correction solves, not the recycled space they start from.
+    solve, None for BiCGStab.
     """
 
     X: np.ndarray
@@ -156,15 +128,6 @@ class SolveReport:
     iteration_seconds: list
     iterations: int
     converged: bool
-    method: str
-    timings: SolveTimings = field(default_factory=SolveTimings)
-    plan: object = None
-    krylov_plan: object = None
-    r_alg: float = None
-    r_sym: float = None
-    target_met: bool = None
-    refinement_passes: int = 0
-    refinement_iterations: int = 0
     relation: ArnoldiRelation = None
 
 
@@ -236,12 +199,12 @@ def gmres(op, b, precond=None, cfg=None, recycle=None):
         convergence is measured in the preconditioned residual norm.
     cfg : KrylovConfig
     recycle : ArnoldiRelation, optional
-        ``SolveReport.relation`` of an earlier GMRES solve with the same op
+        ``KrylovResult.relation`` of an earlier GMRES solve with the same op
         and precond; None recycles nothing (the empty space, k = 0).
 
     Returns
     -------
-    SolveReport
+    KrylovResult
         ``iterations`` counts new Arnoldi iterations.  ``relation`` is the
         Arnoldi relation of this solve, of K itself when nothing was
         recycled and of the projected (I - C C^T) K otherwise; its basis
@@ -343,14 +306,12 @@ def gmres(op, b, precond=None, cfg=None, recycle=None):
         H[:j + 1, j] = R[j]
     y = scipy.linalg.solve_triangular(H, g[:m], lower=False)
     x = matmul(y, V[:m]) + space.u(z - matmul(np.reshape(B, (m, len(space.cs))).T, y))
-    return SolveReport(
+    return KrylovResult(
         X=x.reshape(shape),
         residual_history=history,
         iteration_seconds=stamps,
         iterations=iterations,
         converged=converged,
-        method="gmres",
-        timings=SolveTimings(total_seconds=time.perf_counter() - t_start),
         relation=ArnoldiRelation(V[:m + 1], H, np.array(cs), np.array(sn)),
     )
 
@@ -437,12 +398,10 @@ def bicgstab(op, b, precond=None, cfg=None):
             converged = True
             break
 
-    return SolveReport(
+    return KrylovResult(
         X=x.reshape(shape),
         residual_history=history,
         iteration_seconds=stamps,
         iterations=iterations,
         converged=converged,
-        method="bicgstab",
-        timings=SolveTimings(total_seconds=time.perf_counter() - t_start),
     )

@@ -13,10 +13,10 @@ roundoff, and an exactly linear map.  The identity's coefficient c in T
 and in the operator L is 1: any c != 0 scales the skew part of both by
 c, so it cancels from Ltilde_c^-1 L_c, and from Ltilde_c^-1 (-W) as W = W^T.
 
-The preconditioner reads A0 and tau alone, never the operator; at tau = 0,
-where the operator is the T-Sylvester map of A0 + A1, it is built from
-A0 + A1 (:func:`preconditioner_matrix`).  The Schur form is
-:func:`delaylyap.linalg.real_schur`.  :func:`build_preconditioner`
+The preconditioner reads the matrix it is built from and tau alone, never
+the operator; which matrix a problem's solve builds it from is the
+driver's rule (:func:`delaylyap.solver.preconditioner_for`).  The Schur
+form is :func:`delaylyap.linalg.real_schur`.  :func:`build_preconditioner`
 refuses, with ``"precond-unsolvable"``, an A0 whose map T(Y) is singular:
 one with a Hamiltonian eigenpairing (:func:`has_no_hamiltonian_pairing`).
 
@@ -75,12 +75,6 @@ def build_preconditioner(A0, shift=1.0, *, tau):
         raise SolverError("precond-unsolvable",
                           "A0 has a Hamiltonian eigenpairing: lambda_i + conj(lambda_j) = 0")
     return PrecondFactors(U=U, T=T, A0=A0, exp_forward=expm((0.5 * tau) * A0))
-
-
-def preconditioner_matrix(problem):
-    """The matrix to build the preconditioner of ``problem`` from: A0, or
-    A0 + A1 at tau = 0, whose T-Sylvester map the operator then is."""
-    return problem.A0 + problem.A1 if problem.tau == 0 else problem.A0
 
 
 def _check_shift(shift):

@@ -19,19 +19,21 @@ recycles the main solve's Arnoldi relation as a fixed GCRO space, so it
 iterates only on what that space misses.  Refinement never changes the
 reported main-solve iteration count.  Both routes plan, answer a zero W
 with the exact X = 0, then solve; the Krylov route alone builds a
-preconditioner, in its own setup.
+preconditioner, in its own setup (:func:`preconditioner_for`).
 """
 
 import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import SolverError
 from .krylov import bicgstab  # noqa: F401 -- bench/tracing.py wraps it
-from .krylov import KrylovConfig, SolveReport, SolveTimings, gmres
+from .krylov import KrylovConfig, KrylovResult, gmres
 from .linalg import frobenius, lu_solve, matmul, matrix_of, norm, unvec, vec
 from .operators import OperatorContext, apply_operator, boundary_residuals, combine_pair
-from .precond import apply_preconditioner, build_preconditioner, preconditioner_matrix
-from .propagation import plan_propagations, rk4_propagate
+from .precond import apply_preconditioner, build_preconditioner, has_no_hamiltonian_pairing
+from .propagation import PropagationPlan, plan_propagations, rk4_propagate
 
 # read off X's terminal pair on the 2^-53 plan, whichever route solved (on
 # the LU route, contracted from the assembly's pairs): the accuracy of X
@@ -41,6 +43,51 @@ REFINE_MAX = 2  # cap on the correction solves appended after the main solve
 # largest n solved by LU on the assembled operator, at most 11^4 doubles
 # (117 KB); set by timing both routes (CHANGES.md)
 DIRECT_MAX_N = 11
+
+
+@dataclass
+class SolveTimings:
+    """Wall seconds of one ``solve_delay_lyapunov`` call, added up as it runs:
+    setup (the plans and any preconditioner builds), apply (every propagation
+    the driver makes; on the LU route, the assembly alone), precond (every
+    preconditioner apply) and total (the whole solve)."""
+
+    setup_seconds: float = 0.0
+    apply_seconds: float = 0.0
+    precond_seconds: float = 0.0
+    total_seconds: float = 0.0
+
+
+@dataclass(frozen=True)
+class SolveReport:
+    """Outcome of one ``solve_delay_lyapunov`` call, built at its end.
+
+    The history, its stamps, ``iterations`` and ``converged`` are the main
+    solve's ``KrylovResult``'s, and X is its X plus the accepted corrections.
+    On the LU route (``method="lu"``) that result has 0 iterations and the
+    one history entry ||M vec(X) + vec(W)|| / ||W|| of the assembled matrix
+    M.  ``plan`` is the 2^-53 plan of the boundary residuals r_alg, r_sym
+    and of refinement, ``krylov_plan`` that of every operator apply, 2^-24
+    on the Krylov route.  ``target_met`` is False when r_alg or r_sym
+    exceeds ``BV_TARGET`` (or is not finite).  ``refinement_iterations``
+    counts the new Arnoldi iterations of the correction solves.  No Krylov
+    basis is kept: at n = 882 it is about 500 MB.
+    """
+
+    X: np.ndarray
+    residual_history: list
+    iteration_seconds: list
+    iterations: int
+    converged: bool
+    method: str
+    timings: SolveTimings
+    plan: PropagationPlan
+    krylov_plan: PropagationPlan
+    r_alg: float
+    r_sym: float
+    target_met: bool
+    refinement_passes: int
+    refinement_iterations: int
 
 
 def solve_delay_lyapunov(problem, ode=None, krylov=None):
@@ -53,12 +100,10 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     is ``linalg.lu_solve``'s rcond check (``"singular-matrix"``): an A0
     with a Hamiltonian eigenpairing is solved when L is nonsingular.
 
-    Above the switch the preconditioner is built from A0, or at tau = 0
-    from A0 + A1 (``precond.preconditioner_matrix``); it refuses a
-    Hamiltonian eigenpairing with ``"precond-unsolvable"``.  Two fixed
-    plans, read off one set of bounds (``plan_propagations``), serve the
-    solve.  The main solve and every correction solve apply the operator
-    on the Krylov plan, for a backward error of 2^-24
+    Above the switch :func:`preconditioner_for` builds the preconditioner.
+    Two fixed plans, read off one set of bounds (``plan_propagations``),
+    serve the solve.  The main solve and every correction solve apply the
+    operator on the Krylov plan, for a backward error of 2^-24
     (``report.krylov_plan``).  The true residual of each refinement pass
     propagates on the 2^-53 plan (``report.plan``).  Each operator is a
     fixed polynomial in G, so it is exactly linear, and a recycled Arnoldi
@@ -93,15 +138,6 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     Returns
     -------
     SolveReport
-        With the solution X = U(tau/2), the final boundary residuals r_alg,
-        r_sym, ``target_met``, the 2^-53 plan, the plan the solve's
-        operator ran (``krylov_plan``; the 2^-53 plan on the LU route) and
-        the timings of the whole solve (``SolveTimings``).  On the LU route
-        ``method`` is ``"lu"``, with 0 iterations and a residual history of
-        one entry, ||M vec(X) + vec(W)|| / ||W||.  Above the switch it
-        carries the main-solve residual history and iteration count and the
-        refinement passes and their new Krylov iterations.  It holds no
-        Krylov basis (``relation`` is None).
     """
     krylov = krylov or KrylovConfig()
     timings = SolveTimings()
@@ -110,24 +146,45 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     ctx = OperatorContext(problem, plan=plan)
     timings.setup_seconds = time.perf_counter() - t_start
     direct = problem.n <= DIRECT_MAX_N
+    passes = refined = 0
     if not problem.W.any():  # X = 0 is exact; the kernels reject a zero right-hand side
-        report = SolveReport(np.zeros_like(problem.W), [0.0], [0.0], 0, True,
-                             "lu" if direct else "gmres")
+        result = KrylovResult(np.zeros_like(problem.W), [0.0], [0.0], 0, True)
         r_alg = r_sym = 0.0
     elif direct:
-        report, (r_alg, r_sym) = _solve_direct(ctx, timings)
+        result, (r_alg, r_sym) = _solve_direct(ctx, timings)
     else:
-        report, (r_alg, r_sym) = _solve_krylov(ctx, krylov_plan, krylov, timings)
-    report.plan, report.krylov_plan = plan, plan if direct else krylov_plan
-    report.r_alg, report.r_sym = r_alg, r_sym
-    report.target_met = r_alg <= BV_TARGET and r_sym <= BV_TARGET
+        result, (passes, refined), (r_alg, r_sym) = _solve_krylov(
+            ctx, krylov_plan, krylov, timings)
     timings.total_seconds = time.perf_counter() - t_start
-    report.timings = timings
-    return report
+    return SolveReport(
+        X=result.X, residual_history=result.residual_history,
+        iteration_seconds=result.iteration_seconds, iterations=result.iterations,
+        converged=result.converged, method="lu" if direct else "gmres", timings=timings,
+        plan=plan, krylov_plan=plan if direct else krylov_plan, r_alg=r_alg, r_sym=r_sym,
+        target_met=r_alg <= BV_TARGET and r_sym <= BV_TARGET,
+        refinement_passes=passes, refinement_iterations=refined)
+
+
+def preconditioner_for(problem):
+    """The preconditioner of ``problem``'s Krylov solve, built from A0 but
+    from A0 + A1 at tau = 0, where the operator is the T-Sylvester map of
+    A0 + A1, and when A0 has a Hamiltonian eigenpairing, which makes the map
+    of A0 singular.  A0 + A1 is tried only after A0 is refused, so an A0
+    that does not pair makes one Schur form; when both pair, A0's
+    ``"precond-unsolvable"`` is raised."""
+    A0, A1, tau = problem.A0, problem.A1, problem.tau
+    if tau == 0:
+        return build_preconditioner(A0 + A1, tau=tau)
+    try:
+        return build_preconditioner(A0, tau=tau)
+    except SolverError as refusal:
+        if refusal.code != "precond-unsolvable" or not has_no_hamiltonian_pairing(A0 + A1):
+            raise
+    return build_preconditioner(A0 + A1, tau=tau)
 
 
 def _solve_direct(ctx, timings):
-    """LU on the operator assembled on ``ctx``'s plan: the report of a
+    """LU on the operator assembled on ``ctx``'s plan: the result of a
     0-iteration solve and the boundary residuals of its X."""
     problem = ctx.problem
     units = None
@@ -143,21 +200,21 @@ def _solve_direct(ctx, timings):
     b = -vec(problem.W)
     x = lu_solve(M, b)
     relres = norm(matmul(M, x) - b) / frobenius(problem.W)
-    report = SolveReport(unvec(x), [relres], [time.perf_counter() - t0], 0, True, "lu")
+    result = KrylovResult(unvec(x), [relres], [time.perf_counter() - t0], 0, True)
     # X = sum_j x_j E_j and the pair map is linear (one fixed polynomial in
     # G), so X's terminal pair is the same sum of the unit matrices' pairs
     Z1, Z2 = (matmul(x, Z.reshape(x.size, -1)).reshape(problem.W.shape)
               for Z in (units.Z1_end, units.Z2_end))
-    return report, boundary_residuals(problem, Z2, Z1)
+    return result, boundary_residuals(problem, Z2, Z1)
 
 
 def _solve_krylov(ctx, krylov_plan, krylov, timings):
-    """Preconditioned Krylov solve on ``krylov_plan`` with up to ``REFINE_MAX``
-    refinement passes, its preconditioner's build timed into setup; the
-    report and the final boundary residuals."""
+    """Preconditioned GMRES on ``krylov_plan``, its preconditioner's build timed
+    into setup, and up to ``REFINE_MAX`` refinement passes: the main solve's
+    result with the refined X, the passes and their new iterations, and the
+    final boundary residuals."""
     problem = ctx.problem
-    factors = _timed(timings, "setup_seconds", build_preconditioner,
-                     preconditioner_matrix(problem), tau=problem.tau)
+    factors = _timed(timings, "setup_seconds", preconditioner_for, problem)
     krylov_ctx = OperatorContext(problem, plan=krylov_plan)
 
     def residuals(X):
@@ -172,22 +229,20 @@ def _solve_krylov(ctx, krylov_plan, krylov, timings):
     def pc(X):
         return _timed(timings, "precond_seconds", apply_preconditioner, factors, X)
 
-    report = gmres(op, -problem.W, precond=pc, cfg=krylov)
-    # the basis is dropped from the report: at n = 882 it is about 500 MB
-    relation, report.relation = report.relation, None
-    (r_alg, r_sym), pair = residuals(report.X)
-    while (report.converged and (r_alg > BV_TARGET or r_sym > BV_TARGET)
-           and report.refinement_passes < REFINE_MAX):
+    main = gmres(op, -problem.W, precond=pc, cfg=krylov)
+    X, passes, iterations = main.X, 0, 0
+    (r_alg, r_sym), pair = residuals(X)
+    while main.converged and (r_alg > BV_TARGET or r_sym > BV_TARGET) and passes < REFINE_MAX:
         # the true residual reuses the 2^-53 propagation of the boundary residuals
         residual = -problem.W - combine_pair(ctx, pair)
-        correction = gmres(op, residual, precond=pc, cfg=krylov, recycle=relation)
+        correction = gmres(op, residual, precond=pc, cfg=krylov, recycle=main.relation)
         if not correction.converged:
             break
-        report.X = report.X + correction.X
-        report.refinement_passes += 1
-        report.refinement_iterations += correction.iterations
-        (r_alg, r_sym), pair = residuals(report.X)
-    return report, (r_alg, r_sym)
+        X = X + correction.X
+        passes += 1
+        iterations += correction.iterations
+        (r_alg, r_sym), pair = residuals(X)
+    return replace(main, X=X), (passes, iterations), (r_alg, r_sym)
 
 
 def _timed(timings, name, fn, *args, **kwargs):

@@ -45,12 +45,11 @@ SOLVABLE_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class TsylvPencil:
-    """Triangularized pencil M - lambda N^T with its eigenvalues.
+    """Triangularized pencil M - lambda N^T.
 
     Q, Z are unitary with Q* M Z = TM and Q* N^T Z = TN upper triangular;
-    mu[i] = TM[i,i]/TN[i,i], which is infinite where TN[i,i] = 0 (N^T need
-    not be invertible).  The factors are immutable and safe to reuse across
-    many right-hand sides.
+    TN[i,i] = 0 is an infinite eigenvalue (N^T need not be invertible).
+    The factors are immutable and safe to reuse across right-hand sides.
     """
 
     Q: np.ndarray
@@ -58,20 +57,12 @@ class TsylvPencil:
     TM: np.ndarray
     TN: np.ndarray
 
-    @property
-    def mu(self):
-        dM, dN = np.diag(self.TM), np.diag(self.TN)
-        mu = np.full(dM.shape, np.inf, dtype=complex)
-        finite = dN != 0
-        mu[finite] = dM[finite] / dN[finite]
-        return mu
-
 
 def factor_pencil(M, N):
     """Factor the pencil M - lambda N^T for repeated T-Sylvester solves.
 
     One route, complex QZ (``scipy.linalg.qz``), so N^T need not be
-    invertible and ``mu`` may be infinite, or 0/0 for a singular pencil.
+    invertible: an eigenvalue may be infinite, or 0/0 (a singular pencil).
 
     Raises
     ------

@@ -68,14 +68,6 @@ def eigs_by_char_poly(A):
     return np.roots(char_poly_coeffs(A))
 
 
-def pencil_eigs_by_det(M, NT):
-    """Roots of det(M - lambda NT) by interpolation of the determinant."""
-    n = M.shape[0]
-    nodes = np.linspace(-2.0, 2.0, n + 1)
-    dets = [np.linalg.det(M - lam * NT) for lam in nodes]
-    return np.roots(np.polyfit(nodes, dets, n))
-
-
 def max_multiset_distance(a, b):
     """Best-case pairing distance between two complex multisets."""
     a = np.asarray(a)

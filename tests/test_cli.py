@@ -10,6 +10,7 @@ import pytest
 import delaylyap
 from delaylyap import (
     OperatorContext,
+    TdsProblem,
     build_preconditioner,
     pdde_generate,
     preconditioned_spectrum,
@@ -172,7 +173,7 @@ def test_spectrum_above_dense_cap(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("called above the dense-assembly cap")
 
-    monkeypatch.setattr(delaylyap.cli, "build_preconditioner", unreachable)
+    monkeypatch.setattr(delaylyap.cli, "preconditioner_for", unreachable)
     monkeypatch.setattr(delaylyap.cli, "OperatorContext", unreachable)
     status = main(["spectrum", "--pdde", "5", "5", "--outdir", str(tmp_path / "out")])
     assert status == 1
@@ -335,6 +336,21 @@ def test_spectrum_at_zero_delay_is_one(tmp_path):
     assert np.abs(got - 1.0).max() <= 1e-12
 
 
+def test_spectrum_of_a_pairing_a0(tmp_path):
+    # A0 = diag(0.5, -0.5) pairs and A0 + A1 does not: spectrum builds the
+    # preconditioner from A0 + A1, as the Krylov route does
+    A0, A1 = np.diag([0.5, -0.5]), -np.eye(2)
+    f = write_all(tmp_path, A0=A0, A1=A1, W=np.eye(2))
+    assert main(["spectrum", "--a0", f["A0"], "--a1", f["A1"], "--w", f["W"],
+                 "--outdir", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
+    got = np.array([complex(*map(float, row.split(","))) for row in rows])
+    problem = TdsProblem(A0=A0, A1=A1, tau=1.0, W=np.eye(2))
+    want = preconditioned_spectrum(OperatorContext(problem=problem),
+                                   build_preconditioner(A0 + A1, tau=1.0))
+    assert np.array_equal(got, want)
+
+
 def test_spectrum_plans_before_building(tmp_path, capsys, monkeypatch):
     # A0 = -1e308 I: the planner refuses it, silently, before the
     # preconditioner is built, as solve does
@@ -343,7 +359,7 @@ def test_spectrum_plans_before_building(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the preconditioner was built before the plan")
 
-    monkeypatch.setattr(delaylyap.cli, "build_preconditioner", unreachable)
+    monkeypatch.setattr(delaylyap.cli, "preconditioner_for", unreachable)
     f = write_all(tmp_path, A0=-1e308 * np.eye(2), A1=np.zeros((2, 2)), W=np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
