@@ -3,13 +3,13 @@
 The midpoint value U(tau/2) of the delay Lyapunov matrix satisfies a linear
 matrix equation whose action is computed by integrating a coupled matrix ODE;
 this package solves it by LU on the assembled operator at small n and with
-preconditioned matrix-free GMRES above, where the preconditioner
-is a T-Sylvester solve on a cached real Schur form combined with a matrix
-exponential.
+preconditioned matrix-free GMRES, its one Krylov kernel, above, where the
+preconditioner is a T-Sylvester solve on a cached real Schur form combined
+with a matrix exponential.
 """
 
 from .errors import SolverError
-from .krylov import KrylovConfig, bicgstab, gmres
+from .krylov import KrylovConfig, gmres
 from .linalg import eigenvalues, expm, frobenius, lu_solve, matrix_of, real_schur, unvec, vec
 from .matio import read_matrix, write_matrix
 from .operators import (
@@ -53,7 +53,7 @@ __all__ = [
     "PrecondFactors", "PropagationPlan", "PropagationResult", "SmallExample",
     "SolveReport", "SolveTimings", "SolverError", "TdsProblem", "TsylvPencil",
     "apply_operator", "apply_preconditioner", "assemble_operator",
-    "bench_table", "bicgstab", "boundary_residuals", "build_preconditioner",
+    "bench_table", "boundary_residuals", "build_preconditioner",
     "coupled_rhs", "eigenvalues", "exact_propagate", "expm",
     "factor_pencil", "frobenius", "gmres",
     "has_no_hamiltonian_pairing", "lu_solve", "matrix_of", "pdde_generate",

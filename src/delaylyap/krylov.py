@@ -1,18 +1,19 @@
-"""Matrix-free iterative solvers on the space of n x n matrices.
+"""Matrix-free GMRES on the space of n x n matrices.
 
-Both solvers work with the trace (Frobenius) inner product, take the operator
-and optional left preconditioner as callables on matrices, start from the
-zero initial guess, and return X, the relative preconditioned residual
-history with its wall-time stamps, and the counts (:class:`KrylovResult`);
-a caller that wants operator or preconditioner time times its own callables.
-GMRES is full (non-restarted) with classical Gram-Schmidt applied twice
-(CGS2, which keeps the basis orthonormal to working precision) and
-Givens-rotation least-squares updates.  It returns its Arnoldi relation, and
-a later GMRES solve with the same operator and preconditioner can take that
-relation as a fixed recycled space (GCRO; de Sturler 1999, Parks et al.
-2006), so that it iterates only on what the earlier space does not capture.
-The norms and inner products the kernels form are checked: one that
-overflows raises ``"krylov-nonfinite"`` instead of a NumPy warning.
+The kernel works with the trace (Frobenius) inner product, takes the
+operator and optional left preconditioner as callables on matrices, starts
+from the zero initial guess, and returns X, the relative preconditioned
+residual history with its wall-time stamps, the counts and its Arnoldi
+relation (:class:`KrylovResult`); a caller that wants operator or
+preconditioner time times its own callables.  GMRES is full
+(non-restarted) with classical Gram-Schmidt applied twice (CGS2, which
+keeps the basis orthonormal to working precision) and Givens-rotation
+least-squares updates.  A later GMRES solve with the same operator and
+preconditioner can take the returned relation as a fixed recycled space
+(GCRO; de Sturler 1999, Parks et al. 2006), so that it iterates only on
+what the earlier space does not capture.  The norms and inner products the
+kernel forms are checked: one that overflows raises ``"krylov-nonfinite"``
+instead of a NumPy warning.
 """
 
 import numbers
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .linalg import dot, matmul, norm
+from .linalg import matmul, norm
 
 _TINY = 1e-300
 _BASIS_INITIAL_ROWS = 32
@@ -31,8 +32,7 @@ _BASIS_INITIAL_ROWS = 32
 
 @dataclass(frozen=True)
 class KrylovConfig:
-    """Settings of a Krylov solve, read by both kernels; the driver runs
-    GMRES.
+    """Settings of a GMRES solve.
 
     ``tol``, in (0, 1), is the relative preconditioned residual at which a
     solve stops.  ``maxit``, an integer >= 1, caps the iterations;
@@ -119,8 +119,8 @@ class KrylovResult:
     1.0 unless a recycled space already reduces the residual; for GMRES it
     is non-increasing.  ``iteration_seconds`` holds, for each history entry,
     the ``perf_counter`` time elapsed since the solve started when that
-    entry was recorded.  ``relation`` is the Arnoldi relation of a GMRES
-    solve, None for BiCGStab.
+    entry was recorded.  ``relation`` is the solve's Arnoldi relation;
+    None on a result the driver builds without a Krylov solve.
     """
 
     X: np.ndarray
@@ -313,95 +313,4 @@ def gmres(op, b, precond=None, cfg=None, recycle=None):
         iterations=iterations,
         converged=converged,
         relation=ArnoldiRelation(V[:m + 1], H, np.array(cs), np.array(sn)),
-    )
-
-
-def bicgstab(op, b, precond=None, cfg=None):
-    """BiCGStab for op(X) = b over n x n matrices.
-
-    Same calling convention as :func:`gmres`.  The stabilization parameters
-    breaking down (rho or omega vanishing) raises ``"bicgstab-breakdown"``;
-    a non-finite operator or preconditioner output raises
-    ``"krylov-nonfinite"`` as in :func:`gmres`.
-    """
-    cfg = cfg or KrylovConfig()
-    b = np.asarray(b, dtype=float)
-    shape = b.shape
-    maxit = cfg.maxit or b.size
-    t_start = time.perf_counter()
-    operator, preconditioner = _wrap(op, precond, shape)
-
-    def K(v):
-        return preconditioner(operator(v))
-
-    r = preconditioner(b.ravel().copy())
-    nb = norm(r)
-    _require_finite(0, ("norm of the preconditioned right-hand side", nb))
-    if nb == 0.0:
-        raise ValueError("right-hand side is zero")
-    x = np.zeros_like(r)
-    r_shadow = r.copy()
-    rho = 1.0
-    alpha = 1.0
-    omega = 1.0
-    v = np.zeros_like(r)
-    p = np.zeros_like(r)
-    history = [1.0]
-    stamps = [time.perf_counter() - t_start]
-    converged = False
-    iterations = 0
-
-    for j in range(1, maxit + 1):
-        rho_new = dot(r_shadow, r)
-        _require_finite(j, ("rho", rho_new))
-        if abs(rho_new) <= _TINY or abs(omega) <= _TINY:
-            raise SolverError(
-                "bicgstab-breakdown",
-                f"rho={rho_new:.3g}, omega={omega:.3g} at iteration {j}",
-            )
-        if j == 1:
-            p = r.copy()
-        else:
-            beta = (rho_new / rho) * (alpha / omega)
-            p = r + beta * (p - omega * v)
-        rho = rho_new
-        v = K(p)
-        denom = dot(r_shadow, v)
-        _require_finite(j, ("<r0, v>", denom))
-        if abs(denom) <= _TINY:
-            raise SolverError("bicgstab-breakdown", f"<r0, v> = {denom:.3g} at iteration {j}")
-        alpha = rho / denom
-        s = r - alpha * v
-        iterations = j
-        relres = norm(s) / nb
-        _require_finite(j, ("residual norm", relres))
-        if relres <= cfg.tol:
-            x += alpha * p
-            history.append(relres)
-            stamps.append(time.perf_counter() - t_start)
-            converged = True
-            break
-        t = K(s)
-        tt = dot(t, t)
-        _require_finite(j, ("||t||^2", tt))
-        if tt <= _TINY:
-            raise SolverError("bicgstab-breakdown", f"||t|| = 0 at iteration {j}")
-        omega = dot(t, s) / tt
-        _require_finite(j, ("omega", omega))
-        x += alpha * p + omega * s
-        r = s - omega * t
-        relres = norm(r) / nb
-        _require_finite(j, ("residual norm", relres))
-        history.append(relres)
-        stamps.append(time.perf_counter() - t_start)
-        if relres <= cfg.tol:
-            converged = True
-            break
-
-    return KrylovResult(
-        X=x.reshape(shape),
-        residual_history=history,
-        iteration_seconds=stamps,
-        iterations=iterations,
-        converged=converged,
     )

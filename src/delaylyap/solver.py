@@ -28,11 +28,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SolverError
-from .krylov import bicgstab  # noqa: F401 -- bench/tracing.py wraps it
 from .krylov import KrylovConfig, KrylovResult, gmres
 from .linalg import frobenius, lu_solve, matmul, matrix_of, norm, unvec, vec
 from .operators import OperatorContext, apply_operator, boundary_residuals, combine_pair
-from .precond import apply_preconditioner, build_preconditioner, has_no_hamiltonian_pairing
+from .precond import apply_preconditioner, build_preconditioner
 from .propagation import PropagationPlan, plan_propagations, rk4_propagate
 
 # read off X's terminal pair on the 2^-53 plan, whichever route solved (on
@@ -147,7 +146,7 @@ def solve_delay_lyapunov(problem, ode=None, krylov=None):
     timings.setup_seconds = time.perf_counter() - t_start
     direct = problem.n <= DIRECT_MAX_N
     passes = refined = 0
-    if not problem.W.any():  # X = 0 is exact; the kernels reject a zero right-hand side
+    if not problem.W.any():  # X = 0 is exact; GMRES rejects a zero right-hand side
         result = KrylovResult(np.zeros_like(problem.W), [0.0], [0.0], 0, True)
         r_alg = r_sym = 0.0
     elif direct:
@@ -169,18 +168,23 @@ def preconditioner_for(problem):
     """The preconditioner of ``problem``'s Krylov solve, built from A0 but
     from A0 + A1 at tau = 0, where the operator is the T-Sylvester map of
     A0 + A1, and when A0 has a Hamiltonian eigenpairing, which makes the map
-    of A0 singular.  A0 + A1 is tried only after A0 is refused, so an A0
-    that does not pair makes one Schur form; when both pair, A0's
-    ``"precond-unsolvable"`` is raised."""
+    of A0 singular.  Each matrix tried makes one Schur form: A0 + A1 is
+    built only after A0's ``"precond-unsolvable"``, and when it pairs too
+    its own build raises that code with the same message."""
     A0, A1, tau = problem.A0, problem.A1, problem.tau
-    if tau == 0:
-        return build_preconditioner(A0 + A1, tau=tau)
-    try:
-        return build_preconditioner(A0, tau=tau)
-    except SolverError as refusal:
-        if refusal.code != "precond-unsolvable" or not has_no_hamiltonian_pairing(A0 + A1):
-            raise
+    if tau != 0:
+        try:
+            return build_preconditioner(A0, tau=tau)
+        except SolverError as refusal:
+            if refusal.code != "precond-unsolvable":
+                raise
     return build_preconditioner(A0 + A1, tau=tau)
+
+
+def bicgstab(*args, **kwargs):
+    """The removed BiCGStab kernel's name, kept because ``bench/tracing.py``
+    wraps it; ROADMAP item 1 deletes the stub together with that wrap."""
+    raise NotImplementedError("the BiCGStab kernel was removed; the driver runs GMRES")
 
 
 def _solve_direct(ctx, timings):

@@ -1,4 +1,3 @@
-import re
 import time
 import warnings
 
@@ -8,17 +7,10 @@ from numpy.testing import assert_allclose
 
 from delaylyap import (
     KrylovConfig,
-    OperatorContext,
     SolverError,
-    apply_operator,
-    apply_preconditioner,
-    bicgstab,
-    build_preconditioner,
     frobenius,
     gmres,
     lu_solve,
-    small_example,
-    solve_delay_lyapunov,
     unvec,
     vec,
 )
@@ -127,7 +119,7 @@ class TestGmres:
 
 def ravel_system(rng, N):
     """Random non-symmetric N x N matrix A and a callable applying it to a
-    matrix through its row-major ravel, the kernels' vector coordinates."""
+    matrix through its row-major ravel, the kernel's vector coordinates."""
     A = rng.standard_normal((N, N)) / np.sqrt(N) + 2.0 * np.eye(N)
 
     def op(X):
@@ -219,69 +211,6 @@ class TestKernelHelpers:
         assert err.value.code == "krylov-nonfinite"
 
 
-class TestBicgstab:
-    def test_identity_operator_one_iteration(self):
-        rng = np.random.default_rng(6)
-        b = rng.standard_normal((4, 4))
-        report = bicgstab(lambda X: X, b, cfg=KrylovConfig(tol=1e-12))
-        assert report.converged
-        assert report.iterations == 1
-
-    def test_matches_dense_solve(self):
-        rng = np.random.default_rng(7)
-        op, A = dense_operator(rng, 4)
-        b = rng.standard_normal((4, 4))
-        report = bicgstab(op, b, cfg=KrylovConfig(tol=1e-10, maxit=64))
-        X_direct = unvec(lu_solve(A, vec(b)))
-        assert frobenius(report.X - X_direct) <= 1e-8 * frobenius(X_direct)
-
-    def test_agrees_with_gmres(self):
-        rng = np.random.default_rng(8)
-        op, _ = dense_operator(rng, 4)
-        b = rng.standard_normal((4, 4))
-        tol = 1e-10
-        xg = gmres(op, b, cfg=KrylovConfig(tol=tol, maxit=32)).X
-        xb = bicgstab(op, b, cfg=KrylovConfig(tol=tol, maxit=64)).X
-        assert frobenius(xg - xb) <= 10 * tol * max(frobenius(xg), 1.0)
-
-    def test_zero_rhs_rejected(self):
-        with pytest.raises(ValueError, match="right-hand side is zero"):
-            bicgstab(lambda X: X, np.zeros((3, 3)), cfg=KrylovConfig())
-
-    @pytest.mark.parametrize("M, b, what", [
-        # a 90 degree rotation moves r0 = e1 onto e2, so <r0, v> = 0
-        ([[0, -1], [1, 0]], [1, 0], "<r0, v> = 0 at iteration 1"),
-        # the oblique projection onto e1 along (1, -1) takes b = (1, 1) to
-        # 2 e1, so alpha = 1 and s = (-1, 1) is in its kernel: t = K s = 0
-        ([[1, 1], [0, 0]], [1, 1], "||t|| = 0 at iteration 1"),
-        # s = -e3, omega = -1/4 and r = (0, 1/2, -1/2), orthogonal to r0 = e1
-        ([[-2, -1, 0], [0, 0, -2], [-2, -2, -2]], [1, 0, 0], "rho=0, omega=-0.25 at iteration 2"),
-    ], ids=["r0-orthogonal-to-v", "t-vanishes", "rho-vanishes"])
-    def test_breakdown_raises(self, M, b, what):
-        M = np.array(M, dtype=float)
-        cfg = KrylovConfig(tol=1e-12)
-        with pytest.raises(SolverError, match=re.escape(what)) as err:
-            bicgstab(lambda x: M @ x, np.array(b, dtype=float), cfg=cfg)
-        assert err.value.code == "bicgstab-breakdown"
-
-    def test_small_example_converges_before_dimension_bound(self):
-        # the kernel on the 4x4 example's preconditioned operator, on the
-        # 2^-53 plan; the driver solves this n by LU.  The n^2 = 16 bound
-        # is exact-arithmetic finite termination; at alpha = 5 the
-        # preconditioned operator has condition ~1.6e8 and eigenvalues
-        # 15.3 +/- 50.4i, and BiCGStab takes about 50 iterations
-        for alpha, maxit in ((1.0, 15), (5.0, 64)):
-            p = small_example(alpha).problem
-            ctx = OperatorContext(p)
-            factors = build_preconditioner(p.A0, tau=p.tau)
-            report = bicgstab(lambda X: apply_operator(ctx, X), -p.W,
-                              precond=lambda X: apply_preconditioner(factors, X),
-                              cfg=KrylovConfig(tol=1e-12, maxit=maxit))
-            assert report.converged
-            reference = solve_delay_lyapunov(p)
-            assert frobenius(report.X - reference.X) <= 1e-9 * frobenius(reference.X)
-
-
 def nan_on_call(f, bad):
     """Wrap f so that its ``bad``-th call returns NaN; ``calls`` counts calls."""
 
@@ -294,7 +223,7 @@ def nan_on_call(f, bad):
     return wrapped
 
 
-@pytest.mark.parametrize("solve", [gmres, bicgstab])
+@pytest.mark.parametrize("solve", [gmres])
 @pytest.mark.parametrize("faulty", ["operator", "preconditioner"])
 def test_nonfinite_output_stops_at_first_bad_call(solve, faulty):
     rng = np.random.default_rng(9)
@@ -310,9 +239,9 @@ def test_nonfinite_output_stops_at_first_bad_call(solve, faulty):
     assert (op if faulty == "operator" else pc).calls == 3
 
 
-@pytest.mark.parametrize("solve", [gmres, bicgstab])
+@pytest.mark.parametrize("solve", [gmres])
 def test_overflowing_norm_is_nonfinite(solve):
-    # |b| = 4e300 is finite, but its square is not: the kernels' norm
+    # |b| = 4e300 is finite, but its square is not: the kernel's norm
     # overflows and must raise instead of warning and iterating on inf
     b = np.full((4, 4), 1e300)
     cfg = KrylovConfig()
@@ -324,7 +253,7 @@ def test_overflowing_norm_is_nonfinite(solve):
     assert "iteration 0" in str(err.value)
 
 
-@pytest.mark.parametrize("solve", [gmres, bicgstab])
+@pytest.mark.parametrize("solve", [gmres])
 def test_iteration_seconds_measured(solve):
     rng = np.random.default_rng(10)
     op, _ = dense_operator(rng, 4)
@@ -336,6 +265,19 @@ def test_iteration_seconds_measured(solve):
     assert len(stamps) == len(report.residual_history)
     assert all(0.0 <= a <= b_ for a, b_ in zip(stamps, stamps[1:]))
     assert stamps[-1] <= wall
+
+
+def test_gmres_is_the_one_kernel():
+    # the package exports no BiCGStab kernel; solver.bicgstab is a stub that
+    # the benchmark tracer wraps by name, and it refuses any call
+    import delaylyap
+    import delaylyap.krylov
+    import delaylyap.solver
+
+    assert not hasattr(delaylyap, "bicgstab")
+    assert not hasattr(delaylyap.krylov, "bicgstab")
+    with pytest.raises(NotImplementedError, match="the driver runs GMRES"):
+        delaylyap.solver.bicgstab(lambda X: X, np.eye(2), cfg=KrylovConfig())
 
 
 def test_config_validation():

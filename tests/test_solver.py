@@ -288,15 +288,14 @@ def test_krylov_applies_and_checks_run_their_own_plans(problem, monkeypatch, kry
 
 
 def test_zero_cost_returns_exact_zero(monkeypatch, krylov_route):
-    # X = 0 solves the equation exactly; the kernels, which reject a zero
-    # right-hand side, are not called
+    # X = 0 solves the equation exactly; GMRES, which rejects a zero
+    # right-hand side, is not called
     import delaylyap.solver
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("a Krylov kernel ran on a zero right-hand side")
 
     monkeypatch.setattr(delaylyap.solver, "gmres", no_kernel)
-    monkeypatch.setattr(delaylyap.solver, "bicgstab", no_kernel)
     p = dataclasses.replace(small_example(1.0).problem, W=np.zeros((4, 4)))
     report = solve_delay_lyapunov(p)
     assert report.converged and report.iterations == 0 and report.method == "gmres"
@@ -309,8 +308,8 @@ def test_zero_cost_returns_exact_zero(monkeypatch, krylov_route):
 def test_unsolvable_preconditioner_propagates(monkeypatch):
     # A1 = 0 and A0 = diag(1, -1) make L singular.  The LU route builds no
     # preconditioner, so lu_solve's rcond check refuses the assembled
-    # matrix; on the Krylov route A0 and A0 + A1 both pair, and A0's
-    # refusal is raised
+    # matrix; on the Krylov route A0 and A0 + A1 both pair, and the build
+    # from A0 + A1 refuses with A0's code and message
     import delaylyap.solver as solver
 
     p = TdsProblem(A0=np.diag([1.0, -1.0]), A1=np.zeros((2, 2)), tau=1.0, W=np.eye(2))
@@ -382,6 +381,36 @@ def test_krylov_route_solves_a_pairing_a0(problem, monkeypatch):
     assert len(built) == 2
     assert np.array_equal(built[0], problem.A0)
     assert np.array_equal(built[1], problem.A0 + problem.A1)
+
+
+@pytest.mark.parametrize("problem, code", [
+    (PAIRING_AT_N14, None),
+    (TdsProblem(A0=np.diag([1.0, -1.0]), A1=np.zeros((2, 2)), tau=1.0, W=np.eye(2)),
+     "precond-unsolvable"),
+], ids=["pairing-14x14", "both-pair-2x2"])
+def test_preconditioner_makes_one_schur_form_per_matrix_tried(problem, code, monkeypatch):
+    # A0 pairs and is refused on its own Schur form; A0 + A1 is then built
+    # with no separate pairing check, so the solve makes two Schur forms,
+    # whether A0 + A1 is solvable or refused in its turn
+    import delaylyap.solver as solver
+
+    shapes = []
+    schur = scipy.linalg.schur
+
+    def counting(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return schur(A, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "DIRECT_MAX_N", 0)
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    if code is None:
+        report = solve_delay_lyapunov(problem)
+        assert report.converged and report.target_met
+    else:
+        with pytest.raises(SolverError) as err:
+            solve_delay_lyapunov(problem)
+        assert err.value.code == code
+    assert shapes == [problem.A0.shape] * 2
 
 
 @pytest.mark.parametrize("scale, code", [(1e20, "plan-too-large"), (1e308, "exp-overflow")])
@@ -660,7 +689,6 @@ def _record_calls(monkeypatch):
     monkeypatch.setattr(solver, "apply_operator", apply)
     monkeypatch.setattr(solver, "rk4_propagate", propagate)
     monkeypatch.setattr(solver, "gmres", counting_kernel(solver.gmres))
-    monkeypatch.setattr(solver, "bicgstab", _unreachable)  # the driver runs GMRES alone
     return seen
 
 
@@ -708,7 +736,7 @@ def test_direct_route_runs_no_krylov_solve(monkeypatch):
 
     problem = small_example(1.0).problem
     reference = solve_delay_lyapunov(problem)
-    for name in ("gmres", "bicgstab", "build_preconditioner", "apply_preconditioner"):
+    for name in ("gmres", "build_preconditioner", "apply_preconditioner"):
         monkeypatch.setattr(solver, name, _unreachable)
     seen = _record_calls(monkeypatch)
     report = solve_delay_lyapunov(problem, krylov=KrylovConfig(maxit=1))
